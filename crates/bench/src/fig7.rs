@@ -23,10 +23,10 @@
 //! as `BENCH_fig7.json` through [`crate::BenchReport`], gated in CI next to
 //! fig5/fig6.
 
-use crate::harness::{FigureResult, PdCache, Point, Scale, Series, THREAD_SWEEP};
+use crate::harness::{FigureResult, PdCache, Point, Scale, Series};
 use prov_core::{
-    lineage_over, lineage_over_par_with_frontier_min, lineage_reference, ActivityRecord,
-    LineageBound, LineageDirection, OutputSpec, ProvDb, SnapshotPolicy,
+    lineage_over, lineage_reference, ActivityRecord, LineageBound, LineageDirection, OutputSpec,
+    ProvDb, SnapshotPolicy,
 };
 use prov_model::{VertexId, VertexKind};
 use prov_workload::{ActivityStream, PdParams, StreamParams};
@@ -197,80 +197,6 @@ pub fn fig7b_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
         x_label: "src percentile".into(),
         y_label: "runtime (s)".into(),
         series,
-    }
-}
-
-/// Fig. 7(t): lineage thread scaling — the level-parallel BFS at x chunks
-/// against the sequential epoch-scratch engine, on the largest ancestor
-/// closure of a frozen `Pd` graph (start entity at the 95th creation
-/// percentile). The fan-out threshold is forced to 2 so every multi-vertex
-/// level exercises the chunked path even below the production
-/// `PAR_FRONTIER_MIN`; `work` is the closure size, identical everywhere.
-pub fn fig7t(scale: Scale) -> FigureResult {
-    fig7t_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig7t`] against a shared `Pd` instance cache.
-pub fn fig7t_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
-    let (n, reps) = match scale {
-        Scale::Quick => (5_000, 64),
-        Scale::Full => (50_000, 16),
-    };
-    let inst = cache.instance(&PdParams::with_size(n));
-    let index = inst.index();
-    let entities = inst.graph().vertices_of_kind(VertexKind::Entity);
-    let start = entities[(entities.len() - 1) * 95 / 100];
-    let mut series = [
-        Series { name: "Sequential".into(), points: Vec::new() },
-        Series { name: "Parallel".into(), points: Vec::new() },
-    ];
-    for &threads in &THREAD_SWEEP {
-        let mut best = [f64::INFINITY; 2];
-        let mut size = [0u64; 2];
-        for _ in 0..3 {
-            // Best-of-3 batches of `reps` calls, like 7b.
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                size[0] = lineage_over(
-                    index,
-                    start,
-                    LineageDirection::Ancestors,
-                    LineageBound::Unbounded,
-                )
-                .len() as u64;
-            }
-            best[0] = best[0].min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                size[1] = lineage_over_par_with_frontier_min(
-                    index,
-                    start,
-                    LineageDirection::Ancestors,
-                    LineageBound::Unbounded,
-                    threads,
-                    2,
-                )
-                .len() as u64;
-            }
-            best[1] = best[1].min(t0.elapsed().as_secs_f64());
-        }
-        for i in 0..2 {
-            series[i].points.push(Point {
-                x: threads as f64,
-                y: Some(best[i]),
-                work: Some(size[i]),
-            });
-        }
-    }
-    FigureResult {
-        id: "7t",
-        title: format!(
-            "Lineage thread scaling: level-parallel BFS at x chunks vs the sequential \
-             epoch-scratch engine ({reps} ancestor closures per call, Pd{n})"
-        ),
-        x_label: "threads".into(),
-        y_label: "runtime (s)".into(),
-        series: series.to_vec(),
     }
 }
 

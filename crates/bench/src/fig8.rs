@@ -24,7 +24,7 @@
 //! as `BENCH_fig8.json` through [`crate::BenchReport`], gated in CI next to
 //! fig5–fig7.
 
-use crate::harness::{FigureResult, PdCache, Point, Scale, Series, THREAD_SWEEP};
+use crate::harness::{FigureResult, PdCache, Point, Scale, Series};
 use prov_model::{EdgeKind, VertexId, VertexKind};
 use prov_store::query::evaluate_with_frontier_min;
 use prov_store::{evaluate, evaluate_at, paginate, Direction, Pipeline, Plan, ProvGraph, Traverse};
@@ -136,7 +136,7 @@ fn fig8b_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
     ];
     for &page_size in &page_sizes {
         // The one-shot reference is re-timed at every x so the flat line is
-        // measured data, not a copied point (the 5t/7t convention).
+        // measured data, not a copied point.
         let mut best = [f64::INFINITY; 2];
         let mut rows = [0u64; 2];
         for _ in 0..3 {
@@ -188,6 +188,9 @@ fn fig8b_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
     }
 }
 
+/// Chunk counts swept by the `8t` thread-scaling figure.
+const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
 /// Fig. 8(t): query thread scaling — the chunked level-parallel frontier at
 /// x chunks against the sequential engine on the same compiled plan.
 pub fn fig8t(scale: Scale) -> FigureResult {
@@ -215,7 +218,7 @@ fn fig8t_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
         let mut best = [f64::INFINITY; 2];
         let mut rows = [0u64; 2];
         for _ in 0..3 {
-            // Best-of-3 batches of `reps` calls, like 7t.
+            // Best-of-3 batches of `reps` calls, like 8b.
             let t0 = Instant::now();
             for _ in 0..reps {
                 rows[0] = evaluate(inst.graph(), inst.index(), &plan, 1)
@@ -227,7 +230,7 @@ fn fig8t_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
             for _ in 0..reps {
                 // Fan-out threshold forced to 2 so every multi-vertex level
                 // exercises the chunked path even below the production
-                // `PAR_FRONTIER_MIN` (the 7t convention).
+                // `PAR_FRONTIER_MIN`.
                 rows[1] = evaluate_with_frontier_min(
                     inst.graph(),
                     inst.index(),

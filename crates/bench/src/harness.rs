@@ -15,13 +15,12 @@
 use prov_bitset::SetBackend;
 use prov_model::{VertexId, VertexKind};
 use prov_segment::{
-    evaluate_similarity, similar_alg, similar_alg_par, similar_alg_reference, similar_tst,
-    AlgConfig, MaskedGraph, NaiveBudget, PgSegOptions, SimilarEvaluator, TstConfig,
+    evaluate_similarity, similar_alg, similar_alg_reference, similar_tst, AlgConfig, MaskedGraph,
+    NaiveBudget, PgSegOptions, SimilarEvaluator, TstConfig,
 };
 use prov_store::hash::FxHashMap;
 use prov_store::{ProvGraph, ProvIndex};
-use prov_summary::simulation::{simulation, simulation_par, SimDirection};
-use prov_summary::{build_g0, PgSumQuery, PropertyAggregation, SegmentRef};
+use prov_summary::{PgSumQuery, PropertyAggregation, SegmentRef};
 use prov_workload::{
     generate_pd, generate_sd, pd_segments, sources_at_percentile, standard_query, PdParams,
     SdParams,
@@ -578,128 +577,6 @@ fn figwl_sized(cache: &mut PdCache, sizes: &[usize], reps: usize) -> FigureResul
     }
 }
 
-/// Chunk counts swept by the `5t`/`6t`/`7t` thread-scaling figures.
-pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Fig. 5(t): SimProvAlg thread scaling — the BSP-round parallel worklist
-/// drain at x chunks against the sequential pair-encoded loop on the same
-/// frozen `Pd` query. The `work` column is the derived-fact count, identical
-/// across every point by the exactly-once enqueue argument (a divergence in
-/// the committed JSON means the parallel merge broke).
-pub fn fig5t(scale: Scale) -> FigureResult {
-    fig5t_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig5t`] against a shared `Pd` instance cache.
-pub fn fig5t_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
-    let (n, reps) = match scale {
-        Scale::Quick => (5_000, 3),
-        Scale::Full => (50_000, 2),
-    };
-    let inst = cache.instance(&PdParams::with_size(n));
-    let view = MaskedGraph::unmasked(&inst.index);
-    let cfg = AlgConfig::default();
-    let mut series = [
-        Series { name: "Sequential".into(), points: Vec::new() },
-        Series { name: "Parallel".into(), points: Vec::new() },
-    ];
-    for &threads in &THREAD_SWEEP {
-        // The sequential reference is re-timed at every x so the flat line
-        // is measured data, not a copied point.
-        let mut best = [f64::INFINITY; 2];
-        let mut work = [0u64; 2];
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let out = similar_alg::<prov_bitset::FixedBitSet>(&view, &inst.vsrc, &inst.vdst, &cfg);
-            best[0] = best[0].min(t0.elapsed().as_secs_f64());
-            work[0] = out.stats.work;
-            let t0 = Instant::now();
-            let out = similar_alg_par::<prov_bitset::FixedBitSet>(
-                &view, &inst.vsrc, &inst.vdst, &cfg, threads,
-            );
-            best[1] = best[1].min(t0.elapsed().as_secs_f64());
-            work[1] = out.stats.work;
-        }
-        for i in 0..2 {
-            series[i].points.push(Point {
-                x: threads as f64,
-                y: Some(best[i]),
-                work: Some(work[i]),
-            });
-        }
-    }
-    FigureResult {
-        id: "5t",
-        title: format!(
-            "SimProvAlg thread scaling: BSP-round parallel drain at x chunks vs the sequential \
-             loop (Pd{n} standard query)"
-        ),
-        x_label: "threads".into(),
-        y_label: "runtime (s)".into(),
-        series: series.to_vec(),
-    }
-}
-
-/// Fig. 6(t): counting-simulation thread scaling — the chunk-parallel sweep
-/// ([`simulation_par`]) at x chunks against the sequential counting loop on
-/// one frozen `Sd` union graph. `work` is the size of the computed relation
-/// (the number of `le` pairs), identical everywhere by fixpoint uniqueness.
-pub fn fig6t(scale: Scale) -> FigureResult {
-    fig6t_cached(scale, &mut SdCache::new())
-}
-
-/// [`fig6t`] against a shared `Sd` instance cache.
-pub fn fig6t_cached(scale: Scale, cache: &mut SdCache) -> FigureResult {
-    let (num_segments, n, reps) = match scale {
-        Scale::Quick => (20, 20, 3),
-        Scale::Full => (80, 40, 2),
-    };
-    let inst = cache.instance(&SdParams { num_segments, n, ..SdParams::default() });
-    let g0 = build_g0(&inst.graph, &inst.segments, &fig6_query().aggregation, 1);
-    let relation_size = |rel: &prov_summary::simulation::SimRelation| {
-        (0..g0.len() as u32).map(|v| rel.row(v).ones().count() as u64).sum::<u64>()
-    };
-    let mut series = [
-        Series { name: "Sequential".into(), points: Vec::new() },
-        Series { name: "Parallel".into(), points: Vec::new() },
-    ];
-    for &threads in &THREAD_SWEEP {
-        let mut best = [f64::INFINITY; 2];
-        let mut work = [0u64; 2];
-        for _ in 0..reps {
-            // Both directions per rep: the sweep is the kernel the PgSum
-            // merge phase calls twice.
-            let t0 = Instant::now();
-            let rel_out = simulation(&g0, SimDirection::Out);
-            let rel_in = simulation(&g0, SimDirection::In);
-            best[0] = best[0].min(t0.elapsed().as_secs_f64());
-            work[0] = relation_size(&rel_out) + relation_size(&rel_in);
-            let t0 = Instant::now();
-            let rel_out = simulation_par(&g0, SimDirection::Out, threads);
-            let rel_in = simulation_par(&g0, SimDirection::In, threads);
-            best[1] = best[1].min(t0.elapsed().as_secs_f64());
-            work[1] = relation_size(&rel_out) + relation_size(&rel_in);
-        }
-        for i in 0..2 {
-            series[i].points.push(Point {
-                x: threads as f64,
-                y: Some(best[i]),
-                work: Some(work[i]),
-            });
-        }
-    }
-    FigureResult {
-        id: "6t",
-        title: format!(
-            "Counting-simulation thread scaling: chunk-parallel sweep at x chunks vs the \
-             sequential loop (Sd: n={n}, |S|={num_segments}, both directions)"
-        ),
-        x_label: "threads".into(),
-        y_label: "runtime (s)".into(),
-        series: series.to_vec(),
-    }
-}
-
 /// A generated `Sd` segment set frozen once: backing graph + segment refs.
 pub struct SdInstance {
     graph: ProvGraph,
@@ -933,15 +810,12 @@ pub fn run_figure_with_caches(
         "5g" => fig5g(scale),
         "5h" => fig5h(scale),
         "wl" => figwl_cached(scale, pd),
-        "5t" => fig5t_cached(scale, pd),
         "6a" => fig6a_cached(scale, sd),
         "6b" => fig6b_cached(scale, sd),
         "6c" => fig6c_cached(scale, pd),
-        "6t" => fig6t_cached(scale, sd),
         "7a" => crate::fig7::fig7a_cached(scale, pd),
         "7b" => crate::fig7::fig7b_cached(scale, pd),
         "7c" => crate::fig7::fig7c_cached(scale, pd),
-        "7t" => crate::fig7::fig7t_cached(scale, pd),
         "8a" => crate::fig8::fig8a_cached(scale, pd),
         "8b" => crate::fig8::fig8b_cached(scale, pd),
         "8t" => crate::fig8::fig8t_cached(scale, pd),
@@ -953,28 +827,27 @@ pub fn run_figure_with_caches(
 }
 
 /// All figure ids in paper order (plus the worklist ablation, the
-/// summarization runtime sweeps, the serving-loop sweeps, the query-layer
-/// sweeps, and the thread-scaling sweeps).
-pub const ALL_FIGURES: [&str; 24] = [
-    "5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "5t", "6a", "6b", "6c", "6t", "7a", "7b",
-    "7c", "7t", "8a", "8b", "8t", "cs", "10a", "10b",
+/// summarization runtime sweeps, the serving-loop sweeps, and the
+/// query-layer sweeps with the one thread-scaling sweep, `8t`).
+pub const ALL_FIGURES: [&str; 21] = [
+    "5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "6a", "6b", "6c", "7a", "7b", "7c", "8a",
+    "8b", "8t", "cs", "10a", "10b",
 ];
 
 /// The ids the JSON bench mode runs by default: the runtime sweeps
-/// Fig. 5(a)–(d), the worklist ablation, and the SimProvAlg thread sweep —
-/// the repo's per-PR perf trajectory committed as `BENCH_fig5.json`.
-pub const BENCH_FIGURES: [&str; 6] = ["5a", "5b", "5c", "5d", "wl", "5t"];
+/// Fig. 5(a)–(d) and the worklist ablation — the repo's per-PR perf
+/// trajectory committed as `BENCH_fig5.json`.
+pub const BENCH_FIGURES: [&str; 5] = ["5a", "5b", "5c", "5d", "wl"];
 
 /// The summarization trajectory committed as `BENCH_fig6.json`: pSum vs the
-/// frozen seed PgSum pipeline vs the counting/quotient-incremental rewrite,
-/// plus the simulation thread sweep.
-pub const FIG6_FIGURES: [&str; 4] = ["6a", "6b", "6c", "6t"];
+/// frozen seed PgSum pipeline vs the counting/quotient-incremental rewrite.
+pub const FIG6_FIGURES: [&str; 3] = ["6a", "6b", "6c"];
 
 /// The serving-loop trajectory committed as `BENCH_fig7.json`: the
 /// ingest/query interleave (rebuild-every-batch vs incremental refresh),
-/// the lineage latency sweep (seed walk vs epoch-scratch BFS), the
-/// session-open acquisition sweep, and the lineage thread sweep.
-pub const FIG7_FIGURES: [&str; 4] = ["7a", "7b", "7c", "7t"];
+/// the lineage latency sweep (seed walk vs epoch-scratch BFS), and the
+/// session-open acquisition sweep.
+pub const FIG7_FIGURES: [&str; 3] = ["7a", "7b", "7c"];
 
 /// The query-layer trajectory committed as `BENCH_fig8.json`: IR pipeline
 /// latency by depth, the paginated cursor walk vs one-shot evaluation, and
@@ -1075,8 +948,8 @@ mod tests {
         for id in ALL_FIGURES {
             // Only check resolvability, not execution (expensive).
             assert!([
-                "5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "5t", "6a", "6b", "6c", "6t",
-                "7a", "7b", "7c", "7t", "8a", "8b", "8t", "cs", "10a", "10b"
+                "5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "6a", "6b", "6c", "7a", "7b",
+                "7c", "8a", "8b", "8t", "cs", "10a", "10b"
             ]
             .contains(&id));
         }

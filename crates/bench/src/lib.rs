@@ -34,11 +34,11 @@ pub mod report;
 
 pub use coldstart::figcs;
 pub use fig10::{fig10a, fig10b};
-pub use fig7::{fig7a, fig7b, fig7c, fig7t};
+pub use fig7::{fig7a, fig7b, fig7c};
 pub use fig8::{fig8a, fig8b, fig8t};
 pub use harness::{
     run_figure, run_figure_cached, run_figure_with_caches, FigureResult, PdCache, PdInstance,
     Point, Scale, SdCache, Series, ALL_FIGURES, BENCH_FIGURES, COLDSTART_FIGURES, FIG10_FIGURES,
-    FIG6_FIGURES, FIG7_FIGURES, FIG8_FIGURES, THREAD_SWEEP,
+    FIG6_FIGURES, FIG7_FIGURES, FIG8_FIGURES,
 };
 pub use report::{BenchReport, REGRESSION_FACTOR, REGRESSION_FLOOR_SECS};

@@ -74,7 +74,7 @@ pub struct BenchReport {
     /// The command that regenerates this file.
     pub command: String,
     /// Hardware parallelism of the measuring machine (0 in reports written
-    /// before the field existed). Thread-sweep points (`5t`/`6t`/`7t`) only
+    /// before the field existed). Thread-sweep points (`8t`) only
     /// show real speedups when this exceeds the swept chunk counts — a
     /// single-core runner timeshares the workers.
     #[serde(default)]

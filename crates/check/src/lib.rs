@@ -550,7 +550,7 @@ mod tests {
     fn relaxed_ordering_scope_is_the_executor_only() {
         // The reproduction's own crates may legitimately use Relaxed for
         // counters; only the model-checked executor is pinned to SeqCst.
-        assert!(at("crates/segment/src/par.rs", "hits.load(Ordering::Relaxed);\n").is_empty());
+        assert!(at("crates/core/src/provdb.rs", "hits.load(Ordering::Relaxed);\n").is_empty());
         assert!(at("vendor/rayon-core/src/pool.rs", "stop.load(Ordering::SeqCst);\n").is_empty());
     }
 

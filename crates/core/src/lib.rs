@@ -31,9 +31,8 @@ pub mod provdb;
 
 pub use example_graph::{fig2, fig3, Example};
 pub use lineage::{
-    ancestry_edges, compile_lineage, lineage_over, lineage_over_par,
-    lineage_over_par_with_frontier_min, lineage_reference, LineageBound, LineageDirection,
-    PAR_FRONTIER_MIN,
+    ancestry_edges, compile_lineage, lineage_over, lineage_reference, LineageBound,
+    LineageDirection,
 };
 pub use provdb::{
     ActivityOutcome, ActivityRecord, OutputSpec, ProvDb, SnapshotCounters, SnapshotPolicy,

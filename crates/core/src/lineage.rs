@@ -145,8 +145,8 @@ pub fn ancestry_edges(direction: LineageDirection) -> [(EdgeKind, Direction); 2]
 /// `Within(d)` prefix is `1..=d`, and the `Exactly(d)` ring is `d..=d` —
 /// with the degenerate `d = 0` cases mapped to the empty window `1..=0`,
 /// matching the engines' "depth 0 is never emitted" contract. Evaluating
-/// the pipeline is byte-identical to [`lineage_over`] /
-/// [`lineage_over_par`], which stay alive as the differential references.
+/// the pipeline is byte-identical to [`lineage_over`], which stays alive as
+/// the differential reference.
 pub fn compile_lineage(
     start: VertexId,
     direction: LineageDirection,
@@ -212,146 +212,6 @@ pub fn lineage_over(
             next.clear();
         }
         // Hand the (possibly grown) buffers back to the pool.
-        scratch.frontier = frontier;
-        scratch.next = next;
-    });
-    out.sort_unstable();
-    out
-}
-
-/// Below this many frontier vertices, a BFS level expands inline even when
-/// parallelism is available — fanning a tiny level out to workers costs more
-/// than the scan itself.
-pub const PAR_FRONTIER_MIN: usize = 1024;
-
-/// [`lineage_over`] with BFS levels expanded level-parallel on the global
-/// [`rayon_core`] pool. `threads` is the *chunk count* (how many slices each
-/// frontier is cut into), so the traversal shape — and the answer — is
-/// independent of the pool width; `threads <= 1` delegates to the sequential
-/// engine, which is what keeps it a live differential reference.
-///
-/// Parallel levels freeze the epoch stamps: workers scan disjoint frontier
-/// slices over the raw CSR rows, filter against the frozen visited state
-/// (plus a per-worker epoch scratch that dedups within the chunk), and stage
-/// discoveries in per-chunk buffers. A sequential merge then re-checks every
-/// staged vertex against the authoritative scratch — cross-chunk duplicates
-/// collapse there — and builds the next frontier in chunk order, so the
-/// reached set (and the sorted output) is byte-identical to [`lineage_over`]
-/// at any thread count. The differential tests in `tests/` pin this.
-pub fn lineage_over_par(
-    index: &ProvIndex,
-    start: VertexId,
-    direction: LineageDirection,
-    bound: LineageBound,
-    threads: usize,
-) -> Vec<VertexId> {
-    lineage_over_par_with_frontier_min(index, start, direction, bound, threads, PAR_FRONTIER_MIN)
-}
-
-/// [`lineage_over_par`] with an explicit inline-level threshold. Production
-/// callers want [`PAR_FRONTIER_MIN`]; the differential tests and the TSan CI
-/// lane pass `0` so every level — however small — exercises the chunked
-/// fan-out and merge machinery.
-pub fn lineage_over_par_with_frontier_min(
-    index: &ProvIndex,
-    start: VertexId,
-    direction: LineageDirection,
-    bound: LineageBound,
-    threads: usize,
-    frontier_min: usize,
-) -> Vec<VertexId> {
-    if threads <= 1 {
-        return lineage_over(index, start, direction, bound);
-    }
-    if start.index() >= index.vertex_count() {
-        return Vec::new();
-    }
-    let (max_depth, ring_only) = match bound {
-        LineageBound::Unbounded => (u32::MAX, false),
-        LineageBound::Within(d) => (d, false),
-        LineageBound::Exactly(d) => (d, true),
-    };
-    let mut out = Vec::new();
-    if max_depth == 0 {
-        return out;
-    }
-    let n = index.vertex_count();
-    let (first, second) = step_csrs(index, direction);
-    with_scratch(|scratch| {
-        scratch.begin(n);
-        let mut frontier = std::mem::take(&mut scratch.frontier);
-        let mut next = std::mem::take(&mut scratch.next);
-        frontier.clear();
-        next.clear();
-        scratch.mark(start);
-        frontier.push(start);
-        let mut bufs: Vec<Vec<VertexId>> = (0..threads).map(|_| Vec::new()).collect();
-        let mut depth = 0u32;
-        while !frontier.is_empty() && depth < max_depth {
-            depth += 1;
-            if frontier.len() < frontier_min {
-                // Small level: the sequential step, verbatim.
-                for &v in &frontier {
-                    // lint-ok(csr-traversal): frozen seed BFS, diffed against the IR engine
-                    for &w in first.neighbors(v).iter().chain(second.neighbors(v)) {
-                        if scratch.mark(w) {
-                            if !ring_only || depth == max_depth {
-                                out.push(w);
-                            }
-                            next.push(w);
-                        }
-                    }
-                }
-            } else {
-                // Parallel level: freeze the stamps, fan the frontier out.
-                let ranges = rayon_core::chunk_ranges(frontier.len(), threads);
-                {
-                    let stamps: &[u32] = &scratch.stamps;
-                    let epoch = scratch.epoch;
-                    let level: &[VertexId] = &frontier;
-                    rayon_core::scope(|s| {
-                        for (range, buf) in ranges.into_iter().zip(bufs.iter_mut()) {
-                            let chunk = &level[range];
-                            s.spawn(move || {
-                                // The worker's own epoch scratch dedups
-                                // within the chunk; a helping caller whose
-                                // scratch is already borrowed falls back to
-                                // a fresh one (see `with_scratch`).
-                                with_scratch(|local| {
-                                    local.begin(n);
-                                    for &v in chunk {
-                                        // lint-ok(csr-traversal): chunked twin of the seed BFS
-                                        let up = first.neighbors(v);
-                                        // lint-ok(csr-traversal): chunked twin of the seed BFS
-                                        let down = second.neighbors(v);
-                                        for &w in up.iter().chain(down) {
-                                            if stamps[w.index()] != epoch && local.mark(w) {
-                                                buf.push(w);
-                                            }
-                                        }
-                                    }
-                                });
-                            });
-                        }
-                    });
-                }
-                // Synchronized merge: the authoritative scratch resolves
-                // cross-chunk duplicates; chunk order keeps it deterministic.
-                for buf in &mut bufs {
-                    for &w in buf.iter() {
-                        if scratch.mark(w) {
-                            if !ring_only || depth == max_depth {
-                                out.push(w);
-                            }
-                            next.push(w);
-                        }
-                    }
-                    buf.clear();
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
-            next.clear();
-        }
         scratch.frontier = frontier;
         scratch.next = next;
     });

@@ -301,12 +301,12 @@ impl ProvDb {
         self.policy = policy;
     }
 
-    /// The effective query parallelism: how many chunks the parallel kernels
-    /// (level-parallel lineage BFS, see [`crate::lineage`]) cut their work
-    /// into. Defaults to the executor pool width — `PROV_THREADS` when set,
-    /// the machine's available parallelism otherwise — so the CI thread
-    /// matrix drives the parallel paths through ordinary queries. `1` means
-    /// every query runs the sequential twin.
+    /// The effective query parallelism: how many chunks the query-IR
+    /// evaluator cuts a wide `Traverse` frontier into (see
+    /// [`prov_store::query::evaluate`], the one parallel path). Defaults to
+    /// the executor pool width — `PROV_THREADS` when set, the machine's
+    /// available parallelism otherwise — so the CI thread matrix drives the
+    /// fan-out through ordinary queries. `1` means every level expands inline.
     pub fn parallelism(&self) -> usize {
         match self.parallelism {
             0 => rayon_core::configured_num_threads(),
@@ -645,8 +645,8 @@ impl ProvDb {
 
     /// Shared lineage path: lower to a one-step query-IR pipeline
     /// ([`crate::lineage::compile_lineage`]) and evaluate it over the
-    /// current snapshot. `lineage_over_par` stays alive in `crate::lineage`
-    /// as the differential reference for this lowering.
+    /// current snapshot. `lineage_over` stays alive in `crate::lineage` as
+    /// the differential reference for this lowering.
     fn lineage_ir(
         &self,
         e: VertexId,

@@ -146,10 +146,10 @@ impl SimilarConstraint {
 }
 
 /// Kind tag of a packed worklist word: set = `Ee` fact, clear = `Aa` fact.
-pub(crate) const EE_TAG: u64 = 1 << 63;
+const EE_TAG: u64 = 1 << 63;
 /// Mask isolating the first rank from the word's high half (31 bits — the
 /// tag bit leaves ranks below `2³¹`, asserted at entry).
-pub(crate) const HI_RANK_MASK: u64 = (1 << 31) - 1;
+const HI_RANK_MASK: u64 = (1 << 31) - 1;
 
 /// Derive one matched pair: dedup it against the target fact table and, when
 /// fresh, push it (kind-tagged) straight onto the worklist.
@@ -180,17 +180,13 @@ fn derive_pair<S: FastSet>(
 /// Built once per evaluation, this lets the worklist loop run entirely in
 /// rank space — no `VertexId` round-trips, no per-element mask probes, and
 /// sequential `u32` reads in the inner pair loop.
-pub(crate) struct RankAdjacency {
+struct RankAdjacency {
     offsets: Vec<u32>,
     targets: Vec<u32>,
 }
 
 impl RankAdjacency {
-    pub(crate) fn build(
-        view: &MaskedGraph<'_>,
-        idx: &ProvIndex,
-        from: VertexKind,
-    ) -> RankAdjacency {
+    fn build(view: &MaskedGraph<'_>, idx: &ProvIndex, from: VertexKind) -> RankAdjacency {
         let members = idx.kind_members(from);
         let mut offsets = Vec::with_capacity(members.len() + 1);
         let mut targets = Vec::new();
@@ -219,14 +215,14 @@ impl RankAdjacency {
     }
 
     #[inline]
-    pub(crate) fn row(&self, r: u32) -> &[u32] {
+    fn row(&self, r: u32) -> &[u32] {
         &self.targets[self.offsets[r as usize] as usize..self.offsets[r as usize + 1] as usize]
     }
 }
 
 /// A per-vertex table (births, constraint fingerprints) re-indexed by the
 /// dense rank of one kind.
-pub(crate) fn by_rank<T>(members: &[VertexId], f: impl Fn(VertexId) -> T) -> Vec<T> {
+fn by_rank<T>(members: &[VertexId], f: impl Fn(VertexId) -> T) -> Vec<T> {
     members.iter().map(|&v| f(v)).collect()
 }
 

@@ -31,7 +31,6 @@ pub mod direct;
 pub mod induce;
 pub mod naive;
 pub mod outcome;
-pub mod par;
 pub mod query;
 pub mod segment_graph;
 pub mod tst;
@@ -48,10 +47,6 @@ pub use cflr_baseline::{similar_cflr, GrammarForm};
 pub use direct::{direct_path_exists, direct_path_vertices};
 pub use naive::{similar_naive, similar_naive_constrained, NaiveBudget};
 pub use outcome::{EvalStats, SimilarOutcome};
-pub use par::{
-    similar_alg_par, similar_alg_par_bitset, similar_alg_par_cbm, similar_alg_par_with_batch_min,
-    PAR_BATCH_MIN,
-};
 pub use query::{
     evaluate_similarity, pgseg, PgSegOptions, PgSegQuery, PgSegSession, SimilarEvaluator,
 };

@@ -3,9 +3,9 @@
 //! Evaluation state is a sorted, duplicate-free row set of vertex ids.
 //! `Traverse` steps run a multi-source BFS straight over the snapshot's CSR
 //! slices with the epoch-stamped scratch discipline of `prov-core`'s
-//! lineage engine (PR 5) and its chunked level-parallel frontier machinery
-//! (PR 6): `threads` is a *chunk count*, parallel levels freeze the stamps
-//! and merge per-chunk discoveries sequentially in chunk order, so the
+//! sequential lineage engine and a chunked level-parallel frontier:
+//! `threads` is a *chunk count*, parallel levels freeze the stamps and
+//! merge per-chunk discoveries sequentially in chunk order, so the
 //! answer is byte-identical at any chunk count — the property every
 //! differential proptest in `tests/` pins.
 //!
@@ -31,7 +31,7 @@ use std::cell::RefCell;
 
 /// Below this many frontier vertices a BFS level expands inline even when
 /// chunking is requested — fanning a tiny level out costs more than the
-/// scan (same threshold as the lineage engine).
+/// scan.
 pub const PAR_FRONTIER_MIN: usize = 1024;
 
 /// Per-evaluation observability counters, surfaced on the wire as

@@ -14,18 +14,19 @@
 //!   lowering constructors that translate each legacy read path into a
 //!   pipeline ([`Pipeline::find_by_prop`], [`plan::lower_pattern`]; the
 //!   lineage lowering lives next to its bound types in `prov-core`);
-//! * [`eval`] — the single traversal engine: epoch-stamped scratch, chunked
-//!   level-parallel frontiers (byte-identical at any chunk count), and a
-//!   bounded-replay mode that re-evaluates a pipeline against an older
-//!   snapshot watermark of the same append-only log;
+//! * [`eval`] — the single traversal engine and the repo's one parallel
+//!   path: epoch-stamped scratch, chunked level-parallel frontiers
+//!   (byte-identical at any chunk count), and a bounded-replay mode that
+//!   re-evaluates a pipeline against an older snapshot watermark of the
+//!   same append-only log;
 //! * [`cursor`] — stable resumable cursors: a snapshot watermark plus a
 //!   rank watermark over the sorted row set, so pagination survives
 //!   concurrent ingest.
 //!
-//! The legacy paths stay alive as *differential references* (the
-//! `alg_reference` pattern): `lineage_over` / `ProvGraph::find_by_prop` /
-//! `pattern::match_paths` are never deleted, and proptests pin the IR
-//! evaluation byte-identical to each of them.
+//! The legacy sequential paths stay alive as *differential references* (the
+//! `alg_reference` pattern): proptests pin the IR evaluation byte-identical
+//! to `lineage_over`, `ProvGraph::find_by_prop` and `pattern::match_paths`
+//! at every chunk count.
 
 pub mod cursor;
 pub mod eval;

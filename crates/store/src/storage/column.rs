@@ -34,6 +34,10 @@
 //! RAM opens without materializing them. The price: corruption inside a
 //! deferred segment surfaces at first touch, not at open.
 //!
+//! A snapshot is written atomically (temp file + rename), so a damaged image
+//! is never a torn write — decode failures are corruption
+//! ([`crate::StoreError::CorruptLog`] upstream), not something to truncate.
+//!
 //! This module (not the storage engine) owns every read of snapshot bytes:
 //! backends that can serve real range reads do ([`super::StdIo`] keeps an
 //! open descriptor, [`super::MemIo`] slices in place), and the buffered
@@ -601,8 +605,10 @@ mod tests {
         g.set_vprop(data, "filename", "data");
         g.set_vprop(data, "version", 1i64);
         g.set_vprop(weights, "acc", 0.75);
+        g.set_vprop(weights, "keep", true);
         g.set_eprop(EdgeId::new(0), "role", "input");
         g.create_vprop_index(VertexKind::Entity, "filename");
+        g.key("interned-but-unused");
         g
     }
 
@@ -611,6 +617,71 @@ mod tests {
         let source = Box::new(BufferedColumnSource { name: "snap".into(), bytes: bytes.to_vec() });
         let (g, seq) = recover_snapshot(source, SnapshotDecode::Lazy, &stats).unwrap();
         (g, seq, stats)
+    }
+
+    #[test]
+    fn snapshot_round_trips_exactly() {
+        let g = rich_graph();
+        let bytes = encode(&g, 42);
+        let (decoded, seq) = decode_eager(&bytes).unwrap();
+        assert_eq!(seq, 42);
+        assert_eq!(decoded, g);
+        decoded.validate().unwrap();
+        // Exactness includes interner ids and declared indexes.
+        assert_eq!(decoded.key_id("interned-but-unused"), g.key_id("interned-but-unused"));
+        assert_eq!(decoded.declared_vprop_indexes(), g.declared_vprop_indexes());
+        // The backfilled index answers like the original.
+        assert_eq!(
+            decoded.find_by_prop(VertexKind::Entity, "filename", &PropValue::from("data")),
+            g.find_by_prop(VertexKind::Entity, "filename", &PropValue::from("data")),
+        );
+    }
+
+    #[test]
+    fn empty_graph_round_trips() {
+        let g = ProvGraph::new();
+        let bytes = encode(&g, 0);
+        let (decoded, seq) = decode_eager(&bytes).unwrap();
+        assert_eq!(seq, 0);
+        assert_eq!(decoded, g);
+    }
+
+    #[test]
+    fn every_corrupted_byte_is_detected() {
+        let g = rich_graph();
+        let bytes = encode(&g, 7);
+        // Flip one bit in every byte: magic, directory, and segment corruption
+        // must all surface as decode errors, never as a silently different
+        // graph.
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x40;
+            match decode_eager(&bad) {
+                Err(_) => {}
+                Ok((decoded, seq)) => {
+                    panic!(
+                        "flipping byte {i} went undetected (seq {seq}, {} vertices)",
+                        decoded.vertex_count()
+                    );
+                }
+            }
+        }
+        // Truncations too.
+        for cut in 0..bytes.len() {
+            assert!(decode_eager(&bytes[..cut]).is_err(), "truncation at {cut} undetected");
+        }
+    }
+
+    #[test]
+    fn dangling_references_are_named() {
+        let mut g = ProvGraph::new();
+        g.add_entity("e");
+        let mut bytes = encode(&g, 1);
+        // Dangling ids inside a CRC-honest image are covered by the decoder
+        // bounds checks; here just check the magic/short-input paths.
+        bytes.truncate(4);
+        assert!(decode_eager(&bytes).unwrap_err().contains("too short"));
+        assert!(decode_eager(b"NOTASNAPxxxxxxxxyyyy").unwrap_err().contains("magic"));
     }
 
     #[test]

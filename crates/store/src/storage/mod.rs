@@ -8,8 +8,7 @@
 //!                                        │
 //!                                        ├─ pipeline.rs  group commit: batches/fsync
 //!                                        ├─ wal.rs       record framing + recovery scan
-//!                                        ├─ snapshot.rs  whole-image entry points
-//!                                        ├─ column.rs    segmented image + lazy decode
+//!                                        ├─ column.rs    snapshot image: segmented encode, eager/lazy decode
 //!                                        ├─ codec.rs     LE primitives + CRC-32
 //!                                        └─ dyn Io ──▶ StdIo (real fs) | MemIo | FailpointIo
 //! ```
@@ -72,7 +71,6 @@ pub mod column;
 pub mod failpoint;
 pub mod io;
 pub mod pipeline;
-pub mod snapshot;
 pub mod wal;
 
 pub use column::LazyStats;
@@ -498,7 +496,7 @@ impl Storage for WalStorage {
         self.check_poisoned()?;
         let old_gen = self.gen;
         let new_gen = old_gen + 1;
-        let image = snapshot::encode(graph, self.seq);
+        let image = column::encode(graph, self.seq);
         let result = (|| -> Result<(), IoError> {
             self.io.write(SNAPSHOT_TMP, &image)?;
             self.io.sync(SNAPSHOT_TMP)?;

@@ -34,6 +34,6 @@ pub use provtype::{provenance_types, ProvTypes};
 pub use psg::{Psg, PsgEdge, PsgVertex};
 pub use psum::{psum, PsumResult};
 pub use segment_ref::SegmentRef;
-pub use simulation::{simulation, simulation_par, SimDirection, SimRelation};
+pub use simulation::{simulation, SimDirection, SimRelation};
 pub use simulation_reference::simulation_reference;
 pub use union::{build_g0, ClassId, G0};

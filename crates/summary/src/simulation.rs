@@ -182,24 +182,6 @@ impl Counters {
 
 /// Compute the simulation preorder over `g0` in the given direction.
 pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
-    simulation_impl(g0, direction, 1)
-}
-
-/// [`simulation`] with the two embarrassingly-parallel phases — the sim-row
-/// initialization and the seed violation sweep — fanned out in `threads`-way
-/// chunks on the global [`rayon_core`] pool. `threads <= 1` is byte-for-byte
-/// the sequential path. Any thread count computes the same relation: the
-/// greatest simulation contained in the class-respecting initialization is
-/// unique, and every violation the sequential Gauss–Seidel-flavored sweep
-/// catches in-pass is caught here either by the frozen-counter sweep (counts
-/// already zero) or by the zero-crossing worklist drain (counts that drop to
-/// zero during strike application). The differential tests pin equality
-/// against the sequential twin, the naive fixpoint, and the frozen seed.
-pub fn simulation_par(g0: &G0, direction: SimDirection, threads: usize) -> SimRelation {
-    simulation_impl(g0, direction, threads.max(1))
-}
-
-fn simulation_impl(g0: &G0, direction: SimDirection, threads: usize) -> SimRelation {
     let n = g0.len();
     if n == 0 {
         return SimRelation { sim: Vec::new() };
@@ -236,41 +218,18 @@ fn simulation_impl(g0: &G0, direction: SimDirection, threads: usize) -> SimRelat
     // as word-parallel intersections. A candidate missing a (kind, class)
     // pair could never satisfy the recursive condition (sim(c) ⊆ class(c)),
     // and filtering it here is far cheaper than striking it pair-by-pair.
-    let init_row = |v: u32, kc_scratch: &mut Vec<u32>| -> FixedBitSet {
+    let mut sim: Vec<FixedBitSet> = Vec::with_capacity(n);
+    let mut kc_scratch: Vec<u32> = Vec::new();
+    for v in 0..n as u32 {
         let mut row = class_row[g0.class(v).0 as usize].clone();
         kc_scratch.clear();
         kc_scratch.extend(adj[v as usize].iter().map(|&(k, c)| kc_index[&(k, g0.class(c).0)]));
         kc_scratch.sort_unstable();
         kc_scratch.dedup();
-        for &idx in kc_scratch.iter() {
+        for &idx in &kc_scratch {
             row.intersect_with(&has_kc[idx as usize]);
         }
-        row
-    };
-    let mut sim: Vec<FixedBitSet>;
-    if threads > 1 {
-        // Rows are independent: fan the initialization out in contiguous
-        // chunks, one scratch buffer per worker.
-        sim = (0..n).map(|_| FixedBitSet::new(0)).collect();
-        let chunk = n.div_ceil(threads.min(n));
-        let init_row = &init_row;
-        rayon_core::scope(|s| {
-            for (ci, rows) in sim.chunks_mut(chunk).enumerate() {
-                let base = ci * chunk;
-                s.spawn(move || {
-                    let mut kc_scratch: Vec<u32> = Vec::new();
-                    for (i, slot) in rows.iter_mut().enumerate() {
-                        *slot = init_row((base + i) as u32, &mut kc_scratch);
-                    }
-                });
-            }
-        });
-    } else {
-        sim = Vec::with_capacity(n);
-        let mut kc_scratch: Vec<u32> = Vec::new();
-        for v in 0..n as u32 {
-            sim.push(init_row(v, &mut kc_scratch));
-        }
+        sim.push(row);
     }
 
     // Counter matrices, one dense row per node with k-children.
@@ -328,42 +287,21 @@ fn simulation_impl(g0: &G0, direction: SimDirection, threads: usize) -> SimRelat
     // of the counter matrices): u ∈ sim(v) is violated iff some child (k, c)
     // of v finds count_k(u, c) = 0. Violations detected here strike
     // directly; violations *created* later zero-cross a counter and queue.
-    if threads > 1 {
-        // Parallel sweep: the `(u, class)` counter rows are read-only here,
-        // so workers detect violations over disjoint `v`-chunks of the
-        // *frozen* relation into per-worker strike buffers. The sequential
-        // sweep below additionally sees the decrements of earlier strikes
-        // (Gauss–Seidel flavor); any violation it would catch in-pass and
-        // this frozen sweep misses necessarily comes from a counter that
-        // drops to zero during the reduction — which queues it for the
-        // drain below. The fixpoint is the same either way.
-        let ranges = rayon_core::chunk_ranges(n, threads);
-        let mut strike_bufs: Vec<Vec<(u32, u32)>> = ranges.iter().map(|_| Vec::new()).collect();
-        {
-            let (sim, counters, adj) = (&sim, &counters, &adj);
-            rayon_core::scope(|s| {
-                for (range, buf) in ranges.into_iter().zip(strike_bufs.iter_mut()) {
-                    s.spawn(move || {
-                        for v in range {
-                            for u in sim[v].ones() {
-                                for &(k, c) in &adj[v] {
-                                    match counters.get(k as usize, u, c) {
-                                        Some(cnt) if cnt > 0 => {}
-                                        _ => {
-                                            buf.push((v as u32, u));
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    });
+    let mut strikes: Vec<u32> = Vec::new();
+    for v in 0..n as u32 {
+        strikes.clear();
+        for u in sim[v as usize].ones() {
+            for &(k, c) in &adj[v as usize] {
+                match counters.get(k as usize, u, c) {
+                    Some(cnt) if cnt > 0 => {}
+                    _ => {
+                        strikes.push(u);
+                        break;
+                    }
                 }
-            });
+            }
         }
-        // Synchronized remove-set reduction: apply every detected strike
-        // under exclusive access, queueing zero-crossings as usual.
-        for (v, u) in strike_bufs.into_iter().flatten() {
+        for &u in &strikes {
             sim[v as usize].remove(u);
             debug_assert_ne!(u, v, "simulation must stay reflexive");
             for &(k2, u2) in &radj[u as usize] {
@@ -371,33 +309,6 @@ fn simulation_impl(g0: &G0, direction: SimDirection, threads: usize) -> SimRelat
                 *cnt -= 1;
                 if *cnt == 0 && !parents.slice(v, k2 as usize).is_empty() {
                     push(&mut remove, &mut queued, &mut queue, v, k2 as usize, u2);
-                }
-            }
-        }
-    } else {
-        let mut strikes: Vec<u32> = Vec::new();
-        for v in 0..n as u32 {
-            strikes.clear();
-            for u in sim[v as usize].ones() {
-                for &(k, c) in &adj[v as usize] {
-                    match counters.get(k as usize, u, c) {
-                        Some(cnt) if cnt > 0 => {}
-                        _ => {
-                            strikes.push(u);
-                            break;
-                        }
-                    }
-                }
-            }
-            for &u in &strikes {
-                sim[v as usize].remove(u);
-                debug_assert_ne!(u, v, "simulation must stay reflexive");
-                for &(k2, u2) in &radj[u as usize] {
-                    let cnt = counters.get_mut(k2 as usize, u2, v).expect("parent has k2-children");
-                    *cnt -= 1;
-                    if *cnt == 0 && !parents.slice(v, k2 as usize).is_empty() {
-                        push(&mut remove, &mut queued, &mut queue, v, k2 as usize, u2);
-                    }
                 }
             }
         }

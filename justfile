@@ -10,7 +10,7 @@ test:
     cd vendor/rayon-core && cargo test -q
 
 # The workspace suite at a pinned executor width (try widths=1, 2, 8 —
-# ProvDb follows the pool width, so this drives the parallel kernels).
+# ProvDb follows the pool width, so this drives the chunked Traverse).
 test-threads widths="8":
     PROV_THREADS={{widths}} cargo test --workspace -q
 
@@ -68,11 +68,16 @@ fig10:
     cargo run -q -p prov-bench --release --bin figure -- --quick fig10 \
         --json BENCH_fig10.json
 
+# The end-to-end wire benchmark's own unit + smoke tests (benchmark/ is a
+# separate workspace; its seed-1 response digests are pinned there).
+bench-smoke:
+    cd benchmark && cargo test -q
+
 # Public docs with rustdoc warnings denied.
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Regenerate all committed BENCH_*.json trajectories (thread sweeps
+# Regenerate all committed BENCH_*.json trajectories (the 8t thread sweep
 # included); pass "--full" for paper scale.
 bench-sweep *args:
     scripts/bench-sweep.sh {{args}}

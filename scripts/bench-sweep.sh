@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Regenerate every committed benchmark trajectory, thread sweeps included.
+# Regenerate every committed benchmark trajectory, the thread sweep included.
 #
 # Runs the exact quick-scale invocations CI gates against, overwriting the
 # committed BENCH_*.json in place — run this when a PR intentionally moves a
-# perf point (the gate compares fresh runs against these files). The thread
-# sweeps (5t/6t/7t/8t) record whatever parallelism the host has;
-# `host_threads` in each JSON says what the numbers mean (1 = the parallel
-# series measures pure fan-out overhead).
+# perf point (the gate compares fresh runs against these files). The one
+# thread sweep (8t, the query IR's chunked Traverse) records whatever
+# parallelism the host has; `host_threads` in each JSON says what the numbers
+# mean (1 = the parallel series measures pure fan-out overhead).
 #
 # Usage: scripts/bench-sweep.sh [--full]
 #   --full   drop --quick and run the paper-scale sweeps (much slower)

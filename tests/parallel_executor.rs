@@ -1,5 +1,5 @@
 //! Cross-crate concurrency suite for the vendored work-stealing executor and
-//! the parallel query kernels layered on it.
+//! the one parallel path layered on it (the query IR's chunked `Traverse`).
 //!
 //! Three layers, bottom to top:
 //!
@@ -7,20 +7,23 @@
 //!    every task pushed is observed exactly once, no loss, no duplication;
 //! 2. the pool's structured scopes under sustained nested load at several
 //!    widths — spawn accounting never drifts;
-//! 3. the public wire: a [`ProvService`] answering the same lineage requests
-//!    must produce **byte-identical** JSON at every parallelism setting.
-//!    The response order contract (sorted ascending, start excluded) is what
-//!    makes the parallel BFS swappable for the sequential engine without
-//!    clients noticing; this test is the regression net for that promise.
+//! 3. the public wire: a [`ProvService`] answering the same lineage and
+//!    query requests must produce **byte-identical** JSON at every
+//!    parallelism setting. The response order contract (sorted ascending,
+//!    start excluded) is what makes the chunked frontier swappable for the
+//!    inline step without clients noticing; this test is the regression net
+//!    for that promise.
 //!
 //! The CI ThreadSanitizer lane runs this file with `-Zsanitizer=thread`, so
 //! the stress tests double as race detectors for the shim.
 
 use prov::api::{
     EntityRef, ExportRequest, ImportRequest, LineageDir, LineageRequest, ManualClock, ProvService,
-    Request, Response,
+    QueryRequest, QuerySpec, Request, Response,
 };
 use prov::core_api::ProvDb;
+use prov::model::{EdgeKind, VertexKind};
+use prov::store::{Direction, Pipeline};
 use prov::workload::{generate_pd, sources_at_percentile, PdParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,35 +144,20 @@ fn nested_scope_stress_accounts_for_every_spawn() {
     }
 }
 
-/// `par_for` must cover each index exactly once even when the chunk count
-/// exceeds the pool width (chunks queue and get stolen) and when it is 1
-/// (degenerates to an inline loop).
-#[test]
-fn par_for_partitions_exactly_at_any_chunk_count() {
-    let pool = ThreadPool::new(2);
-    let n = 10_000;
-    for chunks in [1, 2, 7, 64] {
-        let marks: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.par_for(n, chunks, |_, range| {
-            for i in range {
-                marks[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        let total: usize = marks.iter().map(|m| m.load(Ordering::Relaxed)).sum();
-        assert_eq!(total, n, "chunks={chunks}");
-        assert!(marks.iter().all(|m| m.load(Ordering::Relaxed) == 1), "chunks={chunks}");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Layer 3: the wire
 // ---------------------------------------------------------------------------
 
 /// The wire contract under parallelism: one frozen `Pd` graph, the same
-/// lineage requests, services pinned at 1/2/4/8-chunk parallelism — every
-/// serialized response must match byte for byte. The injected [`ManualClock`]
-/// freezes the latency stamps so the comparison really covers the whole
-/// response, envelope included.
+/// requests, services pinned at 1/2/4/8-chunk parallelism — every serialized
+/// response must match byte for byte. The injected [`ManualClock`] freezes
+/// the latency stamps so the comparison really covers the whole response,
+/// envelope included.
+///
+/// The single-source lineage frontiers stay far below the evaluator's
+/// production fan-out threshold (1,024), so on their own they would compare
+/// the inline step with itself. The last request starts from *every* entity,
+/// and the test asserts its frontier is wide enough to fan out.
 #[test]
 fn wire_output_is_byte_identical_across_thread_counts() {
     let graph = generate_pd(&PdParams::with_size(4_000));
@@ -202,6 +190,18 @@ fn wire_output_is_byte_identical_across_thread_counts() {
             direction: LineageDir::Ancestors,
             max_hops: Some(6),
         }),
+        Request::Query(QueryRequest {
+            query: QuerySpec::Pipeline(Pipeline::from_kind(VertexKind::Entity).traverse(
+                &[(EdgeKind::WasGeneratedBy, Direction::Out), (EdgeKind::Used, Direction::Out)],
+                1,
+                1,
+            )),
+            session: None,
+            page_size: None,
+            cursor: None,
+            max_expansions: None,
+            max_paths: None,
+        }),
     ]
     .iter()
     .map(|r| serde_json::to_string(r).expect("requests serialize"))
@@ -221,10 +221,22 @@ fn wire_output_is_byte_identical_across_thread_counts() {
     let (_, reference) = &transcripts[0];
     // The sequential engine must have produced real closures — a vacuously
     // empty transcript would make the cross-width comparison meaningless.
-    for response in reference {
+    for response in &reference[..3] {
         assert!(response.contains("\"Lineage\""), "unexpected response: {response}");
     }
     assert!(reference[0].len() > 100, "full ancestor closure should be non-trivial");
+    match serde_json::from_str::<Response>(&reference[3]).expect("responses deserialize") {
+        Response::Query(q) => {
+            assert!(!q.rows.is_empty(), "entities have generating activities");
+            assert!(
+                q.stats.query.frontier_peak >= 1024,
+                "frontier of {} never reaches the fan-out threshold: the identity below would \
+                 compare the inline step with itself",
+                q.stats.query.frontier_peak
+            );
+        }
+        other => panic!("expected a query response, got {other:?}"),
+    }
 
     for (threads, transcript) in &transcripts[1..] {
         assert_eq!(transcript, reference, "wire output diverged at parallelism {threads}");
