@@ -102,28 +102,6 @@ impl From<&str> for EntityRef {
 // The stats envelope
 // ---------------------------------------------------------------------------
 
-/// Cumulative snapshot-acquisition outcomes of the serving database (wire
-/// twin of [`prov_core::SnapshotCounters`]). Every query that needs a frozen
-/// snapshot resolves as exactly one reuse, one incremental refresh, or one
-/// full rebuild — so a serving-loop perf regression (refreshes silently
-/// degrading to rebuilds, reuse ratio collapsing) is visible to any client
-/// without profiling the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SnapshotActivity {
-    /// Acquisitions served by the still-fresh cached snapshot.
-    pub reuses: u64,
-    /// Acquisitions served by extending a stale snapshot from the delta log.
-    pub refreshes: u64,
-    /// Acquisitions that rebuilt the snapshot from scratch.
-    pub rebuilds: u64,
-}
-
-impl From<prov_core::SnapshotCounters> for SnapshotActivity {
-    fn from(c: prov_core::SnapshotCounters) -> Self {
-        SnapshotActivity { reuses: c.reuses, refreshes: c.refreshes, rebuilds: c.rebuilds }
-    }
-}
-
 /// Query-IR evaluation counters (wire twin of [`prov_store::QueryStats`]
 /// plus the service's cumulative cursor-resumption count). Meaningful on
 /// [`QueryResponse`] stats; all-zero elsewhere.
@@ -136,7 +114,7 @@ pub struct QueryActivity {
     /// Largest BFS frontier any traverse step held.
     pub frontier_peak: u32,
     /// Cursor resumptions served by this service so far (cumulative, like
-    /// [`SnapshotActivity`]): paginated clients make it grow, one-shot
+    /// [`Stats::snapshot`]): paginated clients make it grow, one-shot
     /// clients leave it flat.
     pub resumptions: u64,
 }
@@ -154,66 +132,6 @@ impl QueryActivity {
     }
 }
 
-/// Durable-storage activity counters (wire twin of
-/// [`prov_core::DurabilityCounters`]). Cumulative since the database was
-/// opened; all-zero for an in-memory database — `recoveries` is at least 1
-/// whenever durability is actually on, so clients can tell the two apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct DurabilityActivity {
-    /// Batches appended to the write-ahead log.
-    pub wal_appends: u64,
-    /// Fsync calls issued (commit acknowledgements, snapshot writes).
-    pub fsyncs: u64,
-    /// Cold-start recoveries performed.
-    pub recoveries: u64,
-    /// Torn-tail bytes truncated during recovery.
-    pub truncated_tail_bytes: u64,
-    /// Snapshot images written by compaction.
-    pub snapshots_written: u64,
-    /// Committed batches replayed from the WAL during recovery.
-    pub batches_replayed: u64,
-    /// Grouped WAL flushes performed by the commit pipeline. Absent on old
-    /// wires: deserializes to 0.
-    #[serde(default)]
-    pub group_flushes: u64,
-    /// Batches covered by those grouped flushes. Absent on old wires: 0.
-    #[serde(default)]
-    pub group_flushed_batches: u64,
-    /// Snapshot property segments deferred at open (lazy decode). Absent on
-    /// old wires: 0.
-    #[serde(default)]
-    pub lazy_segments_deferred: u64,
-    /// Bytes of snapshot payload not read at open (lazy decode). Absent on
-    /// old wires: 0.
-    #[serde(default)]
-    pub lazy_deferred_bytes: u64,
-    /// Deferred segments loaded on first touch. Absent on old wires: 0.
-    #[serde(default)]
-    pub lazy_segment_loads: u64,
-    /// Bytes range-read by first-touch loads. Absent on old wires: 0.
-    #[serde(default)]
-    pub lazy_bytes_loaded: u64,
-}
-
-impl From<prov_core::DurabilityCounters> for DurabilityActivity {
-    fn from(c: prov_core::DurabilityCounters) -> Self {
-        DurabilityActivity {
-            wal_appends: c.wal_appends,
-            fsyncs: c.fsyncs,
-            recoveries: c.recoveries,
-            truncated_tail_bytes: c.truncated_tail_bytes,
-            snapshots_written: c.snapshots_written,
-            batches_replayed: c.batches_replayed,
-            group_flushes: c.group_flushes,
-            group_flushed_batches: c.group_flushed_batches,
-            lazy_segments_deferred: c.lazy_segments_deferred,
-            lazy_deferred_bytes: c.lazy_deferred_bytes,
-            lazy_segment_loads: c.lazy_segment_loads,
-            lazy_bytes_loaded: c.lazy_bytes_loaded,
-        }
-    }
-}
-
 /// Per-response measurement envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Stats {
@@ -224,10 +142,12 @@ pub struct Stats {
     /// Edges in the result (or in the store, for ingest/import).
     pub edges: usize,
     /// Snapshot reuse/refresh/rebuild counters at response time (cumulative
-    /// over the database's lifetime; stamped by the service). Absent on old
-    /// wires: deserializes to all-zero.
+    /// over the database's lifetime; stamped by the service). Every query
+    /// that needs a frozen snapshot resolves as exactly one of the three, so
+    /// refreshes silently degrading to rebuilds is visible to any client.
+    /// Absent on old wires: deserializes to all-zero.
     #[serde(default)]
-    pub snapshot: SnapshotActivity,
+    pub snapshot: prov_core::SnapshotCounters,
     /// Query-IR evaluation counters (set on query responses). Absent on old
     /// wires: deserializes to all-zero.
     #[serde(default)]
@@ -235,7 +155,7 @@ pub struct Stats {
     /// Durable-storage counters at response time (cumulative; all-zero for
     /// in-memory databases). Absent on old wires: deserializes to all-zero.
     #[serde(default)]
-    pub durability: DurabilityActivity,
+    pub durability: prov_core::DurabilityCounters,
 }
 
 impl Stats {

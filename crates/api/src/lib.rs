@@ -39,13 +39,13 @@ pub mod spec;
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use envelope::{
     ActivityResponse, AddAgentRequest, AddArtifactRequest, CloseSessionRequest, ClosedResponse,
-    DocumentResponse, DurabilityActivity, EntityRef, ErrorResponse, EvaluatorSpec, ExpandRequest,
-    ExportRequest, ImportRequest, ImportedResponse, LineageDir, LineageRequest, LineageResponse,
+    DocumentResponse, EntityRef, ErrorResponse, EvaluatorSpec, ExpandRequest, ExportRequest,
+    ImportRequest, ImportedResponse, LineageDir, LineageRequest, LineageResponse,
     OpenSessionRequest, OutputSpecDto, PsgDto, PsgEdgeDto, PsgVertexDto, QueryActivity,
     QueryRequest, QueryResponse, QuerySpec, RecordActivityRequest, Request, Response,
     RestrictRequest, SegmentDto, SegmentEdgeDto, SegmentOptions, SegmentRequest, SegmentResponse,
-    SegmentVertexDto, SessionId, SessionResponse, SnapshotActivity, Stats, SummarizeRequest,
-    SummaryResponse, VertexResponse,
+    SegmentVertexDto, SessionId, SessionResponse, Stats, SummarizeRequest, SummaryResponse,
+    VertexResponse,
 };
 pub use error::{ApiError, ApiResult, ErrorCode};
 pub use service::ProvService;

@@ -111,8 +111,8 @@ impl ProvService {
         let elapsed = self.clock.now_micros().saturating_sub(start);
         if let Some(stats) = response.stats_mut() {
             stats.elapsed_micros = elapsed;
-            stats.snapshot = self.db.snapshot_counters().into();
-            stats.durability = self.db.durability_counters().unwrap_or_default().into();
+            stats.snapshot = self.db.snapshot_counters();
+            stats.durability = self.db.durability_counters().unwrap_or_default();
         }
         response
     }

@@ -39,9 +39,9 @@ fn stats() -> Stats {
         elapsed_micros: 120,
         vertices: 7,
         edges: 9,
-        snapshot: SnapshotActivity { reuses: 40, refreshes: 2, rebuilds: 1 },
+        snapshot: prov_core::SnapshotCounters { reuses: 40, refreshes: 2, rebuilds: 1 },
         query: QueryActivity { steps: 3, rows_scanned: 250, frontier_peak: 17, resumptions: 2 },
-        durability: DurabilityActivity {
+        durability: prov_core::DurabilityCounters {
             wal_appends: 31,
             fsyncs: 33,
             recoveries: 1,
@@ -322,6 +322,6 @@ fn stats_without_durability_field_deserialize_to_zero() {
     // durability counters.
     let json = r#"{"elapsed_micros": 5, "vertices": 1, "edges": 2}"#;
     let stats: Stats = serde_json::from_str(json).unwrap();
-    assert_eq!(stats.durability, DurabilityActivity::default());
+    assert_eq!(stats.durability, prov_core::DurabilityCounters::default());
     assert_eq!(stats.vertices, 1);
 }

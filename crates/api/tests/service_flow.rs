@@ -468,7 +468,7 @@ fn durability_counters_balance_on_the_wire() {
     let mut plain = ProvService::new();
     let r = plain.handle(&Request::AddAgent(AddAgentRequest { name: "alice".into() }));
     let stats = r.stats().expect("vertex responses carry stats");
-    assert_eq!(stats.durability, DurabilityActivity::default());
+    assert_eq!(stats.durability, prov_core::DurabilityCounters::default());
 
     // A durable service stamps balanced counters on every response.
     let disk = MemIo::new();
@@ -527,7 +527,7 @@ fn stats_snapshot_field_is_optional_on_the_wire() {
     // Old clients omit `snapshot` (and `max_hops`): both default.
     let stats: Stats =
         serde_json::from_str(r#"{"elapsed_micros":5,"vertices":1,"edges":2}"#).unwrap();
-    assert_eq!(stats.snapshot, SnapshotActivity::default());
+    assert_eq!(stats.snapshot, prov_core::SnapshotCounters::default());
     let req: Request = serde_json::from_str(
         r#"{"Lineage":{"entity":"weights-v1","direction":{"Ancestors":null}}}"#,
     )

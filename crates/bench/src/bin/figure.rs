@@ -35,8 +35,8 @@
 //! vs the committed baseline) so the CI job log is readable on its own.
 
 use prov_bench::{
-    run_figure_with_caches, BenchReport, FigureResult, PdCache, Scale, SdCache, ALL_FIGURES,
-    BENCH_FIGURES, COLDSTART_FIGURES, FIG10_FIGURES, FIG6_FIGURES, FIG7_FIGURES, FIG8_FIGURES,
+    run_figure, BenchReport, FigureResult, PdCache, Scale, SdCache, ALL_FIGURES, BENCH_FIGURES,
+    COLDSTART_FIGURES, FIG10_FIGURES, FIG6_FIGURES, FIG7_FIGURES, FIG8_FIGURES,
 };
 
 struct Cli {
@@ -103,7 +103,7 @@ fn main() {
     let mut sd_cache = SdCache::new();
     let mut figures: Vec<FigureResult> = Vec::new();
     for id in &ids {
-        match run_figure_with_caches(id, scale, &mut pd_cache, &mut sd_cache) {
+        match run_figure(id, scale, &mut pd_cache, &mut sd_cache) {
             Some(fig) => {
                 println!("{}", fig.render());
                 figures.push(fig);

@@ -12,9 +12,10 @@
 //!   schedule on both series (the `work` column carries the summed lineage
 //!   result sizes as the cross-checkable fingerprint).
 //! * **7b** — lineage latency by result-set size: the frozen seed lineage
-//!   (`lineage_reference`) against the epoch-scratch frontier BFS
-//!   ([`lineage_over`]), on start entities drawn at increasing creation-order
-//!   percentiles of a frozen `Pd` graph (`work` = closure size).
+//!   (`lineage_reference`) against what [`ProvDb::lineage`] executes
+//!   (`compile_lineage` → `Plan::compile` → `evaluate` at 1 chunk), on start
+//!   entities drawn at increasing creation-order percentiles of a frozen
+//!   `Pd` graph (`work` = closure size).
 //! * **7c** — session-open latency under repeated mutation: time *only* the
 //!   snapshot acquisitions of a mutate → open loop, rebuild-always vs
 //!   refresh, across preload sizes.
@@ -23,12 +24,13 @@
 //! as `BENCH_fig7.json` through [`crate::BenchReport`], gated in CI next to
 //! fig5/fig6.
 
-use crate::harness::{FigureResult, PdCache, Point, Scale, Series};
+use crate::harness::{FigureResult, PdCache, PdInstance, Point, Scale, Series};
 use prov_core::{
-    lineage_over, lineage_reference, ActivityRecord, LineageBound, LineageDirection, OutputSpec,
+    compile_lineage, lineage_reference, ActivityRecord, LineageBound, LineageDirection, OutputSpec,
     ProvDb, SnapshotPolicy,
 };
 use prov_model::{VertexId, VertexKind};
+use prov_store::{evaluate, Plan};
 use prov_workload::{ActivityStream, PdParams, StreamParams};
 use std::time::Instant;
 
@@ -107,12 +109,7 @@ fn drive_interleave(
 /// rounds = smaller batches = more snapshot acquisitions — the interactive
 /// end of the serving spectrum) — the rebuild-every-batch baseline vs the
 /// incremental refresh path on identical streams and query schedules.
-pub fn fig7a(scale: Scale) -> FigureResult {
-    fig7a_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig7a`] against a shared `Pd` instance cache.
-pub fn fig7a_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig7a(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let (preload, total, round_counts): (usize, usize, &[usize]) = match scale {
         Scale::Quick => (10_000, 256, &[4, 16, 64]),
         Scale::Full => (10_000, 1_024, &[8, 32, 128]),
@@ -148,25 +145,27 @@ pub fn fig7a_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
 }
 
 /// Fig. 7(b): lineage latency by result-set size — frozen seed walk vs the
-/// epoch-scratch frontier BFS, on one frozen snapshot.
-pub fn fig7b(scale: Scale) -> FigureResult {
-    fig7b_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig7b`] against a shared `Pd` instance cache.
-pub fn fig7b_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+/// compiled query-IR path a lineage request runs, on one frozen snapshot.
+pub fn fig7b(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let (n, reps) = match scale {
         Scale::Quick => (5_000, 64),
         Scale::Full => (50_000, 16),
     };
     let inst = cache.instance(&PdParams::with_size(n));
-    let index = inst.index();
     let entities = inst.graph().vertices_of_kind(VertexKind::Entity);
     let percentiles = [5.0, 25.0, 50.0, 75.0, 95.0];
-    type LineageFn = fn(&prov_store::ProvIndex, VertexId, LineageDirection) -> Vec<VertexId>;
+    type LineageFn = fn(&PdInstance, VertexId, LineageDirection) -> Vec<VertexId>;
     let methods: [(&str, LineageFn); 2] = [
-        ("Seed", |idx, v, dir| lineage_reference(idx, v, dir)),
-        ("EpochBFS", |idx, v, dir| lineage_over(idx, v, dir, LineageBound::Unbounded)),
+        ("Seed", |inst, v, dir| lineage_reference(inst.index(), v, dir)),
+        ("QueryIR", |inst, v, dir| {
+            // Lowering and plan compilation are inside the timed call, as
+            // they are inside every `ProvDb::lineage`.
+            let plan = Plan::compile(compile_lineage(v, dir, LineageBound::Unbounded))
+                .expect("lineage pipelines always compile");
+            evaluate(inst.graph(), inst.index(), &plan, 1)
+                .expect("a fresh snapshot is never stale")
+                .rows
+        }),
     ];
     let mut series: Vec<Series> = methods
         .iter()
@@ -181,7 +180,7 @@ pub fn fig7b_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
             for _ in 0..3 {
                 let t0 = Instant::now();
                 for _ in 0..reps {
-                    size = eval(index, start, LineageDirection::Ancestors).len() as u64;
+                    size = eval(&inst, start, LineageDirection::Ancestors).len() as u64;
                 }
                 best = best.min(t0.elapsed().as_secs_f64());
             }
@@ -205,12 +204,7 @@ const ROUNDS_7C: usize = 32;
 
 /// Fig. 7(c): snapshot acquisition (session-open) latency under repeated
 /// mutation — the cost a fresh session pays right after an ingest.
-pub fn fig7c(scale: Scale) -> FigureResult {
-    fig7c_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig7c`] against a shared `Pd` instance cache.
-pub fn fig7c_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig7c(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let sizes: &[usize] = match scale {
         Scale::Quick => &[500, 2_000, 5_000],
         Scale::Full => &[1_000, 10_000, 50_000],
@@ -290,14 +284,14 @@ mod tests {
         // Tiny smoke via the quick paths of 7b/7c on a small shared cache;
         // shapes only (the committed trajectory runs in release).
         let mut cache = PdCache::new();
-        let fig = fig7c_cached(Scale::Quick, &mut cache);
+        let fig = fig7c(Scale::Quick, &mut cache);
         assert_eq!(fig.id, "7c");
         assert_eq!(fig.series.len(), 2);
         for s in &fig.series {
             assert_eq!(s.points.len(), 3);
             assert!(s.points.iter().all(|p| p.y.is_some() && p.work.is_some()));
         }
-        let fig = fig7b_cached(Scale::Quick, &mut cache);
+        let fig = fig7b(Scale::Quick, &mut cache);
         assert_eq!(fig.series.len(), 2);
         // Both lineage engines must report identical closure sizes.
         for (a, b) in fig.series[0].points.iter().zip(fig.series[1].points.iter()) {

@@ -51,12 +51,7 @@ fn closure_plan(start: VertexId) -> Plan {
 
 /// Fig. 8(a): query latency by pipeline depth and result size — x chained
 /// single-hop ancestry steps, one series per start-entity percentile.
-pub fn fig8a(scale: Scale) -> FigureResult {
-    fig8a_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig8a`] against a shared `Pd` instance cache.
-pub fn fig8a_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig8a(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let (n, reps) = match scale {
         Scale::Quick => (5_000, 64),
         Scale::Full => (50_000, 16),
@@ -112,12 +107,7 @@ fn fig8a_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
 
 /// Fig. 8(b): paginated cursor walk vs one-shot evaluation of the same
 /// closure, swept over the page size.
-pub fn fig8b(scale: Scale) -> FigureResult {
-    fig8b_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig8b`] against a shared `Pd` instance cache.
-pub fn fig8b_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig8b(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let (n, reps) = match scale {
         Scale::Quick => (5_000, 8),
         Scale::Full => (50_000, 4),
@@ -193,12 +183,7 @@ const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Fig. 8(t): query thread scaling — the chunked level-parallel frontier at
 /// x chunks against the sequential engine on the same compiled plan.
-pub fn fig8t(scale: Scale) -> FigureResult {
-    fig8t_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig8t`] against a shared `Pd` instance cache.
-pub fn fig8t_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig8t(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let (n, reps) = match scale {
         Scale::Quick => (5_000, 64),
         Scale::Full => (50_000, 16),

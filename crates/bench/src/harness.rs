@@ -28,7 +28,7 @@ use prov_workload::{
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Experiment scale: `Quick` for smoke runs and `cargo bench` sanity,
+/// Experiment scale: `Quick` for smoke runs and the committed trajectories,
 /// `Full` for regenerating the figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -228,12 +228,7 @@ impl PdCache {
 }
 
 /// Fig. 5(a): runtime vs graph size `N`, all methods.
-pub fn fig5a(scale: Scale) -> FigureResult {
-    fig5a_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig5a`] against a shared instance cache.
-pub fn fig5a_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig5a(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let sizes: &[usize] = match scale {
         Scale::Quick => &[50, 100, 1_000, 5_000],
         Scale::Full => &[50, 100, 1_000, 10_000, 50_000, 100_000],
@@ -316,12 +311,7 @@ fn sweep_pd<F: Fn(f64) -> PdParams>(
 }
 
 /// Fig. 5(b): runtime vs input-selection skew `se` on `Pd10k`.
-pub fn fig5b(scale: Scale) -> FigureResult {
-    fig5b_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig5b`] against a shared instance cache.
-pub fn fig5b_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig5b(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let n = match scale {
         Scale::Quick => 2_000,
         Scale::Full => 10_000,
@@ -343,12 +333,7 @@ pub fn fig5b_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
 }
 
 /// Fig. 5(c): runtime vs activity input mean `λi` on `Pd10k`.
-pub fn fig5c(scale: Scale) -> FigureResult {
-    fig5c_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig5c`] against a shared instance cache.
-pub fn fig5c_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig5c(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let n = match scale {
         Scale::Quick => 2_000,
         Scale::Full => 10_000,
@@ -372,12 +357,7 @@ pub fn fig5c_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
 
 /// Fig. 5(d): effectiveness of early stopping — runtime vs the percentile at
 /// which `Vsrc` starts, on `Pd50k`.
-pub fn fig5d(scale: Scale) -> FigureResult {
-    fig5d_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig5d`] against a shared instance cache.
-pub fn fig5d_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig5d(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let n = match scale {
         Scale::Quick => 5_000,
         Scale::Full => 50_000,
@@ -521,12 +501,7 @@ pub fn fig5h(scale: Scale) -> FigureResult {
 /// the seed `VecDeque` loop it replaced, on both fact-table backends, over
 /// the paper's standard `Pd` query. This is the series the committed
 /// `BENCH_fig5.json` tracks for the rewrite's speedup claim.
-pub fn figwl(scale: Scale) -> FigureResult {
-    figwl_cached(scale, &mut PdCache::new())
-}
-
-/// [`figwl`] against a shared instance cache.
-pub fn figwl_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn figwl(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let sizes: &[usize] = match scale {
         Scale::Quick => &[1_000, 2_000, 5_000],
         Scale::Full => &[1_000, 10_000, 50_000],
@@ -695,12 +670,7 @@ fn fig6_reps(scale: Scale) -> usize {
 }
 
 /// Fig. 6(a): summarization runtime vs segment count `|S|` on `Sd` sets.
-pub fn fig6a(scale: Scale) -> FigureResult {
-    fig6a_cached(scale, &mut SdCache::new())
-}
-
-/// [`fig6a`] against a shared `Sd` instance cache.
-pub fn fig6a_cached(scale: Scale, cache: &mut SdCache) -> FigureResult {
+pub fn fig6a(scale: Scale, cache: &mut SdCache) -> FigureResult {
     let counts: &[usize] = match scale {
         Scale::Quick => &[5, 10, 20, 40],
         Scale::Full => &[10, 20, 40, 80],
@@ -720,12 +690,7 @@ pub fn fig6a_cached(scale: Scale, cache: &mut SdCache) -> FigureResult {
 }
 
 /// Fig. 6(b): summarization runtime vs segment size `n` on `Sd` sets.
-pub fn fig6b(scale: Scale) -> FigureResult {
-    fig6b_cached(scale, &mut SdCache::new())
-}
-
-/// [`fig6b`] against a shared `Sd` instance cache.
-pub fn fig6b_cached(scale: Scale, cache: &mut SdCache) -> FigureResult {
+pub fn fig6b(scale: Scale, cache: &mut SdCache) -> FigureResult {
     let sizes: &[usize] = match scale {
         Scale::Quick => &[10, 20, 40],
         Scale::Full => &[20, 40, 80],
@@ -748,12 +713,7 @@ pub fn fig6b_cached(scale: Scale, cache: &mut SdCache) -> FigureResult {
 /// Fig. 6(c): summarization runtime vs segment count on segments carved out
 /// of a frozen `Pd` graph (12-activity windows) — PgSum on the same topology
 /// the Fig. 5 segmentation sweeps use.
-pub fn fig6c(scale: Scale) -> FigureResult {
-    fig6c_cached(scale, &mut PdCache::new())
-}
-
-/// [`fig6c`] against the shared `Pd` instance cache.
-pub fn fig6c_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
+pub fn fig6c(scale: Scale, cache: &mut PdCache) -> FigureResult {
     let (n, counts): (usize, &[usize]) = match scale {
         Scale::Quick => (2_000, &[4, 8, 16, 32]),
         Scale::Full => (10_000, &[8, 16, 32, 64]),
@@ -779,46 +739,33 @@ pub fn fig6c_cached(scale: Scale, cache: &mut PdCache) -> FigureResult {
     }
 }
 
-/// Run one figure by id.
-pub fn run_figure(id: &str, scale: Scale) -> Option<FigureResult> {
-    run_figure_cached(id, scale, &mut PdCache::new())
-}
-
-/// Run one figure by id against a shared `Pd` instance cache, so a batch of
-/// `Pd`-backed figures freezes each workload once. The `Sd`-backed figures
-/// (`6a`/`6b`) get a throwaway cache here — batch callers that mix them in
-/// should use [`run_figure_with_caches`] to share both cache families (the
-/// `figure` binary does).
-pub fn run_figure_cached(id: &str, scale: Scale, cache: &mut PdCache) -> Option<FigureResult> {
-    run_figure_with_caches(id, scale, cache, &mut SdCache::new())
-}
-
-/// [`run_figure_cached`] with the `Sd` cache shared too (the fig6 batch).
-pub fn run_figure_with_caches(
+/// Run one figure by id against the shared instance caches, so a batch of
+/// figures generates and freezes each `Pd` graph / `Sd` segment set once.
+pub fn run_figure(
     id: &str,
     scale: Scale,
     pd: &mut PdCache,
     sd: &mut SdCache,
 ) -> Option<FigureResult> {
     Some(match id {
-        "5a" => fig5a_cached(scale, pd),
-        "5b" => fig5b_cached(scale, pd),
-        "5c" => fig5c_cached(scale, pd),
-        "5d" => fig5d_cached(scale, pd),
+        "5a" => fig5a(scale, pd),
+        "5b" => fig5b(scale, pd),
+        "5c" => fig5c(scale, pd),
+        "5d" => fig5d(scale, pd),
         "5e" => fig5e(scale),
         "5f" => fig5f(scale),
         "5g" => fig5g(scale),
         "5h" => fig5h(scale),
-        "wl" => figwl_cached(scale, pd),
-        "6a" => fig6a_cached(scale, sd),
-        "6b" => fig6b_cached(scale, sd),
-        "6c" => fig6c_cached(scale, pd),
-        "7a" => crate::fig7::fig7a_cached(scale, pd),
-        "7b" => crate::fig7::fig7b_cached(scale, pd),
-        "7c" => crate::fig7::fig7c_cached(scale, pd),
-        "8a" => crate::fig8::fig8a_cached(scale, pd),
-        "8b" => crate::fig8::fig8b_cached(scale, pd),
-        "8t" => crate::fig8::fig8t_cached(scale, pd),
+        "wl" => figwl(scale, pd),
+        "6a" => fig6a(scale, sd),
+        "6b" => fig6b(scale, sd),
+        "6c" => fig6c(scale, pd),
+        "7a" => crate::fig7::fig7a(scale, pd),
+        "7b" => crate::fig7::fig7b(scale, pd),
+        "7c" => crate::fig7::fig7c(scale, pd),
+        "8a" => crate::fig8::fig8a(scale, pd),
+        "8b" => crate::fig8::fig8b(scale, pd),
+        "8t" => crate::fig8::fig8t(scale, pd),
         "cs" => crate::coldstart::figcs(scale),
         "10a" => crate::fig10::fig10a(scale),
         "10b" => crate::fig10::fig10b(scale),
@@ -845,8 +792,8 @@ pub const FIG6_FIGURES: [&str; 3] = ["6a", "6b", "6c"];
 
 /// The serving-loop trajectory committed as `BENCH_fig7.json`: the
 /// ingest/query interleave (rebuild-every-batch vs incremental refresh),
-/// the lineage latency sweep (seed walk vs epoch-scratch BFS), and the
-/// session-open acquisition sweep.
+/// the lineage latency sweep (seed walk vs the compiled query-IR path), and
+/// the session-open acquisition sweep.
 pub const FIG7_FIGURES: [&str; 3] = ["7a", "7b", "7c"];
 
 /// The query-layer trajectory committed as `BENCH_fig8.json`: IR pipeline
@@ -944,7 +891,7 @@ mod tests {
 
     #[test]
     fn unknown_figure_id_is_none() {
-        assert!(run_figure("9z", Scale::Quick).is_none());
+        assert!(run_figure("9z", Scale::Quick, &mut PdCache::new(), &mut SdCache::new()).is_none());
         for id in ALL_FIGURES {
             // Only check resolvability, not execution (expensive).
             assert!([

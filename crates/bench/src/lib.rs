@@ -7,8 +7,8 @@
 //!   rewrite), and the shared [`PdCache`] / [`SdCache`] so a batch run
 //!   freezes each workload once;
 //! * [`fig7`] — the serving-loop sweeps (`7a`–`7c`: ingest/query
-//!   interleaving, lineage latency, session-open latency) driven over a live
-//!   `ProvDb`, committed as `BENCH_fig7.json`;
+//!   interleaving, seed vs query-IR lineage latency, session-open latency)
+//!   driven over a live `ProvDb`, committed as `BENCH_fig7.json`;
 //! * [`fig8`] — the query-layer sweeps (`8a`/`8b`/`8t`: IR pipeline latency
 //!   by depth, paginated cursor walk vs one-shot, chunked-frontier thread
 //!   scaling), committed as `BENCH_fig8.json`;
@@ -22,8 +22,7 @@
 //! * `src/bin/figure.rs` — CLI that regenerates any figure
 //!   (`cargo run -p prov-bench --release --bin figure -- 5a`) and the JSON
 //!   bench mode (`cargo run -p prov-bench --release -- --quick --json
-//!   BENCH_fig5.json`);
-//! * `benches/` — Criterion micro-benchmarks over the same kernels.
+//!   BENCH_fig5.json`).
 
 pub mod coldstart;
 pub mod fig10;
@@ -32,13 +31,8 @@ pub mod fig8;
 pub mod harness;
 pub mod report;
 
-pub use coldstart::figcs;
-pub use fig10::{fig10a, fig10b};
-pub use fig7::{fig7a, fig7b, fig7c};
-pub use fig8::{fig8a, fig8b, fig8t};
 pub use harness::{
-    run_figure, run_figure_cached, run_figure_with_caches, FigureResult, PdCache, PdInstance,
-    Point, Scale, SdCache, Series, ALL_FIGURES, BENCH_FIGURES, COLDSTART_FIGURES, FIG10_FIGURES,
-    FIG6_FIGURES, FIG7_FIGURES, FIG8_FIGURES,
+    run_figure, FigureResult, PdCache, PdInstance, Point, Scale, SdCache, Series, ALL_FIGURES,
+    BENCH_FIGURES, COLDSTART_FIGURES, FIG10_FIGURES, FIG6_FIGURES, FIG7_FIGURES, FIG8_FIGURES,
 };
 pub use report::{BenchReport, REGRESSION_FACTOR, REGRESSION_FLOOR_SECS};

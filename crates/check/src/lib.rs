@@ -25,8 +25,8 @@
 //!   (`crates/store/src/query/eval.rs`) and the snapshot structure itself:
 //!   since ISSUE 8 every read path compiles into the query IR, and an
 //!   ad-hoc traversal would bypass the watermark/cursor semantics the wire
-//!   layer guarantees. The frozen differential references (seed lineage,
-//!   CFL views) carry justification markers.
+//!   layer guarantees. The kernels' own read surfaces (the PgSeg masked
+//!   view, the CFL terminal enumeration) carry justification markers.
 //! * [`RAW_IO`] — no direct `std::fs`/`File`/`OpenOptions` use outside
 //!   `crates/store/src/storage/` (ISSUE 9): every durable byte goes through
 //!   the `Io` trait so failpoints can intercept it and the kill-point
@@ -45,8 +45,11 @@
 //! ```
 //!
 //! The reason after the colon is mandatory: a bare marker suppresses
-//! nothing. `cargo run -p prov-check` (or `just lint-strict`) walks the
-//! workspace and exits non-zero on any finding.
+//! nothing. A marker that suppresses nothing because its rule does not fire
+//! on the two lines it covers — the code moved, the rule's scope excludes the
+//! file, the rule id is unknown — is itself reported ([`STALE_WAIVER`]), so
+//! waivers cannot outlive what they waived. `cargo run -p prov-check` (or
+//! `just lint-strict`) walks the workspace and exits non-zero on any finding.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -188,6 +191,11 @@ pub const RULES: [&Rule; 7] = [
     &SNAPSHOT_SLURP,
 ];
 
+/// Finding id for a `lint-ok(<rule>): <reason>` marker whose rule does not
+/// fire on the line it sits on or the next one. Not a [`Rule`]: it reads
+/// comments, not code, and cannot itself be waived.
+pub const STALE_WAIVER: &str = "stale-waiver";
+
 /// Does `code` contain a cast `as <ty>` as whole tokens (`has u32` or
 /// `alias u32x4` must not match)?
 fn has_cast_to(code: &str, ty: &str) -> bool {
@@ -244,6 +252,24 @@ fn marker_justifies(raw: &str, rule_id: &str) -> bool {
     raw.find(&needle).is_some_and(|pos| !raw[pos + needle.len()..].trim().is_empty())
 }
 
+/// The rule ids of every well-formed marker (`lint-ok(<id>):` plus a
+/// non-empty reason) on a raw source line, with the byte offset of each.
+fn markers(raw: &str) -> Vec<(usize, &str)> {
+    const OPEN: &str = "lint-ok(";
+    let mut found = Vec::new();
+    let mut from = 0usize;
+    while let Some(pos) = raw[from..].find(OPEN).map(|p| p + from) {
+        from = pos + OPEN.len();
+        let Some(close) = raw[from..].find(')') else { break };
+        let id = &raw[from..from + close];
+        let is_id = !id.is_empty() && id.bytes().all(|b| b.is_ascii_lowercase() || b == b'-');
+        if is_id && marker_justifies(&raw[pos..], id) {
+            found.push((pos, id));
+        }
+    }
+    found
+}
+
 /// Blank out comments and string/char literal *contents* of `source`,
 /// preserving line structure and every other byte, so rules match code only.
 ///
@@ -251,19 +277,31 @@ fn marker_justifies(raw: &str, rule_id: &str) -> bool {
 /// (`r"…"`/`r#"…"#`), escapes, char literals, and leaves lifetimes (`'a`)
 /// alone. Heuristic, not a full lexer — good enough for substring rules.
 pub fn mask_source(source: &str) -> String {
+    mask(source).0
+}
+
+/// [`mask_source`] plus, per source byte, whether it sits in a plain
+/// (non-doc) comment — where waiver markers live; a marker quoted in a
+/// string literal or a doc example waives nothing and is not judged stale.
+fn mask(source: &str) -> (String, Vec<bool>) {
     let bytes = source.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
+    let mut plain = vec![false; bytes.len()];
     let mut i = 0usize;
     let blank = |b: u8| if b == b'\n' { b'\n' } else { b' ' };
     while i < bytes.len() {
         match bytes[i] {
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                let doc = matches!(bytes.get(i + 2), Some(b'/' | b'!'));
+                let start = i;
                 while i < bytes.len() && bytes[i] != b'\n' {
                     out.push(b' ');
                     i += 1;
                 }
+                plain[start..i].fill(!doc);
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                let start = i;
                 let mut depth = 1usize;
                 out.extend_from_slice(b"  ");
                 i += 2;
@@ -281,6 +319,7 @@ pub fn mask_source(source: &str) -> String {
                         i += 1;
                     }
                 }
+                plain[start..i].fill(true);
             }
             b'r' if matches!(bytes.get(i + 1), Some(&b'"') | Some(&b'#')) => {
                 // Raw string candidate: r"…" or r#…#"…"#…#.
@@ -366,7 +405,7 @@ pub fn mask_source(source: &str) -> String {
             }
         }
     }
-    String::from_utf8(out).expect("masking only replaces ASCII bytes with spaces")
+    (String::from_utf8(out).expect("masking only replaces ASCII bytes with spaces"), plain)
 }
 
 /// Lint one file's source against every in-scope rule. `rel` is the
@@ -376,15 +415,34 @@ pub fn check_source(rel: &Path, source: &str) -> Vec<Finding> {
     if rules.is_empty() {
         return Vec::new();
     }
-    let masked = mask_source(source);
+    let (masked, plain) = mask(source);
+    let masked_lines: Vec<&str> = masked.lines().collect();
     let raw_lines: Vec<&str> = source.lines().collect();
+    // Masking is byte-for-byte, so raw line offsets index `plain` directly.
+    let line_starts: Vec<usize> =
+        std::iter::once(0).chain(source.match_indices('\n').map(|(at, _)| at + 1)).collect();
     let mut findings = Vec::new();
-    for (no, code) in masked.lines().enumerate() {
+    for (no, code) in masked_lines.iter().enumerate() {
+        let here = raw_lines.get(no).copied().unwrap_or("");
+        // A marker covers its own line and the next; one whose rule fires on
+        // neither (or is out of scope here, or unknown) waives nothing.
+        for (pos, id) in markers(here) {
+            let fires = rules.iter().filter(|r| r.id == id).any(|r| {
+                (r.matches)(code) || masked_lines.get(no + 1).is_some_and(|next| (r.matches)(next))
+            });
+            if plain[line_starts[no] + pos] && !fires {
+                findings.push(Finding {
+                    file: rel.to_path_buf(),
+                    line: no + 1,
+                    rule: STALE_WAIVER,
+                    excerpt: here.trim().to_string(),
+                });
+            }
+        }
         for rule in &rules {
             if !(rule.matches)(code) {
                 continue;
             }
-            let here = raw_lines.get(no).copied().unwrap_or("");
             let above = no.checked_sub(1).and_then(|p| raw_lines.get(p).copied()).unwrap_or("");
             if marker_justifies(here, rule.id) || marker_justifies(above, rule.id) {
                 continue;

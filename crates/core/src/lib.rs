@@ -31,8 +31,7 @@ pub mod provdb;
 
 pub use example_graph::{fig2, fig3, Example};
 pub use lineage::{
-    ancestry_edges, compile_lineage, lineage_over, lineage_reference, LineageBound,
-    LineageDirection,
+    ancestry_edges, compile_lineage, lineage_reference, LineageBound, LineageDirection,
 };
 pub use provdb::{
     ActivityOutcome, ActivityRecord, OutputSpec, ProvDb, SnapshotCounters, SnapshotPolicy,

@@ -18,6 +18,7 @@ use prov_store::{
     StoreResult,
 };
 use prov_summary::{pgsum, PgSumQuery, Psg, SegmentRef};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -97,10 +98,10 @@ impl SnapshotPolicy {
 
 /// How the database has been serving snapshot acquisitions: every
 /// [`ProvDb::snapshot`] call resolves as exactly one of these three
-/// outcomes. Exposed on the wire through the service `Stats` envelope so a
-/// serving-loop regression (e.g. a refresh path silently degrading to
-/// rebuilds) is observable without profiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// outcomes. Serialized as-is into the service `Stats` envelope (field names
+/// and order are wire format), so a serving-loop regression (e.g. a refresh
+/// path silently degrading to rebuilds) is observable without profiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SnapshotCounters {
     /// The cached snapshot was still fresh and was handed out as-is.
     pub reuses: u64,
@@ -619,8 +620,8 @@ impl ProvDb {
     /// **Order contract** (wire-stable, part of the service envelope): the
     /// result is sorted ascending by dense vertex id and excludes the start
     /// vertex. BFS discovery order is an implementation detail of the
-    /// epoch-scratch engine ([`crate::lineage`]) and never escapes; callers
-    /// and examples may rely on the sorted order.
+    /// query-IR evaluator and never escapes; callers and examples may rely
+    /// on the sorted order.
     pub fn lineage(&self, e: VertexId, direction: LineageDirection) -> Vec<VertexId> {
         self.lineage_ir(e, direction, LineageBound::Unbounded)
     }
@@ -645,8 +646,7 @@ impl ProvDb {
 
     /// Shared lineage path: lower to a one-step query-IR pipeline
     /// ([`crate::lineage::compile_lineage`]) and evaluate it over the
-    /// current snapshot. `lineage_over` stays alive in `crate::lineage` as
-    /// the differential reference for this lowering.
+    /// current snapshot.
     fn lineage_ir(
         &self,
         e: VertexId,

@@ -8,14 +8,18 @@
 //!   differentials the served snapshot against a full `ProvIndex::build` of
 //!   the current graph;
 //! * readers always see internally consistent snapshots (every lineage
-//!   answer is sorted and in-bounds for the snapshot it was computed on).
+//!   answer is sorted, in-bounds for the snapshot it was computed on, and
+//!   equal to the definitional oracle over the graph it was frozen from).
 //!
 //! `ProvDb` mutation takes `&mut self`, so the database sits behind an
 //! `RwLock` — but queries deliberately clone out `SharedIndex` handles and
 //! run *outside* the lock, which is exactly the torn-read surface the test
 //! is after.
 
-use prov_core::{lineage_over, ActivityRecord, LineageBound, LineageDirection, OutputSpec, ProvDb};
+mod common;
+
+use common::{compiled_lineage, lineage_oracle};
+use prov_core::{ActivityRecord, LineageBound, LineageDirection, OutputSpec, ProvDb};
 use prov_model::EdgeKind;
 use prov_segment::{PgSegOptions, PgSegQuery};
 use prov_store::ProvIndex;
@@ -67,20 +71,26 @@ fn readers_and_writer_interleave_without_torn_snapshots() {
             std::thread::spawn(move || {
                 let mut queries = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    // Clone the snapshot handle out, release the lock, then
-                    // query — the reader must be safe on a handle the writer
-                    // has since superseded.
-                    let (snapshot, start) = {
+                    // Clone the snapshot and graph handles out, release the
+                    // lock, then query — the reader must be safe on handles
+                    // the writer has since superseded (it copy-on-writes the
+                    // graph while a reader still holds the old one).
+                    let (snapshot, graph) = {
                         let guard = db.read().expect("reader lock");
-                        (guard.snapshot(), seed)
+                        (guard.snapshot(), guard.graph_shared())
+                    };
+                    let lineage = |bound| {
+                        let dir = LineageDirection::Descendants;
+                        let rows = compiled_lineage(&graph, &snapshot, seed, dir, bound, 1);
+                        assert_eq!(
+                            rows,
+                            lineage_oracle(&graph, seed, dir, bound),
+                            "reader {r}: {bound:?} diverged from the oracle"
+                        );
+                        rows
                     };
                     for hops in [2, 6] {
-                        let within = lineage_over(
-                            &snapshot,
-                            start,
-                            LineageDirection::Descendants,
-                            LineageBound::Within(hops),
-                        );
+                        let within = lineage(LineageBound::Within(hops));
                         assert!(
                             within.windows(2).all(|w| w[0] < w[1]),
                             "reader {r}: unsorted lineage"
@@ -90,12 +100,7 @@ fn readers_and_writer_interleave_without_torn_snapshots() {
                             "reader {r}: lineage escaped its snapshot"
                         );
                     }
-                    let closure = lineage_over(
-                        &snapshot,
-                        start,
-                        LineageDirection::Descendants,
-                        LineageBound::Unbounded,
-                    );
+                    let closure = lineage(LineageBound::Unbounded);
                     // Every traversed edge endpoint is typed sanely — a torn
                     // CSR would trip the kind check or the bounds above.
                     for &v in closure.iter().take(32) {

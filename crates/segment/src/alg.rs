@@ -39,7 +39,7 @@ use crate::outcome::{EvalStats, SimilarOutcome};
 use crate::view::MaskedGraph;
 use prov_bitset::{pack_pair, CompressedBitmap, FastSet, FixedBitSet, PairTable};
 use prov_model::{VertexId, VertexKind};
-use prov_store::ProvIndex;
+use prov_store::{rank_u32, ProvIndex};
 use std::time::Instant;
 
 /// Configuration for [`similar_alg`].
@@ -208,8 +208,7 @@ impl RankAdjacency {
             // Ascending rows let the pair loop split canonical pairs into a
             // constant-row suffix batch (see `PairTable::insert_row`).
             targets[start..].sort_unstable();
-            // lint-ok(narrowing-cast): rank adjacency holds ≤ |E| entries, bounded by u32 ids.
-            offsets.push(targets.len() as u32);
+            offsets.push(rank_u32(targets.len()));
         }
         RankAdjacency { offsets, targets }
     }
@@ -289,10 +288,9 @@ pub fn similar_alg<S: FastSet>(
     while let Some(word) = worklist.pop() {
         pops += 1;
         let is_ee = word & EE_TAG != 0;
-        // lint-ok(narrowing-cast): deliberately unpacks the two u32 halves of a packed word.
-        let lo = ((word >> 32) & HI_RANK_MASK) as u32;
-        // lint-ok(narrowing-cast): low half of the packed pair word.
-        let hi = word as u32;
+        // The two kind ranks packed into the word, high half under the tag bit.
+        let lo = rank_u32(((word >> 32) & HI_RANK_MASK) as usize);
+        let hi = rank_u32((word & 0xffff_ffff) as usize);
         if let Some((se, sa)) = &stale {
             let s = if is_ee { se } else { sa };
             if s[lo as usize] && s[hi as usize] {

@@ -19,6 +19,7 @@ use prov_bitset::{CompressedBitmap, FastSet, FixedBitSet, SetBackend};
 use prov_cfl::simprov;
 use prov_cfl::{normalize, solve, CflrResult};
 use prov_model::{VertexId, VertexKind};
+use prov_store::rank_u32;
 use std::time::Instant;
 
 /// Which SimProv grammar form the solver runs on.
@@ -54,8 +55,7 @@ fn finish<S: FastSet>(
         }
         // All-pairs relations are symmetric here; read the column side too via
         // the transpose fact N(t, src).
-        // lint-ok(narrowing-cast): vertex ids are minted below u32::MAX by the store.
-        for t in 0..idx.vertex_count() as u32 {
+        for t in 0..rank_u32(idx.vertex_count()) {
             if result.contains(start, t, src.raw()) {
                 marks[t as usize] = true;
             }

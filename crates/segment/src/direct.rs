@@ -14,6 +14,7 @@
 
 use crate::view::MaskedGraph;
 use prov_model::VertexId;
+use prov_store::rank_u32;
 
 /// Scratch-free BFS marker over vertex ids.
 fn bfs(
@@ -57,8 +58,7 @@ pub fn direct_path_vertices(
     let to_src = bfs(view, vsrc, |view, v, out| out.extend(view.downstream(v)));
     (0..view.index().vertex_count())
         .filter(|&i| from_dst[i] && to_src[i])
-        // lint-ok(narrowing-cast): i ranges over vertex ids minted below u32::MAX.
-        .map(|i| VertexId::new(i as u32))
+        .map(|i| VertexId::new(rank_u32(i)))
         .collect()
 }
 

@@ -1,6 +1,7 @@
 //! Shared result types for the `L(SimProv)` evaluators.
 
 use prov_model::VertexId;
+use prov_store::rank_u32;
 use std::time::Duration;
 
 /// Run statistics of a similarity evaluation.
@@ -47,8 +48,7 @@ impl SimilarOutcome {
 
 /// Collect a boolean vertex mark array into a sorted id list.
 pub(crate) fn marks_to_vec(marks: &[bool]) -> Vec<VertexId> {
-    // lint-ok(narrowing-cast): the mark array is indexed by u32-bounded vertex ids.
-    marks.iter().enumerate().filter_map(|(i, &m)| m.then_some(VertexId::new(i as u32))).collect()
+    marks.iter().enumerate().filter_map(|(i, &m)| m.then_some(VertexId::new(rank_u32(i)))).collect()
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@
 use crate::outcome::{marks_to_vec, EvalStats, SimilarOutcome};
 use crate::view::MaskedGraph;
 use prov_model::{VertexId, VertexKind};
+use prov_store::rank_u32;
 use std::time::Instant;
 
 /// Configuration for [`similar_tst`].
@@ -57,8 +58,7 @@ impl Default for TstConfig {
 /// `-1` = unknown; computed with an explicit stack (the graph is a DAG).
 fn ext_of(view: &MaskedGraph<'_>, start: VertexId, memo: &mut [i64]) -> u32 {
     if memo[start.index()] >= 0 {
-        // lint-ok(narrowing-cast): memo holds DAG path lengths < n, far below u32::MAX.
-        return memo[start.index()] as u32;
+        return rank_u32(memo[start.index()] as usize);
     }
     let mut stack: Vec<VertexId> = vec![start];
     while let Some(&u) = stack.last() {
@@ -82,8 +82,8 @@ fn ext_of(view: &MaskedGraph<'_>, start: VertexId, memo: &mut [i64]) -> u32 {
             stack.pop();
         }
     }
-    // lint-ok(narrowing-cast): memo holds DAG path lengths < n, far below u32::MAX.
-    memo[start.index()] as u32
+    // A DAG path length, below the vertex count.
+    rank_u32(memo[start.index()] as usize)
 }
 
 /// The level sets of one destination (exposed for tests and for the

@@ -12,7 +12,7 @@ use crate::boundary::Mask;
 use prov_cfl::solver::TerminalEdges;
 use prov_cfl::symbol::{Orientation, Terminal};
 use prov_model::{EdgeKind, VertexId};
-use prov_store::{Direction, ProvIndex};
+use prov_store::{rank_u32, Direction, ProvIndex};
 
 /// A snapshot plus optional exclusion mask.
 #[derive(Clone, Copy)]
@@ -128,8 +128,7 @@ impl TerminalEdges for MaskedGraph<'_> {
                 };
                 // lint-ok(csr-traversal): CFL terminal enumeration feeds the Datalog solver
                 let csr = self.index.csr(kind, dir);
-                // lint-ok(narrowing-cast): vertex ids are minted below u32::MAX by the store.
-                for v in 0..self.index.vertex_count() as u32 {
+                for v in 0..rank_u32(self.index.vertex_count()) {
                     let vid = VertexId::new(v);
                     if !self.vertex_ok(vid) {
                         continue;

@@ -46,6 +46,19 @@ pub struct EdgeRecord {
     pub props: PropMap,
 }
 
+/// A dense in-memory rank (vertex, edge or key id, kind rank, frontier width)
+/// as the `u32` the id types hold. [`ProvGraph`] refuses to mint an id past
+/// `u32::MAX` (`check_capacity`), and every rank counts distinct minted ids,
+/// so this cannot truncate: debug builds assert it, release builds pay
+/// nothing. Lengths headed for a durable format take the checked
+/// `storage::codec::put_len` instead.
+#[inline]
+pub fn rank_u32(n: usize) -> u32 {
+    debug_assert!(u32::try_from(n).is_ok(), "dense rank {n} escaped check_capacity");
+    // lint-ok(narrowing-cast): the one sanctioned narrowing; bounded as documented above.
+    n as u32
+}
+
 /// Position in a [`ProvGraph`]'s append-only vertex/edge log.
 ///
 /// The store never deletes or reorders: vertices and edges live in columnar
@@ -94,14 +107,12 @@ impl<'g> GraphDelta<'g> {
 
     /// Ids of the vertices added since the cursor, in creation order.
     pub fn new_vertices(&self) -> impl Iterator<Item = VertexId> + 'g {
-        // lint-ok(narrowing-cast): check_capacity keeps every dense id below u32::MAX.
-        (self.from.vertices..self.graph.vertex_count() as u32).map(VertexId::new)
+        (self.from.vertices..rank_u32(self.graph.vertex_count())).map(VertexId::new)
     }
 
     /// Ids of the edges added since the cursor, in creation order.
     pub fn new_edges(&self) -> impl Iterator<Item = EdgeId> + 'g {
-        // lint-ok(narrowing-cast): check_capacity keeps every dense id below u32::MAX.
-        (self.from.edges..self.graph.edge_count() as u32).map(EdgeId::new)
+        (self.from.edges..rank_u32(self.graph.edge_count())).map(EdgeId::new)
     }
 
     /// Delta size relative to the frozen prefix: the larger of the vertex and
@@ -306,8 +317,7 @@ impl ProvGraph {
     /// [`DeltaCursor`]). Snapshots record the cursor they were frozen at;
     /// equality of cursors is the freshness test.
     pub fn cursor(&self) -> DeltaCursor {
-        // lint-ok(narrowing-cast): check_capacity bounds both logs at u32::MAX entries.
-        DeltaCursor { vertices: self.vertices.len() as u32, edges: self.edges.len() as u32 }
+        DeltaCursor { vertices: rank_u32(self.vertices.len()), edges: rank_u32(self.edges.len()) }
     }
 
     /// View of everything appended since `cursor`.
@@ -369,8 +379,7 @@ impl ProvGraph {
     /// every prior holder remains reachable via [`ProvGraph::versions_of`].
     pub fn add_vertex(&mut self, kind: VertexKind, name: Option<&str>) -> StoreResult<VertexId> {
         Self::check_capacity(self.vertices.len(), "vertex")?;
-        // lint-ok(narrowing-cast): check_capacity above just proved len < u32::MAX.
-        let id = VertexId::new(self.vertices.len() as u32);
+        let id = VertexId::new(rank_u32(self.vertices.len()));
         let name_arc: Option<Arc<str>> = name.map(Arc::from);
         if let Some(n) = &name_arc {
             self.by_name.entry(n.clone()).or_default().push(id);
@@ -466,8 +475,7 @@ impl ProvGraph {
 
     /// Iterate all vertex ids.
     pub fn vertex_ids(&self) -> impl Iterator<Item = VertexId> {
-        // lint-ok(narrowing-cast): check_capacity keeps every dense id below u32::MAX.
-        (0..self.vertices.len() as u32).map(VertexId::new)
+        (0..rank_u32(self.vertices.len())).map(VertexId::new)
     }
 
     // ------------------------------------------------------------------
@@ -485,8 +493,7 @@ impl ProvGraph {
         let src_kind = self.try_vertex(src)?.kind;
         let dst_kind = self.try_vertex(dst)?.kind;
         check_edge_types(kind, src_kind, dst_kind)?;
-        // lint-ok(narrowing-cast): check_capacity above just proved len < u32::MAX.
-        let id = EdgeId::new(self.edges.len() as u32);
+        let id = EdgeId::new(rank_u32(self.edges.len()));
         if self.journaling {
             self.journal.push(WalOp::AddEdge { kind, src, dst });
         }
@@ -519,8 +526,7 @@ impl ProvGraph {
 
     /// Iterate all edge ids.
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        // lint-ok(narrowing-cast): check_capacity keeps every dense id below u32::MAX.
-        (0..self.edges.len() as u32).map(EdgeId::new)
+        (0..rank_u32(self.edges.len())).map(EdgeId::new)
     }
 
     /// Outgoing edges of `v` as `(edge id, record)` pairs.

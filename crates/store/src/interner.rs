@@ -4,6 +4,7 @@
 //! (`filename`, `command`, `acc`, ...). The store interns them once to
 //! [`PropKeyId`] so property maps compare/hash by `u32`.
 
+use crate::graph::rank_u32;
 use crate::hash::FxHashMap;
 use prov_model::PropKeyId;
 use std::sync::Arc;
@@ -26,8 +27,9 @@ impl KeyInterner {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        // lint-ok(narrowing-cast): property-key cardinality is tiny; ids stay far below u32::MAX.
-        let id = PropKeyId::new(self.names.len() as u32);
+        let id = PropKeyId::new(
+            u32::try_from(self.names.len()).expect("more than u32::MAX distinct property keys"),
+        );
         let arc: Arc<str> = Arc::from(name);
         self.names.push(arc.clone());
         self.by_name.insert(arc, id);
@@ -56,8 +58,7 @@ impl KeyInterner {
 
     /// Iterate `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (PropKeyId, &str)> {
-        // lint-ok(narrowing-cast): indexes of ids minted by `intern`, all below u32::MAX.
-        self.names.iter().enumerate().map(|(i, s)| (PropKeyId::new(i as u32), s.as_ref()))
+        self.names.iter().enumerate().map(|(i, s)| (PropKeyId::new(rank_u32(i)), s.as_ref()))
     }
 }
 

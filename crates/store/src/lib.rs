@@ -30,7 +30,9 @@ pub mod snapshot;
 pub mod storage;
 
 pub use error::{StoreError, StoreResult};
-pub use graph::{DeltaCursor, EdgeRecord, GraphDelta, GraphStats, ProvGraph, VertexRecord, WalOp};
+pub use graph::{
+    rank_u32, DeltaCursor, EdgeRecord, GraphDelta, GraphStats, ProvGraph, VertexRecord, WalOp,
+};
 pub use pattern::{
     Budget, MatchOutcome, MaterializedPath, NodeSpec, PathPattern, PatternDir, RelSpec,
 };

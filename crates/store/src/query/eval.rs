@@ -2,8 +2,8 @@
 //!
 //! Evaluation state is a sorted, duplicate-free row set of vertex ids.
 //! `Traverse` steps run a multi-source BFS straight over the snapshot's CSR
-//! slices with the epoch-stamped scratch discipline of `prov-core`'s
-//! sequential lineage engine and a chunked level-parallel frontier:
+//! slices with an epoch-stamped scratch (`EvalScratch`, the only one in
+//! the workspace) and a chunked level-parallel frontier:
 //! `threads` is a *chunk count*, parallel levels freeze the stamps and
 //! merge per-chunk discoveries sequentially in chunk order, so the
 //! answer is byte-identical at any chunk count — the property every
@@ -22,7 +22,7 @@
 //! property writes do not move the cursor).
 
 use crate::error::{StoreError, StoreResult};
-use crate::graph::{DeltaCursor, ProvGraph};
+use crate::graph::{rank_u32, DeltaCursor, ProvGraph};
 use crate::query::ir::{Project, PropFilter, StartSet, Step, Traverse};
 use crate::query::plan::Plan;
 use crate::snapshot::{Csr, ProvIndex};
@@ -58,8 +58,17 @@ pub struct QueryOutput {
     pub stats: QueryStats,
 }
 
-/// Reusable visited state: `u32` epoch stamps over the dense vertex space
-/// (the scratch discipline of DESIGN.md §6, owned per thread).
+/// Reusable visited state: `u32` epoch stamps over the dense vertex space,
+/// owned per thread (`thread_local`), so the fast path is lock-free.
+///
+/// Invariants (see DESIGN.md §6):
+/// * `stamps[v] == epoch` ⇔ `v` was visited by the *current* traversal;
+/// * `begin` bumps the epoch, so clearing is `O(1)`;
+/// * on epoch wraparound (`u32::MAX` traversals on one thread) the stamp
+///   array resets to zero and the epoch restarts at 1, so a stamp left by
+///   traversal `k` can never collide with epoch `k + 2³²`;
+/// * the stamp array only ever grows (to the largest snapshot seen by the
+///   thread), so a scratch outlives any one database.
 #[derive(Debug, Default)]
 struct EvalScratch {
     stamps: Vec<u32>,
@@ -69,6 +78,7 @@ struct EvalScratch {
 }
 
 impl EvalScratch {
+    /// Start a traversal over `n` vertices: grow the pool, bump the epoch.
     fn begin(&mut self, n: usize) {
         if self.stamps.len() < n {
             self.stamps.resize(n, 0);
@@ -82,6 +92,7 @@ impl EvalScratch {
         };
     }
 
+    /// Mark `v` visited; true when it was not yet visited this traversal.
     #[inline]
     fn mark(&mut self, v: VertexId) -> bool {
         let slot = &mut self.stamps[v.index()];
@@ -160,8 +171,7 @@ pub fn evaluate_with_frontier_min(
             // below the watermark is a take_while.
             index.kind_members(*kind).iter().copied().take_while(|v| v.index() < vlimit).collect()
         }
-        // lint-ok(narrowing-cast): vlimit <= snapshot n, minted below u32::MAX.
-        StartSet::All => (0..vlimit as u32).map(VertexId::new).collect(),
+        StartSet::All => (0..watermark.vertices).map(VertexId::new).collect(),
     };
     for step in &pipeline.steps {
         stats.steps += 1;
@@ -248,8 +258,7 @@ fn traverse(
         while !frontier.is_empty() && depth < t.max_hops {
             depth += 1;
             stats.rows_scanned += frontier.len() as u64;
-            // lint-ok(narrowing-cast): distinct vertex ids, below u32::MAX by check_capacity
-            stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u32);
+            stats.frontier_peak = stats.frontier_peak.max(rank_u32(frontier.len()));
             let emit = depth >= t.min_hops;
             if threads <= 1 || frontier.len() < frontier_min {
                 // Small level: the sequential step, verbatim.
@@ -421,6 +430,33 @@ mod tests {
                 evaluate_with_frontier_min(&g, &idx, &plan, idx.cursor(), threads, 0).unwrap();
             assert_eq!(par.rows, seq.rows, "diverged at {threads} chunks");
         }
+    }
+
+    #[test]
+    fn epoch_reuse_across_many_calls_is_clean() {
+        let (g, idx, [d, ..]) = chain();
+        let descend: [(EdgeKind, Direction); 2] =
+            [(EdgeKind::Used, Direction::In), (EdgeKind::WasGeneratedBy, Direction::In)];
+        let plan =
+            Plan::compile(Pipeline::from_ids(vec![d]).traverse(&descend, 1, u32::MAX)).unwrap();
+        let expect = evaluate(&g, &idx, &plan, 1).unwrap().rows;
+        assert_eq!(expect.len(), 4);
+        // Hundreds of traversals on one thread reuse the same stamps; every
+        // answer must be identical (a stale stamp would drop vertices).
+        for _ in 0..500 {
+            assert_eq!(evaluate(&g, &idx, &plan, 1).unwrap().rows, expect);
+        }
+    }
+
+    #[test]
+    fn scratch_wraparound_resets_stamps() {
+        let mut s =
+            EvalScratch { stamps: vec![7, u32::MAX], epoch: u32::MAX, ..Default::default() };
+        s.begin(2);
+        assert_eq!(s.epoch, 1);
+        assert_eq!(s.stamps, vec![0, 0], "wraparound must clear stale stamps");
+        assert!(s.mark(VertexId::new(0)));
+        assert!(!s.mark(VertexId::new(0)));
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!
 //! The legacy sequential paths stay alive as *differential references* (the
 //! `alg_reference` pattern): proptests pin the IR evaluation byte-identical
-//! to `lineage_over`, `ProvGraph::find_by_prop` and `pattern::match_paths`
-//! at every chunk count.
+//! to `ProvGraph::find_by_prop` and `pattern::match_paths` at every chunk
+//! count, and compiled lineage to a definitional level-BFS oracle that is
+//! itself pinned to the seed walk `prov_core::lineage_reference`.
 
 pub mod cursor;
 pub mod eval;

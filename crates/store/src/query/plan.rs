@@ -6,8 +6,9 @@
 //! identically (selector order, duplicate start ids, and duplicate filter
 //! ids never influence the answer).
 //!
-//! Lowering table (DESIGN.md §9; each target keeps its original as a
-//! differential reference):
+//! Lowering table (DESIGN.md §9; the store-shaped targets keep their
+//! original as a differential reference, lineage is checked against
+//! `prov_core::lineage_reference` and a definitional oracle in test code):
 //!
 //! | legacy path                      | pipeline                                       |
 //! |----------------------------------|------------------------------------------------|

@@ -15,7 +15,7 @@
 //! Each adjacency entry carries its [`EdgeId`] so boundary criteria can exclude
 //! individual edges.
 
-use crate::graph::{DeltaCursor, ProvGraph};
+use crate::graph::{rank_u32, DeltaCursor, ProvGraph};
 use prov_model::{EdgeId, EdgeKind, VertexId, VertexKind};
 use std::sync::Arc;
 
@@ -267,8 +267,7 @@ impl TypedPairs {
     /// Dispatch the edges `[from_edge, graph.edge_count())` by kind.
     fn collect(graph: &ProvGraph, from_edge: u32) -> TypedPairs {
         let mut p = TypedPairs::default();
-        // lint-ok(narrowing-cast): the store's check_capacity bounds edge ids below u32::MAX.
-        for raw in from_edge..graph.edge_count() as u32 {
+        for raw in from_edge..rank_u32(graph.edge_count()) {
             let eid = EdgeId::new(raw);
             let e = graph.edge(eid);
             p.edge_counts[e.kind.as_index()] += 1;
@@ -307,10 +306,8 @@ impl ProvIndex {
         let mut kind_members: [Vec<VertexId>; 3] = Default::default();
         for (i, &k) in kinds.iter().enumerate() {
             let members = &mut kind_members[k.as_index()];
-            // lint-ok(narrowing-cast): ranks index the vertex log, bounded by check_capacity.
-            kind_rank[i] = members.len() as u32;
-            // lint-ok(narrowing-cast): i enumerates vertex ids already minted below u32::MAX.
-            members.push(VertexId::new(i as u32));
+            kind_rank[i] = rank_u32(members.len());
+            members.push(VertexId::new(rank_u32(i)));
         }
         let index = ProvIndex {
             n,
@@ -384,8 +381,7 @@ impl ProvIndex {
         for v in delta.new_vertices() {
             let k = graph.vertex_kind(v);
             let members = &mut self.kind_members[k.as_index()];
-            // lint-ok(narrowing-cast): kind ranks are bounded by the u32 vertex-id space.
-            self.kind_rank.push(members.len() as u32);
+            self.kind_rank.push(rank_u32(members.len()));
             members.push(v);
             self.kinds.push(k);
             self.birth.push(graph.vertex(v).birth);

@@ -8,22 +8,22 @@
 //! storage layer maps that to torn-tail truncation or
 //! [`crate::StoreError::CorruptLog`] depending on where it happens.
 
+use crate::error::{StoreError, StoreResult};
 use prov_model::PropValue;
 use std::sync::Arc;
 
 /// IEEE CRC-32 lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
-    let mut i = 0;
+    let mut i = 0u32;
     while i < 256 {
-        // lint-ok(narrowing-cast): i is the loop counter, 0..256.
-        let mut c = i as u32;
+        let mut c = i;
         let mut bit = 0;
         while bit < 8 {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
-        table[i] = c;
+        table[i as usize] = c;
         i += 1;
     }
     table
@@ -33,8 +33,7 @@ const CRC_TABLE: [u32; 256] = {
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
     for &b in bytes {
-        // lint-ok(narrowing-cast): widening, b is a u8.
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -54,19 +53,40 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append an enum discriminant (`VertexKind`/`EdgeKind::as_index`, a segment
+/// id) as the format's one-byte tag.
+pub fn put_tag(out: &mut Vec<u8>, index: usize) {
+    put_u8(out, u8::try_from(index).expect("format tags are enum discriminants below 256"));
+}
+
+/// Append a length or count (`what`) as the format's little-endian `u32`,
+/// refusing one that does not fit. A truncated length would be framed under
+/// a valid CRC and decode as a different, well-formed image, so the encoders
+/// fail loudly instead: nothing is appended and the caller's commit or
+/// compaction reports the error.
+pub fn put_len(out: &mut Vec<u8>, n: usize, what: &str) -> StoreResult<()> {
+    let fits = u32::try_from(n).map_err(|_| {
+        StoreError::StorageUnavailable(format!(
+            "{what} of {n} does not fit the durable format's u32 length field"
+        ))
+    })?;
+    put_u32(out, fits);
+    Ok(())
+}
+
 /// Append a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    // lint-ok(narrowing-cast): strings here are names/keys, far below 4 GiB.
-    put_u32(out, s.len() as u32);
+pub fn put_str(out: &mut Vec<u8>, s: &str) -> StoreResult<()> {
+    put_len(out, s.len(), "string length")?;
     out.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 /// Append a tagged [`PropValue`].
-pub fn put_prop_value(out: &mut Vec<u8>, v: &PropValue) {
+pub fn put_prop_value(out: &mut Vec<u8>, v: &PropValue) -> StoreResult<()> {
     match v {
         PropValue::Str(s) => {
             put_u8(out, 0);
-            put_str(out, s);
+            put_str(out, s)?;
         }
         PropValue::Int(i) => {
             put_u8(out, 1);
@@ -78,10 +98,10 @@ pub fn put_prop_value(out: &mut Vec<u8>, v: &PropValue) {
         }
         PropValue::Bool(b) => {
             put_u8(out, 3);
-            // lint-ok(narrowing-cast): bool is 0 or 1 by definition.
-            put_u8(out, *b as u8);
+            put_u8(out, u8::from(*b));
         }
     }
+    Ok(())
 }
 
 /// A bounds-checked cursor over an encoded byte slice.
@@ -175,7 +195,7 @@ mod tests {
         put_u8(&mut out, 7);
         put_u32(&mut out, 0xdead_beef);
         put_u64(&mut out, u64::MAX - 1);
-        put_str(&mut out, "weights-v1");
+        put_str(&mut out, "weights-v1").unwrap();
         let mut r = Reader::new(&out);
         assert_eq!(r.u8("a").unwrap(), 7);
         assert_eq!(r.u32("b").unwrap(), 0xdead_beef);
@@ -195,7 +215,7 @@ mod tests {
         ];
         let mut out = Vec::new();
         for v in &values {
-            put_prop_value(&mut out, v);
+            put_prop_value(&mut out, v).unwrap();
         }
         let mut r = Reader::new(&out);
         for v in &values {
@@ -203,6 +223,23 @@ mod tests {
             assert_eq!(&r.prop_value("v").unwrap(), v);
         }
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn a_length_past_u32_is_rejected_not_truncated() {
+        let mut out = vec![0xaa];
+        put_len(&mut out, u32::MAX as usize, "count").unwrap();
+        assert_eq!(out, [0xaa, 0xff, 0xff, 0xff, 0xff]);
+        // One more would wrap to 0 under `as u32` and frame a valid, wrong
+        // image; the checked encoder refuses and appends nothing.
+        for n in [u32::MAX as usize + 1, usize::MAX] {
+            let err = put_len(&mut out, n, "wal record payload").unwrap_err();
+            assert!(
+                matches!(&err, StoreError::StorageUnavailable(m) if m.contains("wal record payload")),
+                "{err}"
+            );
+            assert_eq!(out.len(), 5, "a refused length must not leave partial bytes");
+        }
     }
 
     #[test]

@@ -44,10 +44,13 @@
 //! fallback below is the one full-file snapshot read outside the backends —
 //! the `snapshot-slurp` lint rule in `prov-check` keeps it that way.
 
-use super::codec::{crc32, put_prop_value, put_str, put_u32, put_u64, put_u8, Reader};
+use super::codec::{
+    crc32, put_len, put_prop_value, put_str, put_tag, put_u32, put_u64, put_u8, Reader,
+};
 use super::io::{ColumnSource, Io, IoResult};
 use super::SnapshotDecode;
-use crate::graph::{LoadedColumns, PropLoader, ProvGraph};
+use crate::error::StoreResult;
+use crate::graph::{rank_u32, LoadedColumns, PropLoader, ProvGraph};
 use prov_model::{EdgeId, EdgeKind, PropKeyId, PropValue, VertexId, VertexKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -109,127 +112,116 @@ pub struct LazyStats {
 /// Encode `graph` (whose durable state ends at commit `seq`) as a segmented
 /// snapshot image. Reads properties through the graph's *effective*
 /// accessors, so encoding a still-lazy graph materializes its overlay first.
-pub fn encode(graph: &ProvGraph, seq: u64) -> Vec<u8> {
+/// Fails, writing nothing, when a count or length does not fit the format
+/// ([`put_len`]).
+pub fn encode(graph: &ProvGraph, seq: u64) -> StoreResult<Vec<u8>> {
     let segments: [Vec<u8>; SEG_COUNT] = [
-        encode_interner(graph),
-        encode_vertices(graph),
-        encode_edges(graph),
-        encode_vprops(graph),
-        encode_eprops(graph),
-        encode_indexes(graph),
+        encode_interner(graph)?,
+        encode_vertices(graph)?,
+        encode_edges(graph)?,
+        encode_vprops(graph)?,
+        encode_eprops(graph)?,
+        encode_indexes(graph)?,
     ];
     let mut dir = Vec::with_capacity(12 + DIR_ENTRY_BYTES * SEG_COUNT);
     put_u64(&mut dir, seq);
-    // lint-ok(narrowing-cast): SEG_COUNT is 6.
-    put_u32(&mut dir, SEG_COUNT as u32);
+    put_len(&mut dir, SEG_COUNT, "segment count")?;
     let mut offset = (HEADER_BYTES + 12 + DIR_ENTRY_BYTES * SEG_COUNT) as u64;
     for (id, payload) in segments.iter().enumerate() {
-        // lint-ok(narrowing-cast): id is 0..6.
-        put_u8(&mut dir, id as u8);
+        put_tag(&mut dir, id);
         put_u64(&mut dir, offset);
-        // lint-ok(narrowing-cast): a 4 GiB column cannot fit the dense id space.
-        put_u32(&mut dir, payload.len() as u32);
+        put_len(&mut dir, payload.len(), "snapshot segment length")?;
         put_u32(&mut dir, crc32(payload));
         offset += payload.len() as u64;
     }
     let mut out = Vec::with_capacity(offset as usize);
     out.extend_from_slice(MAGIC);
-    // lint-ok(narrowing-cast): the directory is 126 bytes.
-    put_u32(&mut out, dir.len() as u32);
+    put_len(&mut out, dir.len(), "snapshot directory length")?;
     put_u32(&mut out, crc32(&dir));
     out.extend_from_slice(&dir);
     for payload in &segments {
         out.extend_from_slice(payload);
     }
-    out
+    Ok(out)
 }
 
-fn encode_interner(graph: &ProvGraph) -> Vec<u8> {
+fn encode_interner(graph: &ProvGraph) -> StoreResult<Vec<u8>> {
     let mut out = Vec::new();
-    // lint-ok(narrowing-cast): key cardinality is far below u32::MAX.
-    put_u32(&mut out, graph.interner().len() as u32);
+    put_len(&mut out, graph.interner().len(), "property key count")?;
     for (_, name) in graph.interner().iter() {
-        put_str(&mut out, name);
+        put_str(&mut out, name)?;
     }
-    out
+    Ok(out)
 }
 
-fn encode_vertices(graph: &ProvGraph) -> Vec<u8> {
+fn encode_vertices(graph: &ProvGraph) -> StoreResult<Vec<u8>> {
     let mut out = Vec::new();
-    // lint-ok(narrowing-cast): the store bounds vertex count below u32::MAX.
-    put_u32(&mut out, graph.vertex_count() as u32);
+    put_len(&mut out, graph.vertex_count(), "vertex count")?;
     for v in graph.vertex_ids() {
         let rec = graph.vertex(v);
-        // lint-ok(narrowing-cast): VertexKind::as_index is 0..3.
-        put_u8(&mut out, rec.kind.as_index() as u8);
+        put_tag(&mut out, rec.kind.as_index());
         match &rec.name {
             Some(n) => {
                 put_u8(&mut out, 1);
-                put_str(&mut out, n);
+                put_str(&mut out, n)?;
             }
             None => put_u8(&mut out, 0),
         }
     }
-    out
+    Ok(out)
 }
 
-fn encode_edges(graph: &ProvGraph) -> Vec<u8> {
+fn encode_edges(graph: &ProvGraph) -> StoreResult<Vec<u8>> {
     let mut out = Vec::new();
-    // lint-ok(narrowing-cast): the store bounds edge count below u32::MAX.
-    put_u32(&mut out, graph.edge_count() as u32);
+    put_len(&mut out, graph.edge_count(), "edge count")?;
     for e in graph.edge_ids() {
         let rec = graph.edge(e);
-        // lint-ok(narrowing-cast): EdgeKind::as_index is 0..5.
-        put_u8(&mut out, rec.kind.as_index() as u8);
+        put_tag(&mut out, rec.kind.as_index());
         put_u32(&mut out, rec.src.raw());
         put_u32(&mut out, rec.dst.raw());
     }
-    out
+    Ok(out)
 }
 
-fn encode_vprops(graph: &ProvGraph) -> Vec<u8> {
+fn encode_vprops(graph: &ProvGraph) -> StoreResult<Vec<u8>> {
     let triples: Vec<_> = graph
         .vertex_ids()
         .flat_map(|v| graph.vertex_props(v).iter().map(move |(k, val)| (v, k, val.clone())))
         .collect();
     let mut out = Vec::new();
-    // lint-ok(narrowing-cast): bounded by vertices × small prop counts.
-    put_u32(&mut out, triples.len() as u32);
+    put_len(&mut out, triples.len(), "vertex property count")?;
     for (v, k, val) in &triples {
         put_u32(&mut out, v.raw());
         put_u32(&mut out, k.raw());
-        put_prop_value(&mut out, val);
+        put_prop_value(&mut out, val)?;
     }
-    out
+    Ok(out)
 }
 
-fn encode_eprops(graph: &ProvGraph) -> Vec<u8> {
+fn encode_eprops(graph: &ProvGraph) -> StoreResult<Vec<u8>> {
     let triples: Vec<_> = graph
         .edge_ids()
         .flat_map(|e| graph.edge_props(e).iter().map(move |(k, val)| (e, k, val.clone())))
         .collect();
     let mut out = Vec::new();
-    // lint-ok(narrowing-cast): bounded by edges × small prop counts.
-    put_u32(&mut out, triples.len() as u32);
+    put_len(&mut out, triples.len(), "edge property count")?;
     for (e, k, val) in &triples {
         put_u32(&mut out, e.raw());
         put_u32(&mut out, k.raw());
-        put_prop_value(&mut out, val);
+        put_prop_value(&mut out, val)?;
     }
-    out
+    Ok(out)
 }
 
-fn encode_indexes(graph: &ProvGraph) -> Vec<u8> {
+fn encode_indexes(graph: &ProvGraph) -> StoreResult<Vec<u8>> {
     let declared = graph.declared_vprop_indexes();
     let mut out = Vec::new();
-    // lint-ok(narrowing-cast): kinds × keys is tiny.
-    put_u32(&mut out, declared.len() as u32);
+    put_len(&mut out, declared.len(), "declared index count")?;
     for (kind, key) in &declared {
-        // lint-ok(narrowing-cast): VertexKind::as_index is 0..3.
-        put_u8(&mut out, kind.as_index() as u8);
+        put_tag(&mut out, kind.as_index());
         put_u32(&mut out, key.raw());
     }
-    out
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -268,8 +260,7 @@ pub fn read_directory(source: &dyn ColumnSource) -> Result<Directory, String> {
     let mut r = Reader::new(&dir);
     let seq = r.u64("snapshot seq")?;
     let count = r.u32("segment count")?;
-    // lint-ok(narrowing-cast): SEG_COUNT is 6.
-    if count != SEG_COUNT as u32 {
+    if count as usize != SEG_COUNT {
         return Err(format!("snapshot has {count} segments, expected {SEG_COUNT}"));
     }
     let mut segments = [Segment { offset: 0, len: 0, crc: 0 }; SEG_COUNT];
@@ -466,8 +457,8 @@ pub fn decode_eager(bytes: &[u8]) -> Result<(ProvGraph, u64), String> {
     let source = SliceSource(bytes);
     let dir = read_directory(&source)?;
     let (mut g, key_names, declared) = decode_structure(&source, &dir)?;
-    // lint-ok(narrowing-cast): counts were encoded as u32.
-    let (n, m, kc) = (g.vertex_count() as u32, g.edge_count() as u32, key_names.len() as u32);
+    let (n, m, kc) =
+        (rank_u32(g.vertex_count()), rank_u32(g.edge_count()), rank_u32(key_names.len()));
     let vbytes = read_segment(&source, &dir, SEG_VPROPS)?;
     for (v, k, value) in decode_vprops(&vbytes, n, kc)? {
         g.set_vprop(v, &key_names[k.index()], value);
@@ -525,12 +516,9 @@ fn open_lazy(
     let loader = DeferredLoader {
         source,
         dir: dir.clone(),
-        // lint-ok(narrowing-cast): counts were encoded as u32.
-        vertex_count: g.vertex_count() as u32,
-        // lint-ok(narrowing-cast): counts were encoded as u32.
-        edge_count: g.edge_count() as u32,
-        // lint-ok(narrowing-cast): key cardinality is far below u32::MAX.
-        key_count: key_names.len() as u32,
+        vertex_count: rank_u32(g.vertex_count()),
+        edge_count: rank_u32(g.edge_count()),
+        key_count: rank_u32(key_names.len()),
         stats,
     };
     g.attach_lazy_props(Box::new(loader), declared);
@@ -622,7 +610,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_exactly() {
         let g = rich_graph();
-        let bytes = encode(&g, 42);
+        let bytes = encode(&g, 42).unwrap();
         let (decoded, seq) = decode_eager(&bytes).unwrap();
         assert_eq!(seq, 42);
         assert_eq!(decoded, g);
@@ -640,7 +628,7 @@ mod tests {
     #[test]
     fn empty_graph_round_trips() {
         let g = ProvGraph::new();
-        let bytes = encode(&g, 0);
+        let bytes = encode(&g, 0).unwrap();
         let (decoded, seq) = decode_eager(&bytes).unwrap();
         assert_eq!(seq, 0);
         assert_eq!(decoded, g);
@@ -649,7 +637,7 @@ mod tests {
     #[test]
     fn every_corrupted_byte_is_detected() {
         let g = rich_graph();
-        let bytes = encode(&g, 7);
+        let bytes = encode(&g, 7).unwrap();
         // Flip one bit in every byte: magic, directory, and segment corruption
         // must all surface as decode errors, never as a silently different
         // graph.
@@ -676,7 +664,7 @@ mod tests {
     fn dangling_references_are_named() {
         let mut g = ProvGraph::new();
         g.add_entity("e");
-        let mut bytes = encode(&g, 1);
+        let mut bytes = encode(&g, 1).unwrap();
         // Dangling ids inside a CRC-honest image are covered by the decoder
         // bounds checks; here just check the magic/short-input paths.
         bytes.truncate(4);
@@ -687,7 +675,7 @@ mod tests {
     #[test]
     fn directory_describes_contiguous_crc_checked_segments() {
         let g = rich_graph();
-        let bytes = encode(&g, 9);
+        let bytes = encode(&g, 9).unwrap();
         let dir = read_directory(&SliceSource(&bytes)).unwrap();
         assert_eq!(dir.seq, 9);
         let mut expect = (HEADER_BYTES + 12 + DIR_ENTRY_BYTES * SEG_COUNT) as u64;
@@ -701,7 +689,7 @@ mod tests {
     #[test]
     fn lazy_equals_eager_and_defers_property_segments() {
         let g = rich_graph();
-        let bytes = encode(&g, 5);
+        let bytes = encode(&g, 5).unwrap();
         let (eager, eseq) = decode_eager(&bytes).unwrap();
         let (lazy, lseq, stats) = lazy_open(&bytes);
         assert_eq!(eseq, 5);
@@ -731,7 +719,7 @@ mod tests {
     #[test]
     fn lazy_replays_wal_tail_prop_ops_at_materialization() {
         let g = rich_graph();
-        let bytes = encode(&g, 5);
+        let bytes = encode(&g, 5).unwrap();
         // Twin A: lazy decode, then WAL-tail prop ops queued pre-touch.
         let (mut lazy, _, _) = lazy_open(&bytes);
         // Twin B: eager decode, same ops applied eagerly.
@@ -765,7 +753,7 @@ mod tests {
     #[test]
     fn mutation_dissolves_the_overlay_into_the_records() {
         let g = rich_graph();
-        let bytes = encode(&g, 5);
+        let bytes = encode(&g, 5).unwrap();
         let (mut lazy, _, _) = lazy_open(&bytes);
         lazy.set_vprop(VertexId::new(0), "filename", "data2");
         assert!(!lazy.has_deferred_props(), "first write dissolves the overlay");
@@ -782,7 +770,7 @@ mod tests {
     #[test]
     fn corrupt_deferred_segment_panics_at_first_touch_not_open() {
         let g = rich_graph();
-        let mut bytes = encode(&g, 5);
+        let mut bytes = encode(&g, 5).unwrap();
         let dir = read_directory(&SliceSource(&bytes)).unwrap();
         let off = dir.segments[SEG_VPROPS].offset as usize + 4;
         bytes[off] ^= 0xff;
@@ -801,7 +789,7 @@ mod tests {
     #[test]
     fn clones_share_one_materialization() {
         let g = rich_graph();
-        let bytes = encode(&g, 5);
+        let bytes = encode(&g, 5).unwrap();
         let (lazy, _, stats) = lazy_open(&bytes);
         let clone = lazy.clone();
         assert_eq!(clone.vprop(VertexId::new(0), "filename"), Some(&PropValue::from("data")));

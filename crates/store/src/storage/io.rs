@@ -137,7 +137,6 @@ impl StdIo {
     /// Open (creating if needed) `dir` as a storage directory.
     pub fn open(dir: impl Into<std::path::PathBuf>) -> IoResult<StdIo> {
         let dir = dir.into();
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         std::fs::create_dir_all(&dir)
             .map_err(|e| fs_err("create dir", &dir.display().to_string(), e))?;
         Ok(StdIo { dir })
@@ -149,7 +148,6 @@ impl StdIo {
 
     /// Fsync the directory itself so renames/creations survive power loss.
     fn sync_dir(&self) -> IoResult<()> {
-        // lint-ok(raw-io): directory fsync for rename durability.
         let d = std::fs::File::open(&self.dir)
             .map_err(|e| fs_err("open dir", &self.dir.display().to_string(), e))?;
         d.sync_all().map_err(|e| fs_err("sync dir", &self.dir.display().to_string(), e))
@@ -159,7 +157,6 @@ impl StdIo {
 impl Io for StdIo {
     fn list(&self) -> IoResult<Vec<String>> {
         let mut names = Vec::new();
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         let entries = std::fs::read_dir(&self.dir)
             .map_err(|e| fs_err("list", &self.dir.display().to_string(), e))?;
         for entry in entries {
@@ -173,7 +170,6 @@ impl Io for StdIo {
     }
 
     fn read(&self, name: &str) -> IoResult<Option<Vec<u8>>> {
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         match std::fs::read(self.path(name)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -183,7 +179,6 @@ impl Io for StdIo {
 
     fn read_range(&self, name: &str, offset: u64, len: usize) -> IoResult<Option<Vec<u8>>> {
         use std::io::{Read as _, Seek as _};
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         let mut f = match std::fs::File::open(self.path(name)) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -196,7 +191,6 @@ impl Io for StdIo {
     }
 
     fn column_source(&self, name: &str) -> IoResult<Option<Box<dyn ColumnSource>>> {
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         let f = match std::fs::File::open(self.path(name)) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -208,7 +202,6 @@ impl Io for StdIo {
 
     fn append(&mut self, name: &str, data: &[u8]) -> IoResult<()> {
         use std::io::Write as _;
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .create(true)
@@ -218,12 +211,10 @@ impl Io for StdIo {
     }
 
     fn write(&mut self, name: &str, data: &[u8]) -> IoResult<()> {
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         std::fs::write(self.path(name), data).map_err(|e| fs_err("write", name, e))
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> IoResult<()> {
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(self.path(name))
@@ -233,19 +224,16 @@ impl Io for StdIo {
     }
 
     fn sync(&mut self, name: &str) -> IoResult<()> {
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         let f = std::fs::File::open(self.path(name)).map_err(|e| fs_err("sync", name, e))?;
         f.sync_all().map_err(|e| fs_err("sync", name, e))
     }
 
     fn rename(&mut self, from: &str, to: &str) -> IoResult<()> {
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         std::fs::rename(self.path(from), self.path(to)).map_err(|e| fs_err("rename", from, e))?;
         self.sync_dir()
     }
 
     fn remove(&mut self, name: &str) -> IoResult<()> {
-        // lint-ok(raw-io): StdIo IS the std::fs backend behind the Io trait.
         match std::fs::remove_file(self.path(name)) {
             Ok(()) => self.sync_dir(),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -482,11 +470,9 @@ mod tests {
     #[test]
     fn std_io_implements_the_contract() {
         let dir = std::env::temp_dir().join(format!("prov-stdio-{}", std::process::id()));
-        // lint-ok(raw-io): test teardown of the StdIo contract test directory.
         let _ = std::fs::remove_dir_all(&dir);
         let mut io = StdIo::open(&dir).unwrap();
         exercise(&mut io);
-        // lint-ok(raw-io): test teardown of the StdIo contract test directory.
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -82,6 +82,7 @@ pub use wal::WalScan;
 use crate::error::{StoreError, StoreResult};
 use crate::graph::{ProvGraph, WalOp};
 use crate::snapshot::ProvIndex;
+use serde::{Deserialize, Serialize};
 
 /// Name of the in-flight compaction temp file.
 pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
@@ -181,7 +182,11 @@ impl DurabilityPolicy {
 }
 
 /// Monotone counters describing the durability subsystem's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Cumulative since the database was opened. Serialized as-is into the
+/// service `Stats` envelope (field names and order are wire format):
+/// all-zero for an in-memory database, and `recoveries` is at least 1
+/// whenever durability is actually on, so clients can tell the two apart.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DurabilityCounters {
     /// Batches appended to the WAL.
     pub wal_appends: u64,
@@ -195,17 +200,26 @@ pub struct DurabilityCounters {
     pub snapshots_written: u64,
     /// Committed batches replayed from the WAL during recovery.
     pub batches_replayed: u64,
-    /// Grouped WAL flushes performed by the commit pipeline.
+    /// Grouped WAL flushes performed by the commit pipeline. Absent on old
+    /// wires: deserializes to 0.
+    #[serde(default)]
     pub group_flushes: u64,
-    /// Batches covered by those grouped flushes.
+    /// Batches covered by those grouped flushes. Absent on old wires: 0.
+    #[serde(default)]
     pub group_flushed_batches: u64,
     /// Property segments whose decode was deferred at open (lazy mode).
+    /// Absent on old wires: 0.
+    #[serde(default)]
     pub lazy_segments_deferred: u64,
-    /// Bytes of snapshot payload not read at open (lazy mode).
+    /// Bytes of snapshot payload not read at open (lazy mode). Absent on
+    /// old wires: 0.
+    #[serde(default)]
     pub lazy_deferred_bytes: u64,
-    /// Deferred segments loaded on first touch.
+    /// Deferred segments loaded on first touch. Absent on old wires: 0.
+    #[serde(default)]
     pub lazy_segment_loads: u64,
-    /// Bytes range-read by first-touch loads.
+    /// Bytes range-read by first-touch loads. Absent on old wires: 0.
+    #[serde(default)]
     pub lazy_bytes_loaded: u64,
 }
 
@@ -463,7 +477,12 @@ impl Storage for WalStorage {
     fn commit(&mut self, ops: &[WalOp]) -> StoreResult<()> {
         self.check_poisoned()?;
         let wal_name = wal_file_name(self.gen);
-        let bytes = wal::encode_batch(ops, self.seq + 1);
+        let bytes = match wal::encode_batch(ops, self.seq + 1) {
+            Ok(bytes) => bytes,
+            // The mutation is already applied in memory and cannot be made
+            // durable: same state as a failed append.
+            Err(e) => return self.poison(e),
+        };
         if let Err(e) = self.io.append(&wal_name, &bytes) {
             // The append may have partially landed (short write) — that torn
             // tail is exactly what recovery truncates. Until then, nothing
@@ -496,7 +515,7 @@ impl Storage for WalStorage {
         self.check_poisoned()?;
         let old_gen = self.gen;
         let new_gen = old_gen + 1;
-        let image = column::encode(graph, self.seq);
+        let image = column::encode(graph, self.seq)?;
         let result = (|| -> Result<(), IoError> {
             self.io.write(SNAPSHOT_TMP, &image)?;
             self.io.sync(SNAPSHOT_TMP)?;
@@ -615,7 +634,7 @@ mod tests {
         // Splice a batch whose commit seq skips ahead — every frame is
         // CRC-clean, so this must fail loudly, not truncate silently.
         let mut bytes = disk.file(&wal).unwrap();
-        bytes.extend_from_slice(&wal::encode_batch(&[], 9));
+        bytes.extend_from_slice(&wal::encode_batch(&[], 9).unwrap());
         disk.set_file(&wal, bytes);
         let err =
             WalStorage::open(Box::new(disk.clone()), DurabilityPolicy::default()).unwrap_err();

@@ -149,8 +149,16 @@ impl CommitPipeline {
         let mut st = self.lock_state();
         Self::check_poisoned(&st)?;
         let seq = st.next_seq + 1;
+        let frame = match wal::encode_batch(ops, seq) {
+            Ok(frame) => frame,
+            Err(e) => {
+                // Applied in memory but unencodable: memory is ahead of disk
+                // exactly as after a failed flush.
+                st.poisoned = Some(e.to_string());
+                return Err(e);
+            }
+        };
         st.next_seq = seq;
-        let frame = wal::encode_batch(ops, seq);
         st.buf.extend_from_slice(&frame);
         st.buffered_batches += 1;
         let p = &self.shared.policy;

@@ -30,7 +30,10 @@
 //! garbage (unknown tag, bad op, out-of-order commit seq) is *corruption*,
 //! not a torn write — that surfaces as an error instead of silent data loss.
 
-use super::codec::{crc32, put_prop_value, put_str, put_u32, put_u64, put_u8, Reader};
+use super::codec::{
+    crc32, put_len, put_prop_value, put_str, put_tag, put_u32, put_u64, put_u8, Reader,
+};
+use crate::error::StoreResult;
 use crate::graph::WalOp;
 use prov_model::{EdgeId, EdgeKind, VertexId, VertexKind};
 
@@ -40,55 +43,53 @@ const PAYLOAD_COMMIT: u8 = 0x02;
 /// Byte overhead of one record frame (length + CRC words).
 pub const FRAME_HEADER_BYTES: usize = 8;
 
-fn put_op(out: &mut Vec<u8>, op: &WalOp) {
+fn put_op(out: &mut Vec<u8>, op: &WalOp) -> StoreResult<()> {
     match op {
         WalOp::AddVertex { kind, name } => {
             put_u8(out, 1);
-            // lint-ok(narrowing-cast): VertexKind::as_index is 0..3.
-            put_u8(out, kind.as_index() as u8);
+            put_tag(out, kind.as_index());
             match name {
                 Some(n) => {
                     put_u8(out, 1);
-                    put_str(out, n);
+                    put_str(out, n)?;
                 }
                 None => put_u8(out, 0),
             }
         }
         WalOp::AddEdge { kind, src, dst } => {
             put_u8(out, 2);
-            // lint-ok(narrowing-cast): EdgeKind::as_index is 0..5.
-            put_u8(out, kind.as_index() as u8);
+            put_tag(out, kind.as_index());
             put_u32(out, src.raw());
             put_u32(out, dst.raw());
         }
         WalOp::SetVProp { v, key, value } => {
             put_u8(out, 3);
             put_u32(out, v.raw());
-            put_str(out, key);
-            put_prop_value(out, value);
+            put_str(out, key)?;
+            put_prop_value(out, value)?;
         }
         WalOp::UnsetVProp { v, key } => {
             put_u8(out, 4);
             put_u32(out, v.raw());
-            put_str(out, key);
+            put_str(out, key)?;
         }
         WalOp::SetEProp { e, key, value } => {
             put_u8(out, 5);
             put_u32(out, e.raw());
-            put_str(out, key);
-            put_prop_value(out, value);
+            put_str(out, key)?;
+            put_prop_value(out, value)?;
         }
         WalOp::CreateVPropIndex { kind, key } => {
             put_u8(out, 6);
-            // lint-ok(narrowing-cast): VertexKind::as_index is 0..3.
-            put_u8(out, kind.as_index() as u8);
-            put_str(out, key);
+            put_tag(out, kind.as_index());
+            put_str(out, key)?;
         }
         WalOp::InternKey { key } => {
             put_u8(out, 7);
-            put_str(out, key);
+            put_str(out, key)?;
         }
     }
+    Ok(())
 }
 
 fn vertex_kind(r: &mut Reader<'_>) -> Result<VertexKind, String> {
@@ -137,30 +138,31 @@ fn read_op(r: &mut Reader<'_>) -> Result<WalOp, String> {
     }
 }
 
-fn frame(payload: &[u8], out: &mut Vec<u8>) {
-    // lint-ok(narrowing-cast): one mutation call's journal stays far below 4 GiB.
-    put_u32(out, payload.len() as u32);
+fn frame(payload: &[u8], out: &mut Vec<u8>) -> StoreResult<()> {
+    put_len(out, payload.len(), "wal record payload")?;
     put_u32(out, crc32(payload));
     out.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Encode one committed batch: its ops record followed by the commit marker
 /// carrying `seq`. Appended (and fsynced) as a single contiguous write.
-pub fn encode_batch(ops: &[WalOp], seq: u64) -> Vec<u8> {
+/// Fails, encoding nothing, when a length does not fit the format
+/// ([`put_len`]).
+pub fn encode_batch(ops: &[WalOp], seq: u64) -> StoreResult<Vec<u8>> {
     let mut payload = Vec::with_capacity(16 + ops.len() * 24);
     put_u8(&mut payload, PAYLOAD_OPS);
-    // lint-ok(narrowing-cast): one batch is one mutation call's journal.
-    put_u32(&mut payload, ops.len() as u32);
+    put_len(&mut payload, ops.len(), "wal batch op count")?;
     for op in ops {
-        put_op(&mut payload, op);
+        put_op(&mut payload, op)?;
     }
     let mut out = Vec::with_capacity(payload.len() + 2 * FRAME_HEADER_BYTES + 9);
-    frame(&payload, &mut out);
+    frame(&payload, &mut out)?;
     let mut commit = Vec::with_capacity(9);
     put_u8(&mut commit, PAYLOAD_COMMIT);
     put_u64(&mut commit, seq);
-    frame(&commit, &mut out);
-    out
+    frame(&commit, &mut out)?;
+    Ok(out)
 }
 
 /// The outcome of scanning a WAL file.
@@ -283,7 +285,7 @@ mod tests {
     #[test]
     fn every_op_round_trips_through_a_batch() {
         let ops = sample_ops();
-        let bytes = encode_batch(&ops, 1);
+        let bytes = encode_batch(&ops, 1).unwrap();
         let scan = scan(&bytes, 1).unwrap();
         assert_eq!(scan.batches, vec![ops]);
         assert_eq!(scan.committed_len, bytes.len());
@@ -300,7 +302,7 @@ mod tests {
                 kind: VertexKind::Entity,
                 name: Some(Arc::from(format!("v{seq}").as_str())),
             }];
-            bytes.extend_from_slice(&encode_batch(&ops, seq));
+            bytes.extend_from_slice(&encode_batch(&ops, seq).unwrap());
             boundaries.push(bytes.len());
         }
         for cut in 0..=bytes.len() {
@@ -316,7 +318,7 @@ mod tests {
     #[test]
     fn bit_flips_are_never_silently_committed() {
         let ops = sample_ops();
-        let bytes = encode_batch(&ops, 1);
+        let bytes = encode_batch(&ops, 1).unwrap();
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
@@ -333,8 +335,8 @@ mod tests {
 
     #[test]
     fn commit_seq_splices_are_corruption() {
-        let a = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 1);
-        let b = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 3);
+        let a = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 1).unwrap();
+        let b = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 3).unwrap();
         let mut spliced = a.clone();
         spliced.extend_from_slice(&b);
         let err = scan(&spliced, 1).unwrap_err();
@@ -347,7 +349,7 @@ mod tests {
     fn orphan_records_are_corruption() {
         // Ops record followed by another ops record (commit lost but a later
         // intact record follows — cannot be a torn tail).
-        let full = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 1);
+        let full = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 1).unwrap();
         let ops_only = &full[..full.len() - (FRAME_HEADER_BYTES + 9)];
         let mut doubled = ops_only.to_vec();
         doubled.extend_from_slice(ops_only);
@@ -363,7 +365,7 @@ mod tests {
         assert!(scan0.batches.is_empty());
         assert_eq!(scan0.committed_len, 0);
         assert_eq!(scan0.last_seq, 0);
-        let bytes = encode_batch(&[], 7);
+        let bytes = encode_batch(&[], 7).unwrap();
         let s = scan(&bytes, 7).unwrap();
         assert_eq!(s.batches, vec![Vec::new()]);
         assert_eq!(s.last_seq, 7);
