@@ -17,9 +17,14 @@ use crate::envelope::*;
 use crate::error::{ApiError, ApiResult};
 use prov_core::{ActivityRecord, LineageDirection, OutputSpec, ProvDb};
 use prov_segment::{PgSegQuery, PgSegSession};
+use prov_store::StoreError;
 use prov_summary::{PgSumQuery, PropertyAggregation, SegmentRef};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+fn error_response(e: &ApiError) -> Response {
+    Response::Error(ErrorResponse { code: e.code(), message: e.to_string() })
+}
 
 /// The provenance service: database + live session registry + clock.
 pub struct ProvService {
@@ -106,7 +111,7 @@ impl ProvService {
         let start = self.clock.now_micros();
         let mut response = match self.dispatch(request) {
             Ok(r) => r,
-            Err(e) => Response::Error(ErrorResponse { code: e.code(), message: e.to_string() }),
+            Err(e) => error_response(&e),
         };
         let elapsed = self.clock.now_micros().saturating_sub(start);
         if let Some(stats) = response.stats_mut() {
@@ -122,12 +127,15 @@ impl ProvService {
     pub fn handle_json(&mut self, request: &str) -> String {
         let response = match serde_json::from_str::<Request>(request) {
             Ok(req) => self.handle(&req),
-            Err(e) => {
-                let err = ApiError::Malformed(e.to_string());
-                Response::Error(ErrorResponse { code: err.code(), message: err.to_string() })
-            }
+            Err(e) => error_response(&ApiError::Malformed(e.to_string())),
         };
-        serde_json::to_string(&response).expect("responses always serialize")
+        serde_json::to_string(&response).unwrap_or_else(|e| {
+            // A non-finite float stored through the Rust API (the wire
+            // parser refuses them); the error envelope is a code and a
+            // string, which always serialize.
+            let refused = StoreError::Import(format!("response has no JSON form: {e}")).into();
+            serde_json::to_string(&error_response(&refused)).expect("error responses serialize")
+        })
     }
 
     fn dispatch(&mut self, request: &Request) -> ApiResult<Response> {
@@ -421,7 +429,7 @@ impl ProvService {
     }
 
     fn export(&mut self) -> ApiResult<Response> {
-        let json = self.db.export_json();
+        let json = self.db.export_json()?;
         let stats = Stats::of_graph(self.db.graph());
         Ok(Response::Document(DocumentResponse { json, stats }))
     }

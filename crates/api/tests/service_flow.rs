@@ -309,6 +309,69 @@ fn unified_errors_reach_the_wire_with_codes() {
 }
 
 #[test]
+fn hostile_wire_input_is_refused_not_fatal() {
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 1);
+    let before = (service.db().graph().vertex_count(), service.db().graph().edge_count());
+
+    // A request-sized run of openers used to recurse the parser off the
+    // stack and abort the process.
+    for opener in ["[", "{\"a\":"] {
+        let wire = service.handle_json(&opener.repeat(200_000));
+        assert!(wire.contains("\"MalformedRequest\""), "got {wire}");
+        assert!(wire.contains("recursion limit"), "got {wire}");
+    }
+
+    // `1e999` reads as infinity, which no later response could print: it is
+    // refused before it reaches the store.
+    let wire = service.handle_json(
+        r#"{"RecordActivity":{"command":"train","inputs":["data-v1"],
+            "outputs":[{"artifact":"weights","props":[["acc",1e999]]}],"props":[["lr",-1e999]]}}"#,
+    );
+    assert!(wire.contains("\"MalformedRequest\""), "got {wire}");
+    assert!(wire.contains("number out of range"), "got {wire}");
+    let after = (service.db().graph().vertex_count(), service.db().graph().edge_count());
+    assert_eq!(after, before, "a refused request must mutate nothing");
+
+    // The typed entry still takes a non-finite float; `Export` then reports
+    // it as an error instead of panicking.
+    let r = service.handle(&Request::RecordActivity(RecordActivityRequest {
+        command: "train".into(),
+        agent: None,
+        inputs: vec!["data-v1".into()],
+        outputs: vec![],
+        props: vec![("acc".into(), f64::INFINITY.into())],
+    }));
+    assert!(!r.is_error(), "{r:?}");
+    let wire = service.handle_json(r#"{"Export":{}}"#);
+    let Response::Error(e) = serde_json::from_str(&wire).unwrap() else { panic!("got {wire}") };
+    assert_eq!(e.code, ErrorCode::Import);
+    assert!(e.message.contains("non-finite"), "{}", e.message);
+}
+
+#[test]
+fn unprintable_response_becomes_a_typed_error() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    /// Reads 0, then `u64::MAX`: an elapsed time the wire's `i64` numbers
+    /// cannot carry.
+    struct Jump(AtomicBool);
+    impl Clock for Jump {
+        fn now_micros(&self) -> u64 {
+            if self.0.swap(true, Ordering::SeqCst) {
+                u64::MAX
+            } else {
+                0
+            }
+        }
+    }
+    let mut service = ProvService::with_clock(Box::new(Jump(AtomicBool::new(false))));
+    let wire = service.handle_json(r#"{"AddAgent":{"name":"alice"}}"#);
+    let Response::Error(e) = serde_json::from_str(&wire).unwrap() else { panic!("got {wire}") };
+    assert_eq!(e.code, ErrorCode::Import);
+    assert!(e.message.contains("response has no JSON form"), "{}", e.message);
+}
+
+#[test]
 fn duplicate_names_resolve_to_latest_and_keep_history() {
     let mut service = ProvService::new();
     ingest_pipeline(&mut service, 3);

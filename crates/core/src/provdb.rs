@@ -697,8 +697,9 @@ impl ProvDb {
         self.lineage(e, LineageDirection::Descendants)
     }
 
-    /// Export to the PROV-JSON-style interchange format.
-    pub fn export_json(&self) -> String {
+    /// Export to the PROV-JSON-style interchange format. Fails when a
+    /// property holds a non-finite float, which JSON cannot represent.
+    pub fn export_json(&self) -> StoreResult<String> {
         prov_store::json::to_json_string(&self.graph)
     }
 
@@ -1031,7 +1032,7 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_versions() {
         let (db, ..) = small_project();
-        let json = db.export_json();
+        let json = db.export_json().unwrap();
         let mut db2 = ProvDb::import_json(&json).unwrap();
         assert_eq!(db2.graph().vertex_count(), db.graph().vertex_count());
         // Version counters restored: the next weights version is v2.

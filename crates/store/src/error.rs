@@ -16,7 +16,8 @@ pub enum StoreError {
         /// A vertex participating in the cycle.
         on: VertexId,
     },
-    /// JSON import failed.
+    /// The JSON interchange format failed: an import document was unusable,
+    /// or an export met a value JSON cannot represent.
     Import(String),
     /// A query was malformed (e.g. PgSeg source/destination vertices that are
     /// not entities). Distinct from [`StoreError::Import`]: the *store* is

@@ -106,9 +106,11 @@ pub fn to_json(graph: &ProvGraph) -> JsonGraph {
     JsonGraph { vertices, edges }
 }
 
-/// Serialize a graph to a pretty JSON string.
-pub fn to_json_string(graph: &ProvGraph) -> String {
-    serde_json::to_string_pretty(&to_json(graph)).expect("graph serializes")
+/// Serialize a graph to a pretty JSON string. Fails when a property holds a
+/// value JSON cannot represent (a non-finite float).
+pub fn to_json_string(graph: &ProvGraph) -> StoreResult<String> {
+    serde_json::to_string_pretty(&to_json(graph))
+        .map_err(|e| StoreError::Import(format!("graph has no JSON form: {e}")))
 }
 
 /// Rebuild a graph from the JSON document model.
@@ -166,7 +168,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_everything() {
         let g = sample();
-        let s = to_json_string(&g);
+        let s = to_json_string(&g).unwrap();
         let g2 = from_json_string(&s).unwrap();
         assert_eq!(g2.vertex_count(), g.vertex_count());
         assert_eq!(g2.edge_count(), g.edge_count());
@@ -180,7 +182,14 @@ mod tests {
             Some(1700000000)
         );
         // Stable re-serialization.
-        assert_eq!(to_json_string(&g2), s);
+        assert_eq!(to_json_string(&g2).unwrap(), s);
+    }
+
+    #[test]
+    fn export_refuses_a_non_finite_float() {
+        let mut g = sample();
+        g.set_vprop(VertexId::new(2), "acc", f64::INFINITY);
+        assert!(matches!(to_json_string(&g), Err(StoreError::Import(_))));
     }
 
     #[test]
@@ -206,7 +215,7 @@ mod tests {
 
     #[test]
     fn prov_terms_appear_in_output() {
-        let s = to_json_string(&sample());
+        let s = to_json_string(&sample()).unwrap();
         assert!(s.contains("prov:Entity"));
         assert!(s.contains("prov:used"));
         assert!(s.contains("prov:wasGeneratedBy"));

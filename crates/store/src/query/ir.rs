@@ -27,11 +27,22 @@ pub enum StartSet {
 // variant `All` as a bare string — the same encodings the derive would pick
 // for each variant shape.
 impl Serialize for StartSet {
-    fn ser(&self) -> serde::Content {
+    fn write_json(&self, out: &mut serde::JsonWriter) -> Result<(), serde::Error> {
+        fn tagged<T: Serialize>(
+            out: &mut serde::JsonWriter,
+            tag: &str,
+            inner: &T,
+        ) -> Result<(), serde::Error> {
+            out.begin_map();
+            out.key(tag);
+            inner.write_json(out)?;
+            out.end_map();
+            Ok(())
+        }
         match self {
-            StartSet::Ids(ids) => serde::Content::Map(vec![("Ids".to_string(), ids.ser())]),
-            StartSet::Kind(kind) => serde::Content::Map(vec![("Kind".to_string(), kind.ser())]),
-            StartSet::All => serde::Content::Str("All".to_string()),
+            StartSet::Ids(ids) => tagged(out, "Ids", ids),
+            StartSet::Kind(kind) => tagged(out, "Kind", kind),
+            StartSet::All => "All".write_json(out),
         }
     }
 }

@@ -112,7 +112,7 @@ fn main() {
     assert_eq!(matches.paths().len(), 6, "3 runs × (weights + log)");
 
     // ---- JSON round trip -------------------------------------------------
-    let json = db.export_json();
+    let json = db.export_json().unwrap();
     let restored = ProvDb::import_json(&json).unwrap();
     assert_eq!(restored.graph().vertex_count(), db.graph().vertex_count());
     let again = restored.ancestors_of(weights3);

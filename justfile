@@ -4,10 +4,12 @@
 verify:
     cargo build --release && cargo test -q
 
-# Everything: workspace suites + the vendored executor shim's own tests.
+# Everything: workspace suites + the vendored executor and serde shims' own
+# tests (both sit outside the workspace).
 test:
     cargo test --workspace -q
     cd vendor/rayon-core && cargo test -q
+    cd vendor/serde_json && cargo test -q
 
 # The workspace suite at a pinned executor width (try widths=1, 2, 8 —
 # ProvDb follows the pool width, so this drives the chunked Traverse).

@@ -89,7 +89,7 @@ fn sd_segments_summarize_with_correct_frequencies() {
 #[test]
 fn pd_graph_survives_json_round_trip() {
     let graph = generate_pd(&PdParams::with_size(300));
-    let json = prov_store::json::to_json_string(&graph);
+    let json = prov_store::json::to_json_string(&graph).unwrap();
     let back: ProvGraph = prov_store::json::from_json_string(&json).unwrap();
     assert_eq!(back.vertex_count(), graph.vertex_count());
     assert_eq!(back.edge_count(), graph.edge_count());
