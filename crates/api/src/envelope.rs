@@ -224,6 +224,12 @@ pub struct RecordActivityRequest {
 
 /// Wire-selectable similarity evaluator (subset of
 /// [`prov_segment::SimilarEvaluator`] that needs no tuning structs).
+///
+/// **Accepted and ignored by the serving path.** `Segment` and
+/// `OpenSession` always induce with SimProvTst whatever is named here (see
+/// [`prov_segment::PgSegOptions`]): every value returns the `Tst` answer.
+/// The enum stays on the wire until its removal is coordinated with the
+/// clients that name it (ROADMAP items 4(d) and 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EvaluatorSpec {
     /// Naive Cypher-style enumerate-and-join.
@@ -241,16 +247,20 @@ pub enum EvaluatorSpec {
 }
 
 /// Wire twin of [`prov_segment::PgSegOptions`]; unset fields take the
-/// library defaults.
+/// library defaults. Only `early_stop` reaches the serving path's kernel:
+/// induction is always SimProvTst, so `evaluator` and `symmetric_prune` are
+/// accepted and ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SegmentOptions {
-    /// Similarity evaluator (default: `Tst`).
+    /// Similarity evaluator. Ignored: the serving path always induces with
+    /// SimProvTst (see [`EvaluatorSpec`]).
     #[serde(default)]
     pub evaluator: Option<EvaluatorSpec>,
     /// Temporal early stopping (default: on).
     #[serde(default)]
     pub early_stop: Option<bool>,
-    /// Symmetric-pair pruning (default: on).
+    /// Symmetric-pair pruning. Ignored: it is a SimProvAlg knob and the
+    /// serving path never runs SimProvAlg.
     #[serde(default)]
     pub symmetric_prune: Option<bool>,
 }
@@ -414,15 +424,21 @@ pub struct QueryRequest {
     /// Rows per page. Unset returns everything in one shot (no cursor).
     #[serde(default)]
     pub page_size: Option<usize>,
-    /// Resume token from a previous page's [`QueryResponse::cursor`].
+    /// Resume token from a previous page's [`QueryResponse::cursor`]. IR
+    /// pipelines and lowerable patterns replay at the token's watermark; a
+    /// non-lowerable pattern cannot, so its token is refused as a stale
+    /// cursor once the evaluated snapshot has moved (a pinned session's
+    /// never does).
     #[serde(default)]
     pub cursor: Option<prov_store::QueryCursor>,
-    /// Pattern-fallback budget: maximum search-tree expansions (default:
-    /// the library's [`prov_store::Budget`] default). Ignored for IR
-    /// pipelines and lowerable patterns.
+    /// Pattern-fallback budget: maximum search-tree expansions (default
+    /// and ceiling: the library's [`prov_store::Budget`] default — a larger
+    /// value is clamped to it). Ignored for IR pipelines and lowerable
+    /// patterns.
     #[serde(default)]
     pub max_expansions: Option<u64>,
-    /// Pattern-fallback budget: maximum materialized paths.
+    /// Pattern-fallback budget: maximum materialized paths (same default
+    /// and ceiling rule).
     #[serde(default)]
     pub max_paths: Option<usize>,
 }

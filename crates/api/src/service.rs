@@ -403,10 +403,26 @@ impl ProvService {
                 let QuerySpec::Pattern(pattern) = &r.query else {
                     unreachable!("pipelines always lower to themselves")
                 };
-                let defaults = prov_store::Budget::default();
+                // `match_paths` enumerates the snapshot as it is now and
+                // cannot replay an earlier watermark, so a resumed page is
+                // only cut from the first page's row set when the snapshot
+                // has not moved (always true under a pinned session).
+                let snap = index.cursor();
+                if let Some(c) = r.cursor.filter(|c| c.watermark() != snap) {
+                    return Err(prov_store::StoreError::InvalidQuery(format!(
+                        "stale cursor: watermark ({}v/{}e) is not the snapshot ({}v/{}e) and the \
+                         pattern engine cannot replay it; restart the walk or pin it to a session",
+                        c.vertices, c.edges, snap.vertices, snap.edges
+                    ))
+                    .into());
+                }
+                // The wire may lower the budget, never raise it.
+                let cap = prov_store::Budget::default();
                 let budget = prov_store::Budget {
-                    max_expansions: r.max_expansions.unwrap_or(defaults.max_expansions),
-                    max_paths: r.max_paths.unwrap_or(defaults.max_paths),
+                    max_expansions: r
+                        .max_expansions
+                        .map_or(cap.max_expansions, |n| n.min(cap.max_expansions)),
+                    max_paths: r.max_paths.map_or(cap.max_paths, |n| n.min(cap.max_paths)),
                 };
                 let outcome = prov_store::pattern::match_paths(graph, pattern, budget);
                 let is_complete = outcome.is_complete();
@@ -418,8 +434,7 @@ impl ProvService {
                 rows.sort_unstable();
                 rows.dedup();
                 let count = rows.len() as u64;
-                let page =
-                    prov_store::paginate(&rows, index.cursor(), r.cursor.as_ref(), r.page_size);
+                let page = prov_store::paginate(&rows, snap, r.cursor.as_ref(), r.page_size);
                 let mut stats = Stats::sized(page.rows.len(), 0);
                 stats.query = QueryActivity { resumptions, ..QueryActivity::default() };
                 QueryResponse { rows: page.rows, count, is_complete, cursor: page.next, stats }

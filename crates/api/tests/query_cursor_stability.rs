@@ -221,6 +221,82 @@ fn stale_cursors_are_rejected_as_invalid_query() {
     }
 }
 
+/// Bounded star => outside the lowerable family => materializing engine.
+fn bounded_star() -> PathPattern {
+    PathPattern::node(NodeSpec::of_kind(VertexKind::Entity)).then(
+        RelSpec::star(&[EdgeKind::Used, EdgeKind::WasGeneratedBy], PatternDir::Forward, 0, 4),
+        NodeSpec::any(),
+    )
+}
+
+/// Regression (ISSUE 16 satellite): the pattern-fallback arm re-enumerated
+/// the *live* graph on every page and re-stamped the cursor, so ingest
+/// between two pages could skip or duplicate rows. The pattern engine cannot
+/// replay at an old watermark, so an unpinned resume across ingest is
+/// refused as stale; a session-pinned walk continues exactly.
+#[test]
+fn pattern_fallback_refuses_a_resume_cursor_the_snapshot_has_moved_past() {
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 6);
+    let session = match service.handle(&Request::OpenSession(OpenSessionRequest {
+        src: vec!["data-v1".into()],
+        dst: vec!["weights-v6".into()],
+        boundary: BoundarySpec::none(),
+        options: SegmentOptions::default(),
+    })) {
+        Response::Session(s) => s.session,
+        other => panic!("expected session, got {other:?}"),
+    };
+    let page = |service: &mut ProvService, session, cursor| {
+        service.handle(&Request::Query(QueryRequest {
+            query: QuerySpec::Pattern(bounded_star()),
+            session,
+            page_size: Some(3),
+            cursor,
+            max_expansions: None,
+            max_paths: None,
+        }))
+    };
+    let reference = one_shot(&mut service, QuerySpec::Pattern(bounded_star()), None);
+    assert!(reference.rows.len() > 6, "needs at least three pages");
+
+    let Response::Query(live1) = page(&mut service, None, None) else { panic!("page 1") };
+    let Response::Query(pinned1) = page(&mut service, Some(session), None) else {
+        panic!("pinned page 1")
+    };
+    assert_eq!(live1.rows, reference.rows[..3]);
+    assert_eq!(pinned1.rows, reference.rows[..3]);
+    // Resuming before any ingest works unpinned too: the snapshot is still
+    // the one page 1 was cut from.
+    let Response::Query(live2) = page(&mut service, None, live1.cursor) else { panic!("page 2") };
+    assert_eq!(live2.rows, reference.rows[3..6]);
+
+    ingest_batch(&mut service, 0);
+
+    match page(&mut service, None, live2.cursor) {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::InvalidQuery);
+            assert!(e.message.contains("stale cursor"), "{}", e.message);
+        }
+        other => panic!("expected a stale-cursor error, got {other:?}"),
+    }
+    // Pinned: the session's snapshot never moves, so the walk continues
+    // exactly where page 1 stopped and concatenates to the pre-ingest answer.
+    let mut rows = pinned1.rows;
+    let mut cursor = pinned1.cursor;
+    while cursor.is_some() {
+        let Response::Query(next) = page(&mut service, Some(session), cursor) else {
+            panic!("pinned resume")
+        };
+        if let (Some(a), Some(b)) = (cursor, next.cursor) {
+            assert_eq!(a.watermark(), b.watermark(), "the pinned watermark rides along unchanged");
+        }
+        rows.extend_from_slice(&next.rows);
+        cursor = next.cursor;
+    }
+    assert_eq!(rows, reference.rows);
+}
+
 /// Regression (ISSUE 8 satellite): pattern-engine budget exhaustion used to
 /// be observable only by calling `MatchOutcome::is_complete` in-process; on
 /// the wire a truncated answer was indistinguishable from a complete one.
@@ -229,11 +305,7 @@ fn stale_cursors_are_rejected_as_invalid_query() {
 fn pattern_budget_exhaustion_is_surfaced_not_silent() {
     let mut service = ProvService::new();
     ingest_pipeline(&mut service, 6);
-    // Bounded star => outside the lowerable family => materializing engine.
-    let pattern = PathPattern::node(NodeSpec::of_kind(VertexKind::Entity)).then(
-        RelSpec::star(&[EdgeKind::Used, EdgeKind::WasGeneratedBy], PatternDir::Forward, 0, 4),
-        NodeSpec::any(),
-    );
+    let pattern = bounded_star();
     let complete = query(
         &mut service,
         QueryRequest {

@@ -191,6 +191,55 @@ fn two_sessions_adjust_independently() {
     assert!(service.session(s2).is_some());
 }
 
+/// Pins a dead wire knob (ISSUE 16): `SegmentOptions.evaluator` and
+/// `symmetric_prune` never reach a kernel — `Segment` and `OpenSession`
+/// always induce with SimProvTst — so every value returns the same segment.
+/// If this starts failing, a knob became live: update the `EvaluatorSpec`
+/// rustdoc (and `benchmark`'s `explore` variants) instead of this test.
+#[test]
+fn every_evaluator_spec_returns_the_tst_segment() {
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 4);
+    let mut segment = |options: SegmentOptions| {
+        let oneshot = match service.handle(&Request::Segment(SegmentRequest {
+            src: vec!["data-v1".into()],
+            dst: vec!["weights-v4".into()],
+            boundary: BoundarySpec::none(),
+            options,
+        })) {
+            Response::Segment(s) => s.segment,
+            other => panic!("expected segment, got {other:?}"),
+        };
+        let session = match service.handle(&Request::OpenSession(OpenSessionRequest {
+            src: vec!["data-v1".into()],
+            dst: vec!["weights-v4".into()],
+            boundary: BoundarySpec::none(),
+            options,
+        })) {
+            Response::Session(s) => s.segment,
+            other => panic!("expected session, got {other:?}"),
+        };
+        assert_eq!(oneshot, session, "{options:?}");
+        oneshot
+    };
+    let reference = segment(SegmentOptions::default());
+    assert!(!reference.vertices.is_empty());
+    for evaluator in [
+        EvaluatorSpec::Naive,
+        EvaluatorSpec::CflrBitset,
+        EvaluatorSpec::CflrCompressed,
+        EvaluatorSpec::AlgBitset,
+        EvaluatorSpec::AlgCompressed,
+        EvaluatorSpec::Tst,
+    ] {
+        for symmetric_prune in [None, Some(false), Some(true)] {
+            let options =
+                SegmentOptions { evaluator: Some(evaluator), early_stop: None, symmetric_prune };
+            assert_eq!(segment(options), reference, "{options:?}");
+        }
+    }
+}
+
 #[test]
 fn sessions_survive_later_ingest() {
     let mut service = ProvService::new();

@@ -10,9 +10,7 @@ pub use crate::lineage::{lineage_reference, LineageDirection};
 use prov_model::{PropValue, VertexId, VertexKind};
 use prov_segment::{PgSegOptions, PgSegQuery, PgSegSession, SegmentGraph};
 use prov_store::hash::FxHashMap;
-use prov_store::storage::{
-    CommitPipeline, DurabilityCounters, DurabilityPolicy, Io, Recovered, StdIo, Storage, WalStorage,
-};
+use prov_store::storage::{DurabilityCounters, DurabilityPolicy, Io, Recovered, StdIo, WalStorage};
 use prov_store::{
     DeltaCursor, Pipeline, Plan, ProvGraph, ProvIndex, QueryOutput, SharedIndex, StoreError,
     StoreResult,
@@ -140,7 +138,7 @@ pub struct ProvDb {
     /// [`ProvDb::open_with_io`]. `None` = purely in-memory (the default).
     /// When present, the graph journals its mutations and every ingestion
     /// call drains the journal into one committed WAL batch.
-    storage: Option<Box<dyn Storage>>,
+    storage: Option<WalStorage>,
     policy: SnapshotPolicy,
     /// Chunk count handed to the parallel query kernels; `0` means "track
     /// the pool width" (`PROV_THREADS` / hardware parallelism).
@@ -196,10 +194,10 @@ impl ProvDb {
             // rebuild.
             index: RwLock::new(Some(Arc::new(index))),
             versions,
-            // All commits route through the group-commit pipeline; with the
-            // default policy (`group_max_batches` = 1) every batch still
+            // The engine is the one commit path and holds the group buffer;
+            // with the default policy (`group_max_batches` = 1) every batch
             // flushes before `persist()` acknowledges it.
-            storage: Some(Box::new(CommitPipeline::new(engine))),
+            storage: Some(engine),
             ..ProvDb::default()
         })
     }
@@ -235,7 +233,10 @@ impl ProvDb {
     /// Durably flush any group-buffered commits. Under a grouped
     /// [`DurabilityPolicy`] (`group_max_batches` > 1), mutations between
     /// flush points are accepted but not yet durable — this is the explicit
-    /// durability barrier. No-op for ungrouped and in-memory databases.
+    /// durability barrier, and the only one: there is no flush-on-drop, so
+    /// dropping a grouped database without calling this discards the
+    /// batches accepted since the last flush. No-op for ungrouped and
+    /// in-memory databases.
     pub fn flush(&mut self) -> StoreResult<()> {
         match self.storage.as_mut() {
             Some(storage) => storage.flush(),

@@ -80,15 +80,22 @@ pub enum SimilarEvaluator {
 }
 
 /// Tuning knobs for PgSeg evaluation.
+///
+/// `evaluator`, `symmetric_prune` and `naive_budget` are read only by
+/// [`evaluate_similarity`], the Fig. 5 benchmark kernel. Segment induction
+/// ([`pgseg`], [`PgSegSession`] — everything the serving path runs) always
+/// uses SimProvTst, the one evaluator that yields the exact `VC2` set, and
+/// takes only `early_stop` from here.
 #[derive(Debug, Clone, Copy)]
 pub struct PgSegOptions {
-    /// Similarity evaluator (benchmarks sweep this; `SimProvTst` by default).
+    /// Similarity evaluator for [`evaluate_similarity`] (benchmarks sweep
+    /// this; `SimProvTst` by default). Not consulted by induction.
     pub evaluator: SimilarEvaluator,
     /// Temporal early stopping (SimProvAlg/SimProvTst).
     pub early_stop: bool,
-    /// Symmetric-pair pruning (SimProvAlg).
+    /// Symmetric-pair pruning (SimProvAlg, so [`evaluate_similarity`] only).
     pub symmetric_prune: bool,
-    /// Budget for the naive evaluator.
+    /// Budget for the naive evaluator ([`evaluate_similarity`] only).
     pub naive_budget: NaiveBudget,
 }
 

@@ -43,5 +43,5 @@ pub use query::{
 pub use snapshot::{Csr, Direction, ProvIndex, SharedIndex};
 pub use storage::{
     DurabilityCounters, DurabilityPolicy, FailpointIo, FaultPlan, Io, IoError, MemIo, Recovered,
-    StdIo, Storage, WalStorage,
+    StdIo, WalStorage,
 };

@@ -4,9 +4,8 @@
 //! ## Architecture
 //!
 //! ```text
-//!   ProvDb ──journal (Vec<WalOp>)──▶ dyn Storage (CommitPipeline ▶ WalStorage)
+//!   ProvDb ──journal (Vec<WalOp>)──▶ WalStorage (group buffer ▶ flush)
 //!                                        │
-//!                                        ├─ pipeline.rs  group commit: batches/fsync
 //!                                        ├─ wal.rs       record framing + recovery scan
 //!                                        ├─ column.rs    snapshot image: segmented encode, eager/lazy decode
 //!                                        ├─ codec.rs     LE primitives + CRC-32
@@ -16,17 +15,29 @@
 //! ## Commit protocol
 //!
 //! Every mutation batch drains the graph's op journal into
-//! [`Storage::commit`], which appends one contiguous `[ops record][commit
-//! marker]` pair to the current WAL file and (by default) fsyncs before
-//! acknowledging. A batch is durable iff its commit marker is intact on
-//! disk; commit sequence numbers increase by exactly 1 and survive
-//! compaction, so a spliced or replayed log is detected, never folded in.
+//! [`WalStorage::commit`], which frames it as one `[ops record][commit
+//! marker]` pair carrying the next sequence number and puts it in the
+//! engine's group buffer; [`WalStorage::flush`] writes the buffer as **one**
+//! contiguous append to the current WAL file and (by default) one fsync. A
+//! batch is durable iff its commit marker is intact on disk; commit sequence
+//! numbers increase by exactly 1 and survive compaction, so a spliced or
+//! replayed log is detected, never folded in.
 //!
-//! Under a grouped [`DurabilityPolicy`] the [`CommitPipeline`] buffers
-//! encoded batches and flushes several of them as **one** contiguous WAL
-//! append + one fsync. Each batch keeps its own commit marker, so recovery
-//! is byte-for-byte the same protocol; durability is acknowledged at flush
-//! boundaries (see `pipeline.rs` for the leader/waiter protocol).
+//! `commit` flushes by itself once the buffer holds
+//! [`DurabilityPolicy::group_max_batches`] batches. With the default window
+//! of 1 that is every commit: the batch is appended and fsynced before
+//! `commit` returns. With a larger window a batch is *accepted* when `commit`
+//! returns and *durable* once the flush covering it returns (window full,
+//! explicit `flush`, or a compaction, which flushes first). Each batch keeps
+//! its own commit marker, so a group's bytes are exactly those of the same
+//! batches committed one by one and recovery is the same scan. A crash
+//! mid-group tears at most the tail of the group append; recovery truncates
+//! back to the last intact commit marker, which can only drop batches whose
+//! flush never returned. Nothing flushes on drop: batches still buffered when
+//! the engine is dropped are discarded.
+//!
+//! The engine has a single writer by construction: every mutating method
+//! takes `&mut self`, so there is no lock and no concurrent submitter.
 //!
 //! ## On-disk layout
 //!
@@ -70,13 +81,11 @@ pub mod codec;
 pub mod column;
 pub mod failpoint;
 pub mod io;
-pub mod pipeline;
 pub mod wal;
 
 pub use column::LazyStats;
 pub use failpoint::{FailpointIo, FaultPlan};
 pub use io::{ColumnSource, Io, IoError, IoResult, MemIo, StdIo};
-pub use pipeline::CommitPipeline;
 pub use wal::WalScan;
 
 use crate::error::{StoreError, StoreResult};
@@ -133,13 +142,11 @@ pub struct DurabilityPolicy {
     pub compact_after_wal_bytes: u64,
     /// Group up to this many op-batches into one WAL append + one fsync
     /// (default 1 — every batch flushes immediately, exactly the ungrouped
-    /// protocol). With a larger window, a batch is *accepted* on submit and
-    /// *durable* once the flush covering it returns (window full, byte
-    /// window reached, or explicit [`Storage::flush`]).
+    /// protocol). With a larger window, a batch is *accepted* when
+    /// [`WalStorage::commit`] returns and *durable* once the flush covering
+    /// it returns (window full, compaction, or explicit
+    /// [`WalStorage::flush`]). Dropping the engine does not flush.
     pub group_max_batches: u32,
-    /// Also flush once the buffered group reaches this many encoded bytes
-    /// (default 0 — no byte trigger; the batch window alone decides).
-    pub group_window_bytes: u64,
     /// Snapshot decode mode at open (default [`SnapshotDecode::Eager`]).
     pub decode: SnapshotDecode,
 }
@@ -150,27 +157,23 @@ impl Default for DurabilityPolicy {
             fsync_on_commit: true,
             compact_after_wal_bytes: 1 << 20,
             group_max_batches: 1,
-            group_window_bytes: 0,
             decode: SnapshotDecode::Eager,
         }
     }
 }
 
 impl DurabilityPolicy {
-    /// A policy that never auto-compacts (explicit [`Storage::compact`] only).
+    /// A policy that never auto-compacts (explicit [`WalStorage::compact`] only).
     pub fn never_compact() -> DurabilityPolicy {
         DurabilityPolicy { compact_after_wal_bytes: u64::MAX, ..DurabilityPolicy::default() }
     }
 
-    /// Group up to `n` batches per WAL flush (clamped to at least 1).
+    /// Group up to `n` batches per WAL flush (clamped to at least 1). With
+    /// `n > 1` the caller owns the durability barrier: batches accepted since
+    /// the last flush are lost if the engine is dropped without
+    /// [`WalStorage::flush`] — there is no flush-on-drop.
     pub fn with_group_batches(mut self, n: u32) -> DurabilityPolicy {
         self.group_max_batches = n.max(1);
-        self
-    }
-
-    /// Also flush once the buffered group reaches `bytes` encoded bytes.
-    pub fn with_group_window_bytes(mut self, bytes: u64) -> DurabilityPolicy {
-        self.group_window_bytes = bytes;
         self
     }
 
@@ -200,11 +203,11 @@ pub struct DurabilityCounters {
     pub snapshots_written: u64,
     /// Committed batches replayed from the WAL during recovery.
     pub batches_replayed: u64,
-    /// Grouped WAL flushes performed by the commit pipeline. Absent on old
-    /// wires: deserializes to 0.
+    /// WAL flushes performed (one contiguous append each, whatever the
+    /// group window). Absent on old wires: deserializes to 0.
     #[serde(default)]
     pub group_flushes: u64,
-    /// Batches covered by those grouped flushes. Absent on old wires: 0.
+    /// Batches covered by those flushes. Absent on old wires: 0.
     #[serde(default)]
     pub group_flushed_batches: u64,
     /// Property segments whose decode was deferred at open (lazy mode).
@@ -221,36 +224,6 @@ pub struct DurabilityCounters {
     /// Bytes range-read by first-touch loads. Absent on old wires: 0.
     #[serde(default)]
     pub lazy_bytes_loaded: u64,
-}
-
-/// The durable backend the database layer (`prov-core`) commits through.
-///
-/// Object-safe so the database holds a `Box<dyn Storage>`; [`WalStorage`] is
-/// the one real implementation, tests substitute instrumented ones.
-pub trait Storage: std::fmt::Debug + Send + Sync {
-    /// Durably commit one batch of ops (one mutation call's journal).
-    fn commit(&mut self, ops: &[WalOp]) -> StoreResult<()>;
-
-    /// Compact if the policy says the WAL has grown past its threshold.
-    /// Returns whether a compaction ran. `graph` must reflect every batch
-    /// committed so far.
-    fn maybe_compact(&mut self, graph: &ProvGraph) -> StoreResult<bool>;
-
-    /// Unconditionally compact: write a snapshot of `graph`, start a fresh
-    /// WAL generation, delete the old one.
-    fn compact(&mut self, graph: &ProvGraph) -> StoreResult<()>;
-
-    /// Durably flush any buffered-but-unflushed commits. A no-op for
-    /// engines that flush on every commit.
-    fn flush(&mut self) -> StoreResult<()> {
-        Ok(())
-    }
-
-    /// Activity counters (monotone since open).
-    fn counters(&self) -> DurabilityCounters;
-
-    /// Bytes in the current WAL generation.
-    fn wal_bytes(&self) -> u64;
 }
 
 /// What a cold-start recovery produced.
@@ -270,9 +243,16 @@ pub struct WalStorage {
     policy: DurabilityPolicy,
     /// Current file generation (`wal-{gen}` is the live log).
     gen: u64,
-    /// Sequence number of the last committed batch (0 = none ever).
+    /// Sequence number of the last accepted batch (0 = none ever); the last
+    /// `pending_batches` of them are still in `pending`.
     seq: u64,
+    /// Bytes accepted into the current WAL generation, `pending` included.
     wal_bytes: u64,
+    /// The group buffer: concatenated `[ops record][commit marker]` frames
+    /// accepted by `commit` and not yet written by `flush`.
+    pending: Vec<u8>,
+    /// Batches currently in `pending`.
+    pending_batches: u64,
     counters: DurabilityCounters,
     /// Lazy-decode activity, shared with the deferred loader attached to the
     /// recovered graph (which outlives `recover()` and loads on first touch).
@@ -290,6 +270,8 @@ impl WalStorage {
             gen: 0,
             seq: 0,
             wal_bytes: 0,
+            pending: Vec::new(),
+            pending_batches: 0,
             counters: DurabilityCounters::default(),
             lazy_stats: std::sync::Arc::default(),
             poisoned: None,
@@ -432,7 +414,8 @@ impl WalStorage {
         self.gen
     }
 
-    /// Sequence number of the last committed batch.
+    /// Sequence number of the last accepted batch (durable once the flush
+    /// covering it has returned).
     pub fn last_seq(&self) -> u64 {
         self.seq
     }
@@ -442,68 +425,65 @@ impl WalStorage {
         &self.policy
     }
 
-    /// Append a pre-encoded group of `batches` already-framed commit batches
-    /// (each its own `[ops record][commit marker]` pair, seqs continuing at
-    /// `last_seq() + 1` and ending at `last_seq`) as **one** contiguous write
-    /// and at most one fsync. This is the group-commit fast path the
-    /// [`CommitPipeline`] flushes through; on-disk bytes are identical to
-    /// `batches` individual commits.
-    pub fn append_group(&mut self, bytes: &[u8], batches: u64, last_seq: u64) -> StoreResult<()> {
+    /// Accept one batch of ops (one mutation call's journal): frame it with
+    /// the next commit sequence number into the group buffer, and flush once
+    /// the buffer holds `group_max_batches` batches. With the default window
+    /// of 1 the batch is durable when this returns; with a larger one it is
+    /// only accepted until the covering [`WalStorage::flush`] returns.
+    pub fn commit(&mut self, ops: &[WalOp]) -> StoreResult<()> {
         self.check_poisoned()?;
-        debug_assert_eq!(self.seq + batches, last_seq, "group seqs must be gapless");
-        let wal_name = wal_file_name(self.gen);
-        if let Err(e) = self.io.append(&wal_name, bytes) {
-            // A short write tears at most the group's tail — recovery
-            // truncates back to the last intact commit marker, which can only
-            // drop batches whose flush was never acknowledged.
-            return self.poison(Self::io_err(e));
-        }
-        if self.policy.fsync_on_commit {
-            if let Err(e) = self.io.sync(&wal_name) {
-                return self.poison(Self::io_err(e));
-            }
-            self.counters.fsyncs += 1;
-        }
-        self.counters.wal_appends += batches;
-        self.counters.group_flushes += 1;
-        self.counters.group_flushed_batches += batches;
-        self.wal_bytes += bytes.len() as u64;
-        self.seq = last_seq;
-        Ok(())
-    }
-}
-
-impl Storage for WalStorage {
-    fn commit(&mut self, ops: &[WalOp]) -> StoreResult<()> {
-        self.check_poisoned()?;
-        let wal_name = wal_file_name(self.gen);
-        let bytes = match wal::encode_batch(ops, self.seq + 1) {
-            Ok(bytes) => bytes,
+        let frame = match wal::encode_batch(ops, self.seq + 1) {
+            Ok(frame) => frame,
             // The mutation is already applied in memory and cannot be made
             // durable: same state as a failed append.
             Err(e) => return self.poison(e),
         };
-        if let Err(e) = self.io.append(&wal_name, &bytes) {
-            // The append may have partially landed (short write) — that torn
-            // tail is exactly what recovery truncates. Until then, nothing
-            // more may be acknowledged.
+        self.seq += 1;
+        self.wal_bytes += frame.len() as u64;
+        self.pending.extend_from_slice(&frame);
+        self.pending_batches += 1;
+        if self.pending_batches >= u64::from(self.policy.group_max_batches.max(1)) {
+            return self.flush();
+        }
+        Ok(())
+    }
+
+    /// Durably write every accepted batch: the whole group buffer as **one**
+    /// contiguous append and at most one fsync. A no-op with nothing
+    /// buffered.
+    pub fn flush(&mut self) -> StoreResult<()> {
+        self.check_poisoned()?;
+        if self.pending_batches == 0 {
+            return Ok(());
+        }
+        let wal_name = wal_file_name(self.gen);
+        if let Err(e) = self.io.append(&wal_name, &self.pending) {
+            // The append may have partially landed (short write). That tears
+            // at most the group's tail, which recovery truncates back to the
+            // last intact commit marker — dropping only batches whose flush
+            // was never acknowledged. Until then, nothing more may be.
             return self.poison(Self::io_err(e));
         }
         if self.policy.fsync_on_commit {
             if let Err(e) = self.io.sync(&wal_name) {
-                // The batch is written but not durable; acknowledging it
+                // The group is written but not durable; acknowledging it
                 // would lie, so the engine poisons itself.
                 return self.poison(Self::io_err(e));
             }
             self.counters.fsyncs += 1;
         }
-        self.counters.wal_appends += 1;
-        self.wal_bytes += bytes.len() as u64;
-        self.seq += 1;
+        self.counters.wal_appends += self.pending_batches;
+        self.counters.group_flushes += 1;
+        self.counters.group_flushed_batches += self.pending_batches;
+        self.pending.clear();
+        self.pending_batches = 0;
         Ok(())
     }
 
-    fn maybe_compact(&mut self, graph: &ProvGraph) -> StoreResult<bool> {
+    /// Compact if the policy says the WAL (buffered batches included) has
+    /// grown past its threshold. Returns whether a compaction ran. `graph`
+    /// must reflect every batch accepted so far.
+    pub fn maybe_compact(&mut self, graph: &ProvGraph) -> StoreResult<bool> {
         if self.wal_bytes < self.policy.compact_after_wal_bytes {
             return Ok(false);
         }
@@ -511,11 +491,21 @@ impl Storage for WalStorage {
         Ok(true)
     }
 
-    fn compact(&mut self, graph: &ProvGraph) -> StoreResult<()> {
-        self.check_poisoned()?;
+    /// Unconditionally compact: write a snapshot of `graph`, start a fresh
+    /// WAL generation, delete the old one.
+    pub fn compact(&mut self, graph: &ProvGraph) -> StoreResult<()> {
+        // Flush first: the snapshot's seq must cover every batch folded into
+        // `graph`, or the buffered batches would later land in the fresh WAL
+        // at or below the snapshot's seq and fail replay as spliced history.
+        self.flush()?;
         let old_gen = self.gen;
         let new_gen = old_gen + 1;
-        let image = column::encode(graph, self.seq)?;
+        let image = match column::encode(graph, self.seq) {
+            Ok(image) => image,
+            // The log is intact, but it can no longer be compacted and every
+            // later `maybe_compact` would fail the same way after its commit.
+            Err(e) => return self.poison(e),
+        };
         let result = (|| -> Result<(), IoError> {
             self.io.write(SNAPSHOT_TMP, &image)?;
             self.io.sync(SNAPSHOT_TMP)?;
@@ -540,7 +530,8 @@ impl Storage for WalStorage {
         Ok(())
     }
 
-    fn counters(&self) -> DurabilityCounters {
+    /// Activity counters (monotone since open).
+    pub fn counters(&self) -> DurabilityCounters {
         use std::sync::atomic::Ordering;
         let mut c = self.counters;
         c.lazy_segments_deferred = self.lazy_stats.segments_deferred.load(Ordering::Relaxed);
@@ -550,7 +541,9 @@ impl Storage for WalStorage {
         c
     }
 
-    fn wal_bytes(&self) -> u64 {
+    /// Bytes in the current WAL generation, accepted-but-unflushed batches
+    /// included.
+    pub fn wal_bytes(&self) -> u64 {
         self.wal_bytes
     }
 }
@@ -576,7 +569,11 @@ mod tests {
     }
 
     fn open_mem(disk: &MemIo) -> (WalStorage, Recovered) {
-        WalStorage::open(Box::new(disk.clone()), DurabilityPolicy::never_compact()).unwrap()
+        open_with(disk, DurabilityPolicy::never_compact())
+    }
+
+    fn open_with(disk: &MemIo, policy: DurabilityPolicy) -> (WalStorage, Recovered) {
+        WalStorage::open(Box::new(disk.clone()), policy).unwrap()
     }
 
     #[test]
@@ -840,17 +837,195 @@ mod tests {
     }
 
     #[test]
+    fn default_policy_flushes_every_commit() {
+        let disk = MemIo::new();
+        let (mut storage, rec) = open_mem(&disk);
+        let mut graph = rec.graph;
+        ingest(&mut graph, &mut storage, 3, "e");
+        let c = storage.counters();
+        assert_eq!(c.wal_appends, 3);
+        assert_eq!(c.fsyncs, 3);
+        assert_eq!(c.group_flushes, 3);
+        assert_eq!(c.group_flushed_batches, 3);
+        assert_eq!(storage.pending_batches, 0);
+        assert_eq!(storage.last_seq(), 3);
+        assert_eq!(disk.file(&wal_file_name(0)).unwrap().len() as u64, storage.wal_bytes());
+    }
+
+    #[test]
+    fn grouped_policy_amortizes_fsyncs_across_batches() {
+        let disk = MemIo::new();
+        let policy = DurabilityPolicy::never_compact().with_group_batches(4);
+        let (mut storage, rec) = open_with(&disk, policy);
+        let mut graph = rec.graph;
+        ingest(&mut graph, &mut storage, 8, "e");
+        let c = storage.counters();
+        assert_eq!(c.wal_appends, 8, "every batch reaches the WAL");
+        assert_eq!(c.fsyncs, 2, "two full groups, one fsync each");
+        assert_eq!(c.group_flushes, 2);
+        assert_eq!(c.group_flushed_batches, 8);
+        // Recovery replays all 8 batches through the unchanged scan.
+        let (_, rec2) = open_mem(&disk);
+        assert_eq!(rec2.graph, graph);
+        assert_eq!(rec2.index, ProvIndex::build(&rec2.graph));
+    }
+
+    #[test]
+    fn a_groups_bytes_equal_the_same_batches_committed_one_by_one() {
+        // The same scripted history under three windows (+ a final flush for
+        // the partial group) leaves the same WAL file, byte for byte.
+        let run = |window: u32| {
+            let disk = MemIo::new();
+            let policy = DurabilityPolicy::never_compact().with_group_batches(window);
+            let (mut storage, rec) = open_with(&disk, policy);
+            let mut graph = rec.graph;
+            ingest(&mut graph, &mut storage, 10, "e");
+            storage.flush().unwrap();
+            let wal = disk.file(&wal_file_name(0)).unwrap();
+            assert_eq!(storage.wal_bytes(), wal.len() as u64);
+            (wal, storage.counters())
+        };
+        let (one_by_one, c1) = run(1);
+        assert_eq!((c1.wal_appends, c1.group_flushed_batches), (10, 10));
+        assert_eq!((c1.group_flushes, c1.fsyncs), (10, 10));
+        for (window, flushes) in [(4, 3), (100, 1)] {
+            let (bytes, c) = run(window);
+            assert_eq!(bytes, one_by_one, "window {window}");
+            assert_eq!((c.wal_appends, c.group_flushed_batches), (10, 10), "window {window}");
+            assert_eq!((c.group_flushes, c.fsyncs), (flushes, flushes), "window {window}");
+        }
+    }
+
+    #[test]
+    fn partial_group_is_accepted_but_not_durable_until_flush() {
+        let disk = MemIo::new();
+        let policy = DurabilityPolicy::never_compact().with_group_batches(8);
+        let (mut storage, rec) = open_with(&disk, policy);
+        let mut graph = rec.graph;
+        ingest(&mut graph, &mut storage, 3, "e");
+        assert_eq!(storage.pending_batches, 3);
+        assert_eq!(storage.counters().fsyncs, 0);
+        assert_eq!(storage.counters().wal_appends, 0);
+        assert_eq!(storage.last_seq(), 3, "accepted");
+        // Nothing reached the disk yet: a crash here loses only
+        // unacknowledged batches.
+        assert_eq!(disk.file(&wal_file_name(0)).unwrap(), b"");
+        let (_, before) = open_mem(&disk.fork());
+        assert_eq!(before.graph, ProvGraph::new());
+        // Explicit flush makes the partial group durable: one append, one
+        // fsync, three commit markers.
+        storage.flush().unwrap();
+        assert_eq!(storage.pending_batches, 0);
+        let c = storage.counters();
+        assert_eq!((c.fsyncs, c.group_flushes, c.group_flushed_batches), (1, 1, 3));
+        let (_, after) = open_mem(&disk);
+        assert_eq!(after.graph, graph);
+        // Flushing with nothing buffered is a no-op.
+        storage.flush().unwrap();
+        assert_eq!(storage.counters().fsyncs, 1);
+    }
+
+    #[test]
+    fn fsync_failure_mid_group_poisons_with_nothing_acknowledged() {
+        let disk = MemIo::new();
+        let fp = FailpointIo::new(disk.clone(), FaultPlan::fail_sync(0));
+        let policy = DurabilityPolicy::never_compact().with_group_batches(4);
+        let (mut storage, rec) = WalStorage::open(Box::new(fp), policy).unwrap();
+        let mut graph = rec.graph;
+        graph.set_journaling(true);
+        for i in 0..3 {
+            graph.add_entity(&format!("e-{i}"));
+            let ops = graph.take_journal();
+            storage.commit(&ops).unwrap(); // accepted, not yet durable
+        }
+        let err = storage.flush().unwrap_err();
+        assert!(matches!(err, StoreError::StorageUnavailable(_)), "{err}");
+        assert!(storage.is_poisoned());
+        let c = storage.counters();
+        assert_eq!((c.wal_appends, c.group_flushes), (0, 0), "no batch was ever acknowledged");
+        // Every later commit, flush and compaction refuses.
+        graph.add_entity("doomed");
+        let ops = graph.take_journal();
+        let err = storage.commit(&ops).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::StorageUnavailable(m) if m.contains("poisoned")),
+            "{err}"
+        );
+        assert!(storage.flush().is_err());
+        assert!(storage.compact(&graph).is_err());
+        // Reopen: the appended-but-unsynced group is structurally complete
+        // on the MemIo image, so recovery may keep it — either way it is a
+        // committed prefix and no *acknowledged* batch is lost (none were).
+        let (_, rec2) = open_mem(&disk);
+        rec2.graph.validate().unwrap();
+        assert!(rec2.graph.vertex_count() == 0 || rec2.graph.vertex_count() == 3);
+    }
+
+    #[test]
+    fn compaction_flushes_the_buffered_group_first() {
+        let disk = MemIo::new();
+        let policy = DurabilityPolicy {
+            compact_after_wal_bytes: 64,
+            ..DurabilityPolicy::default().with_group_batches(1000)
+        };
+        let (mut storage, rec) = open_with(&disk, policy);
+        let mut graph = rec.graph;
+        graph.set_journaling(true);
+        // Fill the buffer past the compaction threshold without a single
+        // flush: every threshold byte is buffered, none is on disk.
+        while storage.wal_bytes() < 64 {
+            graph.add_entity("buffered");
+            let ops = graph.take_journal();
+            storage.commit(&ops).unwrap();
+        }
+        assert!(storage.pending.len() >= 64, "all of it buffered");
+        assert_eq!(storage.counters().fsyncs, 0);
+        // maybe_compact sees buffered bytes, flushes, then compacts.
+        assert!(storage.maybe_compact(&graph).unwrap());
+        let c = storage.counters();
+        assert_eq!(c.group_flushes, 1, "compaction forced the flush");
+        assert_eq!(c.snapshots_written, 1);
+        assert_eq!(storage.pending_batches, 0);
+        assert_eq!(storage.wal_bytes(), 0);
+        // The snapshot covers every buffered batch; recovery needs no WAL.
+        let (reopened, rec2) = open_mem(&disk);
+        assert_eq!(rec2.graph, graph);
+        assert_eq!(reopened.last_seq(), storage.last_seq());
+        assert_eq!(reopened.counters().batches_replayed, 0, "all folded into the snapshot");
+        // And committing through the new generation still works.
+        graph.add_entity("after");
+        let ops = graph.take_journal();
+        storage.commit(&ops).unwrap();
+        storage.flush().unwrap();
+        let (_, rec3) = open_mem(&disk);
+        assert_eq!(rec3.graph, graph);
+    }
+
+    #[test]
+    fn explicit_compact_with_a_nonempty_buffer_is_safe() {
+        let disk = MemIo::new();
+        let policy = DurabilityPolicy::never_compact().with_group_batches(100);
+        let (mut storage, rec) = open_with(&disk, policy);
+        let mut graph = rec.graph;
+        ingest(&mut graph, &mut storage, 5, "e");
+        assert_eq!(storage.pending_batches, 5);
+        storage.compact(&graph).unwrap();
+        assert_eq!(storage.pending_batches, 0);
+        let (reopened, rec2) = open_mem(&disk);
+        assert_eq!(rec2.graph, graph);
+        assert_eq!(reopened.last_seq(), 5, "snapshot seq covers the flushed group");
+    }
+
+    #[test]
     fn policy_defaults_are_as_documented() {
         let p = DurabilityPolicy::default();
         assert!(p.fsync_on_commit);
         assert_eq!(p.compact_after_wal_bytes, 1 << 20);
         assert_eq!(p.group_max_batches, 1, "ungrouped by default");
-        assert_eq!(p.group_window_bytes, 0);
         assert_eq!(p.decode, SnapshotDecode::Eager);
         assert_eq!(DurabilityPolicy::never_compact().compact_after_wal_bytes, u64::MAX);
         assert_eq!(p.clone().with_group_batches(0).group_max_batches, 1, "clamped");
         assert_eq!(p.clone().with_group_batches(8).group_max_batches, 8);
-        assert_eq!(p.clone().with_group_window_bytes(512).group_window_bytes, 512);
         assert_eq!(p.clone().with_lazy_decode().decode, SnapshotDecode::Lazy);
         assert_eq!(wal_file_name(3), "wal-0000000003");
         assert_eq!(snapshot_file_name(12), "snapshot-0000000012");

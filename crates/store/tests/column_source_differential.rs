@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use prov_model::{EdgeKind, VertexKind};
-use prov_store::storage::{column, snapshot_file_name, ColumnSource, SnapshotDecode, Storage};
+use prov_store::storage::{column, snapshot_file_name, ColumnSource, SnapshotDecode};
 use prov_store::{DurabilityPolicy, MemIo, ProvGraph, ProvIndex, WalStorage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -59,7 +59,8 @@ query-test:
 # byte offset lands on a committed-batch prefix, group appends included), the
 # random ingest/crash/restart/query proptest (fsync/group/lazy policy sweep),
 # the lazy-vs-eager ColumnSource differential, and the storage engine's own
-# failpoint/compaction/torn-tail tests.
+# failpoint/compaction/torn-tail tests plus the group-buffer cases of its one
+# commit path (WalStorage::commit/flush; grouped bytes == ungrouped bytes).
 recovery-test:
     cargo test -q -p prov-store storage::
     cargo test -q -p prov-store --test column_source_differential
