@@ -256,7 +256,9 @@ pub struct SegmentOptions {
     /// SimProvTst (see [`EvaluatorSpec`]).
     #[serde(default)]
     pub evaluator: Option<EvaluatorSpec>,
-    /// Temporal early stopping (default: on).
+    /// Early stopping (default: on). A pure work bound: SimProvTst cuts its
+    /// length axis at the farthest source, which is exact for any document,
+    /// so the segment is the same with it off.
     #[serde(default)]
     pub early_stop: Option<bool>,
     /// Symmetric-pair pruning. Ignored: it is a SimProvAlg knob and the

@@ -398,6 +398,73 @@ fn hostile_wire_input_is_refused_not_fatal() {
     assert!(e.message.contains("non-finite"), "{}", e.message);
 }
 
+/// Wrap an interchange document in an `Import` request, as wire bytes.
+fn import_request(document: &str) -> String {
+    serde_json::to_string(&Request::Import(ImportRequest { json: document.into() })).unwrap()
+}
+
+#[test]
+fn cyclic_import_is_refused_not_fatal() {
+    // Every edge is well typed, so the loader accepts them one by one:
+    // e0 -G-> a1 -U-> e2 -G-> a3 -U-> e0. `Segment` on this graph used to
+    // allocate until the process died.
+    let cyclic = r#"{"vertices":[
+        {"id":0,"kind":"prov:Entity","name":"e0"},{"id":1,"kind":"prov:Activity","name":"a1"},
+        {"id":2,"kind":"prov:Entity","name":"e2"},{"id":3,"kind":"prov:Activity","name":"a3"}],
+      "edges":[
+        {"kind":"prov:wasGeneratedBy","src":0,"dst":1},{"kind":"prov:used","src":1,"dst":2},
+        {"kind":"prov:wasGeneratedBy","src":2,"dst":3},{"kind":"prov:used","src":3,"dst":0}]}"#;
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 1);
+    let before = (service.db().graph().vertex_count(), service.db().graph().edge_count());
+
+    let wire = service.handle_json(&import_request(cyclic));
+    let Response::Error(e) = serde_json::from_str(&wire).unwrap() else { panic!("got {wire}") };
+    assert_eq!(e.code, ErrorCode::Cycle, "{}", e.message);
+    let after = (service.db().graph().vertex_count(), service.db().graph().edge_count());
+    assert_eq!(after, before, "a refused import must replace nothing");
+
+    // The request that followed it in the reproduction is an ordinary miss.
+    let wire = service.handle_json(r#"{"Segment":{"src":["e0"],"dst":["e2"]}}"#);
+    let Response::Error(e) = serde_json::from_str(&wire).unwrap() else { panic!("got {wire}") };
+    assert_eq!(e.code, ErrorCode::UnknownEntity, "{}", e.message);
+}
+
+#[test]
+fn segment_does_not_trust_the_id_order_of_an_imported_document() {
+    // A legal document numbered newest-first: w(0) -G-> t(1) -U-> d(2) and
+    // t -U-> c(3). `c` is used alongside `d`, so it is on a similar path.
+    // The early stop used to compare births (= ids here), stop at `t`, and
+    // return {w, t, d} with no `vc2` tag at all.
+    let newest_first = r#"{"vertices":[
+        {"id":0,"kind":"prov:Entity","name":"w"},{"id":1,"kind":"prov:Activity","name":"t"},
+        {"id":2,"kind":"prov:Entity","name":"d"},{"id":3,"kind":"prov:Entity","name":"c"}],
+      "edges":[
+        {"kind":"prov:wasGeneratedBy","src":0,"dst":1},{"kind":"prov:used","src":1,"dst":2},
+        {"kind":"prov:used","src":1,"dst":3}]}"#;
+    let mut service = ProvService::new();
+    let wire = service.handle_json(&import_request(newest_first));
+    assert!(wire.contains("\"Imported\""), "got {wire}");
+
+    let mut segment = |request: &str| match serde_json::from_str(&service.handle_json(request)) {
+        Ok(Response::Segment(s)) => s.segment,
+        other => panic!("expected segment, got {other:?}"),
+    };
+    let default = segment(r#"{"Segment":{"src":["d"],"dst":["w"]}}"#);
+    let tags: Vec<(&str, &str)> = default
+        .vertices
+        .iter()
+        .map(|v| (v.name.as_deref().unwrap_or(""), v.tags.as_str()))
+        .collect();
+    assert_eq!(
+        tags,
+        [("w", "dst|vc1|vc2"), ("t", "vc1|vc2"), ("d", "src|vc1|vc2"), ("c", "vc2")],
+        "`c` is on a similar path"
+    );
+    let full = segment(r#"{"Segment":{"src":["d"],"dst":["w"],"options":{"early_stop":false}}}"#);
+    assert_eq!(default, full, "early_stop only bounds work");
+}
+
 #[test]
 fn unprintable_response_becomes_a_typed_error() {
     use std::sync::atomic::{AtomicBool, Ordering};

@@ -15,8 +15,8 @@
 use prov_bitset::SetBackend;
 use prov_model::{VertexId, VertexKind};
 use prov_segment::{
-    evaluate_similarity, similar_alg, similar_alg_reference, similar_tst, AlgConfig, MaskedGraph,
-    NaiveBudget, PgSegOptions, SimilarEvaluator, TstConfig,
+    evaluate_similarity, similar_alg, similar_alg_reference, AlgConfig, MaskedGraph, NaiveBudget,
+    PgSegOptions, SimilarEvaluator,
 };
 use prov_store::hash::FxHashMap;
 use prov_store::{ProvGraph, ProvIndex};
@@ -138,7 +138,7 @@ fn time_eval(
         ..PgSegOptions::default()
     };
     let t0 = Instant::now();
-    let out = evaluate_similarity(view, vsrc, vdst, &opts);
+    let out = evaluate_similarity(view, vsrc, vdst, &opts).expect("generated workloads are DAGs");
     let secs = t0.elapsed().as_secs_f64();
     if out.stats.dnf {
         (None, None)
@@ -252,7 +252,6 @@ pub fn fig5a(scale: Scale, cache: &mut PdCache) -> FigureResult {
 
     let mut series: Vec<Series> =
         methods.iter().map(|(n, ..)| Series { name: n.clone(), points: Vec::new() }).collect();
-    let mut tst_cbm = Series { name: "Tst wCBM".into(), points: Vec::new() };
 
     for &n in sizes {
         let inst = cache.instance(&PdParams::with_size(n));
@@ -266,21 +265,7 @@ pub fn fig5a(scale: Scale, cache: &mut PdCache) -> FigureResult {
             let _ = name;
             serie.points.push(Point { x: n as f64, y, work });
         }
-        // SimProvTst with compressed level sets.
-        let t0 = Instant::now();
-        let out = similar_tst(
-            &view,
-            &inst.vsrc,
-            &inst.vdst,
-            &TstConfig { compressed_sets: true, ..TstConfig::default() },
-        );
-        tst_cbm.points.push(Point {
-            x: n as f64,
-            y: Some(t0.elapsed().as_secs_f64()),
-            work: Some(out.stats.work),
-        });
     }
-    series.push(tst_cbm);
 
     FigureResult {
         id: "5a",
@@ -384,7 +369,8 @@ pub fn fig5d(scale: Scale, cache: &mut PdCache) -> FigureResult {
                 ..PgSegOptions::default()
             };
             let t0 = Instant::now();
-            let out = evaluate_similarity(&view, &vsrc, &inst.vdst, &opts);
+            let out = evaluate_similarity(&view, &vsrc, &inst.vdst, &opts)
+                .expect("generated workloads are DAGs");
             serie.points.push(Point {
                 x: pct,
                 y: Some(t0.elapsed().as_secs_f64()),

@@ -35,7 +35,7 @@ pub struct PointJson {
     pub x: f64,
     /// Wall-clock seconds; absent = DNF.
     pub secs: Option<f64>,
-    /// Evaluator work units (derived facts / level entries); absent when the
+    /// Evaluator work units (derived facts / word operations); absent when the
     /// quantity is not a runtime measurement (e.g. compaction ratios).
     pub work: Option<u64>,
 }

@@ -704,9 +704,13 @@ impl ProvDb {
         prov_store::json::to_json_string(&self.graph)
     }
 
-    /// Import from the interchange format.
+    /// Import from the interchange format. Edges are type-checked one by
+    /// one as they load, which cannot see a cycle; a document that closes one
+    /// is refused whole with [`StoreError::CycleDetected`] (Definition 1: a
+    /// provenance graph is a DAG, and the ancestry kernels rely on it).
     pub fn import_json(data: &str) -> StoreResult<ProvDb> {
         let graph = prov_store::json::from_json_string(data)?;
+        graph.validate_acyclic()?;
         Ok(ProvDb::from_graph(graph))
     }
 }

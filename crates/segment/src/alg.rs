@@ -473,7 +473,7 @@ mod tests {
         for &src in &entity_ids {
             for &dst in &entity_ids {
                 let a = similar_alg_bitset(&view, &[src], &[dst], &AlgConfig::paper_default());
-                let t = similar_tst(&view, &[src], &[dst], &TstConfig::default());
+                let t = similar_tst(&view, &[src], &[dst], &TstConfig::default()).unwrap();
                 assert_eq!(a.answer, t.answer, "src={src} dst={dst}");
             }
         }
@@ -489,7 +489,8 @@ mod tests {
             &[entity_ids[0], entity_ids[1]],
             &[entity_ids[3], entity_ids[2]],
             &TstConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(a.answer, t.answer);
     }
 

@@ -165,7 +165,7 @@ mod tests {
                 let c =
                     similar_cflr(&view, &[src], &[dst], GrammarForm::NormalFig6, SetBackend::Bit);
                 let a = similar_alg_bitset(&view, &[src], &[dst], &AlgConfig::paper_default());
-                let t = similar_tst(&view, &[src], &[dst], &TstConfig::default());
+                let t = similar_tst(&view, &[src], &[dst], &TstConfig::default()).unwrap();
                 assert_eq!(c.answer, t.answer, "cflr vs tst src={src} dst={dst}");
                 assert_eq!(a.answer, t.answer, "alg vs tst src={src} dst={dst}");
             }
@@ -202,7 +202,7 @@ mod tests {
         let d = ids[0];
         let out = similar_cflr(&view, &[d], &[d], GrammarForm::NormalFig6, SetBackend::Bit);
         assert!(out.answer.contains(&d), "identity pair restored for Fig.6");
-        let t = similar_tst(&view, &[d], &[d], &TstConfig::default());
+        let t = similar_tst(&view, &[d], &[d], &TstConfig::default()).unwrap();
         assert_eq!(out.answer, t.answer);
     }
 

@@ -11,7 +11,10 @@
 //! * `VC3` — sibling entities generated by on-path activities;
 //! * `VC4` — agents associated with / attributed to any selected vertex;
 //!
-//! and induces the connected subgraph `S(VS, ES)`.
+//! and induces the connected subgraph `S(VS, ES)`. The categories accumulate
+//! in one dense table indexed by vertex id beside the list of vertices
+//! selected so far (`Selection`): every step after the two traversals is
+//! linear in the segment and its degrees, with no hashing.
 
 use crate::boundary::Mask;
 use crate::direct::direct_path_vertices;
@@ -20,54 +23,68 @@ use crate::segment_graph::{Categories, SegmentGraph};
 use crate::tst::{similar_tst, TstConfig};
 use crate::view::MaskedGraph;
 use prov_model::{EdgeId, VertexId, VertexKind};
-use prov_store::hash::FxHashMap;
-use prov_store::ProvGraph;
+use prov_store::{ProvGraph, StoreResult};
 
-/// Compute `VC3`: entities generated by activities in `on_path` that are not
-/// themselves on a path (Sec. III-A.2(c)).
-pub fn sibling_entities(
-    view: &MaskedGraph<'_>,
-    on_path: &FxHashMap<VertexId, Categories>,
-) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    for (&v, _) in on_path.iter() {
-        if view.index().kind(v) != VertexKind::Activity {
-            continue;
-        }
-        for e in view.outputs_of(v) {
-            if !on_path.contains_key(&e) {
-                out.push(e);
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
+/// The vertices selected so far and why.
+struct Selection {
+    /// Categories by vertex id; empty for unselected vertices.
+    cat: Vec<Categories>,
+    /// The selected vertices, in selection order.
+    members: Vec<VertexId>,
 }
 
-/// Compute `VC4`: agents reachable from the selected vertices via one
-/// `wasAssociatedWith` / `wasAttributedTo` edge (Sec. III-A.2(d)).
-pub fn involved_agents(
-    view: &MaskedGraph<'_>,
-    selected: &FxHashMap<VertexId, Categories>,
-) -> Vec<VertexId> {
-    let idx = view.index();
-    let mut out = Vec::new();
-    for (&v, _) in selected.iter() {
-        let agents = match idx.kind(v) {
-            VertexKind::Activity => idx.agents_of_activity(v),
-            VertexKind::Entity => idx.agents_of_entity(v),
-            VertexKind::Agent => &[],
-        };
-        for &u in agents {
-            if view.vertex_ok(u) {
-                out.push(u);
+impl Selection {
+    fn new(n: usize) -> Selection {
+        Selection { cat: vec![Categories::none(); n], members: Vec::new() }
+    }
+
+    fn add(&mut self, v: VertexId, c: Categories) {
+        let entry = &mut self.cat[v.index()];
+        if entry.is_empty() {
+            self.members.push(v);
+        }
+        *entry = entry.union(c);
+    }
+
+    fn on_path(&self, v: VertexId) -> bool {
+        let c = self.cat[v.index()];
+        c.contains(Categories::DIRECT) || c.contains(Categories::SIMILAR)
+    }
+
+    /// `VC3`: entities generated by on-path activities that are not
+    /// themselves on a path (Sec. III-A.2(c)).
+    fn add_siblings(&mut self, view: &MaskedGraph<'_>) {
+        for i in 0..self.members.len() {
+            let v = self.members[i];
+            if view.index().kind(v) != VertexKind::Activity || !self.on_path(v) {
+                continue;
+            }
+            for e in view.outputs_of(v) {
+                if !self.on_path(e) {
+                    self.add(e, Categories::SIBLING);
+                }
             }
         }
     }
-    out.sort_unstable();
-    out.dedup();
-    out
+
+    /// `VC4`: agents reachable from the selected vertices via one
+    /// `wasAssociatedWith` / `wasAttributedTo` edge (Sec. III-A.2(d)).
+    fn add_agents(&mut self, view: &MaskedGraph<'_>) {
+        let idx = view.index();
+        for i in 0..self.members.len() {
+            let v = self.members[i];
+            let agents = match idx.kind(v) {
+                VertexKind::Activity => idx.agents_of_activity(v),
+                VertexKind::Entity => idx.agents_of_entity(v),
+                VertexKind::Agent => &[],
+            };
+            for &u in agents {
+                if view.vertex_ok(u) {
+                    self.add(u, Categories::AGENT);
+                }
+            }
+        }
+    }
 }
 
 /// Expansion (`Bx`): ancestry vertices within `k` activities (2k ancestry
@@ -115,7 +132,8 @@ pub struct InduceResult {
     pub similar: SimilarOutcome,
 }
 
-/// Run the induce step with SimProvTst-based `VC2` induction.
+/// Run the induce step with SimProvTst-based `VC2` induction. Fails only
+/// when the similarity kernel meets a cycle.
 pub fn induce(
     graph: &ProvGraph,
     view: &MaskedGraph<'_>,
@@ -123,61 +141,44 @@ pub fn induce(
     vdst: &[VertexId],
     mask: Option<&Mask>,
     tst_cfg: &TstConfig,
-) -> InduceResult {
-    let mut cat: FxHashMap<VertexId, Categories> = FxHashMap::default();
-    let add = |v: VertexId, c: Categories, cat: &mut FxHashMap<VertexId, Categories>| {
-        let entry = cat.entry(v).or_insert_with(Categories::none);
-        *entry = entry.union(c);
-    };
+) -> StoreResult<InduceResult> {
+    let mut sel = Selection::new(graph.vertex_count());
 
     // Query vertices are always part of VS (if they pass the mask).
-    for &s in vsrc {
-        if s.index() < graph.vertex_count() && view.vertex_ok(s) {
-            add(s, Categories::SRC, &mut cat);
-        }
-    }
-    for &d in vdst {
-        if d.index() < graph.vertex_count() && view.vertex_ok(d) {
-            add(d, Categories::DST, &mut cat);
+    for (query, tag) in [(vsrc, Categories::SRC), (vdst, Categories::DST)] {
+        for &v in query {
+            if v.index() < graph.vertex_count() && view.vertex_ok(v) {
+                sel.add(v, tag);
+            }
         }
     }
 
     // VC1: direct paths.
     for v in direct_path_vertices(view, vsrc, vdst) {
-        add(v, Categories::DIRECT, &mut cat);
+        sel.add(v, Categories::DIRECT);
     }
 
     // VC2: similar paths (exact vertex induction via SimProvTst).
-    let similar = similar_tst(view, vsrc, vdst, tst_cfg);
+    let similar = similar_tst(view, vsrc, vdst, tst_cfg)?;
     for &v in similar.vc2.as_deref().unwrap_or(&[]) {
-        add(v, Categories::SIMILAR, &mut cat);
+        sel.add(v, Categories::SIMILAR);
     }
 
-    // VC3: siblings of on-path activities.
-    let on_path: FxHashMap<VertexId, Categories> = cat
-        .iter()
-        .filter(|(_, c)| c.contains(Categories::DIRECT) || c.contains(Categories::SIMILAR))
-        .map(|(&v, &c)| (v, c))
-        .collect();
-    for v in sibling_entities(view, &on_path) {
-        add(v, Categories::SIBLING, &mut cat);
-    }
+    // VC3 from the on-path activities, then VC4 from everything selected.
+    sel.add_siblings(view);
+    sel.add_agents(view);
 
-    // VC4: agents of everything selected so far.
-    let selected = cat.clone();
-    for v in involved_agents(view, &selected) {
-        add(v, Categories::AGENT, &mut cat);
-    }
-
+    let members = sel.members.iter().map(|&v| (v, sel.cat[v.index()])).collect();
     let edge_ok = |e: EdgeId| mask.is_none_or(|m| m.edge(e));
-    let segment = SegmentGraph::assemble(graph, vsrc, vdst, &cat, edge_ok);
-    InduceResult { segment, similar }
+    let segment = SegmentGraph::assemble(graph, vsrc, vdst, members, edge_ok);
+    Ok(InduceResult { segment, similar })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use prov_model::EdgeKind;
+    use prov_store::hash::FxHashMap;
     use prov_store::ProvIndex;
 
     /// Fig. 2(d)-style fixture: Alice's v2 round.
@@ -222,7 +223,8 @@ mod tests {
     fn induce_includes_all_four_categories() {
         let (g, idx, m) = fig2d();
         let view = MaskedGraph::unmasked(&idx);
-        let res = induce(&g, &view, &[m["dataset"]], &[m["weight2"]], None, &TstConfig::default());
+        let res = induce(&g, &view, &[m["dataset"]], &[m["weight2"]], None, &TstConfig::default())
+            .unwrap();
         let seg = &res.segment;
         // Direct path: weight2 -> train2 -> dataset.
         assert!(seg.category(m["train2"]).unwrap().contains(Categories::DIRECT));
@@ -243,16 +245,15 @@ mod tests {
     fn sibling_and_agent_helpers() {
         let (_, idx, m) = fig2d();
         let view = MaskedGraph::unmasked(&idx);
-        let mut on_path: FxHashMap<VertexId, Categories> = FxHashMap::default();
-        on_path.insert(m["train2"], Categories::DIRECT);
-        let sib = sibling_entities(&view, &on_path);
-        assert_eq!(sib, {
-            let mut v = vec![m["log2"], m["weight2"]];
-            v.sort();
-            v
-        });
-        let agents = involved_agents(&view, &on_path);
-        assert_eq!(agents, vec![m["alice"]]);
+        let mut sel = Selection::new(idx.vertex_count());
+        sel.add(m["train2"], Categories::DIRECT);
+        sel.add_siblings(&view);
+        assert_eq!(sel.members, vec![m["train2"], m["log2"], m["weight2"]]);
+        assert_eq!(sel.cat[m["log2"].index()], Categories::SIBLING);
+        sel.add_agents(&view);
+        assert_eq!(sel.members.last(), Some(&m["alice"]));
+        assert_eq!(sel.cat[m["alice"].index()], Categories::AGENT);
+        assert_eq!(sel.members.len(), 4, "each vertex is a member once");
     }
 
     #[test]
@@ -278,7 +279,8 @@ mod tests {
             .compile(&g);
         let view = MaskedGraph::new(&idx, Some(&mask));
         let res =
-            induce(&g, &view, &[m["dataset"]], &[m["weight2"]], Some(&mask), &TstConfig::default());
+            induce(&g, &view, &[m["dataset"]], &[m["weight2"]], Some(&mask), &TstConfig::default())
+                .unwrap();
         assert!(!res.segment.contains(m["model2"]));
     }
 }

@@ -13,8 +13,8 @@
 //! * [`boundary`] — exclusion predicates (`Bv`/`Be`) and expansions (`Bx`);
 //! * [`view`] — masked traversal view shared by all algorithms;
 //! * [`direct`] — `VC1` (vertices on direct paths);
-//! * [`tst`] — `SimProvTst`, the per-destination linear-time evaluator with
-//!   exact `VC2` induction (the default);
+//! * [`tst`] — `SimProvTst`, the per-destination evaluator over bit-parallel
+//!   path-length sets with exact `VC2` induction (the one induction runs);
 //! * [`alg`] — `SimProvAlg`, the rewritten-grammar worklist algorithm with
 //!   symmetry pruning and early stopping (pair-encoded flat worklist);
 //! * [`alg_reference`] — the seed `VecDeque` SimProvAlg loop, frozen as the

@@ -206,7 +206,7 @@ mod tests {
         for &src in &entities {
             for &dst in &entities {
                 let nv = similar_naive(&view, &[src], &[dst], NaiveBudget::default());
-                let ts = similar_tst(&view, &[src], &[dst], &TstConfig::default());
+                let ts = similar_tst(&view, &[src], &[dst], &TstConfig::default()).unwrap();
                 assert!(!nv.stats.dnf);
                 assert_eq!(nv.answer, ts.answer, "answer src={src} dst={dst}");
                 assert_eq!(nv.vc2, ts.vc2, "vc2 src={src} dst={dst}");

@@ -9,10 +9,11 @@ use std::time::Duration;
 pub struct EvalStats {
     /// Wall-clock time spent in the evaluator.
     pub elapsed: Duration,
-    /// Work units: derived facts (CflrB/SimProvAlg), level entries
-    /// (SimProvTst) or materialized paths (naive).
+    /// Work units: derived facts (CflrB/SimProvAlg), 64-bit word operations
+    /// on path-length sets (SimProvTst) or materialized paths (naive).
     pub work: u64,
-    /// Approximate peak heap bytes of the evaluator's tables.
+    /// Approximate peak heap bytes of the evaluator's tables (SimProvTst:
+    /// the length arena plus its per-vertex tables, by capacity).
     pub memory_bytes: usize,
     /// True when the evaluator gave up (budget exhausted) — only the naive
     /// Cypher-style evaluator can DNF.

@@ -23,7 +23,6 @@ use crate::tst::{similar_tst, TstConfig};
 use crate::view::MaskedGraph;
 use prov_bitset::SetBackend;
 use prov_model::{VertexId, VertexKind};
-use prov_store::hash::FxHashMap;
 use prov_store::{ProvGraph, ProvIndex, StoreError, StoreResult};
 use std::sync::Arc;
 
@@ -91,7 +90,11 @@ pub struct PgSegOptions {
     /// Similarity evaluator for [`evaluate_similarity`] (benchmarks sweep
     /// this; `SimProvTst` by default). Not consulted by induction.
     pub evaluator: SimilarEvaluator,
-    /// Temporal early stopping (SimProvAlg/SimProvTst).
+    /// Early stopping. For SimProvTst — so for induction — a pure work
+    /// bound: the kernel cuts its length axis at the farthest source, which is
+    /// exact whatever the vertex births are, and answers identically with it
+    /// off. SimProvAlg's version ([`evaluate_similarity`] only) is the paper's
+    /// temporal rule and does assume births respect generation/usage order.
     pub early_stop: bool,
     /// Symmetric-pair pruning (SimProvAlg, so [`evaluate_similarity`] only).
     pub symmetric_prune: bool,
@@ -111,14 +114,18 @@ impl Default for PgSegOptions {
 }
 
 /// Run just the similarity evaluation (`L(SimProv)`-reachability) with the
-/// configured evaluator — the benchmark kernel of Fig. 5(a)–(d).
+/// configured evaluator — the benchmark kernel of Fig. 5(a)–(d). Only
+/// SimProvTst can fail (on a cyclic graph).
 pub fn evaluate_similarity(
     view: &MaskedGraph<'_>,
     vsrc: &[VertexId],
     vdst: &[VertexId],
     opts: &PgSegOptions,
-) -> SimilarOutcome {
-    match opts.evaluator {
+) -> StoreResult<SimilarOutcome> {
+    Ok(match opts.evaluator {
+        SimilarEvaluator::SimProvTst => {
+            similar_tst(view, vsrc, vdst, &TstConfig { early_stop: opts.early_stop })?
+        }
         SimilarEvaluator::Naive => similar_naive(view, vsrc, vdst, opts.naive_budget),
         SimilarEvaluator::CflrB(backend) => {
             similar_cflr(view, vsrc, vdst, GrammarForm::NormalFig6, backend)
@@ -136,13 +143,7 @@ pub fn evaluate_similarity(
                 _ => similar_alg_bitset(view, vsrc, vdst, &cfg),
             }
         }
-        SimilarEvaluator::SimProvTst => similar_tst(
-            view,
-            vsrc,
-            vdst,
-            &TstConfig { early_stop: opts.early_stop, max_levels: None, compressed_sets: false },
-        ),
-    }
+    })
 }
 
 /// The borrow-based core of a PgSeg evaluation: the compiled mask plus the
@@ -171,9 +172,8 @@ impl SessionState {
             None
         };
         let view = MaskedGraph::new(index, mask.as_ref());
-        let tst_cfg =
-            TstConfig { early_stop: opts.early_stop, max_levels: None, compressed_sets: false };
-        let mut cached = induce(graph, &view, &query.vsrc, &query.vdst, mask.as_ref(), &tst_cfg);
+        let tst_cfg = TstConfig { early_stop: opts.early_stop };
+        let mut cached = induce(graph, &view, &query.vsrc, &query.vdst, mask.as_ref(), &tst_cfg)?;
         // Apply the query's own expansion boundaries immediately.
         for exp in &query.boundary.expansions {
             apply_expansion(graph, &view, &mut cached, &exp.roots, exp.k, mask.as_ref());
@@ -189,12 +189,13 @@ impl SessionState {
     fn restrict(&mut self, graph: &ProvGraph, extra: &Boundary) {
         let mask = extra.compile(graph);
         let seg = &self.cached.segment;
-        let mut cat_map: FxHashMap<VertexId, Categories> = FxHashMap::default();
-        for (&v, &c) in seg.vertices.iter().zip(seg.categories.iter()) {
-            if mask.vertex(v) {
-                cat_map.insert(v, c);
-            }
-        }
+        let members = seg
+            .vertices
+            .iter()
+            .zip(seg.categories.iter())
+            .filter(|(&v, _)| mask.vertex(v))
+            .map(|(&v, &c)| (v, c))
+            .collect();
         // Exclusions accumulate: fold the new criteria into the session
         // mask so later expansions cannot resurrect what was restricted.
         let combined = match self.mask.take() {
@@ -205,7 +206,7 @@ impl SessionState {
             }
         };
         self.cached.segment =
-            SegmentGraph::assemble(graph, &self.query.vsrc, &self.query.vdst, &cat_map, |e| {
+            SegmentGraph::assemble(graph, &self.query.vsrc, &self.query.vdst, members, |e| {
                 combined.edge(e)
             });
         self.mask = Some(combined);
@@ -302,17 +303,17 @@ fn apply_expansion(
     k: u32,
     mask: Option<&crate::boundary::Mask>,
 ) {
-    let added = expansion_vertices(view, roots, k);
     let seg = &cached.segment;
-    let mut cat_map: FxHashMap<VertexId, Categories> =
-        seg.vertices.iter().zip(seg.categories.iter()).map(|(&v, &c)| (v, c)).collect();
-    for v in added {
-        let entry = cat_map.entry(v).or_insert_with(Categories::none);
-        *entry = entry.union(Categories::EXPANDED);
+    let mut members: Vec<(VertexId, Categories)> =
+        seg.vertices.iter().copied().zip(seg.categories.iter().copied()).collect();
+    for v in expansion_vertices(view, roots, k) {
+        match seg.vertices.binary_search(&v) {
+            Ok(i) => members[i].1 = members[i].1.union(Categories::EXPANDED),
+            Err(_) => members.push((v, Categories::EXPANDED)),
+        }
     }
     let edge_ok = |e| mask.is_none_or(|m| m.edge(e));
-    cached.segment =
-        SegmentGraph::assemble(graph, &seg.vsrc.clone(), &seg.vdst.clone(), &cat_map, edge_ok);
+    cached.segment = SegmentGraph::assemble(graph, &seg.vsrc, &seg.vdst, members, edge_ok);
 }
 
 /// One-shot convenience: evaluate a PgSeg query end to end against borrowed
@@ -379,6 +380,31 @@ mod tests {
     }
 
     #[test]
+    fn cyclic_graph_is_an_error_from_both_entry_points() {
+        // `add_edge` type-checks each edge and nothing else, so it can close
+        // e0 -G-> a1 -U-> e2 -G-> a3 -U-> e0.
+        let mut g = ProvGraph::new();
+        let e0 = g.add_entity("e0");
+        let a1 = g.add_activity("a1");
+        let e2 = g.add_entity("e2");
+        let a3 = g.add_activity("a3");
+        g.add_edge(EdgeKind::WasGeneratedBy, e0, a1).unwrap();
+        g.add_edge(EdgeKind::Used, a1, e2).unwrap();
+        g.add_edge(EdgeKind::WasGeneratedBy, e2, a3).unwrap();
+        g.add_edge(EdgeKind::Used, a3, e0).unwrap();
+        let idx = ProvIndex::build(&g);
+        let query = PgSegQuery::between(vec![e0], vec![e2]);
+        for early_stop in [true, false] {
+            let opts = PgSegOptions { early_stop, ..PgSegOptions::default() };
+            let oneshot = pgseg(&g, &idx, query.clone(), &opts);
+            assert!(matches!(oneshot, Err(StoreError::CycleDetected { .. })), "{oneshot:?}");
+        }
+        let session =
+            PgSegSession::open(Arc::new(g), Arc::new(idx), query, &PgSegOptions::default());
+        assert!(matches!(session, Err(StoreError::CycleDetected { .. })), "{session:?}");
+    }
+
+    #[test]
     fn all_evaluators_available_through_options() {
         let (g, idx, ids) = chain();
         let view = MaskedGraph::unmasked(&idx);
@@ -392,7 +418,7 @@ mod tests {
             SimilarEvaluator::SimProvTst,
         ] {
             let opts = PgSegOptions { evaluator, ..PgSegOptions::default() };
-            answers.push(evaluate_similarity(&view, &[ids[0]], &[ids[4]], &opts).answer);
+            answers.push(evaluate_similarity(&view, &[ids[0]], &[ids[4]], &opts).unwrap().answer);
         }
         for pair in answers.windows(2) {
             assert_eq!(pair[0], pair[1]);

@@ -2,7 +2,6 @@
 //! `S(VS, ES) ⊆ G` with `VS = Vsrc ∪ Vdst ∪ Vind` and `ES = E ∩ VS × VS`.
 
 use prov_model::{EdgeId, VertexId};
-use prov_store::hash::FxHashMap;
 use prov_store::ProvGraph;
 
 /// Why a vertex is part of the segment (a vertex can qualify several ways).
@@ -111,29 +110,35 @@ impl SegmentGraph {
             .collect()
     }
 
-    /// Build a segment from a category map, inducing `ES = E ∩ VS×VS` from the
-    /// backing graph (optionally dropping edges excluded by the boundary).
+    /// Build a segment from its members (each vertex once, in any order),
+    /// inducing `ES = E ∩ VS×VS` from the backing graph (optionally dropping
+    /// edges excluded by the boundary). Linear in the members' degrees, times
+    /// the `log` of one membership probe per out-edge.
     pub fn assemble(
         graph: &ProvGraph,
         vsrc: &[VertexId],
         vdst: &[VertexId],
-        cat_map: &FxHashMap<VertexId, Categories>,
+        mut members: Vec<(VertexId, Categories)>,
         edge_ok: impl Fn(EdgeId) -> bool,
     ) -> SegmentGraph {
-        let mut vertices: Vec<VertexId> = cat_map.keys().copied().collect();
-        vertices.sort_unstable();
-        let categories: Vec<Categories> = vertices.iter().map(|v| cat_map[v]).collect();
-        let mut edges: Vec<EdgeId> = Vec::new();
-        // Scan out-edges of the segment's vertices: linear in their degrees.
-        for &v in &vertices {
+        members.sort_unstable_by_key(|&(v, _)| v);
+        let (vertices, categories) = members.into_iter().unzip();
+        let mut seg = SegmentGraph {
+            vsrc: vsrc.to_vec(),
+            vdst: vdst.to_vec(),
+            vertices,
+            categories,
+            edges: Vec::new(),
+        };
+        for &v in &seg.vertices {
             for (eid, rec) in graph.out_edges(v) {
-                if edge_ok(eid) && cat_map.contains_key(&rec.dst) {
-                    edges.push(eid);
+                if edge_ok(eid) && seg.contains(rec.dst) {
+                    seg.edges.push(eid);
                 }
             }
         }
-        edges.sort_unstable();
-        SegmentGraph { vsrc: vsrc.to_vec(), vdst: vdst.to_vec(), vertices, categories, edges }
+        seg.edges.sort_unstable();
+        seg
     }
 
     /// Render as Graphviz DOT (names + category tags), for the examples.
@@ -196,11 +201,8 @@ mod tests {
     #[test]
     fn assemble_induces_interior_edges() {
         let (g, d, t, w) = tiny();
-        let mut cat: FxHashMap<VertexId, Categories> = FxHashMap::default();
-        cat.insert(d, Categories::SRC);
-        cat.insert(t, Categories::DIRECT);
-        cat.insert(w, Categories::DST);
-        let seg = SegmentGraph::assemble(&g, &[d], &[w], &cat, |_| true);
+        let cat = vec![(w, Categories::DST), (d, Categories::SRC), (t, Categories::DIRECT)];
+        let seg = SegmentGraph::assemble(&g, &[d], &[w], cat, |_| true);
         assert_eq!(seg.vertex_count(), 3);
         assert_eq!(seg.edge_count(), 2);
         assert!(seg.contains(t));
@@ -211,25 +213,20 @@ mod tests {
     #[test]
     fn assemble_respects_edge_filter_and_membership() {
         let (g, d, t, w) = tiny();
-        let mut cat: FxHashMap<VertexId, Categories> = FxHashMap::default();
-        cat.insert(d, Categories::SRC);
-        cat.insert(t, Categories::DIRECT);
+        let cat = vec![(d, Categories::SRC), (t, Categories::DIRECT)];
         // w not in the segment: its wasGeneratedBy edge must be dropped.
-        let seg = SegmentGraph::assemble(&g, &[d], &[w], &cat, |_| true);
+        let seg = SegmentGraph::assemble(&g, &[d], &[w], cat.clone(), |_| true);
         assert_eq!(seg.edge_count(), 1);
         // Edge filter drops everything.
-        let seg2 = SegmentGraph::assemble(&g, &[d], &[w], &cat, |_| false);
+        let seg2 = SegmentGraph::assemble(&g, &[d], &[w], cat, |_| false);
         assert_eq!(seg2.edge_count(), 0);
     }
 
     #[test]
     fn dot_output_contains_names_and_kinds() {
         let (g, d, t, w) = tiny();
-        let mut cat: FxHashMap<VertexId, Categories> = FxHashMap::default();
-        cat.insert(d, Categories::SRC);
-        cat.insert(t, Categories::DIRECT);
-        cat.insert(w, Categories::DST);
-        let seg = SegmentGraph::assemble(&g, &[d], &[w], &cat, |_| true);
+        let cat = vec![(w, Categories::DST), (d, Categories::SRC), (t, Categories::DIRECT)];
+        let seg = SegmentGraph::assemble(&g, &[d], &[w], cat, |_| true);
         let dot = seg.to_dot(&g);
         assert!(dot.contains("digraph"));
         assert!(dot.contains("shape=box"));

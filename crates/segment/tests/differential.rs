@@ -50,6 +50,24 @@ fn build_graph(seed_entities: usize, plans: &[ActivityPlan]) -> (ProvGraph, Vec<
     (g, entities)
 }
 
+/// The same graph with its vertex ids (= births) shuffled: vertex `v` of `g`
+/// becomes the vertex created `rank of keys[v]`-th. Nothing in a document the
+/// store imports ties ids to creation order, so no evaluator may rely on it.
+fn renumbered(g: &ProvGraph, keys: &[u32]) -> (ProvGraph, Vec<VertexId>) {
+    let mut by_key: Vec<VertexId> = g.vertex_ids().collect();
+    by_key.sort_by_key(|v| (keys[v.index()], *v));
+    let mut renamed = vec![VertexId::new(0); g.vertex_count()];
+    let mut out = ProvGraph::new();
+    for old in by_key {
+        renamed[old.index()] = out.add_vertex(g.vertex_kind(old), g.vertex_name(old)).unwrap();
+    }
+    for eid in g.edge_ids() {
+        let e = g.edge(eid);
+        out.add_edge(e.kind, renamed[e.src.index()], renamed[e.dst.index()]).unwrap();
+    }
+    (out, renamed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -81,7 +99,7 @@ proptest! {
         let mut answers = Vec::new();
         for ev in evaluators {
             let opts = PgSegOptions { evaluator: ev, ..PgSegOptions::default() };
-            let out = evaluate_similarity(&view, &vsrc, &vdst, &opts);
+            let out = evaluate_similarity(&view, &vsrc, &vdst, &opts).unwrap();
             prop_assert!(!out.stats.dnf, "naive must finish on small graphs");
             answers.push((ev, out.answer));
         }
@@ -108,7 +126,7 @@ proptest! {
         let view = MaskedGraph::unmasked(&idx);
         let vsrc = vec![*src_pick.get(&entities)];
         let vdst = vec![*dst_pick.get(&entities)];
-        let tst = similar_tst(&view, &vsrc, &vdst, &TstConfig::default());
+        let tst = similar_tst(&view, &vsrc, &vdst, &TstConfig::default()).unwrap();
         let naive = similar_naive(&view, &vsrc, &vdst, NaiveBudget::default());
         prop_assert!(!naive.stats.dnf);
         prop_assert_eq!(tst.answer, naive.answer);
@@ -127,13 +145,9 @@ proptest! {
         let view = MaskedGraph::unmasked(&idx);
         let vsrc = vec![*src_pick.get(&entities)];
         let vdst = vec![*dst_pick.get(&entities)];
-        let reference = similar_tst(
-            &view,
-            &vsrc,
-            &vdst,
-            &TstConfig { early_stop: false, max_levels: None, compressed_sets: false },
-        );
-        let fast = similar_tst(&view, &vsrc, &vdst, &TstConfig::default());
+        let reference =
+            similar_tst(&view, &vsrc, &vdst, &TstConfig { early_stop: false }).unwrap();
+        let fast = similar_tst(&view, &vsrc, &vdst, &TstConfig::default()).unwrap();
         prop_assert_eq!(&reference.answer, &fast.answer);
         prop_assert_eq!(&reference.vc2, &fast.vc2);
 
@@ -145,7 +159,7 @@ proptest! {
                     symmetric_prune,
                     ..PgSegOptions::default()
                 };
-                let out = evaluate_similarity(&view, &vsrc, &vdst, &opts);
+                let out = evaluate_similarity(&view, &vsrc, &vdst, &opts).unwrap();
                 prop_assert_eq!(
                     &reference.answer,
                     &out.answer,
@@ -155,6 +169,39 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn early_stop_is_a_pure_work_bound_under_any_vertex_numbering(
+        seed_entities in 1..4usize,
+        plans in proptest::collection::vec(activity_plan(), 1..10),
+        keys in proptest::collection::vec(any::<u32>(), 40..41),
+        src_pick in any::<prop::sample::Index>(),
+        dst_pick in any::<prop::sample::Index>(),
+    ) {
+        let (g, entities) = build_graph(seed_entities, &plans);
+        let (shuffled, renamed) = renumbered(&g, &keys);
+        let idx = ProvIndex::build(&shuffled);
+        let view = MaskedGraph::unmasked(&idx);
+        let vsrc = vec![renamed[src_pick.get(&entities).index()]];
+        let vdst = vec![renamed[dst_pick.get(&entities).index()]];
+        let on = similar_tst(&view, &vsrc, &vdst, &TstConfig { early_stop: true }).unwrap();
+        let off = similar_tst(&view, &vsrc, &vdst, &TstConfig { early_stop: false }).unwrap();
+        prop_assert_eq!(&on.answer, &off.answer);
+        prop_assert_eq!(&on.vc2, &off.vc2);
+        prop_assert!(on.stats.work <= off.stats.work);
+        // And both are the answer of the graph in creation order.
+        let idx = ProvIndex::build(&g);
+        let ordered = similar_tst(
+            &MaskedGraph::unmasked(&idx),
+            &[*src_pick.get(&entities)],
+            &[*dst_pick.get(&entities)],
+            &TstConfig::default(),
+        )
+        .unwrap();
+        let mut expect: Vec<VertexId> = ordered.answer.iter().map(|v| renamed[v.index()]).collect();
+        expect.sort_unstable();
+        prop_assert_eq!(&on.answer, &expect);
     }
 
     #[test]

@@ -55,6 +55,15 @@ query-test:
     cargo test -q -p prov-api --test query_cursor_stability
     cargo test -q -p prov --test cypher_query1
 
+# The SimProv differential suites alone, optimized: every evaluator against
+# path enumeration on small DAGs, the constrained and worklist variants, and
+# SimProvTst against its level-set definition on Pd graphs up to 2,000
+# vertices, deep DAGs around word boundaries, masks and the two memory bounds.
+# `--release` because that last oracle is the quadratic one.
+segment-test:
+    cargo test -q --release -p prov-segment --test differential --test constrained \
+        --test worklist_equivalence --test tst_scale
+
 # The durability suites alone: the kill-point sweep (recovery at every WAL
 # byte offset lands on a committed-batch prefix, group appends included), the
 # random ingest/crash/restart/query proptest (fsync/group/lazy policy sweep),

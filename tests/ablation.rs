@@ -92,21 +92,21 @@ fn early_stopping_prunes_late_source_queries() {
 
 #[test]
 fn per_destination_transitivity_beats_pair_facts_at_scale() {
-    // The SimProvTst vs SimProvAlg trade-off (Fig. 5(a)'s crossover): at a
-    // few thousand vertices the level-set evaluation does not trail the pair
-    // relation by more than a small factor, and both answer identically.
+    // The SimProvTst vs SimProvAlg gap of Fig. 5(a): one bitset of path
+    // lengths per vertex against a table of entity pairs. A same-run ratio,
+    // measured at 21-25x in a debug build and 44-54x in release at this size;
+    // the test asks only for the order.
     let (graph, index) = instance(3000);
     let view = MaskedGraph::unmasked(&index);
     let (vsrc, vdst) = standard_query(&graph, 2);
     let t0 = std::time::Instant::now();
-    let tst = similar_tst(&view, &vsrc, &vdst, &TstConfig::default());
+    let tst = similar_tst(&view, &vsrc, &vdst, &TstConfig::default()).unwrap();
     let tst_time = t0.elapsed();
     let t0 = std::time::Instant::now();
     let alg = similar_alg_bitset(&view, &vsrc, &vdst, &AlgConfig::paper_default());
     let alg_time = t0.elapsed();
     assert_eq!(tst.answer, alg.answer);
-    // Generous bound: Tst should not be an order of magnitude slower.
-    assert!(tst_time < alg_time * 10 + std::time::Duration::from_millis(50));
+    assert!(tst_time < alg_time, "SimProvTst {tst_time:?} vs SimProvAlg {alg_time:?}");
 }
 
 #[test]
@@ -128,8 +128,8 @@ fn compressed_tables_memory_advantage_grows_with_scale() {
             evaluator: SimilarEvaluator::SimProvAlg(SetBackend::Compressed),
             ..PgSegOptions::default()
         };
-        let bit = evaluate_similarity(&view, &vsrc, &vdst, &opts_bit);
-        let cbm = evaluate_similarity(&view, &vsrc, &vdst, &opts_cbm);
+        let bit = evaluate_similarity(&view, &vsrc, &vdst, &opts_bit).unwrap();
+        let cbm = evaluate_similarity(&view, &vsrc, &vdst, &opts_cbm).unwrap();
         assert_eq!(bit.answer, cbm.answer, "backends must agree at n={n}");
         cbm.stats.memory_bytes as f64 / bit.stats.memory_bytes.max(1) as f64
     };

@@ -132,7 +132,7 @@ fn ir_pipelines_match_cypher_plan_and_operators() {
         let ir = cypher_query1_ir(&ex.graph, &index, &vsrc, &vdst);
         let cypher = cypher_query1(&ex.graph, &vsrc, &vdst);
         assert_eq!(ir, cypher, "IR join vs pattern plan on src={vsrc:?} dst={vdst:?}");
-        let operator = evaluate_similarity(&view, &vsrc, &vdst, &PgSegOptions::default());
+        let operator = evaluate_similarity(&view, &vsrc, &vdst, &PgSegOptions::default()).unwrap();
         assert_eq!(ir, operator.answer, "IR join vs SimProvTst on src={vsrc:?} dst={vdst:?}");
     }
 }
@@ -151,7 +151,7 @@ fn cypher_plan_matches_all_operator_evaluators() {
     ];
     for (vsrc, vdst) in cases {
         let cypher = cypher_query1(&ex.graph, &vsrc, &vdst);
-        let operator = evaluate_similarity(&view, &vsrc, &vdst, &PgSegOptions::default());
+        let operator = evaluate_similarity(&view, &vsrc, &vdst, &PgSegOptions::default()).unwrap();
         assert_eq!(
             cypher, operator.answer,
             "Cypher plan vs SimProvTst on src={vsrc:?} dst={vdst:?}"
@@ -200,6 +200,6 @@ fn cypher_plan_materializes_exponentially_more_paths_than_needed() {
     let index = ProvIndex::build(&g);
     let view = MaskedGraph::unmasked(&index);
     let src = VertexId::new(0);
-    let out = evaluate_similarity(&view, &[src], &[prev], &PgSegOptions::default());
+    let out = evaluate_similarity(&view, &[src], &[prev], &PgSegOptions::default()).unwrap();
     assert!(out.answer.contains(&src));
 }

@@ -23,7 +23,7 @@ fn pd_graph_segmentation_evaluators_agree_at_scale() {
         SimilarEvaluator::SimProvTst,
     ] {
         let opts = PgSegOptions { evaluator, ..PgSegOptions::default() };
-        answers.push((evaluator, evaluate_similarity(&view, &vsrc, &vdst, &opts).answer));
+        answers.push((evaluator, evaluate_similarity(&view, &vsrc, &vdst, &opts).unwrap().answer));
     }
     for w in answers.windows(2) {
         assert_eq!(w[0].1, w[1].1, "{:?} vs {:?}", w[0].0, w[1].0);
@@ -98,12 +98,12 @@ fn pd_graph_survives_json_round_trip() {
     let a = {
         let idx = ProvIndex::build(&graph);
         let view = MaskedGraph::unmasked(&idx);
-        evaluate_similarity(&view, &vsrc, &vdst, &PgSegOptions::default()).answer
+        evaluate_similarity(&view, &vsrc, &vdst, &PgSegOptions::default()).unwrap().answer
     };
     let b = {
         let idx = ProvIndex::build(&back);
         let view = MaskedGraph::unmasked(&idx);
-        evaluate_similarity(&view, &vsrc, &vdst, &PgSegOptions::default()).answer
+        evaluate_similarity(&view, &vsrc, &vdst, &PgSegOptions::default()).unwrap().answer
     };
     assert_eq!(a, b);
 }
@@ -118,15 +118,15 @@ fn early_stopping_saves_work_on_late_sources() {
     let late_src = prov_workload::sources_at_percentile(&graph, 80.0, 2);
     let early_src = prov_workload::sources_at_percentile(&graph, 0.0, 2);
 
-    let cfg_on = TstConfig { early_stop: true, max_levels: None, compressed_sets: false };
-    let cfg_off = TstConfig { early_stop: false, max_levels: None, compressed_sets: false };
+    let cfg_on = TstConfig { early_stop: true };
+    let cfg_off = TstConfig { early_stop: false };
     // Late sources: pruned run does much less work.
-    let late_on = similar_tst(&view, &late_src, &vdst, &cfg_on);
-    let late_off = similar_tst(&view, &late_src, &vdst, &cfg_off);
+    let late_on = similar_tst(&view, &late_src, &vdst, &cfg_on).unwrap();
+    let late_off = similar_tst(&view, &late_src, &vdst, &cfg_off).unwrap();
     assert_eq!(late_on.answer, late_off.answer);
     assert!(late_on.stats.work <= late_off.stats.work);
     // Early sources: both explore roughly everything.
-    let early_on = similar_tst(&view, &early_src, &vdst, &cfg_on);
-    let early_off = similar_tst(&view, &early_src, &vdst, &cfg_off);
+    let early_on = similar_tst(&view, &early_src, &vdst, &cfg_on).unwrap();
+    let early_off = similar_tst(&view, &early_src, &vdst, &cfg_off).unwrap();
     assert_eq!(early_on.answer, early_off.answer);
 }
