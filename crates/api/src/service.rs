@@ -79,19 +79,10 @@ impl ProvService {
         &self.db
     }
 
-    /// The query parallelism the wrapped database serves with (see
-    /// [`ProvDb::parallelism`]).
-    pub fn parallelism(&self) -> usize {
-        self.db.parallelism()
-    }
-
-    /// Pin the database's query parallelism (`1` forces the sequential
-    /// engines, `0` restores the track-the-pool default). Answers are
-    /// identical at any value — the wire contract does not move — so a
-    /// deployment can tune this freely.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.db.set_parallelism(threads);
-    }
+    /// Inert: every request runs on the caller's thread. Kept only because
+    /// `benchmark/src/harness.rs:224` calls `set_parallelism(1)`; ROADMAP
+    /// items 6(d)/7(c) delete it with that crate's next change.
+    pub fn set_parallelism(&mut self, _threads: usize) {}
 
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
@@ -351,7 +342,6 @@ impl ProvService {
             self.resumptions += 1;
         }
         let resumptions = self.resumptions;
-        let threads = self.db.parallelism();
         let lowered = match &r.query {
             QuerySpec::Pipeline(p) => Some(p.clone()),
             QuerySpec::Pattern(p) => prov_store::lower_pattern(p),
@@ -383,7 +373,7 @@ impl ProvService {
                     Some(c) => c.watermark(),
                     None => index.cursor(),
                 };
-                let output = prov_store::evaluate_at(graph, index, &plan, watermark, threads)?;
+                let output = prov_store::evaluate_at(graph, index, &plan, watermark, 1)?;
                 let page =
                     prov_store::paginate(&output.rows, watermark, r.cursor.as_ref(), r.page_size);
                 let mut stats = Stats::sized(page.rows.len(), 0);

@@ -719,3 +719,62 @@ fn stats_snapshot_field_is_optional_on_the_wire() {
         other => panic!("{other:?}"),
     }
 }
+
+/// `set_parallelism` is inert: every request runs on the caller's thread, so
+/// an `Import` + paginated `Query` (first page and a resumed one) + `Lineage`
+/// transcript is byte-identical at any width. [`ManualClock`] freezes the
+/// latency stamps, so the comparison covers every byte of every response.
+#[test]
+fn set_parallelism_does_not_change_the_wire() {
+    let doc = {
+        let mut exporter = ProvService::new();
+        ingest_pipeline(&mut exporter, 6);
+        match exporter.handle(&Request::Export(ExportRequest {})) {
+            Response::Document(d) => d.json,
+            other => panic!("{other:?}"),
+        }
+    };
+    let page = |cursor| {
+        let ancestry = [
+            (EdgeKind::WasGeneratedBy, prov_store::Direction::Out),
+            (EdgeKind::Used, prov_store::Direction::Out),
+        ];
+        let request = Request::Query(QueryRequest {
+            query: QuerySpec::Pipeline(
+                prov_store::Pipeline::from_kind(VertexKind::Entity).traverse(&ancestry, 1, 3),
+            ),
+            session: None,
+            page_size: Some(3),
+            cursor,
+            max_expansions: None,
+            max_paths: None,
+        });
+        serde_json::to_string(&request).unwrap()
+    };
+    let lineage = serde_json::to_string(&Request::Lineage(LineageRequest {
+        entity: "weights-v6".into(),
+        direction: LineageDir::Ancestors,
+        max_hops: None,
+    }))
+    .unwrap();
+
+    let transcript = |threads| {
+        let mut service = ProvService::with_clock(Box::new(ManualClock::new()));
+        service.set_parallelism(threads);
+        let imported = service.handle(&Request::Import(ImportRequest { json: doc.clone() }));
+        let mut wire = vec![serde_json::to_string(&imported).unwrap()];
+        wire.push(service.handle_json(&page(None)));
+        let cursor = match serde_json::from_str(&wire[1]).unwrap() {
+            Response::Query(q) => q.cursor.expect("three rows of a longer answer leave a cursor"),
+            other => panic!("{other:?}"),
+        };
+        wire.push(service.handle_json(&page(Some(cursor))));
+        wire.push(service.handle_json(&lineage));
+        wire
+    };
+    let sequential = transcript(1);
+    for response in &sequential {
+        assert!(!response.contains("\"Error\""), "{response}");
+    }
+    assert_eq!(transcript(8), sequential);
+}

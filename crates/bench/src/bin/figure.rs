@@ -18,7 +18,7 @@
 //! # The serving-loop trajectory (`fig7` shorthand for 7a 7b 7c):
 //! cargo run -p prov-bench --release -- --quick fig7 --json BENCH_fig7.json
 //!
-//! # The query-layer trajectory (`fig8` shorthand for 8a 8b 8t):
+//! # The query-layer trajectory (`fig8` shorthand for 8a 8b):
 //! cargo run -p prov-bench --release -- --quick fig8 --json BENCH_fig8.json
 //!
 //! # The cold-start recovery trajectory (`coldstart` shorthand for cs):

@@ -162,7 +162,7 @@ pub fn fig7b(scale: Scale, cache: &mut PdCache) -> FigureResult {
             // they are inside every `ProvDb::lineage`.
             let plan = Plan::compile(compile_lineage(v, dir, LineageBound::Unbounded))
                 .expect("lineage pipelines always compile");
-            evaluate(inst.graph(), inst.index(), &plan, 1)
+            evaluate(inst.graph(), inst.index(), &plan)
                 .expect("a fresh snapshot is never stale")
                 .rows
         }),

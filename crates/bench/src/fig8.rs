@@ -3,7 +3,7 @@
 //!
 //! PR 8 compiled every fixed-shape read path onto the composable query IR
 //! (`StartSet → Traverse/Filter/Limit → Project`) with wire-level resumable
-//! cursors. The three sweeps here gate the new layer:
+//! cursors. The two sweeps here gate the new layer:
 //!
 //! * **8a** — pipeline latency by depth and result size: x chained
 //!   single-hop ancestry steps from start entities at three creation-order
@@ -14,19 +14,13 @@
 //!   evaluation of the same unbounded ancestry closure, swept over the page
 //!   size. Both series report the same total row count — the concatenation
 //!   invariant in the committed JSON.
-//! * **8t** — query thread scaling: the chunked level-parallel frontier at
-//!   x chunks against the sequential engine on the same plan, fan-out
-//!   threshold forced to 2 so every multi-vertex level exercises the
-//!   chunked path. `work` is the closure size, identical everywhere by the
-//!   byte-stability guarantee.
 //!
-//! All three run over cached `Pd` instances ([`PdCache`]) and are committed
+//! Both run over cached `Pd` instances ([`PdCache`]) and are committed
 //! as `BENCH_fig8.json` through [`crate::BenchReport`], gated in CI next to
 //! fig5–fig7.
 
 use crate::harness::{FigureResult, PdCache, Point, Scale, Series};
 use prov_model::{EdgeKind, VertexId, VertexKind};
-use prov_store::query::evaluate_with_frontier_min;
 use prov_store::{evaluate, evaluate_at, paginate, Direction, Pipeline, Plan, ProvGraph, Traverse};
 use prov_workload::PdParams;
 use std::time::Instant;
@@ -43,7 +37,7 @@ fn entity_at(graph: &ProvGraph, pct: f64) -> VertexId {
 }
 
 /// The unbounded ancestry closure of `start` as a compiled plan — the IR
-/// form of `lineage(start, Ancestors)`, the 8b/8t subject.
+/// form of `lineage(start, Ancestors)`, the 8b subject.
 fn closure_plan(start: VertexId) -> Plan {
     Plan::compile(Pipeline::from_ids(vec![start]).traverse(&ANCESTRY, 1, Traverse::UNBOUNDED))
         .expect("ancestry pipelines always compile")
@@ -84,7 +78,7 @@ fn fig8a_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
             for _ in 0..3 {
                 let t0 = Instant::now();
                 for _ in 0..reps {
-                    rows = evaluate(inst.graph(), inst.index(), &plan, 1)
+                    rows = evaluate(inst.graph(), inst.index(), &plan)
                         .expect("a fresh snapshot is never stale")
                         .count;
                 }
@@ -132,7 +126,7 @@ fn fig8b_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
         for _ in 0..3 {
             let t0 = Instant::now();
             for _ in 0..reps {
-                rows[0] = evaluate(inst.graph(), inst.index(), &plan, 1)
+                rows[0] = evaluate(inst.graph(), inst.index(), &plan)
                     .expect("a fresh snapshot is never stale")
                     .count;
             }
@@ -178,77 +172,6 @@ fn fig8b_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
     }
 }
 
-/// Chunk counts swept by the `8t` thread-scaling figure.
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Fig. 8(t): query thread scaling — the chunked level-parallel frontier at
-/// x chunks against the sequential engine on the same compiled plan.
-pub fn fig8t(scale: Scale, cache: &mut PdCache) -> FigureResult {
-    let (n, reps) = match scale {
-        Scale::Quick => (5_000, 64),
-        Scale::Full => (50_000, 16),
-    };
-    fig8t_sized(cache, n, reps)
-}
-
-fn fig8t_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
-    let inst = cache.instance(&PdParams::with_size(n));
-    let plan = closure_plan(entity_at(inst.graph(), 95.0));
-    let watermark = inst.index().cursor();
-    let mut series = [
-        Series { name: "Sequential".into(), points: Vec::new() },
-        Series { name: "Parallel".into(), points: Vec::new() },
-    ];
-    for &threads in &THREAD_SWEEP {
-        let mut best = [f64::INFINITY; 2];
-        let mut rows = [0u64; 2];
-        for _ in 0..3 {
-            // Best-of-3 batches of `reps` calls, like 8b.
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                rows[0] = evaluate(inst.graph(), inst.index(), &plan, 1)
-                    .expect("a fresh snapshot is never stale")
-                    .count;
-            }
-            best[0] = best[0].min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                // Fan-out threshold forced to 2 so every multi-vertex level
-                // exercises the chunked path even below the production
-                // `PAR_FRONTIER_MIN`.
-                rows[1] = evaluate_with_frontier_min(
-                    inst.graph(),
-                    inst.index(),
-                    &plan,
-                    watermark,
-                    threads,
-                    2,
-                )
-                .expect("the frozen watermark stays valid")
-                .count;
-            }
-            best[1] = best[1].min(t0.elapsed().as_secs_f64());
-        }
-        for i in 0..2 {
-            series[i].points.push(Point {
-                x: threads as f64,
-                y: Some(best[i]),
-                work: Some(rows[i]),
-            });
-        }
-    }
-    FigureResult {
-        id: "8t",
-        title: format!(
-            "Query thread scaling: chunked level-parallel frontier at x chunks vs the sequential \
-             engine ({reps} ancestry closures per call, Pd{n})"
-        ),
-        x_label: "threads".into(),
-        y_label: "runtime (s)".into(),
-        series: series.to_vec(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,11 +200,5 @@ mod tests {
             assert_eq!(one_shot.work, paginated.work, "pages must concatenate losslessly");
             assert!(one_shot.work.unwrap() > 0);
         }
-
-        let fig = fig8t_sized(&mut cache, 500, 2);
-        assert_eq!(fig.id, "8t");
-        let works: Vec<u64> =
-            fig.series.iter().flat_map(|s| s.points.iter().map(|p| p.work.unwrap())).collect();
-        assert!(works.windows(2).all(|w| w[0] == w[1]), "chunking changed the answer: {works:?}");
     }
 }

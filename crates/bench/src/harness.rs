@@ -751,7 +751,6 @@ pub fn run_figure(
         "7c" => crate::fig7::fig7c(scale, pd),
         "8a" => crate::fig8::fig8a(scale, pd),
         "8b" => crate::fig8::fig8b(scale, pd),
-        "8t" => crate::fig8::fig8t(scale, pd),
         "cs" => crate::coldstart::figcs(scale),
         "10a" => crate::fig10::fig10a(scale),
         "10b" => crate::fig10::fig10b(scale),
@@ -761,10 +760,10 @@ pub fn run_figure(
 
 /// All figure ids in paper order (plus the worklist ablation, the
 /// summarization runtime sweeps, the serving-loop sweeps, and the
-/// query-layer sweeps with the one thread-scaling sweep, `8t`).
-pub const ALL_FIGURES: [&str; 21] = [
+/// query-layer sweeps).
+pub const ALL_FIGURES: [&str; 20] = [
     "5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "6a", "6b", "6c", "7a", "7b", "7c", "8a",
-    "8b", "8t", "cs", "10a", "10b",
+    "8b", "cs", "10a", "10b",
 ];
 
 /// The ids the JSON bench mode runs by default: the runtime sweeps
@@ -783,9 +782,8 @@ pub const FIG6_FIGURES: [&str; 3] = ["6a", "6b", "6c"];
 pub const FIG7_FIGURES: [&str; 3] = ["7a", "7b", "7c"];
 
 /// The query-layer trajectory committed as `BENCH_fig8.json`: IR pipeline
-/// latency by depth, the paginated cursor walk vs one-shot evaluation, and
-/// the chunked-frontier thread sweep.
-pub const FIG8_FIGURES: [&str; 3] = ["8a", "8b", "8t"];
+/// latency by depth and the paginated cursor walk vs one-shot evaluation.
+pub const FIG8_FIGURES: [&str; 2] = ["8a", "8b"];
 
 /// The cold-start trajectory committed as `BENCH_coldstart.json`: time back
 /// to a serving state after a restart — snapshot+tail recovery vs full WAL
@@ -877,12 +875,17 @@ mod tests {
 
     #[test]
     fn unknown_figure_id_is_none() {
-        assert!(run_figure("9z", Scale::Quick, &mut PdCache::new(), &mut SdCache::new()).is_none());
+        // "5t" and "8t" were the thread sweeps; their subjects are gone.
+        for gone in ["9z", "5t", "8t"] {
+            assert!(
+                run_figure(gone, Scale::Quick, &mut PdCache::new(), &mut SdCache::new()).is_none()
+            );
+        }
         for id in ALL_FIGURES {
             // Only check resolvability, not execution (expensive).
             assert!([
                 "5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "6a", "6b", "6c", "7a", "7b",
-                "7c", "8a", "8b", "8t", "cs", "10a", "10b"
+                "7c", "8a", "8b", "cs", "10a", "10b"
             ]
             .contains(&id));
         }

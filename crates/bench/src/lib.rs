@@ -9,9 +9,9 @@
 //! * [`fig7`] — the serving-loop sweeps (`7a`–`7c`: ingest/query
 //!   interleaving, seed vs query-IR lineage latency, session-open latency)
 //!   driven over a live `ProvDb`, committed as `BENCH_fig7.json`;
-//! * [`fig8`] — the query-layer sweeps (`8a`/`8b`/`8t`: IR pipeline latency
-//!   by depth, paginated cursor walk vs one-shot, chunked-frontier thread
-//!   scaling), committed as `BENCH_fig8.json`;
+//! * [`fig8`] — the query-layer sweeps (`8a`/`8b`: IR pipeline latency by
+//!   depth, paginated cursor walk vs one-shot), committed as
+//!   `BENCH_fig8.json`;
 //! * [`coldstart`] — the cold-start recovery sweep (`cs`: snapshot+tail
 //!   recovery vs full WAL replay vs in-memory re-ingest), committed as
 //!   `BENCH_coldstart.json`;

@@ -74,9 +74,7 @@ pub struct BenchReport {
     /// The command that regenerates this file.
     pub command: String,
     /// Hardware parallelism of the measuring machine (0 in reports written
-    /// before the field existed). Thread-sweep points (`8t`) only
-    /// show real speedups when this exceeds the swept chunk counts — a
-    /// single-core runner timeshares the workers.
+    /// before the field existed).
     #[serde(default)]
     pub host_threads: usize,
     /// Measured figures.

@@ -1,6 +1,6 @@
 //! Repo-specific lint rules rustc and clippy cannot express (ISSUE 7).
 //!
-//! Six textual rules over the workspace sources, each encoding a decision
+//! Five textual rules over the workspace sources, each encoding a decision
 //! the codebase already made and a regression that would silently undo it:
 //!
 //! * [`STD_COLLECTIONS`] — hash containers must come through
@@ -9,17 +9,10 @@
 //!   types' randomized hasher makes any iteration-order-dependent output
 //!   nondeterministic across runs — exactly what the reproduction's
 //!   byte-identical snapshot/summary guarantees forbid.
-//! * [`THREAD_SPAWN`] — no bare `thread::spawn`: all parallelism goes
-//!   through the vendored `rayon-core` pool, whose sync primitives route
-//!   through the `loom-lite` model-checking facade. A stray OS thread is
-//!   invisible to the model checker and to `PROV_THREADS` sizing.
 //! * [`NARROWING_CAST`] — no unchecked `as u8`/`as u16`/`as u32` narrowing
 //!   in the `prov-store`/`prov-segment` hot paths; the seed silently wrapped
 //!   ids past `u32::MAX`. In-range casts stay allowed with a justification
 //!   marker naming *why* the value fits.
-//! * [`RELAXED_ORDERING`] — no `Ordering::Relaxed` inside the vendored
-//!   executor: the loom-lite model checks it under sequential consistency,
-//!   so the real build must not run weaker than what was verified.
 //! * [`CSR_TRAVERSAL`] — no direct CSR adjacency walks (`.csr(...)`,
 //!   `.neighbors(...)`) outside the query engine
 //!   (`crates/store/src/query/eval.rs`) and the snapshot structure itself:
@@ -34,6 +27,9 @@
 //!   injection and unordered with respect to the WAL's fsync protocol.
 //!   Non-durable tooling (the linter's own walker, the bench report writer)
 //!   carries justification markers.
+//! * [`SNAPSHOT_SLURP`] — no whole-file snapshot reads outside the column
+//!   codec and the `Io` backends: lazy decode range-reads snapshot columns,
+//!   so a cold start costs what it touches, not the whole image.
 //!
 //! Detection runs on a *masked* copy of each file — comments and string
 //! literal contents blanked — so a rule name appearing in prose or a test
@@ -80,8 +76,6 @@ enum Scope {
     Workspace,
     /// Library sources of the id-dense hot-path crates.
     HotPaths,
-    /// The vendored executor (the one vendor directory the walker enters).
-    RayonCore,
     /// Every workspace file except the query engine and the CSR structure —
     /// the only two files allowed to walk adjacency lists directly.
     CsrConsumers,
@@ -114,15 +108,6 @@ pub const STD_COLLECTIONS: Rule = Rule {
     },
 };
 
-/// Ban bare `thread::spawn` outside vendor/.
-pub const THREAD_SPAWN: Rule = Rule {
-    id: "thread-spawn",
-    description: "no bare thread::spawn; parallelism goes through the rayon-core pool \
-                  (model-checked, PROV_THREADS-sized)",
-    scope: Scope::Workspace,
-    matches: |code| code.contains("thread::spawn(") || code.contains("thread::Builder::new("),
-};
-
 /// Ban unchecked narrowing casts in the store/segment hot paths.
 pub const NARROWING_CAST: Rule = Rule {
     id: "narrowing-cast",
@@ -130,15 +115,6 @@ pub const NARROWING_CAST: Rule = Rule {
                   (the seed wrapped ids past u32::MAX); justify in-range casts with a marker",
     scope: Scope::HotPaths,
     matches: |code| ["u8", "u16", "u32"].iter().any(|ty| has_cast_to(code, ty)),
-};
-
-/// Ban `Ordering::Relaxed` inside the vendored executor.
-pub const RELAXED_ORDERING: Rule = Rule {
-    id: "relaxed-ordering",
-    description: "no Ordering::Relaxed in vendor/rayon-core; loom-lite verifies the executor \
-                  under SeqCst, the real build must not be weaker",
-    scope: Scope::RayonCore,
-    matches: |code| code.contains("Ordering::Relaxed"),
 };
 
 /// Ban direct CSR adjacency walks outside the query engine.
@@ -181,15 +157,8 @@ pub const SNAPSHOT_SLURP: Rule = Rule {
 };
 
 /// Every rule the gate enforces.
-pub const RULES: [&Rule; 7] = [
-    &STD_COLLECTIONS,
-    &THREAD_SPAWN,
-    &NARROWING_CAST,
-    &RELAXED_ORDERING,
-    &CSR_TRAVERSAL,
-    &RAW_IO,
-    &SNAPSHOT_SLURP,
-];
+pub const RULES: [&Rule; 5] =
+    [&STD_COLLECTIONS, &NARROWING_CAST, &CSR_TRAVERSAL, &RAW_IO, &SNAPSHOT_SLURP];
 
 /// Finding id for a `lint-ok(<rule>): <reason>` marker whose rule does not
 /// fire on the line it sits on or the next one. Not a [`Rule`]: it reads
@@ -221,13 +190,11 @@ fn has_cast_to(code: &str, ty: &str) -> bool {
 /// Does the rule's scope cover this workspace-relative path?
 fn in_scope(scope: Scope, path: &Path) -> bool {
     let p = path.to_string_lossy();
-    let in_rayon_core = p.starts_with("vendor/rayon-core/");
     match scope {
         Scope::Workspace => !p.starts_with("vendor/"),
         Scope::HotPaths => {
             p.starts_with("crates/store/src/") || p.starts_with("crates/segment/src/")
         }
-        Scope::RayonCore => in_rayon_core && p.ends_with(".rs"),
         Scope::CsrConsumers => {
             !p.starts_with("vendor/")
                 && p != "crates/store/src/query/eval.rs"
@@ -459,9 +426,7 @@ pub fn check_source(rel: &Path, source: &str) -> Vec<Finding> {
 }
 
 /// Recursively collect the workspace `.rs` files the gate lints: everything
-/// under `root` except `target/`, `.git/`, and `vendor/` — with the single
-/// exception of `vendor/rayon-core` (the executor the relaxed-ordering rule
-/// exists for).
+/// under `root` except `target/`, `.git/`, and `vendor/`.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -474,15 +439,7 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             if path.is_dir() {
                 let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
                 let name = name.as_deref().unwrap_or("");
-                if name == "target" || name == ".git" {
-                    continue;
-                }
-                if rel_str == "vendor" {
-                    // Only the executor is workspace-owned enough to lint.
-                    let rayon = path.join("rayon-core");
-                    if rayon.is_dir() {
-                        stack.push(rayon);
-                    }
+                if name == "target" || name == ".git" || rel_str == "vendor" {
                     continue;
                 }
                 stack.push(path);
@@ -550,25 +507,6 @@ mod tests {
         assert_eq!(at("src/a.rs", src).len(), 1);
     }
 
-    // ---- thread-spawn -------------------------------------------------
-
-    #[test]
-    fn thread_spawn_violation_is_flagged() {
-        let hits = at("crates/x/src/lib.rs", "std::thread::spawn(move || work());\n");
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "thread-spawn");
-        assert_eq!(at("src/b.rs", "thread::Builder::new().spawn(f);\n").len(), 1);
-    }
-
-    #[test]
-    fn thread_spawn_conforming_sources_pass() {
-        assert!(at("crates/x/src/lib.rs", "rayon_core::scope(|s| s.spawn(|| f()));\n").is_empty());
-        assert!(at("vendor/rayon-core/src/sync.rs", "std::thread::spawn(f);\n").is_empty());
-        let src = "// lint-ok(thread-spawn): smoke test wants raw OS threads, not the pool\n\
-                   let h = std::thread::spawn(run);\n";
-        assert!(at("crates/core/tests/smoke.rs", src).is_empty());
-    }
-
     // ---- narrowing-cast -----------------------------------------------
 
     #[test]
@@ -593,23 +531,6 @@ mod tests {
         let src = "// lint-ok(narrowing-cast): check_capacity keeps len below u32::MAX\n\
                    let id = VertexId::new(self.vertices.len() as u32);\n";
         assert!(at("crates/store/src/graph.rs", src).is_empty());
-    }
-
-    // ---- relaxed-ordering ---------------------------------------------
-
-    #[test]
-    fn relaxed_ordering_violation_is_flagged() {
-        let hits = at("vendor/rayon-core/src/pool.rs", "inner.stop.load(Ordering::Relaxed);\n");
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "relaxed-ordering");
-    }
-
-    #[test]
-    fn relaxed_ordering_scope_is_the_executor_only() {
-        // The reproduction's own crates may legitimately use Relaxed for
-        // counters; only the model-checked executor is pinned to SeqCst.
-        assert!(at("crates/core/src/provdb.rs", "hits.load(Ordering::Relaxed);\n").is_empty());
-        assert!(at("vendor/rayon-core/src/pool.rs", "stop.load(Ordering::SeqCst);\n").is_empty());
     }
 
     // ---- csr-traversal ------------------------------------------------

@@ -1,8 +1,7 @@
 //! `prov-check` — the workspace lint gate (`just lint-strict`).
 //!
-//! Walks every workspace `.rs` file (plus `vendor/rayon-core`, the one
-//! vendored crate a rule targets), applies the rules in [`prov_check`], and
-//! exits non-zero when any unjustified finding remains. `--list` prints the
+//! Walks every workspace `.rs` file (`vendor/` excluded), applies the rules
+//! in [`prov_check`], and exits non-zero when any unjustified finding remains. `--list` prints the
 //! rule catalog instead.
 
 use std::path::Path;

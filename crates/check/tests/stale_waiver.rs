@@ -53,6 +53,6 @@ fn live_trailing_and_quoted_markers_are_not_stale() {
     // waiver, so it is never judged.
     let doc = format!("//! {}\n/// {}\nfn f() {{}}\n", marker("raw-io"), marker("raw-io"));
     assert!(stale_lines("crates/store/src/graph.rs", &doc).is_empty());
-    let quoted = format!("let fixture = \"{}\";\n", marker("thread-spawn"));
+    let quoted = format!("let fixture = \"{}\";\n", marker("narrowing-cast"));
     assert!(stale_lines("crates/store/src/graph.rs", &quoted).is_empty());
 }

@@ -2,7 +2,7 @@
 //!
 //! This is the same walk `cargo run -p prov-check` performs, wired into
 //! `cargo test` so the lint gate cannot drift from CI: a new `HashMap`,
-//! `thread::spawn`, unexplained narrowing cast, or `Ordering::Relaxed` in a
+//! unexplained narrowing cast, ad-hoc CSR walk or raw `std::fs` call in a
 //! checked scope fails this test unless it carries a
 //! `// lint-ok(<rule>): <reason>` justification.
 

@@ -141,7 +141,7 @@ mod tests {
     ) -> Vec<VertexId> {
         let plan = Plan::compile(compile_lineage(start, direction, bound))
             .expect("lineage pipelines always compile");
-        evaluate(g, idx, &plan, 1).expect("fresh watermark is never stale").rows
+        evaluate(g, idx, &plan).expect("fresh watermark is never stale").rows
     }
 
     #[test]

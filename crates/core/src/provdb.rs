@@ -140,9 +140,6 @@ pub struct ProvDb {
     /// call drains the journal into one committed WAL batch.
     storage: Option<WalStorage>,
     policy: SnapshotPolicy,
-    /// Chunk count handed to the parallel query kernels; `0` means "track
-    /// the pool width" (`PROV_THREADS` / hardware parallelism).
-    parallelism: usize,
     reuses: AtomicU64,
     refreshes: AtomicU64,
     rebuilds: AtomicU64,
@@ -301,27 +298,6 @@ impl ProvDb {
     /// for baseline measurements).
     pub fn set_snapshot_policy(&mut self, policy: SnapshotPolicy) {
         self.policy = policy;
-    }
-
-    /// The effective query parallelism: how many chunks the query-IR
-    /// evaluator cuts a wide `Traverse` frontier into (see
-    /// [`prov_store::query::evaluate`], the one parallel path). Defaults to
-    /// the executor pool width — `PROV_THREADS` when set, the machine's
-    /// available parallelism otherwise — so the CI thread matrix drives the
-    /// fan-out through ordinary queries. `1` means every level expands inline.
-    pub fn parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => rayon_core::configured_num_threads(),
-            n => n,
-        }
-    }
-
-    /// Pin the query parallelism to `threads` chunks (`1` forces the
-    /// sequential engines, `0` restores the track-the-pool default). Chunk
-    /// counts, not pool sizing: answers are identical at any value, only the
-    /// fan-out shape changes.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads;
     }
 
     /// Cumulative snapshot acquisition outcomes since this database was
@@ -667,7 +643,7 @@ impl ProvDb {
     /// [`prov_store::paginate`] or the wire `Query` envelope for cursors.
     pub fn query(&self, pipeline: Pipeline) -> StoreResult<QueryOutput> {
         let plan = Plan::compile(pipeline)?;
-        prov_store::evaluate(&self.graph, &self.snapshot(), &plan, self.parallelism())
+        prov_store::evaluate(&self.graph, &self.snapshot(), &plan)
     }
 
     /// Evaluate a pipeline bounded to an older `watermark` — the replay mode
@@ -676,7 +652,7 @@ impl ProvDb {
     /// like when the watermark was taken.
     pub fn query_at(&self, pipeline: Pipeline, watermark: DeltaCursor) -> StoreResult<QueryOutput> {
         let plan = Plan::compile(pipeline)?;
-        prov_store::evaluate_at(&self.graph, &self.snapshot(), &plan, watermark, self.parallelism())
+        prov_store::evaluate_at(&self.graph, &self.snapshot(), &plan, watermark, 1)
     }
 
     /// Vertices of `kind` carrying property `key == value`, ascending by id

@@ -3,25 +3,19 @@
 
 use prov_core::{compile_lineage, LineageBound, LineageDirection};
 use prov_model::{EdgeKind, VertexId};
-use prov_store::query::evaluate_with_frontier_min;
-use prov_store::{Plan, ProvGraph, ProvIndex};
+use prov_store::{evaluate, Plan, ProvGraph, ProvIndex};
 
-/// Compiled lineage — what `ProvDb::lineage`/`lineage_within`/`k_hop` run —
-/// at `chunks` chunks, with the inline-level threshold forced to 0 so more
-/// than one chunk fans out even on tiny frontiers.
+/// Compiled lineage — what `ProvDb::lineage`/`lineage_within`/`k_hop` run.
 pub fn compiled_lineage(
     graph: &ProvGraph,
     idx: &ProvIndex,
     start: VertexId,
     direction: LineageDirection,
     bound: LineageBound,
-    chunks: usize,
 ) -> Vec<VertexId> {
     let plan = Plan::compile(compile_lineage(start, direction, bound))
         .expect("lineage pipelines always compile");
-    evaluate_with_frontier_min(graph, idx, &plan, idx.cursor(), chunks, 0)
-        .expect("a snapshot is never behind its own watermark")
-        .rows
+    evaluate(graph, idx, &plan).expect("a snapshot is never behind its own watermark").rows
 }
 
 /// Lineage by its definition: a level-by-level BFS over the store's own

@@ -1,10 +1,10 @@
 //! Lineage differential: the `compile_lineage` lowering onto the query IR —
 //! what `ProvDb::lineage`/`lineage_within`/`k_hop` execute — must answer
 //! exactly like the definitional level-BFS oracle on random `Pd` workloads,
-//! for every bound shape, both directions, entity and activity starts alike,
-//! at chunk counts 1/2/4/8. The oracle itself is pinned to the frozen seed
-//! walk (`lineage_reference`) on the unbounded closure, and the bounded
-//! variants must be consistent prefixes/rings of that closure.
+//! for every bound shape, both directions, entity and activity starts alike.
+//! The oracle itself is pinned to the frozen seed walk (`lineage_reference`)
+//! on the unbounded closure, and the bounded variants must be consistent
+//! prefixes/rings of that closure.
 
 mod common;
 
@@ -34,7 +34,7 @@ proptest! {
         prop_assert!(!of_kind.is_empty());
         let start = *start_pick.get(of_kind);
         for dir in [LineageDirection::Ancestors, LineageDirection::Descendants] {
-            let closure = compiled(&graph, &idx, start, dir, LineageBound::Unbounded, 1);
+            let closure = compiled(&graph, &idx, start, dir, LineageBound::Unbounded);
             let oracle = lineage_oracle(&graph, start, dir, LineageBound::Unbounded);
             prop_assert_eq!(&oracle, &lineage_reference(&idx, start, dir), "oracle vs seed walk");
             prop_assert_eq!(&closure, &oracle, "closure diverged at {} {:?}", start, dir);
@@ -44,13 +44,13 @@ proptest! {
             // rings partition Within's increments.
             let mut prev = Vec::new();
             for d in 1..=8u32 {
-                let within = compiled(&graph, &idx, start, dir, LineageBound::Within(d), 1);
+                let within = compiled(&graph, &idx, start, dir, LineageBound::Within(d));
                 prop_assert_eq!(
                     &within, &lineage_oracle(&graph, start, dir, LineageBound::Within(d)),
                     "Within({}) vs oracle", d
                 );
                 prop_assert!(prev.iter().all(|v| within.contains(v)), "Within not monotone");
-                let ring = compiled(&graph, &idx, start, dir, LineageBound::Exactly(d), 1);
+                let ring = compiled(&graph, &idx, start, dir, LineageBound::Exactly(d));
                 let grew: Vec<_> =
                     within.iter().filter(|v| !prev.contains(v)).copied().collect();
                 prop_assert_eq!(&ring, &grew, "ring {} != Within increment", d);
@@ -61,7 +61,7 @@ proptest! {
     }
 
     #[test]
-    fn compiled_lineage_matches_oracle_at_every_chunk_count_on_pd(
+    fn compiled_lineage_matches_oracle_on_pd(
         n in 60usize..300,
         seed in 0u64..1_000,
         se in 1.1f64..2.1,
@@ -80,13 +80,11 @@ proptest! {
                 LineageBound::Exactly(0),
                 LineageBound::Exactly(2),
             ] {
-                let oracle = lineage_oracle(&graph, start, dir, bound);
-                for chunks in [1usize, 2, 4, 8] {
-                    prop_assert_eq!(
-                        &compiled(&graph, &idx, start, dir, bound, chunks), &oracle,
-                        "{:?} {:?} chunks {}", dir, bound, chunks
-                    );
-                }
+                prop_assert_eq!(
+                    &compiled(&graph, &idx, start, dir, bound),
+                    &lineage_oracle(&graph, start, dir, bound),
+                    "{:?} {:?}", dir, bound
+                );
             }
         }
     }

@@ -67,7 +67,6 @@ fn readers_and_writer_interleave_without_torn_snapshots() {
             let db = Arc::clone(&db);
             let stop = Arc::clone(&stop);
             let progress = Arc::clone(&progress);
-            // lint-ok(thread-spawn): smoke test deliberately drives the store from raw OS threads.
             std::thread::spawn(move || {
                 let mut queries = 0usize;
                 while !stop.load(Ordering::Relaxed) {
@@ -81,7 +80,7 @@ fn readers_and_writer_interleave_without_torn_snapshots() {
                     };
                     let lineage = |bound| {
                         let dir = LineageDirection::Descendants;
-                        let rows = compiled_lineage(&graph, &snapshot, seed, dir, bound, 1);
+                        let rows = compiled_lineage(&graph, &snapshot, seed, dir, bound);
                         assert_eq!(
                             rows,
                             lineage_oracle(&graph, seed, dir, bound),

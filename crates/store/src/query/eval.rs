@@ -3,11 +3,7 @@
 //! Evaluation state is a sorted, duplicate-free row set of vertex ids.
 //! `Traverse` steps run a multi-source BFS straight over the snapshot's CSR
 //! slices with an epoch-stamped scratch (`EvalScratch`, the only one in
-//! the workspace) and a chunked level-parallel frontier:
-//! `threads` is a *chunk count*, parallel levels freeze the stamps and
-//! merge per-chunk discoveries sequentially in chunk order, so the
-//! answer is byte-identical at any chunk count — the property every
-//! differential proptest in `tests/` pins.
+//! the workspace), one level at a time on the caller's thread.
 //!
 //! **Bounded replay.** Every evaluation runs against a [`DeltaCursor`]
 //! watermark. Because the store is append-only and every CSR row keeps its
@@ -28,11 +24,6 @@ use crate::query::plan::Plan;
 use crate::snapshot::{Csr, ProvIndex};
 use prov_model::VertexId;
 use std::cell::RefCell;
-
-/// Below this many frontier vertices a BFS level expands inline even when
-/// chunking is requested — fanning a tiny level out costs more than the
-/// scan.
-pub const PAR_FRONTIER_MIN: usize = 1024;
 
 /// Per-evaluation observability counters, surfaced on the wire as
 /// `QueryActivity`.
@@ -59,7 +50,8 @@ pub struct QueryOutput {
 }
 
 /// Reusable visited state: `u32` epoch stamps over the dense vertex space,
-/// owned per thread (`thread_local`), so the fast path is lock-free.
+/// owned per thread (`thread_local`), so concurrent reader threads never
+/// share or lock it.
 ///
 /// Invariants (see DESIGN.md §6):
 /// * `stamps[v] == epoch` ⇔ `v` was visited by the *current* traversal;
@@ -120,39 +112,24 @@ fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
 /// Evaluate `plan` over the full extent of `index`.
 ///
 /// `graph` serves property/name predicates (the snapshot carries neither);
-/// it must be the graph `index` was frozen from. `threads` is the chunk
-/// count for parallel BFS levels; the answer does not depend on it.
-pub fn evaluate(
-    graph: &ProvGraph,
-    index: &ProvIndex,
-    plan: &Plan,
-    threads: usize,
-) -> StoreResult<QueryOutput> {
-    evaluate_at(graph, index, plan, index.cursor(), threads)
+/// it must be the graph `index` was frozen from.
+pub fn evaluate(graph: &ProvGraph, index: &ProvIndex, plan: &Plan) -> StoreResult<QueryOutput> {
+    evaluate_at(graph, index, plan, index.cursor(), 1)
 }
 
 /// [`evaluate`] against an explicit snapshot watermark (bounded replay —
 /// the cursor resumption path).
+///
+/// `_chunks` is ignored: evaluation always runs on the caller's thread.
+/// The argument survives only because `benchmark/src/harness.rs:691`
+/// passes `1`; ROADMAP items 6(d)/7(c) drop it with that crate's next
+/// change.
 pub fn evaluate_at(
     graph: &ProvGraph,
     index: &ProvIndex,
     plan: &Plan,
     watermark: DeltaCursor,
-    threads: usize,
-) -> StoreResult<QueryOutput> {
-    evaluate_with_frontier_min(graph, index, plan, watermark, threads, PAR_FRONTIER_MIN)
-}
-
-/// [`evaluate_at`] with an explicit inline-level threshold. Production
-/// callers want [`PAR_FRONTIER_MIN`]; differential tests and the TSan lane
-/// pass `0` so every level exercises the chunked fan-out and merge.
-pub fn evaluate_with_frontier_min(
-    graph: &ProvGraph,
-    index: &ProvIndex,
-    plan: &Plan,
-    watermark: DeltaCursor,
-    threads: usize,
-    frontier_min: usize,
+    _chunks: usize,
 ) -> StoreResult<QueryOutput> {
     let snap = index.cursor();
     if watermark.vertices > snap.vertices || watermark.edges > snap.edges {
@@ -177,8 +154,7 @@ pub fn evaluate_with_frontier_min(
         stats.steps += 1;
         match step {
             Step::Traverse(t) => {
-                rows =
-                    traverse(index, t, &rows, watermark.edges, threads, frontier_min, &mut stats);
+                rows = traverse(index, t, &rows, watermark.edges, &mut stats);
             }
             Step::Filter(f) => {
                 stats.rows_scanned += rows.len() as u64;
@@ -229,8 +205,6 @@ fn traverse(
     t: &Traverse,
     sources: &[VertexId],
     edge_limit: u32,
-    threads: usize,
-    frontier_min: usize,
     stats: &mut QueryStats,
 ) -> Vec<VertexId> {
     if t.min_hops > t.max_hops {
@@ -242,7 +216,6 @@ fn traverse(
     }
     let csrs: Vec<&Csr> = t.edges.iter().map(|&(kind, dir)| index.csr(kind, dir)).collect();
     let n = index.vertex_count();
-    let threads = threads.max(1);
     with_scratch(|scratch| {
         scratch.begin(n);
         let mut frontier = std::mem::take(&mut scratch.frontier);
@@ -253,75 +226,22 @@ fn traverse(
             scratch.mark(s);
             frontier.push(s);
         }
-        let mut bufs: Vec<Vec<VertexId>> = (0..threads).map(|_| Vec::new()).collect();
         let mut depth = 0u32;
         while !frontier.is_empty() && depth < t.max_hops {
             depth += 1;
             stats.rows_scanned += frontier.len() as u64;
             stats.frontier_peak = stats.frontier_peak.max(rank_u32(frontier.len()));
             let emit = depth >= t.min_hops;
-            if threads <= 1 || frontier.len() < frontier_min {
-                // Small level: the sequential step, verbatim.
-                for &v in &frontier {
-                    for csr in &csrs {
-                        for (w, eid) in csr.entries(v) {
-                            if eid.raw() < edge_limit && scratch.mark(w) {
-                                if emit {
-                                    out.push(w);
-                                }
-                                next.push(w);
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Parallel level: freeze the stamps, fan the frontier out.
-                let ranges = rayon_core::chunk_ranges(frontier.len(), threads);
-                {
-                    let stamps: &[u32] = &scratch.stamps;
-                    let epoch = scratch.epoch;
-                    let level: &[VertexId] = &frontier;
-                    let csrs = &csrs;
-                    rayon_core::scope(|s| {
-                        for (range, buf) in ranges.into_iter().zip(bufs.iter_mut()) {
-                            let chunk = &level[range];
-                            s.spawn(move || {
-                                // The worker's own epoch scratch dedups
-                                // within the chunk; a helping caller whose
-                                // scratch is already borrowed falls back
-                                // to a fresh one (see `with_scratch`).
-                                with_scratch(|local| {
-                                    local.begin(n);
-                                    for &v in chunk {
-                                        for csr in csrs {
-                                            for (w, eid) in csr.entries(v) {
-                                                if eid.raw() < edge_limit
-                                                    && stamps[w.index()] != epoch
-                                                    && local.mark(w)
-                                                {
-                                                    buf.push(w);
-                                                }
-                                            }
-                                        }
-                                    }
-                                });
-                            });
-                        }
-                    });
-                }
-                // Synchronized merge: the authoritative scratch resolves
-                // cross-chunk duplicates; chunk order keeps it
-                // deterministic.
-                for buf in &mut bufs {
-                    for &w in buf.iter() {
-                        if scratch.mark(w) {
+            for &v in &frontier {
+                for csr in &csrs {
+                    for (w, eid) in csr.entries(v) {
+                        if eid.raw() < edge_limit && scratch.mark(w) {
                             if emit {
                                 out.push(w);
                             }
                             next.push(w);
                         }
                     }
-                    buf.clear();
                 }
             }
             std::mem::swap(&mut frontier, &mut next);
@@ -368,7 +288,7 @@ mod tests {
         [(EdgeKind::WasGeneratedBy, Direction::Out), (EdgeKind::Used, Direction::Out)];
 
     fn run(g: &ProvGraph, idx: &ProvIndex, p: Pipeline) -> QueryOutput {
-        evaluate(g, idx, &Plan::compile(p).unwrap(), 1).unwrap()
+        evaluate(g, idx, &Plan::compile(p).unwrap()).unwrap()
     }
 
     #[test]
@@ -419,32 +339,18 @@ mod tests {
     }
 
     #[test]
-    fn chunk_counts_do_not_change_the_answer() {
-        let (g, idx, ids) = chain();
-        let plan =
-            Plan::compile(Pipeline::from_ids(vec![ids[4]]).traverse(&ANCESTRY_UP, 1, u32::MAX))
-                .unwrap();
-        let seq = evaluate_with_frontier_min(&g, &idx, &plan, idx.cursor(), 1, 0).unwrap();
-        for threads in [2, 4, 8] {
-            let par =
-                evaluate_with_frontier_min(&g, &idx, &plan, idx.cursor(), threads, 0).unwrap();
-            assert_eq!(par.rows, seq.rows, "diverged at {threads} chunks");
-        }
-    }
-
-    #[test]
     fn epoch_reuse_across_many_calls_is_clean() {
         let (g, idx, [d, ..]) = chain();
         let descend: [(EdgeKind, Direction); 2] =
             [(EdgeKind::Used, Direction::In), (EdgeKind::WasGeneratedBy, Direction::In)];
         let plan =
             Plan::compile(Pipeline::from_ids(vec![d]).traverse(&descend, 1, u32::MAX)).unwrap();
-        let expect = evaluate(&g, &idx, &plan, 1).unwrap().rows;
+        let expect = evaluate(&g, &idx, &plan).unwrap().rows;
         assert_eq!(expect.len(), 4);
         // Hundreds of traversals on one thread reuse the same stamps; every
         // answer must be identical (a stale stamp would drop vertices).
         for _ in 0..500 {
-            assert_eq!(evaluate(&g, &idx, &plan, 1).unwrap().rows, expect);
+            assert_eq!(evaluate(&g, &idx, &plan).unwrap().rows, expect);
         }
     }
 
@@ -473,10 +379,10 @@ mod tests {
             [(EdgeKind::Used, Direction::In), (EdgeKind::WasGeneratedBy, Direction::In)];
         let plan =
             Plan::compile(Pipeline::from_ids(vec![d]).traverse(&descend, 1, u32::MAX)).unwrap();
-        let over_old = evaluate(&g, &old_idx, &plan, 1).unwrap();
+        let over_old = evaluate(&g, &old_idx, &plan).unwrap();
         let replayed = evaluate_at(&g, &new_idx, &plan, old_cursor, 1).unwrap();
         assert_eq!(replayed.rows, over_old.rows, "replay must reproduce the old snapshot");
-        let live = evaluate(&g, &new_idx, &plan, 1).unwrap();
+        let live = evaluate(&g, &new_idx, &plan).unwrap();
         assert!(live.rows.contains(&t3) && live.rows.contains(&w3));
         assert!(!replayed.rows.contains(&t3));
     }

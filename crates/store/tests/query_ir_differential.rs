@@ -1,20 +1,17 @@
 //! Differential proptests for the query IR (ISSUE 8 acceptance): pipelines
 //! produced by the lowering constructors must answer **byte-identically** to
 //! their frozen fixed-shape references — `ProvGraph::find_by_prop` and
-//! `pattern::match_paths` — at chunk counts 1/2/4/8, with the inline-level
-//! threshold forced to 0 so even one-vertex frontiers exercise the chunked
-//! fan-out and merge machinery. The lineage differentials live next to
+//! `pattern::match_paths`. The lineage differentials live next to
 //! their reference in `prov-core`; the cursor-stability interleavings live
 //! in `prov-api`.
 
 use proptest::prelude::*;
 use prov_model::{EdgeKind, PropValue, VertexId, VertexKind};
-use prov_store::query::{evaluate_with_frontier_min, lower_pattern, Pipeline, Plan};
+use prov_store::query::{evaluate, evaluate_at, lower_pattern, Pipeline, Plan};
 use prov_store::{Budget, NodeSpec, PathPattern, PatternDir, ProvGraph, ProvIndex, RelSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const CHUNKS: [usize; 4] = [1, 2, 4, 8];
 const KEYS: [&str; 2] = ["stage", "score"];
 
 /// Random layered provenance DAG: every edge points from a newer vertex's
@@ -58,18 +55,16 @@ fn random_graph(rng: &mut StdRng, steps: usize) -> ProvGraph {
     g
 }
 
-fn eval_rows(g: &ProvGraph, idx: &ProvIndex, pipeline: Pipeline, threads: usize) -> Vec<VertexId> {
+fn eval_rows(g: &ProvGraph, idx: &ProvIndex, pipeline: Pipeline) -> Vec<VertexId> {
     let plan = Plan::compile(pipeline).expect("lowered pipelines compile");
-    evaluate_with_frontier_min(g, idx, &plan, idx.cursor(), threads, 0)
-        .expect("full-watermark evaluation cannot be stale")
-        .rows
+    evaluate(g, idx, &plan).expect("full-watermark evaluation cannot be stale").rows
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `Pipeline::find_by_prop` == `ProvGraph::find_by_prop`, with and
-    /// without a declared secondary index, at every chunk count.
+    /// without a declared secondary index.
     #[test]
     fn find_by_prop_lowering_matches_reference(
         seed in 0u64..100_000,
@@ -89,24 +84,18 @@ proptest! {
                     PropValue::from(0i64), PropValue::from(1i64),
                 ] {
                     let reference = g.find_by_prop(kind, key, &value);
-                    for threads in CHUNKS {
-                        let ir = eval_rows(
-                            &g, &idx,
-                            Pipeline::find_by_prop(kind, key, value.clone()),
-                            threads,
-                        );
-                        prop_assert_eq!(
-                            &ir, &reference,
-                            "kind {:?} key {} value {:?} chunks {}", kind, key, value, threads
-                        );
-                    }
+                    let ir = eval_rows(&g, &idx, Pipeline::find_by_prop(kind, key, value.clone()));
+                    prop_assert_eq!(
+                        &ir, &reference,
+                        "kind {:?} key {} value {:?}", kind, key, value
+                    );
                 }
             }
         }
     }
 
     /// Lowerable star patterns: the pipeline's row set == the sorted,
-    /// deduplicated endpoint set of `match_paths`, at every chunk count.
+    /// deduplicated endpoint set of `match_paths`.
     #[test]
     fn star_pattern_lowering_matches_match_paths(
         seed in 0u64..100_000,
@@ -148,15 +137,13 @@ proptest! {
         reference.sort_unstable();
         reference.dedup();
 
-        for threads in CHUNKS {
-            let ir = eval_rows(&g, &idx, lowered.clone(), threads);
-            prop_assert_eq!(&ir, &reference, "chunks {}", threads);
-        }
+        let ir = eval_rows(&g, &idx, lowered);
+        prop_assert_eq!(&ir, &reference);
     }
 
     /// Bounded replay: evaluating over a grown snapshot at an old watermark
     /// equals evaluating over the old snapshot itself — the structural
-    /// half of cursor stability, at every chunk count.
+    /// half of cursor stability.
     #[test]
     fn replay_at_watermark_matches_old_snapshot(
         seed in 0u64..100_000,
@@ -189,13 +176,9 @@ proptest! {
             ),
         ] {
             let plan = Plan::compile(pipeline).unwrap();
-            let over_old =
-                evaluate_with_frontier_min(&g, &old_idx, &plan, watermark, 1, 0).unwrap();
-            for threads in CHUNKS {
-                let replayed =
-                    evaluate_with_frontier_min(&g, &new_idx, &plan, watermark, threads, 0).unwrap();
-                prop_assert_eq!(&replayed.rows, &over_old.rows, "chunks {}", threads);
-            }
+            let over_old = evaluate_at(&g, &old_idx, &plan, watermark, 1).unwrap();
+            let replayed = evaluate_at(&g, &new_idx, &plan, watermark, 1).unwrap();
+            prop_assert_eq!(&replayed.rows, &over_old.rows);
         }
     }
 }

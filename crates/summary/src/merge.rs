@@ -11,12 +11,17 @@
 //!
 //! **Round discipline.** Merges justified by *different* conditions do not
 //! commute in general (an `≃in` merge grows the group's out-language, which
-//! can invalidate a pending `≃out` justification against a member). Merges of
-//! the *same* condition are jointly sound: condition-1 groups share their
-//! in-language exactly; condition-3 unions only ever point languages at a
-//! dominating target. The algorithm therefore alternates rounds — all `≃in`
-//! classes, then all `≃out` classes, then all `≤in∧≤out` dominations — until
-//! a full cycle performs no merge.
+//! can invalidate a pending `≃out` justification against a member). The
+//! algorithm therefore alternates rounds — all `≃in` classes, then all `≃out`
+//! classes, then all `≤in∧≤out` dominations — until a full cycle performs no
+//! merge. Condition-1 groups share their in-language exactly, so an `≃in`
+//! round is jointly sound (symmetrically `≃out`). A condition-3 round is
+//! **not**: each union is justified against the relations as they stood
+//! before the round, and the union-find composes several of them into groups
+//! no single pairwise justification covers, so the summary can gain a path
+//! word no segment spells (and even a cyclic quotient). The smallest known case is the ignored
+//! `condition_three_round_keeps_the_path_language` in
+//! `tests/invariants.rs`; ROADMAP item 3 tracks the fix.
 //!
 //! **Quotient-incremental rounds** (ISSUE 4). The seed recomputed *both*
 //! simulation preorders from scratch on the current quotient before every

@@ -162,3 +162,54 @@ proptest! {
         prop_assert_eq!(psg.vertex_count(), quotiented.len());
     }
 }
+
+/// Smallest known input on which one condition-3 (`Round::Dominated`) round
+/// unions several node pairs whose redirected languages are individually
+/// dominated but jointly are not: the summary gains the 4-edge word
+/// `f1 -G-> op0 -U-> f0 -G-> op0 -U-> f1`, which no path of the segment
+/// spells. Sound at k = 1 and k = 2; broken at k = 0 for either vertex order.
+#[test]
+#[ignore = "condition-3 round unsound, ROADMAP item 3"]
+fn condition_three_round_keeps_the_path_language() {
+    let mut g = ProvGraph::new();
+    let mut vertices = Vec::new();
+    let mut entity = |g: &mut ProvGraph, file: &str| {
+        let e = g.add_entity(file);
+        g.set_vprop(e, "filename", file);
+        vertices.push(e);
+        e
+    };
+    let e0 = entity(&mut g, "f0");
+    let e1 = entity(&mut g, "f1");
+    let e2 = entity(&mut g, "f1");
+    let a3 = g.add_activity("op0");
+    let e5 = entity(&mut g, "f0");
+    let a6 = g.add_activity("op0");
+    let e8 = entity(&mut g, "f0");
+    let a9 = g.add_activity("op0");
+    let e10 = entity(&mut g, "f1");
+    let a11 = g.add_activity("op0");
+    let activities = [a3, a6, a9, a11];
+    for &a in &activities {
+        g.set_vprop(a, "command", "op0");
+    }
+    vertices.extend(activities);
+    let (used, gen) = (EdgeKind::Used, EdgeKind::WasGeneratedBy);
+    let edges = [
+        (used, a3, e2),
+        (gen, e5, a3),
+        (used, a6, e5),
+        (gen, e8, a6),
+        (used, a9, e1),
+        (used, a9, e8),
+        (gen, e10, a9),
+        (used, a11, e0),
+        (used, a11, e8),
+    ]
+    .map(|(kind, src, dst)| g.add_edge(kind, src, dst).unwrap());
+    let segs = [SegmentRef::new(vertices, edges.to_vec())];
+    let q = PgSumQuery::new(PgSumQuery::fig2e().aggregation, 0);
+    let (psg, g0, quotiented) = pgsum_with_internals(&g, &segs, &q);
+    assert_eq!(psg.vertex_count(), 7);
+    check_invariant(&g0, &quotiented, 8).unwrap();
+}

@@ -4,17 +4,11 @@
 verify:
     cargo build --release && cargo test -q
 
-# Everything: workspace suites + the vendored executor and serde shims' own
-# tests (both sit outside the workspace).
+# Everything: workspace suites + the serde shims' own tests (they sit
+# outside the workspace).
 test:
     cargo test --workspace -q
-    cd vendor/rayon-core && cargo test -q
     cd vendor/serde_json && cargo test -q
-
-# The workspace suite at a pinned executor width (try widths=1, 2, 8 —
-# ProvDb follows the pool width, so this drives the chunked Traverse).
-test-threads widths="8":
-    PROV_THREADS={{widths}} cargo test --workspace -q
 
 # Lints exactly as CI runs them.
 lint:
@@ -22,21 +16,14 @@ lint:
     cargo fmt --check
     cargo run -q -p prov-check
 
-# The repo's own lint gate alone (std collections in hot paths, raw
-# thread::spawn, unexplained narrowing casts, Relaxed orderings in the
-# executor). Justify real exceptions with `// lint-ok(<rule>): <reason>`.
+# The repo's own lint gate alone (std collections, unexplained narrowing
+# casts, ad-hoc CSR walks, raw filesystem access, whole-file snapshot reads).
+# Justify real exceptions with `// lint-ok(<rule>): <reason>`.
 lint-strict:
     cargo run -q -p prov-check
 
-# Model-check the vendored executor: loom-lite's own suite, then the three
-# executor properties under every interleaving (`--cfg prov_loom` swaps the
-# sync primitives for the checker's doubles).
-model-check:
-    cd vendor/loom-lite && cargo test -q
-    cd vendor/rayon-core && RUSTFLAGS="--cfg prov_loom -D warnings" cargo test --test loom -q
-
 # Re-validate every structural invariant after each mutation while running
-# the store/bitset/core suites (the CI concurrency matrix runs this too),
+# the store/bitset/core suites (CI's build-and-test job runs this too),
 # plus the query suites whose crates have no paranoid feature of their own.
 paranoid-test:
     cargo test -q -p prov-store -p prov-bitset -p prov-core \
@@ -89,8 +76,8 @@ bench-smoke:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Regenerate all committed BENCH_*.json trajectories (the 8t thread sweep
-# included); pass "--full" for paper scale.
+# Regenerate all committed BENCH_*.json trajectories; pass "--full" for
+# paper scale.
 bench-sweep *args:
     scripts/bench-sweep.sh {{args}}
 

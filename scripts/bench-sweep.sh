@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Regenerate every committed benchmark trajectory, the thread sweep included.
+# Regenerate every committed benchmark trajectory.
 #
 # Runs the exact quick-scale invocations CI gates against, overwriting the
 # committed BENCH_*.json in place — run this when a PR intentionally moves a
-# perf point (the gate compares fresh runs against these files). The one
-# thread sweep (8t, the query IR's chunked Traverse) records whatever
-# parallelism the host has; `host_threads` in each JSON says what the numbers
-# mean (1 = the parallel series measures pure fan-out overhead).
+# perf point (the gate compares fresh runs against these files). Every
+# request runs on one thread; `host_threads` in each JSON records the
+# measuring machine's hardware parallelism for reference only.
 #
 # Usage: scripts/bench-sweep.sh [--full]
 #   --full   drop --quick and run the paper-scale sweeps (much slower)

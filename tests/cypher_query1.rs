@@ -82,7 +82,7 @@ fn cypher_query1_ir(
     };
     let eval = |pipeline: Pipeline| {
         let plan = Plan::compile(pipeline).expect("query1 pipelines compile");
-        prov_store::evaluate(graph, index, &plan, 1).expect("fresh snapshot is never stale").rows
+        prov_store::evaluate(graph, index, &plan).expect("fresh snapshot is never stale").rows
     };
 
     let mut answer = Vec::new();
