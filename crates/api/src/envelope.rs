@@ -104,14 +104,19 @@ impl From<&str> for EntityRef {
 
 /// Query-IR evaluation counters (wire twin of [`prov_store::QueryStats`]
 /// plus the service's cumulative cursor-resumption count). Meaningful on
-/// [`QueryResponse`] stats; all-zero elsewhere.
+/// [`QueryResponse`] stats; all-zero elsewhere. A page served from a held
+/// walk answer (a resumption after the first, see [`crate::held`]) ran no
+/// step, so its three work counters are 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct QueryActivity {
-    /// Pipeline steps evaluated (start materialization included).
+    /// Pipeline steps evaluated (start materialization included); 0 when
+    /// served from a held answer.
     pub steps: u32,
-    /// Rows inspected across all steps (frontier vertices + filtered rows).
+    /// Rows inspected across all steps (frontier vertices + filtered rows);
+    /// 0 when served from a held answer.
     pub rows_scanned: u64,
-    /// Largest BFS frontier any traverse step held.
+    /// Largest BFS frontier any traverse step held; 0 when served from a
+    /// held answer.
     pub frontier_peak: u32,
     /// Cursor resumptions served by this service so far (cumulative, like
     /// [`Stats::snapshot`]): paginated clients make it grow, one-shot
@@ -427,10 +432,11 @@ pub struct QueryRequest {
     #[serde(default)]
     pub page_size: Option<usize>,
     /// Resume token from a previous page's [`QueryResponse::cursor`]. IR
-    /// pipelines and lowerable patterns replay at the token's watermark; a
-    /// non-lowerable pattern cannot, so its token is refused as a stale
-    /// cursor once the evaluated snapshot has moved (a pinned session's
-    /// never does).
+    /// pipelines and lowerable patterns replay at the token's watermark
+    /// (the first resumption of a walk holds that answer for the later
+    /// pages, unless the pipeline filters on properties); a non-lowerable
+    /// pattern cannot replay, so its token is refused as a stale cursor once
+    /// the evaluated snapshot has moved (a pinned session's never does).
     #[serde(default)]
     pub cursor: Option<prov_store::QueryCursor>,
     /// Pattern-fallback budget: maximum search-tree expansions (default

@@ -38,6 +38,10 @@ pub enum ErrorCode {
     /// The on-disk log or snapshot is corrupt (checksum-valid bytes that do
     /// not decode or replay) — recovery refused to guess.
     CorruptLog,
+    /// The service's budget for client-created state is spent: a session
+    /// does not fit even with every held walk evicted. Close a session and
+    /// retry.
+    HeldBudgetExceeded,
 }
 
 /// Everything that can go wrong while serving a request.
@@ -51,6 +55,16 @@ pub enum ApiError {
     UnknownEntity(String),
     /// The request body itself was unusable (parse failure, bad shape).
     Malformed(String),
+    /// A session does not fit the service's held-state budget, even with
+    /// every held walk evicted.
+    HeldBudgetExceeded {
+        /// Bytes the session would be charged.
+        needed: usize,
+        /// Bytes already held (sessions only, by then).
+        held: usize,
+        /// The budget.
+        budget: usize,
+    },
 }
 
 impl ApiError {
@@ -69,6 +83,7 @@ impl ApiError {
             ApiError::UnknownSession(_) => ErrorCode::UnknownSession,
             ApiError::UnknownEntity(_) => ErrorCode::UnknownEntity,
             ApiError::Malformed(_) => ErrorCode::MalformedRequest,
+            ApiError::HeldBudgetExceeded { .. } => ErrorCode::HeldBudgetExceeded,
         }
     }
 
@@ -85,6 +100,11 @@ impl std::fmt::Display for ApiError {
             ApiError::UnknownSession(id) => write!(f, "unknown session {id}"),
             ApiError::UnknownEntity(name) => write!(f, "unknown entity {name:?}"),
             ApiError::Malformed(msg) => write!(f, "malformed request: {msg}"),
+            ApiError::HeldBudgetExceeded { needed, held, budget } => write!(
+                f,
+                "held-state budget exceeded: the session needs {needed} bytes, sessions already \
+                 hold {held} of {budget}; close a session first"
+            ),
         }
     }
 }
@@ -120,6 +140,8 @@ mod tests {
         assert_eq!(ApiError::UnknownSession(SessionId::new(1)).code(), ErrorCode::UnknownSession);
         assert_eq!(ApiError::UnknownEntity("x".into()).code(), ErrorCode::UnknownEntity);
         assert_eq!(ApiError::Malformed("{".into()).code(), ErrorCode::MalformedRequest);
+        let e = ApiError::HeldBudgetExceeded { needed: 9, held: 8, budget: 10 };
+        assert_eq!(e.code(), ErrorCode::HeldBudgetExceeded);
     }
 
     #[test]

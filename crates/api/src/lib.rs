@@ -11,8 +11,11 @@
 //!   per-response [`Stats`] envelope;
 //! * [`spec`] — [`BoundarySpec`], the declarative (closure-free) boundary
 //!   subset that can cross a wire;
-//! * [`service`] — [`ProvService`], the [`SessionId`]-keyed session registry
-//!   over a [`prov_core::ProvDb`];
+//! * [`service`] — [`ProvService`], the request dispatcher over a
+//!   [`prov_core::ProvDb`];
+//! * [`held`] — the one registry of client-created state (live sessions
+//!   and held query-walk answers) under one byte budget,
+//!   [`HELD_BUDGET_BYTES`];
 //! * [`error`] — [`ApiError`], the unified query error type, with
 //!   wire-stable [`ErrorCode`] discriminants;
 //! * [`clock`] — the injected [`Clock`] behind `Stats::elapsed_micros`.
@@ -33,6 +36,7 @@
 pub mod clock;
 pub mod envelope;
 pub mod error;
+pub mod held;
 pub mod service;
 pub mod spec;
 
@@ -48,5 +52,6 @@ pub use envelope::{
     VertexResponse,
 };
 pub use error::{ApiError, ApiResult, ErrorCode};
+pub use held::HELD_BUDGET_BYTES;
 pub use service::ProvService;
 pub use spec::{BirthWindow, BoundarySpec, EdgePredSpec, ExpansionSpec, PropMatch, VertexPredSpec};

@@ -1,9 +1,12 @@
-//! `ProvService`: the owned session registry behind the envelope.
+//! `ProvService`: the request dispatcher over a database and the registry of
+//! everything clients made it hold.
 //!
-//! The service wraps a [`ProvDb`] and a [`SessionId`]-keyed registry of live
-//! [`PgSegSession`]s. Because sessions are `'static` (they pin the
-//! graph/index snapshot they were opened against), any number of them can be
-//! held concurrently and adjusted independently — the paper's interactive
+//! The service wraps a [`ProvDb`] and a [`crate::held`] registry: live
+//! [`PgSegSession`]s under [`SessionId`]s, and the answers of paginated
+//! query walks between their first resumption and their last page — one
+//! store, one byte budget. Because sessions are `'static` (they pin the
+//! graph/index snapshot they were opened against), any number of them can
+//! be held concurrently and adjusted independently — the paper's interactive
 //! "induce once, adjust repeatedly" loop (Sec. III-B) lifted to a
 //! multi-tenant surface.
 //!
@@ -15,22 +18,39 @@
 use crate::clock::{Clock, SystemClock};
 use crate::envelope::*;
 use crate::error::{ApiError, ApiResult};
+use crate::held::{Held, Source, WalkKey, HELD_BUDGET_BYTES};
 use prov_core::{ActivityRecord, LineageDirection, OutputSpec, ProvDb};
 use prov_segment::{PgSegQuery, PgSegSession};
-use prov_store::StoreError;
+use prov_store::{ProvGraph, ProvIndex, StoreError};
 use prov_summary::{PgSumQuery, PropertyAggregation, SegmentRef};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn error_response(e: &ApiError) -> Response {
     Response::Error(ErrorResponse { code: e.code(), message: e.to_string() })
 }
 
-/// The provenance service: database + live session registry + clock.
+fn query_response(
+    page: prov_store::Page,
+    count: u64,
+    is_complete: bool,
+    activity: QueryActivity,
+) -> Response {
+    let mut stats = Stats::sized(page.rows.len(), 0);
+    stats.query = activity;
+    Response::Query(QueryResponse { rows: page.rows, count, is_complete, cursor: page.next, stats })
+}
+
+fn session_response(id: SessionId, session: &PgSegSession) -> Response {
+    let segment = SegmentDto::from_segment(session.graph(), session.segment());
+    let stats = Stats::sized(segment.vertices.len(), segment.edges.len());
+    Response::Session(SessionResponse { session: id, segment, stats })
+}
+
+/// The provenance service: database + held-state registry + clock.
 pub struct ProvService {
     db: ProvDb,
-    sessions: BTreeMap<SessionId, PgSegSession>,
-    next_session: u64,
+    /// Sessions and held walk answers, under one budget.
+    held: Held,
     /// Cumulative count of query-cursor resumptions served (stamped into
     /// [`crate::QueryActivity`] on every query response).
     resumptions: u64,
@@ -47,7 +67,7 @@ impl std::fmt::Debug for ProvService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProvService")
             .field("vertices", &self.db.graph().vertex_count())
-            .field("sessions", &self.sessions.len())
+            .field("sessions", &self.held.session_count())
             .finish()
     }
 }
@@ -62,11 +82,23 @@ impl ProvService {
     pub fn with_clock(clock: Box<dyn Clock>) -> Self {
         ProvService {
             db: ProvDb::new(),
-            sessions: BTreeMap::new(),
-            next_session: 0,
+            held: Held::with_budget(HELD_BUDGET_BYTES),
             resumptions: 0,
             clock,
         }
+    }
+
+    /// Empty service whose registry holds at most `budget` bytes (unit
+    /// tests of the budget rules).
+    #[cfg(test)]
+    pub(crate) fn with_budget(budget: usize) -> Self {
+        ProvService { held: Held::with_budget(budget), ..Self::new() }
+    }
+
+    /// The registry, for unit tests that check what it holds.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> &Held {
+        &self.held
     }
 
     /// Wrap an existing database.
@@ -86,12 +118,12 @@ impl ProvService {
 
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.held.session_count()
     }
 
     /// Inspect a live session.
     pub fn session(&self, id: SessionId) -> Option<&PgSegSession> {
-        self.sessions.get(&id)
+        self.held.session(id)
     }
 
     /// Serve one request; errors become [`Response::Error`], successes carry
@@ -226,30 +258,21 @@ impl ProvService {
     fn open_session(&mut self, r: &OpenSessionRequest) -> ApiResult<Response> {
         let query = self.build_query(&r.src, &r.dst, &r.boundary)?;
         let session = self.db.segment_session(query, &r.options.to_options())?;
-        let id = SessionId::new(self.next_session);
-        self.next_session += 1;
-        self.sessions.insert(id, session);
-        Ok(self.session_response(id))
-    }
-
-    fn session_mut(&mut self, id: SessionId) -> ApiResult<&mut PgSegSession> {
-        self.sessions.get_mut(&id).ok_or(ApiError::UnknownSession(id))
-    }
-
-    fn session_response(&self, id: SessionId) -> Response {
-        let session = &self.sessions[&id];
-        let segment = SegmentDto::from_segment(session.graph(), session.segment());
-        let stats = Stats::sized(segment.vertices.len(), segment.edges.len());
-        Response::Session(SessionResponse { session: id, segment, stats })
+        let id = self.held.open_session(session)?;
+        let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
+        Ok(session_response(id, session))
     }
 
     fn expand(&mut self, r: &ExpandRequest) -> ApiResult<Response> {
-        let session = self.session_mut(r.session)?;
-        // Resolve against the session's pinned snapshot, not the live store:
-        // the expansion must land on vertices the session can actually see.
-        let roots = EntityRef::resolve_all(&r.roots, session.graph())?;
-        session.expand(&roots, r.k);
-        Ok(self.session_response(r.session))
+        let session = self.held.adjust_session(r.session, |session| {
+            // Resolve against the session's pinned snapshot, not the live
+            // store: the expansion must land on vertices the session can
+            // actually see.
+            let roots = EntityRef::resolve_all(&r.roots, session.graph())?;
+            session.expand(&roots, r.k);
+            Ok(())
+        })?;
+        Ok(session_response(r.session, session))
     }
 
     fn restrict(&mut self, r: &RestrictRequest) -> ApiResult<Response> {
@@ -258,15 +281,16 @@ impl ProvService {
                 "restrict boundaries carry exclusions only; send Expand for bx(Vx, k)",
             ));
         }
-        let session = self.session_mut(r.session)?;
-        let boundary = r.boundary.resolve(session.graph())?;
-        session.restrict(&boundary);
-        Ok(self.session_response(r.session))
+        let session = self.held.adjust_session(r.session, |session| {
+            let boundary = r.boundary.resolve(session.graph())?;
+            session.restrict(&boundary);
+            Ok(())
+        })?;
+        Ok(session_response(r.session, session))
     }
 
     fn close_session(&mut self, r: &CloseSessionRequest) -> ApiResult<Response> {
-        let session =
-            self.sessions.remove(&r.session).ok_or(ApiError::UnknownSession(r.session))?;
+        let session = self.held.close_session(r.session)?;
         let stats = Stats::sized(session.segment().vertex_count(), session.segment().edge_count());
         Ok(Response::Closed(ClosedResponse { session: r.session, stats }))
     }
@@ -282,7 +306,7 @@ impl ProvService {
         let mut segments = Vec::with_capacity(r.sessions.len());
         let mut graph: Option<&Arc<_>> = None;
         for &id in &r.sessions {
-            let session = self.sessions.get(&id).ok_or(ApiError::UnknownSession(id))?;
+            let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
             match graph {
                 None => graph = Some(session.graph_shared()),
                 Some(g) if Arc::ptr_eq(g, session.graph_shared()) => {}
@@ -331,106 +355,136 @@ impl ProvService {
         Ok(Response::Lineage(LineageResponse { entity, vertices, stats }))
     }
 
+    /// Run `f` over the snapshot `source` names: a session's pinned graph
+    /// and index, or the live store's graph and current index.
+    fn with_snapshot<R>(
+        &self,
+        source: Source,
+        f: impl FnOnce(&ProvGraph, &ProvIndex) -> ApiResult<R>,
+    ) -> ApiResult<R> {
+        match source {
+            Source::Session(id) => {
+                let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
+                f(session.graph(), session.index())
+            }
+            Source::Live => f(self.db.graph(), &self.db.snapshot()),
+        }
+    }
+
     /// Serve one composable query: lower it onto the query IR when possible
     /// (IR pipelines as-is; patterns through [`prov_store::lower_pattern`]),
     /// evaluate over the pinned session snapshot or the live store, and
     /// paginate with the stable-cursor machinery. Non-lowerable patterns
     /// fall back to the materializing pattern engine and surface budget
     /// truncation as `is_complete = false` — never silently.
+    ///
+    /// A resumed walk's answer is a pure value of `(source, compiled plan,
+    /// watermark)` (bounded replay is deterministic), so the first
+    /// resumption holds it and later pages are slices of it until the page
+    /// that issues no next cursor drops it. The first page holds nothing:
+    /// nothing shows the client will come back. Plans with a property
+    /// filter read the live store and are never held.
     fn query(&mut self, r: &QueryRequest) -> ApiResult<Response> {
         if r.cursor.is_some() {
             self.resumptions += 1;
         }
         let resumptions = self.resumptions;
-        let lowered = match &r.query {
-            QuerySpec::Pipeline(p) => Some(p.clone()),
-            QuerySpec::Pattern(p) => prov_store::lower_pattern(p),
-        };
-
         // Snapshot source: a session pins both graph and index, so paginated
         // walks against it are byte-stable even for property-filtered
         // pipelines; the live store relies on the cursor's rank watermark
         // for structural stability.
-        let live_index;
-        let (graph, index): (&prov_store::ProvGraph, &prov_store::ProvIndex) = match r.session {
-            Some(id) => {
-                let session = self.sessions.get(&id).ok_or(ApiError::UnknownSession(id))?;
-                (session.graph(), session.index())
+        let source = match r.session {
+            Some(id) if self.held.session(id).is_none() => {
+                return Err(ApiError::UnknownSession(id))
             }
-            None => {
-                live_index = self.db.snapshot();
-                (self.db.graph(), &live_index)
-            }
+            Some(id) => Source::Session(id),
+            None => Source::Live,
         };
+        let pipeline = match &r.query {
+            QuerySpec::Pipeline(p) => p.clone(),
+            QuerySpec::Pattern(p) => match prov_store::lower_pattern(p) {
+                Some(pipeline) => pipeline,
+                None => return self.pattern_query(r, p, source, resumptions),
+            },
+        };
+        let plan = prov_store::Plan::compile(pipeline)?;
 
-        let response = match lowered {
-            Some(pipeline) => {
-                let plan = prov_store::Plan::compile(pipeline)?;
-                // Resumptions replay the pipeline at the cursor's snapshot
-                // watermark (a watermark beyond the snapshot's log is
-                // rejected inside the evaluator as a stale cursor).
-                let watermark = match &r.cursor {
-                    Some(c) => c.watermark(),
-                    None => index.cursor(),
-                };
-                let output = prov_store::evaluate_at(graph, index, &plan, watermark, 1)?;
+        let walk = r.cursor.and_then(|c| WalkKey::of(source, c.watermark(), &plan));
+        if let (Some(walk), Some(cursor)) = (&walk, &r.cursor) {
+            if let Some(held) = self.held.walk(walk) {
                 let page =
-                    prov_store::paginate(&output.rows, watermark, r.cursor.as_ref(), r.page_size);
-                let mut stats = Stats::sized(page.rows.len(), 0);
-                stats.query = QueryActivity::from_stats(output.stats, resumptions);
-                QueryResponse {
-                    rows: page.rows,
-                    count: output.count,
-                    is_complete: true,
-                    cursor: page.next,
-                    stats,
+                    prov_store::paginate(&held.rows, cursor.watermark(), Some(cursor), r.page_size);
+                let count = held.count;
+                if page.next.is_none() {
+                    self.held.drop_walk(walk);
                 }
+                // No step ran: the work counters are zero.
+                let activity = QueryActivity { resumptions, ..QueryActivity::default() };
+                return Ok(query_response(page, count, true, activity));
             }
-            None => {
-                // Outside the lowerable family: materialize paths and return
-                // the distinct endpoint set (what the lowering would have
-                // produced), sorted ascending like every IR answer.
-                let QuerySpec::Pattern(pattern) = &r.query else {
-                    unreachable!("pipelines always lower to themselves")
-                };
-                // `match_paths` enumerates the snapshot as it is now and
-                // cannot replay an earlier watermark, so a resumed page is
-                // only cut from the first page's row set when the snapshot
-                // has not moved (always true under a pinned session).
-                let snap = index.cursor();
-                if let Some(c) = r.cursor.filter(|c| c.watermark() != snap) {
-                    return Err(prov_store::StoreError::InvalidQuery(format!(
-                        "stale cursor: watermark ({}v/{}e) is not the snapshot ({}v/{}e) and the \
-                         pattern engine cannot replay it; restart the walk or pin it to a session",
-                        c.vertices, c.edges, snap.vertices, snap.edges
-                    ))
-                    .into());
-                }
-                // The wire may lower the budget, never raise it.
-                let cap = prov_store::Budget::default();
-                let budget = prov_store::Budget {
-                    max_expansions: r
-                        .max_expansions
-                        .map_or(cap.max_expansions, |n| n.min(cap.max_expansions)),
-                    max_paths: r.max_paths.map_or(cap.max_paths, |n| n.min(cap.max_paths)),
-                };
-                let outcome = prov_store::pattern::match_paths(graph, pattern, budget);
-                let is_complete = outcome.is_complete();
-                let mut rows: Vec<prov_model::VertexId> = outcome
-                    .paths()
-                    .iter()
-                    .map(|p| *p.vertices.last().expect("paths hold at least the start"))
-                    .collect();
-                rows.sort_unstable();
-                rows.dedup();
-                let count = rows.len() as u64;
-                let page = prov_store::paginate(&rows, snap, r.cursor.as_ref(), r.page_size);
-                let mut stats = Stats::sized(page.rows.len(), 0);
-                stats.query = QueryActivity { resumptions, ..QueryActivity::default() };
-                QueryResponse { rows: page.rows, count, is_complete, cursor: page.next, stats }
+        }
+
+        // Resumptions replay the pipeline at the cursor's snapshot watermark
+        // (a watermark beyond the snapshot's log is rejected inside the
+        // evaluator as a stale cursor).
+        let (output, watermark) = self.with_snapshot(source, |graph, index| {
+            let watermark = r.cursor.map_or(index.cursor(), |c| c.watermark());
+            Ok((prov_store::evaluate_at(graph, index, &plan, watermark, 1)?, watermark))
+        })?;
+        let page = prov_store::paginate(&output.rows, watermark, r.cursor.as_ref(), r.page_size);
+        let count = output.count;
+        let activity = QueryActivity::from_stats(output.stats, resumptions);
+        if let (Some(walk), Some(_)) = (walk, page.next) {
+            self.held.hold_walk(walk, output);
+        }
+        Ok(query_response(page, count, true, activity))
+    }
+
+    /// Outside the lowerable family: materialize paths and return the
+    /// distinct endpoint set (what the lowering would have produced), sorted
+    /// ascending like every IR answer.
+    fn pattern_query(
+        &self,
+        r: &QueryRequest,
+        pattern: &prov_store::PathPattern,
+        source: Source,
+        resumptions: u64,
+    ) -> ApiResult<Response> {
+        self.with_snapshot(source, |graph, index| {
+            // `match_paths` enumerates the snapshot as it is now and cannot
+            // replay an earlier watermark, so a resumed page is only cut from
+            // the first page's row set when the snapshot has not moved
+            // (always true under a pinned session).
+            let snap = index.cursor();
+            if let Some(c) = r.cursor.filter(|c| c.watermark() != snap) {
+                return Err(StoreError::InvalidQuery(format!(
+                    "stale cursor: watermark ({}v/{}e) is not the snapshot ({}v/{}e) and the \
+                     pattern engine cannot replay it; restart the walk or pin it to a session",
+                    c.vertices, c.edges, snap.vertices, snap.edges
+                ))
+                .into());
             }
-        };
-        Ok(Response::Query(response))
+            // The wire may lower the budget, never raise it.
+            let cap = prov_store::Budget::default();
+            let budget = prov_store::Budget {
+                max_expansions: r
+                    .max_expansions
+                    .map_or(cap.max_expansions, |n| n.min(cap.max_expansions)),
+                max_paths: r.max_paths.map_or(cap.max_paths, |n| n.min(cap.max_paths)),
+            };
+            let outcome = prov_store::pattern::match_paths(graph, pattern, budget);
+            let mut rows: Vec<prov_model::VertexId> = outcome
+                .paths()
+                .iter()
+                .map(|p| *p.vertices.last().expect("paths hold at least the start"))
+                .collect();
+            rows.sort_unstable();
+            rows.dedup();
+            let count = rows.len() as u64;
+            let page = prov_store::paginate(&rows, snap, r.cursor.as_ref(), r.page_size);
+            let activity = QueryActivity { resumptions, ..QueryActivity::default() };
+            Ok(query_response(page, count, outcome.is_complete(), activity))
+        })
     }
 
     fn export(&mut self) -> ApiResult<Response> {
@@ -441,8 +495,9 @@ impl ProvService {
 
     fn import(&mut self, r: &ImportRequest) -> ApiResult<Response> {
         // Live sessions keep the snapshot they pinned; only the store is
-        // replaced.
+        // replaced, and with it every answer held over it.
         self.db = ProvDb::import_json(&r.json)?;
+        self.held.clear_walks();
         Ok(Response::Imported(ImportedResponse { stats: Stats::of_graph(self.db.graph()) }))
     }
 }

@@ -317,6 +317,16 @@ fn storage_error_codes_round_trip() {
 }
 
 #[test]
+fn held_budget_error_code_round_trips() {
+    let code = ErrorCode::HeldBudgetExceeded;
+    let resp = Response::Error(ErrorResponse { code, message: "close a session first".into() });
+    let json = serde_json::to_string(&resp).unwrap();
+    assert!(json.contains(r#""code":"HeldBudgetExceeded""#), "got {json}");
+    let back: Response = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, resp);
+}
+
+#[test]
 fn stats_without_durability_field_deserialize_to_zero() {
     // An old-wire Stats (pre-durability) must still parse, with all-zero
     // durability counters.

@@ -9,19 +9,23 @@
 //!   single-hop ancestry steps from start entities at three creation-order
 //!   percentiles of a frozen `Pd` graph (`work` = rows at exactly that walk
 //!   length, the result-size axis).
-//! * **8b** — paginated vs one-shot: a full cursor walk (one bounded replay
-//!   per page, the serving cost a resuming client pays) against a single
-//!   evaluation of the same unbounded ancestry closure, swept over the page
-//!   size. Both series report the same total row count — the concatenation
-//!   invariant in the committed JSON.
+//! * **8b** — paginated vs one-shot, as a client pays for them: a full
+//!   cursor walk against one unpaginated `Query` of the same unbounded
+//!   ancestry closure, both sent through `ProvService::handle` over
+//!   `ProvDb::from_graph`, swept over the page size. The service evaluates
+//!   the first page and the first resumption and slices the held answer
+//!   after that. Both series report the same total row count — the
+//!   concatenation invariant in the committed JSON.
 //!
 //! Both run over cached `Pd` instances ([`PdCache`]) and are committed
 //! as `BENCH_fig8.json` through [`crate::BenchReport`], gated in CI next to
 //! fig5–fig7.
 
 use crate::harness::{FigureResult, PdCache, Point, Scale, Series};
+use prov_api::{ProvService, QueryRequest, QuerySpec, Request, Response};
+use prov_core::ProvDb;
 use prov_model::{EdgeKind, VertexId, VertexKind};
-use prov_store::{evaluate, evaluate_at, paginate, Direction, Pipeline, Plan, ProvGraph, Traverse};
+use prov_store::{evaluate, Direction, Pipeline, Plan, ProvGraph, QueryCursor, Traverse};
 use prov_workload::PdParams;
 use std::time::Instant;
 
@@ -36,11 +40,29 @@ fn entity_at(graph: &ProvGraph, pct: f64) -> VertexId {
     entities[((entities.len() - 1) as f64 * pct / 100.0) as usize]
 }
 
-/// The unbounded ancestry closure of `start` as a compiled plan — the IR
-/// form of `lineage(start, Ancestors)`, the 8b subject.
-fn closure_plan(start: VertexId) -> Plan {
-    Plan::compile(Pipeline::from_ids(vec![start]).traverse(&ANCESTRY, 1, Traverse::UNBOUNDED))
-        .expect("ancestry pipelines always compile")
+/// The unbounded ancestry closure of `start` as a wire query — the IR form
+/// of `lineage(start, Ancestors)`, the 8b subject.
+fn closure_query(start: VertexId, page_size: Option<usize>) -> QueryRequest {
+    QueryRequest {
+        query: QuerySpec::Pipeline(Pipeline::from_ids(vec![start]).traverse(
+            &ANCESTRY,
+            1,
+            Traverse::UNBOUNDED,
+        )),
+        session: None,
+        page_size,
+        cursor: None,
+        max_expansions: None,
+        max_paths: None,
+    }
+}
+
+/// Send one query page: its rows and the next cursor.
+fn send(service: &mut ProvService, request: &QueryRequest) -> (u64, Option<QueryCursor>) {
+    match service.handle(&Request::Query(request.clone())) {
+        Response::Query(q) => (q.rows.len() as u64, q.cursor),
+        other => panic!("fig8b query failed: {other:?}"),
+    }
 }
 
 /// Fig. 8(a): query latency by pipeline depth and result size — x chained
@@ -111,40 +133,36 @@ pub fn fig8b(scale: Scale, cache: &mut PdCache) -> FigureResult {
 
 fn fig8b_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
     let inst = cache.instance(&PdParams::with_size(n));
-    let plan = closure_plan(entity_at(inst.graph(), 95.0));
-    let watermark = inst.index().cursor();
+    let start = entity_at(inst.graph(), 95.0);
+    let mut service = ProvService::from_db(ProvDb::from_graph(inst.graph().clone()));
     let page_sizes = [16usize, 64, 256, 1_024];
     let mut series = [
         Series { name: "OneShot".into(), points: Vec::new() },
         Series { name: "Paginated".into(), points: Vec::new() },
     ];
+    let one_shot = closure_query(start, None);
     for &page_size in &page_sizes {
         // The one-shot reference is re-timed at every x so the flat line is
         // measured data, not a copied point.
         let mut best = [f64::INFINITY; 2];
         let mut rows = [0u64; 2];
+        let mut page = closure_query(start, Some(page_size));
         for _ in 0..3 {
             let t0 = Instant::now();
             for _ in 0..reps {
-                rows[0] = evaluate(inst.graph(), inst.index(), &plan)
-                    .expect("a fresh snapshot is never stale")
-                    .count;
+                rows[0] = send(&mut service, &one_shot).0;
             }
             best[0] = best[0].min(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
             for _ in 0..reps {
-                // A resuming client re-evaluates the pipeline at the pinned
-                // watermark once per page — the full serving cost of the
-                // walk, not just the slicing.
+                // Every page of the walk, as a resuming client sends them.
                 let mut total = 0u64;
-                let mut cursor = None;
+                page.cursor = None;
                 loop {
-                    let out = evaluate_at(inst.graph(), inst.index(), &plan, watermark, 1)
-                        .expect("the walk's watermark stays valid");
-                    let page = paginate(&out.rows, watermark, cursor.as_ref(), Some(page_size));
-                    total += page.rows.len() as u64;
-                    match page.next {
-                        Some(next) => cursor = Some(next),
+                    let (got, next) = send(&mut service, &page);
+                    total += got;
+                    match next {
+                        Some(next) => page.cursor = Some(next),
                         None => break,
                     }
                 }
@@ -163,8 +181,10 @@ fn fig8b_sized(cache: &mut PdCache, n: usize, reps: usize) -> FigureResult {
     FigureResult {
         id: "8b",
         title: format!(
-            "Cursor walk vs one-shot: full paginated walk (one bounded replay per page) against \
-             a single evaluation of the same ancestry closure, {reps} walks per call (Pd{n})"
+            "Cursor walk vs one-shot through ProvService::handle: every page of a paginated walk \
+             (first page and first resumption evaluate, later pages slice the held answer) \
+             against one unpaginated query of the same ancestry closure, {reps} walks per call \
+             (Pd{n})"
         ),
         x_label: "page size".into(),
         y_label: "runtime (s)".into(),

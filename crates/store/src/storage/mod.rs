@@ -339,8 +339,12 @@ impl WalStorage {
         // folded in with `refresh_in_place`, exactly as a live process would.
         let mut index = ProvIndex::build(&graph);
 
-        // Scan the live WAL; truncate the torn tail; replay the committed
-        // batches.
+        // Scan the live WAL, replaying each committed batch the moment its
+        // commit marker validates (a batch is never applied before its
+        // marker, so invariant 2 below holds; a later corruption fails the
+        // open and the partly replayed graph is dropped with it). Neither
+        // the decoded batches nor, past the scan, the log's bytes stay
+        // alive while the index catches up.
         let wal_name = wal_file_name(gen);
         let bytes = match self.io.read(&wal_name).map_err(Self::io_err)? {
             Some(bytes) => bytes,
@@ -351,26 +355,24 @@ impl WalStorage {
                 Vec::new()
             }
         };
-        let scan = wal::scan(&bytes, base_seq + 1)
-            .map_err(|e| StoreError::CorruptLog(format!("{wal_name}: {e}")))?;
-        if scan.committed_len < bytes.len() {
-            let torn = (bytes.len() - scan.committed_len) as u64;
+        let scan = wal::scan_with(&bytes, base_seq + 1, |seq, batch| {
+            for op in &batch {
+                graph.apply_wal_op(op).map_err(|e| {
+                    format!("batch {} (seq {seq}) does not replay: {e}", seq - base_seq - 1)
+                })?;
+            }
+            Ok(())
+        })
+        .map_err(|e| StoreError::CorruptLog(format!("{wal_name}: {e}")))?;
+        let wal_len = bytes.len();
+        drop(bytes);
+        if scan.committed_len < wal_len {
+            let torn = (wal_len - scan.committed_len) as u64;
             self.io.truncate(&wal_name, scan.committed_len as u64).map_err(Self::io_err)?;
             self.io.sync(&wal_name).map_err(Self::io_err)?;
             self.counters.truncated_tail_bytes += torn;
         }
-        for (i, batch) in scan.batches.iter().enumerate() {
-            for op in batch {
-                graph.apply_wal_op(op).map_err(|e| {
-                    StoreError::CorruptLog(format!(
-                        "{wal_name}: batch {} (seq {}) does not replay: {e}",
-                        i,
-                        base_seq + 1 + i as u64,
-                    ))
-                })?;
-            }
-        }
-        self.counters.batches_replayed += scan.batches.len() as u64;
+        self.counters.batches_replayed += scan.commit_offsets.len() as u64;
         index.refresh_in_place(&graph);
 
         // Sweep stale older generations (crash window after a compaction's
@@ -636,6 +638,35 @@ mod tests {
         let err =
             WalStorage::open(Box::new(disk.clone()), DurabilityPolicy::default()).unwrap_err();
         assert!(matches!(&err, StoreError::CorruptLog(m) if m.contains("commit seq 9")), "{err}");
+    }
+
+    #[test]
+    fn a_batch_that_does_not_replay_fails_the_open_naming_it() {
+        let disk = MemIo::new();
+        let (mut storage, rec) = open_mem(&disk);
+        let mut graph = rec.graph;
+        ingest(&mut graph, &mut storage, 2, "a");
+        storage.compact(&graph).unwrap();
+        ingest(&mut graph, &mut storage, 2, "b");
+        // Batch 2 of this generation (seq 5) is CRC-clean and committed, but
+        // its edge names a vertex that does not exist; a torn tail follows.
+        let wal = wal_file_name(storage.generation());
+        let bad = WalOp::AddEdge {
+            kind: prov_model::EdgeKind::WasDerivedFrom,
+            src: prov_model::VertexId::new(0),
+            dst: prov_model::VertexId::new(999),
+        };
+        let mut bytes = disk.file(&wal).unwrap();
+        bytes.extend_from_slice(&wal::encode_batch(&[bad], 5).unwrap());
+        bytes.extend_from_slice(&[0x55; 7]);
+        disk.set_file(&wal, bytes.clone());
+        let err =
+            WalStorage::open(Box::new(disk.clone()), DurabilityPolicy::default()).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::CorruptLog(m) if m.contains("batch 2 (seq 5) does not replay")),
+            "{err}"
+        );
+        assert_eq!(disk.file(&wal).unwrap(), bytes, "a refused open leaves the log as it was");
     }
 
     #[test]

@@ -23,12 +23,15 @@
 //!
 //! ## Recovery scan
 //!
-//! [`scan`] walks records from the start. A structurally invalid record
-//! (incomplete header, length past end-of-file, CRC mismatch) ends the scan:
-//! everything from the last intact commit marker onward is the *torn tail*,
-//! which recovery truncates. A record that passes its CRC but decodes to
-//! garbage (unknown tag, bad op, out-of-order commit seq) is *corruption*,
-//! not a torn write — that surfaces as an error instead of silent data loss.
+//! [`scan_with`] walks records from the start and hands each batch to its
+//! caller as soon as the batch's commit marker validates (recovery applies
+//! it there, so no decoded batch outlives its own replay); [`scan`] is the
+//! collecting wrapper. A structurally invalid record (incomplete header,
+//! length past end-of-file, CRC mismatch) ends the scan: everything from
+//! the last intact commit marker onward is the *torn tail*, which recovery
+//! truncates. A record that passes its CRC but decodes to garbage (unknown
+//! tag, bad op, out-of-order commit seq) is *corruption*, not a torn write —
+//! that surfaces as an error instead of silent data loss.
 
 use super::codec::{
     crc32, put_len, put_prop_value, put_str, put_tag, put_u32, put_u64, put_u8, Reader,
@@ -168,7 +171,8 @@ pub fn encode_batch(ops: &[WalOp], seq: u64) -> StoreResult<Vec<u8>> {
 /// The outcome of scanning a WAL file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalScan {
-    /// The committed batches, in commit order.
+    /// The committed batches, in commit order ([`scan`] only: [`scan_with`]
+    /// hands them to its callback instead and leaves this empty).
     pub batches: Vec<Vec<WalOp>>,
     /// Byte offset just past the last intact commit marker — the length the
     /// file must be truncated to. Everything beyond is the torn tail.
@@ -183,13 +187,34 @@ pub struct WalScan {
 }
 
 /// Scan a WAL file's bytes, expecting the first commit marker to carry
-/// `first_seq`.
+/// `first_seq`, and collect the committed batches.
 ///
 /// Returns `Err` only for *corruption*: CRC-valid records that decode to
 /// garbage or commit out of sequence. Structural damage (a torn write at the
 /// tail) is not an error — the scan simply stops and reports the salvageable
 /// committed prefix.
 pub fn scan(bytes: &[u8], first_seq: u64) -> Result<WalScan, String> {
+    let mut batches = Vec::new();
+    let mut scan = scan_with(bytes, first_seq, |_, ops| {
+        batches.push(ops);
+        Ok(())
+    })?;
+    scan.batches = batches;
+    Ok(scan)
+}
+
+/// [`scan`], handing each committed batch to `on_batch(seq, ops)` the moment
+/// its commit marker validates — never before, so a batch whose marker is
+/// torn or missing is never handed over. An `Err` from `on_batch` stops the
+/// scan and is returned as is. Corruption found after batch `k` fails the
+/// scan with batches up to `k` already handed over, so a caller that applies
+/// them must discard what it applied when the scan fails. The returned
+/// [`WalScan::batches`] is empty.
+pub fn scan_with(
+    bytes: &[u8],
+    first_seq: u64,
+    mut on_batch: impl FnMut(u64, Vec<WalOp>) -> Result<(), String>,
+) -> Result<WalScan, String> {
     let mut scan = WalScan {
         batches: Vec::new(),
         committed_len: 0,
@@ -242,7 +267,7 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> Result<WalScan, String> {
                 let Some(ops) = pending.take() else {
                     return Err(format!("record at {pos}: commit marker without ops record"));
                 };
-                scan.batches.push(ops);
+                on_batch(seq, ops)?;
                 scan.last_seq = seq;
                 next_seq += 1;
                 scan.committed_len = body_start + len;
@@ -357,6 +382,50 @@ mod tests {
         // Commit marker with no ops record before it.
         let commit_only = &full[ops_only.len()..];
         assert!(scan(commit_only, 1).unwrap_err().contains("without ops record"));
+    }
+
+    #[test]
+    fn scan_with_hands_over_each_batch_at_its_commit_marker() {
+        let mut bytes = Vec::new();
+        for seq in 4..=6u64 {
+            let key = Arc::from(format!("k{seq}").as_str());
+            bytes.extend_from_slice(&encode_batch(&[WalOp::InternKey { key }], seq).unwrap());
+        }
+        let collected = scan(&bytes, 4).unwrap();
+        let mut seen = Vec::new();
+        let streamed = scan_with(&bytes, 4, |seq, ops| {
+            seen.push((seq, ops));
+            Ok(())
+        })
+        .unwrap();
+        assert!(streamed.batches.is_empty());
+        assert_eq!(WalScan { batches: collected.batches.clone(), ..streamed }, collected);
+        let seqs: Vec<u64> = seen.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, vec![4, 5, 6]);
+        assert_eq!(seen.into_iter().map(|(_, ops)| ops).collect::<Vec<_>>(), collected.batches);
+
+        // A batch whose commit marker is torn off is never handed over.
+        let torn = &bytes[..bytes.len() - 1];
+        let mut handed = 0;
+        scan_with(torn, 4, |_, _| {
+            handed += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(handed, 2);
+
+        // The callback's error stops the scan.
+        let mut handed = 0;
+        let err = scan_with(&bytes, 4, |seq, _| {
+            handed += 1;
+            if seq == 5 {
+                Err("refused".into())
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert_eq!((err.as_str(), handed), ("refused", 2));
     }
 
     #[test]

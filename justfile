@@ -24,11 +24,14 @@ lint-strict:
 
 # Re-validate every structural invariant after each mutation while running
 # the store/bitset/core suites (CI's build-and-test job runs this too),
-# plus the query suites whose crates have no paranoid feature of their own.
+# plus the query and service suites whose crates have no paranoid feature of
+# their own (sessions and held query walks share one registry).
 paranoid-test:
     cargo test -q -p prov-store -p prov-bitset -p prov-core \
         --features prov-store/paranoid,prov-bitset/paranoid,prov-core/paranoid
     cargo test -q -p prov-api --test query_cursor_stability \
+        --features prov-store/paranoid,prov-core/paranoid
+    cargo test -q -p prov-api --test service_flow \
         --features prov-store/paranoid,prov-core/paranoid
     cargo test -q -p prov --test cypher_query1 \
         --features prov-store/paranoid,prov-core/paranoid
