@@ -54,6 +54,7 @@ fn stats() -> Stats {
             lazy_deferred_bytes: 4096,
             lazy_segment_loads: 2,
             lazy_bytes_loaded: 4096,
+            runs_merged: 1,
         },
     }
 }

@@ -27,9 +27,9 @@
 //!   injection and unordered with respect to the WAL's fsync protocol.
 //!   Non-durable tooling (the linter's own walker, the bench report writer)
 //!   carries justification markers.
-//! * [`SNAPSHOT_SLURP`] — no whole-file snapshot reads outside the column
-//!   codec and the `Io` backends: lazy decode range-reads snapshot columns,
-//!   so a cold start costs what it touches, not the whole image.
+//! * [`SNAPSHOT_SLURP`] — no whole-file run reads outside the column codec
+//!   and the `Io` backends: lazy decode range-reads run columns, so a cold
+//!   start costs what it touches, not every run.
 //!
 //! Detection runs on a *masked* copy of each file — comments and string
 //! literal contents blanked — so a rule name appearing in prose or a test
@@ -83,7 +83,7 @@ enum Scope {
     /// only place allowed to touch the filesystem directly.
     StorageConsumers,
     /// Every workspace file except the column codec and the Io backends —
-    /// the only places allowed to slurp whole snapshot files into memory.
+    /// the only places allowed to slurp whole run files into memory.
     SnapshotReaders,
 }
 
@@ -142,16 +142,16 @@ pub const RAW_IO: Rule = Rule {
     },
 };
 
-/// Ban whole-file snapshot reads outside the column codec and Io backends.
+/// Ban whole-file run reads outside the column codec and Io backends.
 pub const SNAPSHOT_SLURP: Rule = Rule {
     id: "snapshot-slurp",
-    description: "no whole-file snapshot reads (read(&snapshot_file_name…), read_to_end) outside \
-                  crates/store/src/storage/{column,io}.rs; snapshot bytes are range-read through \
-                  ColumnSource so lazy decode stays O(touched columns), not O(image)",
+    description: "no whole-file run reads (read(&run_file_name…), read(RUN_TMP), read_to_end) \
+                  outside crates/store/src/storage/{column,io}.rs; run bytes are range-read \
+                  through ColumnSource so lazy decode stays O(touched columns), not O(runs)",
     scope: Scope::SnapshotReaders,
     matches: |code| {
-        code.contains("read(&snapshot_file_name")
-            || code.contains("read(&snapshot_tmp")
+        code.contains("read(&run_file_name")
+            || code.contains("read(RUN_TMP")
             || code.contains("read_to_end(")
     },
 };
@@ -598,18 +598,22 @@ mod tests {
 
     #[test]
     fn snapshot_slurp_guards_lazy_decode() {
-        // Whole-file snapshot reads outside the column codec / Io backends
+        // Whole-file run reads outside the column codec / Io backends
         // defeat lazy decode's O(touched-columns) cold start.
-        let slurp = "let bytes = self.io.read(&snapshot_file_name(g))?;\n";
+        let slurp = "let bytes = self.io.read(&run_file_name(entry.id))?;\n";
         let hits = at("crates/store/src/storage/mod.rs", slurp);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, "snapshot-slurp");
+        assert_eq!(at("crates/store/src/storage/mod.rs", "self.io.read(RUN_TMP)?;\n").len(), 1);
         assert_eq!(at("crates/core/src/provdb.rs", "f.read_to_end(&mut buf)?;\n").len(), 1);
         // The codec and the backends ARE the slurp boundary.
         assert!(at("crates/store/src/storage/column.rs", slurp).is_empty());
         assert!(at("crates/store/src/storage/io.rs", "f.read_to_end(&mut buf)?;\n").is_empty());
-        // WAL reads are whole-file by design; the rule keys on snapshot names.
+        // WAL and manifest reads are whole-file by design (one small file
+        // each); the rule keys on run names.
         assert!(at("crates/store/src/storage/mod.rs", "self.io.read(&wal_name)?;\n").is_empty());
+        let manifest = "self.io.read(&manifest_file_name(gen))?;\n";
+        assert!(at("crates/store/src/storage/mod.rs", manifest).is_empty());
     }
 
     // ---- masking / engine mechanics -----------------------------------

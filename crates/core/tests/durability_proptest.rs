@@ -20,11 +20,14 @@
 //! Runs unmodified under `--features paranoid` (the CI matrix does both).
 //!
 //! Each case also draws a random [`DurabilityPolicy`]: fsync on or off,
-//! group-commit windows of 1–5 batches per flush, eager or lazy snapshot
-//! decode. The twin differential must hold across group flush points (an
-//! accepted-but-unflushed batch is visible in memory and absent from disk),
-//! a crash at `frac·wal_len` must still recover a committed-batch prefix of
-//! the *flushed* log, and a clean shutdown flushes before reopening.
+//! group-commit windows of 1–5 batches per flush, eager or lazy decode, and
+//! an automatic compaction threshold of 128–512 B (or none), so a program
+//! seals many runs — and, past `MAX_RUNS`, merges them — on top of its
+//! explicit `Compact` ops. The twin differential must hold across group
+//! flush points (an accepted-but-unflushed batch is visible in memory and
+//! absent from disk), a crash at `frac·wal_len` must still recover a
+//! committed-batch prefix of the *flushed* log, and a clean shutdown
+//! flushes before reopening.
 
 use proptest::prelude::*;
 use prov_core::segment::{PgSegOptions, PgSegQuery, PgSegSession};
@@ -75,16 +78,23 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// The policy space under test: every combination of fsync on/off, group
-/// windows 1–5 batches/flush, and eager/lazy snapshot decode.
+/// windows 1–5 batches/flush, eager/lazy decode, and automatic compaction
+/// after 128, 256 or 512 B of WAL, or never.
 fn policy_strategy() -> impl Strategy<Value = DurabilityPolicy> {
-    (any::<bool>(), any::<u8>(), any::<bool>()).prop_map(|(fsync, group, lazy)| {
-        let mut p = DurabilityPolicy::never_compact().with_group_batches(1 + u32::from(group) % 5);
-        p.fsync_on_commit = fsync;
-        if lazy {
-            p = p.with_lazy_decode();
-        }
-        p
-    })
+    (any::<bool>(), any::<u8>(), any::<bool>(), any::<u8>()).prop_map(
+        |(fsync, group, lazy, compact)| {
+            let mut p =
+                DurabilityPolicy::never_compact().with_group_batches(1 + u32::from(group) % 5);
+            p.fsync_on_commit = fsync;
+            if compact % 4 != 3 {
+                p.compact_after_wal_bytes = 128 << (compact % 4);
+            }
+            if lazy {
+                p = p.with_lazy_decode();
+            }
+            p
+        },
+    )
 }
 
 /// The interpreter. `gen_prefixes[i]` is a clone of the graph after `i`
@@ -98,8 +108,10 @@ struct Harness {
     policy: DurabilityPolicy,
     generation: u64,
     /// Batches committed before the current generation started (= the seq of
-    /// the snapshot the generation's WAL replays on top of).
+    /// the manifest the generation's WAL replays on top of).
     base_seq: u64,
+    /// Compactions the current database handle has reported so far.
+    compactions_seen: u64,
     gen_prefixes: Vec<ProvGraph>,
     /// Versioned entity names known to exist (pruned after crashes).
     entities: Vec<String>,
@@ -122,6 +134,7 @@ impl Harness {
             policy,
             generation: 0,
             base_seq: 0,
+            compactions_seen: 0,
             gen_prefixes: vec![empty],
             entities: Vec::new(),
             agents: 0,
@@ -132,10 +145,30 @@ impl Harness {
         open_disk(&self.disk, &self.policy)
     }
 
-    /// Record a committed batch: twin must match exactly, oracle grows.
+    /// Record a committed batch: twin must match exactly, oracle grows —
+    /// or, when the batch crossed the compaction threshold, restarts at the
+    /// new generation, whose base covers every batch so far.
     fn committed(&mut self) {
         assert_eq!(self.db.graph(), self.twin.graph(), "durable db diverged from in-memory twin");
         self.gen_prefixes.push(self.db.graph().clone());
+        if self.sync_compactions() {
+            assert_eq!(self.db.wal_bytes(), Some(0), "a compaction starts an empty log");
+        }
+    }
+
+    /// Start a new oracle generation for every compaction the database ran
+    /// since the last call; returns whether there was one.
+    fn sync_compactions(&mut self) -> bool {
+        let c = self.db.durability_counters().unwrap();
+        assert!(c.runs_merged <= c.snapshots_written);
+        let new = c.snapshots_written - self.compactions_seen;
+        self.compactions_seen = c.snapshots_written;
+        if new > 0 {
+            self.generation += new;
+            self.base_seq += self.gen_prefixes.len() as u64 - 1;
+            self.gen_prefixes = vec![self.db.graph().clone()];
+        }
+        new > 0
     }
 
     fn pick_entity(&self, sel: u8) -> Option<&str> {
@@ -216,9 +249,7 @@ impl Harness {
             }
             Op::Compact => {
                 assert!(self.db.compact().unwrap(), "durable db must compact");
-                self.generation += 1;
-                self.base_seq += self.gen_prefixes.len() as u64 - 1;
-                self.gen_prefixes = vec![self.db.graph().clone()];
+                assert!(self.sync_compactions());
                 assert_eq!(self.db.graph(), self.twin.graph());
             }
             Op::CrashRestart { frac } => self.crash_restart(frac),
@@ -236,6 +267,7 @@ impl Harness {
                 self.db.flush().unwrap();
                 let before = self.db.graph().clone();
                 self.db = self.reopen();
+                self.compactions_seen = 0;
                 assert_eq!(self.db.graph(), &before, "clean reopen lost data");
                 assert_eq!(self.db.graph(), self.twin.graph());
                 assert_eq!(self.db.durability_counters().unwrap().recoveries, 1);
@@ -263,6 +295,7 @@ impl Harness {
         // disk from now on.
         self.disk = self.disk.fork_truncated(&wal_name, cut);
         self.db = self.reopen();
+        self.compactions_seen = 0;
 
         let predicted = self.gen_prefixes[surviving].clone();
         let predicted = &predicted;
@@ -328,7 +361,7 @@ proptest! {
     #[test]
     fn random_ingest_crash_restart_query_interleavings(
         policy in policy_strategy(),
-        ops in proptest::collection::vec(op_strategy(), 1..24)
+        ops in proptest::collection::vec(op_strategy(), 1..48)
     ) {
         let mut h = Harness::new(policy);
         for op in &ops {

@@ -14,7 +14,7 @@
 //!    suffix) equal to a from-scratch `ProvIndex::build`.
 
 use prov_core::{ActivityRecord, DurabilityPolicy, OutputSpec, ProvDb};
-use prov_store::storage::{wal, wal_file_name, FailpointIo, FaultPlan, MemIo};
+use prov_store::storage::{wal, wal_file_name, FailpointIo, FaultPlan, MemIo, MAX_RUNS};
 use prov_store::{ProvGraph, ProvIndex, StoreError};
 
 fn open_mem(disk: &MemIo) -> ProvDb {
@@ -138,6 +138,44 @@ fn recovery_at_every_wal_byte_after_compaction() {
     prefixes.push(db.graph().clone());
     drop(db);
     sweep(&disk, 1, base_seq, &prefixes);
+}
+
+#[test]
+fn recovery_at_every_wal_byte_after_runs_merge() {
+    // Enough compactions that the run list outgrows MAX_RUNS and merges,
+    // each generation also rewriting properties of vertices older runs
+    // sealed (the overwrite segments), then the full per-byte sweep of the
+    // live generation's log.
+    let disk = MemIo::new();
+    let mut db = open_mem(&disk);
+    let mut pre = vec![db.graph().clone()];
+    scripted_ingest(&mut db, &mut pre);
+    let mut base_seq = (pre.len() - 1) as u64;
+    let weights = db.entity("weights-v1").unwrap();
+    for round in 0..=MAX_RUNS as i64 {
+        assert!(db.compact().unwrap());
+        db.add_artifact_version("dataset", None).unwrap();
+        db.try_with_graph_mut(|g| {
+            g.set_vprop(weights, "acc", round);
+            g.set_vprop(prov_model::VertexId::new(0), "round", round);
+        })
+        .unwrap();
+        base_seq += 2;
+    }
+    assert!(db.compact().unwrap());
+    let c = db.durability_counters().unwrap();
+    assert!(c.snapshots_written > MAX_RUNS as u64 && c.runs_merged >= 1, "{c:?}");
+
+    let mut prefixes = vec![db.graph().clone()];
+    db.try_with_graph_mut(|g| g.unset_vprop(weights, "acc")).unwrap();
+    prefixes.push(db.graph().clone());
+    db.add_artifact_version("dataset", None).unwrap();
+    prefixes.push(db.graph().clone());
+    db.try_with_graph_mut(|g| g.set_vprop(prov_model::VertexId::new(0), "round", -1i64)).unwrap();
+    prefixes.push(db.graph().clone());
+    let generation = c.snapshots_written;
+    drop(db);
+    sweep(&disk, generation, base_seq, &prefixes);
 }
 
 #[test]

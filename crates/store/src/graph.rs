@@ -193,12 +193,12 @@ pub enum WalOp {
     },
 }
 
-/// Decoder for snapshot property columns whose materialization was deferred
-/// at recovery time (the lazy-decode path of the segmented snapshot format).
+/// Decoder for run property columns whose materialization was deferred at
+/// recovery time (the lazy-decode path of the run format).
 ///
 /// `load` is called at most once, on the first property touch, and must
-/// return every vertex/edge property triple of the snapshot keyed by the
-/// [`prov_model::PropKeyId`]s the structural decode already re-interned.
+/// return every vertex/edge property triple the runs' columns hold, keyed by
+/// the [`prov_model::PropKeyId`]s the structural decode already re-interned.
 pub trait PropLoader: std::fmt::Debug + Send + Sync {
     /// Decode the deferred columns. Errors (a corrupt deferred segment, a
     /// vanished backing file) surface as a panic at the first property touch
@@ -227,7 +227,7 @@ struct Overlay {
 }
 
 /// Deferred-decode state: the loader for the cold columns, index
-/// declarations known so far (snapshot-declared, then any replayed from the
+/// declarations known so far (run-declared, then any replayed from the
 /// WAL tail), property ops queued from replay, and the once-materialized
 /// overlay. Shared by `Arc` so clones of a lazy graph materialize once.
 #[derive(Debug)]
@@ -789,6 +789,13 @@ impl ProvGraph {
     /// a cold start pays nothing for.
     pub fn deferred_props_untouched(&self) -> bool {
         self.lazy.as_ref().is_some_and(|l| l.overlay.get().is_none())
+    }
+
+    /// Load the deferred columns now if they are still on disk (a no-op on
+    /// eager or already-loaded graphs) — the storage engine calls this
+    /// before it deletes a file the loader reads.
+    pub fn load_deferred_props(&self) {
+        let _ = self.lazy_overlay();
     }
 
     /// The effective secondary-index registry: the overlay's when deferred

@@ -1,5 +1,5 @@
 //! Little-endian binary primitives shared by the WAL record codec and the
-//! columnar snapshot codec.
+//! columnar run codec.
 //!
 //! The vendored serde shim is JSON-only, so durable bytes use a small
 //! hand-rolled format: fixed-width little-endian integers, length-prefixed
@@ -12,9 +12,11 @@ use crate::error::{StoreError, StoreResult};
 use prov_model::PropValue;
 use std::sync::Arc;
 
-/// IEEE CRC-32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 slicing-by-16 tables, built at compile time: `CRC_TABLES[0]`
+/// is the classic bytewise table, and `CRC_TABLES[k][b]` is the CRC state
+/// after byte `b` is followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0u32;
     while i < 256 {
         let mut c = i;
@@ -23,19 +25,97 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
-        table[i as usize] = c;
+        tables[0][i as usize] = c;
         i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// IEEE CRC-32 of `bytes`, sixteen bytes per step (slicing-by-16): the same
+/// values as the bytewise definition, so nothing on disk depends on it.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xffff_ffffu32;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xff) as usize]
+            ^ t[14][((x >> 8) & 0xff) as usize]
+            ^ t[13][((x >> 16) & 0xff) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    }
+    c ^ 0xffff_ffff
+}
+
+/// `a · b` modulo the CRC-32 polynomial, in the reflected bit order the
+/// tables use (bit 31 is `x^0`).
+const fn mul_mod_poly(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        bit >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ 0xedb8_8320 } else { b >> 1 };
+    }
+    product
+}
+
+/// `x^(2^k)` modulo the polynomial, `k = 0..32`.
+const X_POW_2K: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = mul_mod_poly(p, p);
+        k += 1;
     }
     table
 };
 
-/// IEEE CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+/// IEEE CRC-32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
+/// without a pass over the bytes. XOR-symmetric in the two CRCs, so it also
+/// recovers `crc32(b)` from `crc32(a)` and `crc32(a ++ b)`.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // Shift crc_a past len_b zero bytes: multiply by x^(8 · len_b).
+    let mut shift = 1u32 << 31; // x^0
+    let mut n = len_b;
+    let mut k = 3; // one byte is x^(2^3)
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mul_mod_poly(X_POW_2K[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
     }
-    c ^ 0xffff_ffff
+    mul_mod_poly(shift, crc_a) ^ crc_b
 }
 
 /// Append a `u8`.
@@ -65,13 +145,24 @@ pub fn put_tag(out: &mut Vec<u8>, index: usize) {
 /// fail loudly instead: nothing is appended and the caller's commit or
 /// compaction reports the error.
 pub fn put_len(out: &mut Vec<u8>, n: usize, what: &str) -> StoreResult<()> {
-    let fits = u32::try_from(n).map_err(|_| {
+    put_u32(out, len_u32(n, what)?);
+    Ok(())
+}
+
+/// A length or count (`what`) as the format's `u32`, refused when it does
+/// not fit — [`put_len`] for fields written before their value is known and
+/// back-patched with [`patch_u32`].
+pub fn len_u32(n: usize, what: &str) -> StoreResult<u32> {
+    u32::try_from(n).map_err(|_| {
         StoreError::StorageUnavailable(format!(
             "{what} of {n} does not fit the durable format's u32 length field"
         ))
-    })?;
-    put_u32(out, fits);
-    Ok(())
+    })
+}
+
+/// Overwrite the little-endian `u32` at `out[at..at + 4]`.
+pub fn patch_u32(out: &mut [u8], at: usize, v: u32) {
+    out[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
 /// Append a length-prefixed UTF-8 string.
@@ -181,12 +272,54 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// The bytewise definition the sliced loop must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_oracle() {
+        // A deterministic byte pattern with no 16-byte period.
+        let bytes: Vec<u8> = (0u32..(1 << 20) + 37)
+            .map(|i| i.wrapping_mul(2_654_435_761).to_le_bytes()[2])
+            .collect();
+        // Every length through four blocks, at every alignment within one.
+        for start in 0..16 {
+            for len in 0..=64 {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+        // And a megabyte, unaligned.
+        let big = &bytes[3..];
+        assert_eq!(crc32(big), crc32_bytewise(big));
+    }
+
+    #[test]
+    fn combined_crcs_equal_the_crc_of_the_concatenation() {
+        let bytes: Vec<u8> =
+            (0u32..5000).map(|i| i.wrapping_mul(40_503).to_le_bytes()[1]).collect();
+        for (split, end) in [(0, 0), (0, 7), (7, 7), (1, 2), (4, 4000), (1000, 1001), (17, 5000)] {
+            let (a, b) = (&bytes[..split], &bytes[split..end]);
+            let whole = crc32(&bytes[..end]);
+            let len_b = b.len() as u64;
+            assert_eq!(crc32_combine(crc32(a), crc32(b), len_b), whole, "{split}..{end}");
+            // And back: the suffix's CRC from the whole and the prefix.
+            assert_eq!(crc32_combine(crc32(a), whole, len_b), crc32(b), "{split}..{end}");
+        }
     }
 
     #[test]

@@ -40,11 +40,11 @@ impl std::fmt::Display for IoError {
 pub type IoResult<T> = Result<T, IoError>;
 
 /// Random-access byte source over one stored file — the abstraction the
-/// lazy snapshot decoder range-reads deferred columns through. A source
-/// stays readable after the file it was opened on is removed or replaced
-/// (the `std::fs` backend keeps the descriptor open; compaction forces
-/// materialization before sweeping the old snapshot regardless).
-#[allow(clippy::len_without_is_empty)] // a zero-length snapshot is invalid, not "empty"
+/// lazy run decoder range-reads deferred columns through. A source stays
+/// readable after the file it was opened on is removed or replaced (the
+/// `std::fs` backend keeps the descriptor open; a compaction loads a lazy
+/// graph's deferred columns before it deletes a merged-away run regardless).
+#[allow(clippy::len_without_is_empty)] // a zero-length run is invalid, not "empty"
 pub trait ColumnSource: std::fmt::Debug + Send + Sync {
     /// Total length of the file in bytes.
     fn len(&self) -> u64;
@@ -243,8 +243,8 @@ impl Io for StdIo {
 }
 
 /// [`ColumnSource`] over an open file descriptor: range reads survive the
-/// file later being unlinked or replaced (the snapshot sweep after a
-/// compaction), because the descriptor pins the inode.
+/// file later being unlinked or replaced (a merge deleting the runs it
+/// joined), because the descriptor pins the inode.
 #[derive(Debug)]
 struct FileColumnSource {
     name: String,
@@ -449,17 +449,17 @@ mod tests {
         io.truncate("wal", 4).unwrap();
         assert_eq!(io.read("wal").unwrap().unwrap(), b"abcd");
         io.sync("wal").unwrap();
-        io.write("snapshot.tmp", b"SNAP").unwrap();
-        io.rename("snapshot.tmp", "snapshot-1").unwrap();
-        assert_eq!(io.read("snapshot.tmp").unwrap(), None);
-        assert_eq!(io.read("snapshot-1").unwrap().unwrap(), b"SNAP");
-        assert_eq!(io.list().unwrap(), vec!["snapshot-1".to_string(), "wal".to_string()]);
+        io.write("run.tmp", b"RUN").unwrap();
+        io.rename("run.tmp", "run-1").unwrap();
+        assert_eq!(io.read("run.tmp").unwrap(), None);
+        assert_eq!(io.read("run-1").unwrap().unwrap(), b"RUN");
+        assert_eq!(io.list().unwrap(), vec!["run-1".to_string(), "wal".to_string()]);
         io.remove("wal").unwrap();
         io.remove("wal").unwrap(); // idempotent
-        assert_eq!(io.list().unwrap(), vec!["snapshot-1".to_string()]);
+        assert_eq!(io.list().unwrap(), vec!["run-1".to_string()]);
         // Overwrite-in-place via write.
-        io.write("snapshot-1", b"SNAP2").unwrap();
-        assert_eq!(io.read("snapshot-1").unwrap().unwrap(), b"SNAP2");
+        io.write("run-1", b"RUN2").unwrap();
+        assert_eq!(io.read("run-1").unwrap().unwrap(), b"RUN2");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Durable storage: a checksummed write-ahead log with snapshot compaction
-//! and crash recovery, behind an injectable I/O layer.
+//! Durable storage: a checksummed write-ahead log compacted into immutable
+//! column runs, with crash recovery, behind an injectable I/O layer.
 //!
 //! ## Architecture
 //!
@@ -7,7 +7,8 @@
 //!   ProvDb ──journal (Vec<WalOp>)──▶ WalStorage (group buffer ▶ flush)
 //!                                        │
 //!                                        ├─ wal.rs       record framing + recovery scan
-//!                                        ├─ column.rs    snapshot image: segmented encode, eager/lazy decode
+//!                                        ├─ column.rs    runs: segmented delta encode, merge, eager/lazy decode
+//!                                        ├─ manifest.rs  the CRC'd run list a compaction commits
 //!                                        ├─ codec.rs     LE primitives + CRC-32
 //!                                        └─ dyn Io ──▶ StdIo (real fs) | MemIo | FailpointIo
 //! ```
@@ -41,20 +42,26 @@
 //!
 //! ## On-disk layout
 //!
-//! One directory, generation-numbered files:
+//! One directory: generation-numbered manifests and WALs, id-numbered runs.
 //!
 //! ```text
 //!   wal-0000000000                       generation 0: log only, empty base
-//!   snapshot-0000000003  wal-0000000003  generation 3: image + log suffix
-//!   snapshot.tmp                         in-flight compaction (ignored)
+//!   manifest-0000000003  wal-0000000003  generation 3: run list + log suffix
+//!   run-0000000001  run-0000000003 ...   the runs manifest 3 lists, in order
+//!   run.tmp  manifest.tmp                in-flight compaction (swept)
 //! ```
 //!
-//! Compaction writes `snapshot.tmp`, fsyncs, atomically renames it to
-//! `snapshot-{g+1}`, creates an empty `wal-{g+1}`, then deletes the old
-//! generation. The rename is the commit point of a compaction: before it the
-//! old generation is authoritative, after it the new one is. Recovery makes
-//! every intermediate crash state well-defined (stale files are swept, a
-//! missing `wal-{g+1}` is created empty).
+//! A compaction seals only what changed since the previous one into a new
+//! run (`column.rs`): it writes `run.tmp`, fsyncs and renames it to
+//! `run-{id}`; when the list then holds more than
+//! [`manifest::MAX_RUNS`] runs it merges one adjacent pair the same way;
+//! then it writes `manifest.tmp` (the new run list), fsyncs and renames it
+//! to `manifest-{g+1}`, creates an empty `wal-{g+1}`, and deletes
+//! `wal-{g}`, `manifest-{g}` and every run the new list dropped. The
+//! manifest rename is the commit point: before it the old generation is
+//! authoritative, after it the new one is. Recovery makes every
+//! intermediate crash state well-defined (temp files and unlisted runs are
+//! swept, a missing `wal-{g+1}` is created empty).
 //!
 //! ## Recovery invariants
 //!
@@ -70,7 +77,11 @@
 //!    truncation is only for torn writes;
 //! 3. replay drives the ordinary graph mutators, and the recovered secondary
 //!    index is caught up with `ProvIndex::refresh_in_place`, so recovered
-//!    state is bit-for-bit the state the mutators would rebuild.
+//!    state is bit-for-bit the state the mutators would rebuild;
+//! 4. property writes replayed from the WAL tail onto ids below the last
+//!    run's end are kept for the next run's overwrite segment, exactly as
+//!    [`WalStorage::commit`] keeps them live — the next run's columns start
+//!    at that end and cannot carry them.
 //!
 //! After any I/O error the engine is *poisoned*: in-memory state may be ahead
 //! of durable state, so every later commit fails with
@@ -81,11 +92,13 @@ pub mod codec;
 pub mod column;
 pub mod failpoint;
 pub mod io;
+pub mod manifest;
 pub mod wal;
 
-pub use column::LazyStats;
+pub use column::{LazyStats, Watermark};
 pub use failpoint::{FailpointIo, FaultPlan};
 pub use io::{ColumnSource, Io, IoError, IoResult, MemIo, StdIo};
+pub use manifest::{Manifest, RunEntry, MAX_RUNS};
 pub use wal::WalScan;
 
 use crate::error::{StoreError, StoreResult};
@@ -93,17 +106,24 @@ use crate::graph::{ProvGraph, WalOp};
 use crate::snapshot::ProvIndex;
 use serde::{Deserialize, Serialize};
 
-/// Name of the in-flight compaction temp file.
-pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
+/// Name of the temp file an in-flight run (or merge) is written to.
+pub const RUN_TMP: &str = "run.tmp";
+/// Name of the temp file an in-flight manifest is written to.
+pub const MANIFEST_TMP: &str = "manifest.tmp";
 
 /// WAL file name for generation `gen`.
 pub fn wal_file_name(gen: u64) -> String {
     format!("wal-{gen:010}")
 }
 
-/// Snapshot file name for generation `gen`.
-pub fn snapshot_file_name(gen: u64) -> String {
-    format!("snapshot-{gen:010}")
+/// Manifest file name for generation `gen`.
+pub fn manifest_file_name(gen: u64) -> String {
+    format!("manifest-{gen:010}")
+}
+
+/// File name of run `id`.
+pub fn run_file_name(id: u64) -> String {
+    format!("run-{id:010}")
 }
 
 fn parse_gen(name: &str, prefix: &str) -> Option<u64> {
@@ -115,17 +135,17 @@ fn parse_gen(name: &str, prefix: &str) -> Option<u64> {
     }
 }
 
-/// How `recover()` materializes the snapshot base image.
+/// How `recover()` materializes the runs the manifest lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotDecode {
-    /// Decode every column at open — full integrity check up front
-    /// (default).
+    /// Decode every column of every run at open — full integrity check up
+    /// front (default).
     #[default]
     Eager,
-    /// Decode only the structural columns at open; defer the property
-    /// columns behind a [`ColumnSource`] until first touch. Cold start is
-    /// O(structural columns); corruption inside a deferred column surfaces
-    /// at first touch instead of at open.
+    /// Decode only the structural columns at open; defer every run's
+    /// property columns behind its [`ColumnSource`] until first touch. Cold
+    /// start is O(structural columns); corruption inside a deferred column
+    /// surfaces at first touch instead of at open.
     Lazy,
 }
 
@@ -136,9 +156,10 @@ pub struct DurabilityPolicy {
     /// Turning this off trades the durability of the latest commits for
     /// throughput; recovery still yields a committed prefix.
     pub fsync_on_commit: bool,
-    /// Compact (snapshot + truncate the log) once the WAL exceeds this many
-    /// bytes (default 1 MiB). `u64::MAX` disables automatic compaction.
-    /// Buffered-but-unflushed group bytes count toward the threshold.
+    /// Compact (seal a run + start a fresh log) once the WAL exceeds this
+    /// many bytes (default 1 MiB). `u64::MAX` disables automatic
+    /// compaction. Buffered-but-unflushed group bytes count toward the
+    /// threshold.
     pub compact_after_wal_bytes: u64,
     /// Group up to this many op-batches into one WAL append + one fsync
     /// (default 1 — every batch flushes immediately, exactly the ungrouped
@@ -193,13 +214,13 @@ impl DurabilityPolicy {
 pub struct DurabilityCounters {
     /// Batches appended to the WAL.
     pub wal_appends: u64,
-    /// Fsync calls issued (commits, snapshot writes).
+    /// Fsync calls issued (commits, run and manifest writes).
     pub fsyncs: u64,
     /// Cold-start recoveries performed.
     pub recoveries: u64,
     /// Torn-tail bytes truncated during recovery.
     pub truncated_tail_bytes: u64,
-    /// Snapshot images written by compaction.
+    /// Compactions committed (one manifest, one new run each).
     pub snapshots_written: u64,
     /// Committed batches replayed from the WAL during recovery.
     pub batches_replayed: u64,
@@ -214,7 +235,7 @@ pub struct DurabilityCounters {
     /// Absent on old wires: 0.
     #[serde(default)]
     pub lazy_segments_deferred: u64,
-    /// Bytes of snapshot payload not read at open (lazy mode). Absent on
+    /// Bytes of run payload not read at open (lazy mode). Absent on
     /// old wires: 0.
     #[serde(default)]
     pub lazy_deferred_bytes: u64,
@@ -224,24 +245,28 @@ pub struct DurabilityCounters {
     /// Bytes range-read by first-touch loads. Absent on old wires: 0.
     #[serde(default)]
     pub lazy_bytes_loaded: u64,
+    /// Adjacent run pairs merged by compactions. Absent on old wires: 0.
+    #[serde(default)]
+    pub runs_merged: u64,
 }
 
 /// What a cold-start recovery produced.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The recovered graph: snapshot base + committed WAL suffix.
+    /// The recovered graph: the manifest's runs + committed WAL suffix.
     pub graph: ProvGraph,
-    /// A secondary index over `graph`, built from the snapshot base and
-    /// caught up with `refresh_in_place` over the replayed suffix.
+    /// A secondary index over `graph`, built over the runs and caught up
+    /// with `refresh_in_place` over the replayed suffix.
     pub index: ProvIndex,
 }
 
-/// The WAL + snapshot storage engine. See the module docs for the protocol.
+/// The WAL + run storage engine. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct WalStorage {
     io: Box<dyn Io>,
     policy: DurabilityPolicy,
-    /// Current file generation (`wal-{gen}` is the live log).
+    /// Current file generation (`wal-{gen}` is the live log, `manifest-{gen}`
+    /// its base when `gen > 0`).
     gen: u64,
     /// Sequence number of the last accepted batch (0 = none ever); the last
     /// `pending_batches` of them are still in `pending`.
@@ -253,6 +278,13 @@ pub struct WalStorage {
     pending: Vec<u8>,
     /// Batches currently in `pending`.
     pending_batches: u64,
+    /// The committed run list (empty in generation 0).
+    manifest: Manifest,
+    /// Id the next run file gets: past every run id ever seen here.
+    next_run: u64,
+    /// Property writes on ids below the last run's end, accepted since that
+    /// run was sealed — the next run's overwrite segment.
+    overwrites: column::Overwrites,
     counters: DurabilityCounters,
     /// Lazy-decode activity, shared with the deferred loader attached to the
     /// recovered graph (which outlives `recover()` and loads on first touch).
@@ -272,6 +304,9 @@ impl WalStorage {
             wal_bytes: 0,
             pending: Vec::new(),
             pending_batches: 0,
+            manifest: Manifest::default(),
+            next_run: 1,
+            overwrites: column::Overwrites::default(),
             counters: DurabilityCounters::default(),
             lazy_stats: std::sync::Arc::default(),
             poisoned: None,
@@ -288,54 +323,58 @@ impl WalStorage {
         // Survey the directory.
         let names = self.io.list().map_err(Self::io_err)?;
         let mut wal_gens = Vec::new();
-        let mut snap_gens = Vec::new();
-        let mut had_tmp = false;
+        let mut manifest_gens = Vec::new();
+        let mut run_ids = Vec::new();
         for name in &names {
             if let Some(g) = parse_gen(name, "wal-") {
                 wal_gens.push(g);
-            } else if let Some(g) = parse_gen(name, "snapshot-") {
-                snap_gens.push(g);
-            } else if name == SNAPSHOT_TMP {
-                had_tmp = true;
+            } else if let Some(g) = parse_gen(name, "manifest-") {
+                manifest_gens.push(g);
+            } else if let Some(id) = parse_gen(name, "run-") {
+                run_ids.push(id);
+            } else if name == RUN_TMP || name == MANIFEST_TMP {
+                // An interrupted compaction that never reached its manifest
+                // rename — the old generation is authoritative.
+                self.io.remove(name).map_err(Self::io_err)?;
             }
             // Unknown names are left alone (foreign files in the directory).
         }
-        if had_tmp {
-            // An interrupted compaction that never reached its rename commit
-            // point — the old generation is authoritative.
-            self.io.remove(SNAPSHOT_TMP).map_err(Self::io_err)?;
-        }
 
-        // Pick the generation: the newest snapshot wins (renames are atomic,
-        // so a present snapshot is complete — decode failures below are real
-        // corruption, not crash artifacts).
-        let snap_gen = snap_gens.iter().copied().max();
-        let gen = snap_gen.unwrap_or(0);
+        // Pick the generation: the newest manifest wins (renames are atomic,
+        // so a present manifest and the runs it lists are complete — decode
+        // failures below are real corruption, not crash artifacts).
+        let gen = manifest_gens.iter().copied().max().unwrap_or(0);
         if let Some(&orphan) = wal_gens.iter().find(|&&g| g > gen) {
             return Err(StoreError::CorruptLog(format!(
-                "wal generation {orphan} has no snapshot (newest snapshot generation: {gen})",
+                "wal generation {orphan} has no manifest (newest manifest generation: {gen})",
             )));
         }
-
-        // Load the base image through a column source: eager mode reads the
-        // whole image, lazy mode decodes only the structural segments and
-        // leaves the property columns addressable behind the source.
-        let (mut graph, base_seq) = match snap_gen {
-            Some(g) => {
-                let source = column::source_for(self.io.as_ref(), &snapshot_file_name(g))
-                    .map_err(Self::io_err)?
-                    .ok_or_else(|| {
-                        StoreError::StorageUnavailable(format!(
-                            "snapshot generation {g} vanished during recovery"
-                        ))
-                    })?;
-                column::recover_snapshot(source, self.policy.decode, &self.lazy_stats)
-                    .map_err(|e| StoreError::CorruptLog(format!("snapshot generation {g}: {e}")))?
-            }
-            None => (ProvGraph::new(), 0),
+        let corrupt = |e: String| StoreError::CorruptLog(format!("manifest generation {gen}: {e}"));
+        let mut graph = if gen == 0 {
+            ProvGraph::new()
+        } else {
+            let bytes =
+                self.io.read(&manifest_file_name(gen)).map_err(Self::io_err)?.ok_or_else(|| {
+                    StoreError::StorageUnavailable(format!(
+                        "manifest generation {gen} vanished during recovery"
+                    ))
+                })?;
+            self.manifest = Manifest::decode(&bytes).map_err(corrupt)?;
+            // Eager mode reads every run whole; lazy mode decodes only the
+            // structural segments and leaves each run's property columns
+            // addressable behind its column source.
+            column::recover_runs(
+                self.io.as_ref(),
+                &self.manifest.runs,
+                self.policy.decode,
+                &self.lazy_stats,
+            )
+            .map_err(corrupt)?
         };
+        let base_seq = self.manifest.seq;
+        let base = self.manifest.end();
 
-        // Index over the base, *before* replay: the replayed suffix is then
+        // Index over the runs, *before* replay: the replayed suffix is then
         // folded in with `refresh_in_place`, exactly as a live process would.
         let mut index = ProvIndex::build(&graph);
 
@@ -344,22 +383,25 @@ impl WalStorage {
         // marker, so invariant 2 below holds; a later corruption fails the
         // open and the partly replayed graph is dropped with it). Neither
         // the decoded batches nor, past the scan, the log's bytes stay
-        // alive while the index catches up.
+        // alive while the index catches up. Property writes below the last
+        // run's end belong to the next run, exactly as if committed live.
         let wal_name = wal_file_name(gen);
         let bytes = match self.io.read(&wal_name).map_err(Self::io_err)? {
             Some(bytes) => bytes,
             None => {
-                // Crash window between a compaction's rename and its fresh
-                // WAL creation — finish the job.
+                // Crash window between a compaction's manifest rename and
+                // its fresh WAL creation — finish the job.
                 self.io.write(&wal_name, &[]).map_err(Self::io_err)?;
                 Vec::new()
             }
         };
+        let overwrites = &mut self.overwrites;
         let scan = wal::scan_with(&bytes, base_seq + 1, |seq, batch| {
             for op in &batch {
                 graph.apply_wal_op(op).map_err(|e| {
                     format!("batch {} (seq {seq}) does not replay: {e}", seq - base_seq - 1)
                 })?;
+                overwrites.keep_if_below(op, base).map_err(|e| e.to_string())?;
             }
             Ok(())
         })
@@ -375,18 +417,25 @@ impl WalStorage {
         self.counters.batches_replayed += scan.commit_offsets.len() as u64;
         index.refresh_in_place(&graph);
 
-        // Sweep stale older generations (crash window after a compaction's
-        // rename, before its deletes).
+        // Sweep what the chosen generation does not use (crash windows after
+        // a manifest rename, before its deletes; runs written by a
+        // compaction that never committed).
         for &g in wal_gens.iter().filter(|&&g| g < gen) {
             self.io.remove(&wal_file_name(g)).map_err(Self::io_err)?;
         }
-        for &g in snap_gens.iter().filter(|&&g| g < gen) {
-            self.io.remove(&snapshot_file_name(g)).map_err(Self::io_err)?;
+        for &g in manifest_gens.iter().filter(|&&g| g < gen) {
+            self.io.remove(&manifest_file_name(g)).map_err(Self::io_err)?;
+        }
+        for &id in &run_ids {
+            if !self.manifest.runs.iter().any(|r| r.id == id) {
+                self.io.remove(&run_file_name(id)).map_err(Self::io_err)?;
+            }
         }
 
         self.gen = gen;
         self.seq = scan.last_seq;
         self.wal_bytes = scan.committed_len as u64;
+        self.next_run = run_ids.iter().copied().max().map_or(1, |id| id + 1);
         self.counters.recoveries += 1;
         Ok(Recovered { graph, index })
     }
@@ -427,6 +476,11 @@ impl WalStorage {
         &self.policy
     }
 
+    /// The committed run list (empty before the first compaction).
+    pub fn manifest(&self) -> &Manifest {
+        &self.manifest
+    }
+
     /// Accept one batch of ops (one mutation call's journal): frame it with
     /// the next commit sequence number into the group buffer, and flush once
     /// the buffer holds `group_max_batches` batches. With the default window
@@ -434,15 +488,17 @@ impl WalStorage {
     /// only accepted until the covering [`WalStorage::flush`] returns.
     pub fn commit(&mut self, ops: &[WalOp]) -> StoreResult<()> {
         self.check_poisoned()?;
-        let frame = match wal::encode_batch(ops, self.seq + 1) {
-            Ok(frame) => frame,
+        let start = self.pending.len();
+        let base = self.manifest.end();
+        let kept = wal::encode_batch(&mut self.pending, ops, self.seq + 1)
+            .and_then(|()| ops.iter().try_for_each(|op| self.overwrites.keep_if_below(op, base)));
+        if let Err(e) = kept {
             // The mutation is already applied in memory and cannot be made
             // durable: same state as a failed append.
-            Err(e) => return self.poison(e),
-        };
+            return self.poison(e);
+        }
         self.seq += 1;
-        self.wal_bytes += frame.len() as u64;
-        self.pending.extend_from_slice(&frame);
+        self.wal_bytes += (self.pending.len() - start) as u64;
         self.pending_batches += 1;
         if self.pending_batches >= u64::from(self.policy.group_max_batches.max(1)) {
             return self.flush();
@@ -493,43 +549,100 @@ impl WalStorage {
         Ok(true)
     }
 
-    /// Unconditionally compact: write a snapshot of `graph`, start a fresh
-    /// WAL generation, delete the old one.
+    /// Unconditionally compact: seal everything `graph` gained since the
+    /// last run into a new run (merging one adjacent pair when the list
+    /// outgrows [`MAX_RUNS`]), commit the new run list by manifest rename,
+    /// start a fresh WAL generation and delete what the old one used alone.
     pub fn compact(&mut self, graph: &ProvGraph) -> StoreResult<()> {
-        // Flush first: the snapshot's seq must cover every batch folded into
+        // Flush first: the manifest's seq must cover every batch folded into
         // `graph`, or the buffered batches would later land in the fresh WAL
-        // at or below the snapshot's seq and fail replay as spliced history.
+        // at or below that seq and fail replay as spliced history.
         self.flush()?;
-        let old_gen = self.gen;
-        let new_gen = old_gen + 1;
-        let image = match column::encode(graph, self.seq) {
-            Ok(image) => image,
+        let base = self.manifest.end();
+        let (image, end) = match column::encode_run(graph, base, &self.overwrites) {
+            Ok(run) => run,
             // The log is intact, but it can no longer be compacted and every
             // later `maybe_compact` would fail the same way after its commit.
             Err(e) => return self.poison(e),
         };
-        let result = (|| -> Result<(), IoError> {
-            self.io.write(SNAPSHOT_TMP, &image)?;
-            self.io.sync(SNAPSHOT_TMP)?;
-            // The commit point: after this rename the new generation is
-            // authoritative; before it, a crash leaves only a tmp file that
-            // recovery sweeps.
-            self.io.rename(SNAPSHOT_TMP, &snapshot_file_name(new_gen))?;
-            self.io.write(&wal_file_name(new_gen), &[])?;
-            self.io.sync(&wal_file_name(new_gen))?;
-            self.io.remove(&wal_file_name(old_gen))?;
-            // Generation 0 has no snapshot; remove is idempotent either way.
-            self.io.remove(&snapshot_file_name(old_gen))?;
-            Ok(())
-        })();
-        if let Err(e) = result {
-            return self.poison(Self::io_err(e));
+        match self.seal(graph, &image, base, end) {
+            Ok(next) => {
+                self.manifest = next;
+                self.overwrites.clear();
+                self.gen += 1;
+                self.wal_bytes = 0;
+                self.counters.snapshots_written += 1;
+                Ok(())
+            }
+            Err(e) => self.poison(e),
         }
-        self.counters.fsyncs += 2; // tmp + fresh wal
-        self.counters.snapshots_written += 1;
-        self.gen = new_gen;
-        self.wal_bytes = 0;
-        Ok(())
+    }
+
+    /// The file protocol of one compaction (module docs): write the run,
+    /// merge once if the list outgrew [`MAX_RUNS`], commit by manifest
+    /// rename, then retire the old generation. Returns the committed list.
+    fn seal(
+        &mut self,
+        graph: &ProvGraph,
+        image: &[u8],
+        base: Watermark,
+        end: Watermark,
+    ) -> StoreResult<Manifest> {
+        let mut next = Manifest { seq: self.seq, runs: self.manifest.runs.clone() };
+        next.runs.push(self.write_run(image, base, end)?);
+        // The pair a merge replaces, deleted once the new list commits.
+        let mut merged_away = None;
+        if let Some(i) = next.merge_candidate() {
+            let (a, b) = (next.runs[i], next.runs[i + 1]);
+            let merged = column::merge_runs(self.io.as_ref(), &a, &b).map_err(|e| {
+                StoreError::CorruptLog(format!("merging runs {} and {}: {e}", a.id, b.id))
+            })?;
+            let entry = self.write_run(&merged, a.base, b.end)?;
+            next.runs.splice(i..=i + 1, [entry]);
+            self.counters.runs_merged += 1;
+            merged_away = Some([a.id, b.id]);
+        }
+        let (old_gen, new_gen) = (self.gen, self.gen + 1);
+        let manifest = next.encode()?;
+        let io = self.io.as_mut();
+        io.write(MANIFEST_TMP, &manifest).map_err(Self::io_err)?;
+        io.sync(MANIFEST_TMP).map_err(Self::io_err)?;
+        // The commit point: after this rename the new generation is
+        // authoritative; before it, a crash leaves only temp files and
+        // unlisted runs, which recovery sweeps.
+        io.rename(MANIFEST_TMP, &manifest_file_name(new_gen)).map_err(Self::io_err)?;
+        io.write(&wal_file_name(new_gen), &[]).map_err(Self::io_err)?;
+        io.sync(&wal_file_name(new_gen)).map_err(Self::io_err)?;
+        self.counters.fsyncs += 2; // manifest + fresh wal
+        io.remove(&wal_file_name(old_gen)).map_err(Self::io_err)?;
+        // Generation 0 has no manifest; remove is idempotent either way.
+        io.remove(&manifest_file_name(old_gen)).map_err(Self::io_err)?;
+        if let Some(ids) = merged_away {
+            // A lazily decoded graph may still read a merged-away run on
+            // first touch; load its deferred columns while the files exist.
+            graph.load_deferred_props();
+            for id in ids {
+                io.remove(&run_file_name(id)).map_err(Self::io_err)?;
+            }
+        }
+        Ok(next)
+    }
+
+    /// Write `image` as the next run file — temp file, fsync, rename — and
+    /// return its manifest entry.
+    fn write_run(
+        &mut self,
+        image: &[u8],
+        base: Watermark,
+        end: Watermark,
+    ) -> StoreResult<RunEntry> {
+        let id = self.next_run;
+        self.io.write(RUN_TMP, image).map_err(Self::io_err)?;
+        self.io.sync(RUN_TMP).map_err(Self::io_err)?;
+        self.io.rename(RUN_TMP, &run_file_name(id)).map_err(Self::io_err)?;
+        self.counters.fsyncs += 1;
+        self.next_run += 1;
+        Ok(RunEntry { id, base, end, len: image.len() as u64 })
     }
 
     /// Activity counters (monotone since open).
@@ -633,7 +746,7 @@ mod tests {
         // Splice a batch whose commit seq skips ahead — every frame is
         // CRC-clean, so this must fail loudly, not truncate silently.
         let mut bytes = disk.file(&wal).unwrap();
-        bytes.extend_from_slice(&wal::encode_batch(&[], 9).unwrap());
+        wal::encode_batch(&mut bytes, &[], 9).unwrap();
         disk.set_file(&wal, bytes);
         let err =
             WalStorage::open(Box::new(disk.clone()), DurabilityPolicy::default()).unwrap_err();
@@ -657,7 +770,7 @@ mod tests {
             dst: prov_model::VertexId::new(999),
         };
         let mut bytes = disk.file(&wal).unwrap();
-        bytes.extend_from_slice(&wal::encode_batch(&[bad], 5).unwrap());
+        wal::encode_batch(&mut bytes, &[bad], 5).unwrap();
         bytes.extend_from_slice(&[0x55; 7]);
         disk.set_file(&wal, bytes.clone());
         let err =
@@ -670,20 +783,38 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_snapshots_fail_loudly() {
+    fn corrupt_runs_and_manifests_fail_loudly() {
         let disk = MemIo::new();
         let (mut storage, rec) = open_mem(&disk);
         let mut graph = rec.graph;
-        ingest(&mut graph, &mut storage, 4, "e");
+        ingest(&mut graph, &mut storage, 4, "a");
         storage.compact(&graph).unwrap();
-        let snap = snapshot_file_name(storage.generation());
-        let mut bytes = disk.file(&snap).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        disk.set_file(&snap, bytes);
-        let err =
-            WalStorage::open(Box::new(disk.clone()), DurabilityPolicy::default()).unwrap_err();
-        assert!(matches!(err, StoreError::CorruptLog(_)), "{err}");
+        ingest(&mut graph, &mut storage, 3, "b");
+        storage.compact(&graph).unwrap();
+        let runs = storage.manifest().runs.clone();
+        assert_eq!(runs.len(), 2);
+        let manifest = manifest_file_name(storage.generation());
+        for name in [run_file_name(runs[0].id), run_file_name(runs[1].id), manifest] {
+            let bad = disk.fork();
+            let mut bytes = bad.file(&name).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+            bad.set_file(&name, bytes);
+            let err = WalStorage::open(Box::new(bad), DurabilityPolicy::default()).unwrap_err();
+            assert!(matches!(err, StoreError::CorruptLog(_)), "{name}: {err}");
+        }
+        // A listed run that is missing is corruption, not an empty base.
+        let mut missing = disk.fork();
+        missing.remove(&run_file_name(runs[1].id)).unwrap();
+        let err = WalStorage::open(Box::new(missing), DurabilityPolicy::default()).unwrap_err();
+        assert!(matches!(&err, StoreError::CorruptLog(m) if m.contains("missing")), "{err}");
+        // A whole-graph image of the retired format is refused by name.
+        let retired = disk.fork();
+        let mut bytes = retired.file(&run_file_name(runs[0].id)).unwrap();
+        bytes[..8].copy_from_slice(b"PROVSEG1");
+        retired.set_file(&run_file_name(runs[0].id), bytes);
+        let err = WalStorage::open(Box::new(retired), DurabilityPolicy::default()).unwrap_err();
+        assert!(matches!(&err, StoreError::CorruptLog(m) if m.contains("PROVSEG1")), "{err}");
     }
 
     #[test]
@@ -696,9 +827,11 @@ mod tests {
         assert_eq!(storage.generation(), 1);
         assert_eq!(storage.wal_bytes(), 0);
         assert_eq!(storage.counters().snapshots_written, 1);
-        // Old generation files are gone; new snapshot + empty wal exist.
-        assert_eq!(disk.file(&wal_file_name(0)), None);
-        assert!(disk.file(&snapshot_file_name(1)).is_some());
+        // Old generation files are gone; manifest + run + empty wal exist.
+        assert_eq!(
+            disk.list().unwrap(),
+            [manifest_file_name(1), run_file_name(1), wal_file_name(1)],
+        );
         assert_eq!(disk.file(&wal_file_name(1)).unwrap(), b"");
 
         // Keep committing into the new generation; seq continues monotone.
@@ -739,55 +872,225 @@ mod tests {
     }
 
     #[test]
-    fn every_compaction_crash_window_recovers() {
-        // Build a disk mid-history, compact it for real, then reconstruct
-        // each intermediate crash state by rewinding the final disk.
+    fn a_compaction_writes_the_delta_not_the_graph() {
         let disk = MemIo::new();
         let (mut storage, rec) = open_mem(&disk);
         let mut graph = rec.graph;
-        ingest(&mut graph, &mut storage, 4, "e");
-        let before = disk.fork(); // state before compaction started
-        let old_wal = before.file(&wal_file_name(0)).unwrap();
+        ingest(&mut graph, &mut storage, 200, "big");
         storage.compact(&graph).unwrap();
-        let after = disk.fork(); // state after a complete compaction
-        let image = after.file(&snapshot_file_name(1)).unwrap();
+        ingest(&mut graph, &mut storage, 5, "small");
+        storage.compact(&graph).unwrap();
+        let runs = &storage.manifest().runs;
+        assert_eq!((runs[0].base, runs[1].base), (Watermark::default(), runs[0].end));
+        assert_eq!(runs[1].end, Watermark::of(&graph));
+        assert!(
+            runs[1].len * 10 < runs[0].len,
+            "second run {} bytes, first {}",
+            runs[1].len,
+            runs[0].len
+        );
+        let (_, rec2) = open_mem(&disk);
+        assert_eq!(rec2.graph, graph);
+    }
 
-        // Window A: crashed after writing snapshot.tmp, before the rename.
-        // The old generation is authoritative; the tmp is swept.
-        let a = before.fork();
-        a.set_file(SNAPSHOT_TMP, image.clone());
-        let (sa, ra) = open_mem(&a);
-        assert_eq!(ra.graph, graph);
-        assert_eq!(sa.generation(), 0);
-        assert!(a.file(SNAPSHOT_TMP).is_none(), "tmp swept");
+    /// A policy per decode mode, never compacting on its own.
+    fn both_modes() -> [DurabilityPolicy; 2] {
+        [DurabilityPolicy::never_compact(), DurabilityPolicy::never_compact().with_lazy_decode()]
+    }
 
-        // Window B: crashed after the rename, before creating wal-1 or
-        // deleting generation 0. The new snapshot is authoritative.
-        let b = before.fork();
-        b.set_file(&snapshot_file_name(1), image.clone());
-        let (sb, rb) = open_mem(&b);
-        assert_eq!(rb.graph, graph);
-        assert_eq!(sb.generation(), 1);
-        assert_eq!(sb.last_seq(), 4);
-        assert!(b.file(&wal_file_name(0)).is_none(), "stale wal swept");
-        assert_eq!(b.file(&wal_file_name(1)), Some(Vec::new()), "fresh wal created");
+    /// Commit one write to a property of vertex 0 (sealed by the first run).
+    fn touch_old(graph: &mut ProvGraph, storage: &mut WalStorage, value: i64) {
+        graph.set_vprop(prov_model::VertexId::new(0), "version", value);
+        graph.unset_vprop(prov_model::VertexId::new(1), "version");
+        let ops = graph.take_journal();
+        storage.commit(&ops).unwrap();
+    }
 
-        // Window C: crashed after creating wal-1, before deleting gen 0.
-        let c = after.fork();
-        c.set_file(&wal_file_name(0), old_wal.clone());
-        let (sc, rc) = open_mem(&c);
-        assert_eq!(rc.graph, graph);
-        assert_eq!(sc.generation(), 1);
-        assert!(c.file(&wal_file_name(0)).is_none(), "stale wal swept");
+    #[test]
+    fn an_old_vertex_write_replayed_from_the_wal_tail_survives_the_next_compaction() {
+        for policy in both_modes() {
+            let disk = MemIo::new();
+            let (mut storage, rec) = open_with(&disk, policy.clone());
+            let mut graph = rec.graph;
+            ingest(&mut graph, &mut storage, 4, "e");
+            storage.compact(&graph).unwrap();
+            // Writes to vertices the run already sealed, then a crash: the
+            // ops live only in the WAL tail.
+            touch_old(&mut graph, &mut storage, 99);
+            drop(storage);
+            let (mut storage, rec) = open_with(&disk, policy.clone());
+            assert_eq!(rec.graph, graph);
+            // Recovery must hand the replayed ops to this run's overwrite
+            // segment: its columns start past vertex 3.
+            storage.compact(&rec.graph).unwrap();
+            drop(storage);
+            let (storage, rec) = open_with(&disk, policy);
+            assert_eq!(storage.counters().batches_replayed, 0);
+            let v = |i| prov_model::VertexId::new(i);
+            assert_eq!(rec.graph.vprop(v(0), "version"), Some(&prov_model::PropValue::Int(99)));
+            assert_eq!(rec.graph.vprop(v(1), "version"), None);
+            assert_eq!(rec.graph, graph);
+        }
+    }
 
-        // And a second compaction from a recovered window still works.
-        let (mut sd, rd) = open_mem(&b);
-        let mut g2 = rd.graph;
-        ingest(&mut g2, &mut sd, 2, "later");
-        sd.compact(&g2).unwrap();
-        assert_eq!(sd.generation(), 2);
-        let (_, re) = open_mem(&b);
-        assert_eq!(re.graph, g2);
+    #[test]
+    fn runs_merge_past_max_runs_and_every_decode_mode_agrees() {
+        let disk = MemIo::new();
+        let (mut storage, rec) = open_mem(&disk);
+        let mut graph = rec.graph;
+        for round in 0..20i64 {
+            ingest(&mut graph, &mut storage, 2 + (round % 3) as usize, &format!("r{round}"));
+            touch_old(&mut graph, &mut storage, round);
+            storage.compact(&graph).unwrap();
+            assert!(storage.manifest().runs.len() <= MAX_RUNS);
+            let (_, rec2) = open_mem(&disk.fork());
+            assert_eq!(rec2.graph, graph, "after compaction {round}");
+        }
+        let c = storage.counters();
+        assert_eq!((c.snapshots_written, c.runs_merged), (20, 20 - MAX_RUNS as u64));
+        ingest(&mut graph, &mut storage, 2, "tail");
+        for policy in both_modes() {
+            let (reopened, rec) = open_with(&disk.fork(), policy);
+            assert_eq!(rec.graph, graph);
+            assert_eq!(rec.index, ProvIndex::build(&rec.graph));
+            assert_eq!(reopened.manifest(), storage.manifest());
+        }
+        // Only the listed runs are on disk.
+        let runs = disk.list().unwrap().into_iter().filter(|n| n.starts_with("run-")).count();
+        assert_eq!(runs, MAX_RUNS);
+    }
+
+    #[test]
+    fn a_lazy_graph_loads_its_columns_before_a_merge_deletes_their_run() {
+        let disk = MemIo::new();
+        let (mut storage, rec) = open_mem(&disk);
+        let mut graph = rec.graph;
+        for round in 0..MAX_RUNS {
+            ingest(&mut graph, &mut storage, 3, &format!("r{round}"));
+            storage.compact(&graph).unwrap();
+        }
+        drop(storage);
+        let lazy = DurabilityPolicy::never_compact().with_lazy_decode();
+        let (mut storage, rec) = open_with(&disk, lazy);
+        assert!(rec.graph.deferred_props_untouched());
+        // An empty delta reads no property, so only the merge's own guard
+        // loads the columns before the merged-away runs are deleted.
+        storage.compact(&rec.graph).unwrap();
+        assert_eq!(storage.counters().runs_merged, 1);
+        assert!(!rec.graph.deferred_props_untouched());
+        assert_eq!(rec.graph, graph);
+    }
+
+    /// An [`Io`] over a [`MemIo`] disk that forks the disk after every call
+    /// that may change it: each fork is a state a crash at that point
+    /// leaves behind.
+    #[derive(Debug)]
+    struct StepIo {
+        disk: MemIo,
+        steps: std::sync::Arc<std::sync::Mutex<Vec<(String, MemIo)>>>,
+    }
+
+    impl StepIo {
+        fn step(&self, what: String) -> IoResult<()> {
+            self.steps.lock().expect("steps lock").push((what, self.disk.fork()));
+            Ok(())
+        }
+    }
+
+    impl Io for StepIo {
+        fn list(&self) -> IoResult<Vec<String>> {
+            self.disk.list()
+        }
+        fn read(&self, name: &str) -> IoResult<Option<Vec<u8>>> {
+            self.disk.read(name)
+        }
+        fn column_source(&self, name: &str) -> IoResult<Option<Box<dyn ColumnSource>>> {
+            self.disk.column_source(name)
+        }
+        fn append(&mut self, name: &str, data: &[u8]) -> IoResult<()> {
+            self.disk.append(name, data)?;
+            self.step(format!("append {name}"))
+        }
+        fn write(&mut self, name: &str, data: &[u8]) -> IoResult<()> {
+            self.disk.write(name, data)?;
+            self.step(format!("write {name}"))
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> IoResult<()> {
+            self.disk.truncate(name, len)?;
+            self.step(format!("truncate {name}"))
+        }
+        fn sync(&mut self, name: &str) -> IoResult<()> {
+            self.disk.sync(name)?;
+            self.step(format!("sync {name}"))
+        }
+        fn rename(&mut self, from: &str, to: &str) -> IoResult<()> {
+            self.disk.rename(from, to)?;
+            self.step(format!("rename {from} {to}"))
+        }
+        fn remove(&mut self, name: &str) -> IoResult<()> {
+            self.disk.remove(name)?;
+            self.step(format!("remove {name}"))
+        }
+    }
+
+    #[test]
+    fn every_compaction_crash_window_recovers() {
+        // Record the disk after every step of real compactions — the first
+        // one (no manifest before it) and the one that first merges — and
+        // recover from each recorded state.
+        let disk = MemIo::new();
+        let steps = std::sync::Arc::default();
+        let io = StepIo { disk: disk.clone(), steps: std::sync::Arc::clone(&steps) };
+        let (mut storage, rec) =
+            WalStorage::open(Box::new(io), DurabilityPolicy::never_compact()).unwrap();
+        let mut graph = rec.graph;
+        for round in 0..=MAX_RUNS {
+            ingest(&mut graph, &mut storage, 3, &format!("r{round}"));
+            touch_old(&mut graph, &mut storage, round as i64);
+            let old_gen = storage.generation();
+            steps.lock().unwrap().clear();
+            storage.compact(&graph).unwrap();
+            if round != 0 && round != MAX_RUNS {
+                continue;
+            }
+            let states = std::mem::take(&mut *steps.lock().unwrap());
+            let labels: Vec<&str> = states.iter().map(|(l, _)| l.as_str()).collect();
+            let new_manifest = manifest_file_name(old_gen + 1);
+            let commit = labels
+                .iter()
+                .position(|l| *l == format!("rename {MANIFEST_TMP} {new_manifest}"))
+                .expect("the manifest rename is a step");
+            let run_writes = labels.iter().filter(|l| **l == format!("write {RUN_TMP}")).count();
+            assert_eq!(run_writes, if round == 0 { 1 } else { 2 }, "{labels:?}");
+            // Before the commit point: temp files and runs only.
+            assert!(labels[..commit].iter().all(|l| l.contains(".tmp")), "{labels:?}");
+            for (i, (label, state)) in states.iter().enumerate() {
+                let committed = i >= commit;
+                let after = state.fork();
+                let (mut s, r) = open_mem(&after);
+                let at = format!("crash after step {i} ({label})");
+                assert_eq!(r.graph, graph, "{at}");
+                assert_eq!(r.index, ProvIndex::build(&r.graph), "{at}");
+                let gen = if committed { old_gen + 1 } else { old_gen };
+                assert_eq!(s.generation(), gen, "{at}");
+                // Recovery left exactly the chosen generation's files.
+                let mut expect: Vec<String> =
+                    s.manifest().runs.iter().map(|r| run_file_name(r.id)).collect();
+                expect.push(wal_file_name(gen));
+                if gen > 0 {
+                    expect.push(manifest_file_name(gen));
+                }
+                expect.sort();
+                assert_eq!(after.list().unwrap(), expect, "{at}");
+                // And compacting again from the recovered state works.
+                let mut g = r.graph;
+                ingest(&mut g, &mut s, 1, "later");
+                s.compact(&g).unwrap();
+                let (_, again) = open_mem(&after);
+                assert_eq!(again.graph, g, "{at}");
+            }
+        }
+        assert_eq!(storage.counters().runs_merged, 1);
     }
 
     #[test]
@@ -1018,11 +1321,11 @@ mod tests {
         assert_eq!(c.snapshots_written, 1);
         assert_eq!(storage.pending_batches, 0);
         assert_eq!(storage.wal_bytes(), 0);
-        // The snapshot covers every buffered batch; recovery needs no WAL.
+        // The run covers every buffered batch; recovery needs no WAL.
         let (reopened, rec2) = open_mem(&disk);
         assert_eq!(rec2.graph, graph);
         assert_eq!(reopened.last_seq(), storage.last_seq());
-        assert_eq!(reopened.counters().batches_replayed, 0, "all folded into the snapshot");
+        assert_eq!(reopened.counters().batches_replayed, 0, "all folded into the run");
         // And committing through the new generation still works.
         graph.add_entity("after");
         let ops = graph.take_journal();
@@ -1044,7 +1347,7 @@ mod tests {
         assert_eq!(storage.pending_batches, 0);
         let (reopened, rec2) = open_mem(&disk);
         assert_eq!(rec2.graph, graph);
-        assert_eq!(reopened.last_seq(), 5, "snapshot seq covers the flushed group");
+        assert_eq!(reopened.last_seq(), 5, "manifest seq covers the flushed group");
     }
 
     #[test]
@@ -1059,10 +1362,12 @@ mod tests {
         assert_eq!(p.clone().with_group_batches(8).group_max_batches, 8);
         assert_eq!(p.clone().with_lazy_decode().decode, SnapshotDecode::Lazy);
         assert_eq!(wal_file_name(3), "wal-0000000003");
-        assert_eq!(snapshot_file_name(12), "snapshot-0000000012");
+        assert_eq!(manifest_file_name(12), "manifest-0000000012");
+        assert_eq!(run_file_name(7), "run-0000000007");
         assert_eq!(parse_gen("wal-0000000003", "wal-"), Some(3));
         assert_eq!(parse_gen("wal-3", "wal-"), None);
-        assert_eq!(parse_gen("snapshot.tmp", "snapshot-"), None);
+        assert_eq!(parse_gen(RUN_TMP, "run-"), None);
+        assert_eq!(parse_gen(MANIFEST_TMP, "manifest-"), None);
     }
 
     #[test]

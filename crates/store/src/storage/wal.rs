@@ -14,12 +14,14 @@
 //! * `0x01` **ops** — `[0x01][u32 count][count × encoded WalOp]`: the
 //!   mutations of one batch;
 //! * `0x02` **commit** — `[0x02][u64 seq]`: the batch commit marker. `seq`
-//!   increases by exactly 1 per committed batch (monotone across snapshot
+//!   increases by exactly 1 per committed batch (monotone across
 //!   generations), so recovery can detect a spliced or replayed log.
 //!
-//! One [`encode_batch`] call emits the ops record immediately followed by its
-//! commit marker; the storage engine appends both in a single write and then
-//! fsyncs. A batch is durable iff its commit marker survives intact.
+//! One [`encode_batch`] call frames the ops record immediately followed by
+//! its commit marker straight into the engine's group buffer; the engine
+//! appends the buffer in a single write and then fsyncs. A batch is durable
+//! iff its commit marker survives intact. The same op codec encodes a run's
+//! overwrite segment (`column.rs`).
 //!
 //! ## Recovery scan
 //!
@@ -34,7 +36,8 @@
 //! that surfaces as an error instead of silent data loss.
 
 use super::codec::{
-    crc32, put_len, put_prop_value, put_str, put_tag, put_u32, put_u64, put_u8, Reader,
+    crc32, len_u32, patch_u32, put_len, put_prop_value, put_str, put_tag, put_u32, put_u64, put_u8,
+    Reader,
 };
 use crate::error::StoreResult;
 use crate::graph::WalOp;
@@ -46,7 +49,7 @@ const PAYLOAD_COMMIT: u8 = 0x02;
 /// Byte overhead of one record frame (length + CRC words).
 pub const FRAME_HEADER_BYTES: usize = 8;
 
-fn put_op(out: &mut Vec<u8>, op: &WalOp) -> StoreResult<()> {
+pub(crate) fn put_op(out: &mut Vec<u8>, op: &WalOp) -> StoreResult<()> {
     match op {
         WalOp::AddVertex { kind, name } => {
             put_u8(out, 1);
@@ -105,7 +108,7 @@ fn edge_kind(r: &mut Reader<'_>) -> Result<EdgeKind, String> {
     EdgeKind::from_index(raw as usize).ok_or_else(|| format!("unknown edge kind {raw}"))
 }
 
-fn read_op(r: &mut Reader<'_>) -> Result<WalOp, String> {
+pub(crate) fn read_op(r: &mut Reader<'_>) -> Result<WalOp, String> {
     match r.u8("op tag")? {
         1 => {
             let kind = vertex_kind(r)?;
@@ -141,31 +144,45 @@ fn read_op(r: &mut Reader<'_>) -> Result<WalOp, String> {
     }
 }
 
-fn frame(payload: &[u8], out: &mut Vec<u8>) -> StoreResult<()> {
-    put_len(out, payload.len(), "wal record payload")?;
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+/// Append one record to `out`: a header placeholder, the payload `body`
+/// writes, then the header back-patched with the payload's length and CRC.
+fn put_record(
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>) -> StoreResult<()>,
+) -> StoreResult<()> {
+    let header = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    body(out)?;
+    let payload = header + FRAME_HEADER_BYTES;
+    let len = len_u32(out.len() - payload, "wal record payload")?;
+    let crc = crc32(&out[payload..]);
+    patch_u32(out, header, len);
+    patch_u32(out, header + 4, crc);
     Ok(())
 }
 
-/// Encode one committed batch: its ops record followed by the commit marker
-/// carrying `seq`. Appended (and fsynced) as a single contiguous write.
-/// Fails, encoding nothing, when a length does not fit the format
-/// ([`put_len`]).
-pub fn encode_batch(ops: &[WalOp], seq: u64) -> StoreResult<Vec<u8>> {
-    let mut payload = Vec::with_capacity(16 + ops.len() * 24);
-    put_u8(&mut payload, PAYLOAD_OPS);
-    put_len(&mut payload, ops.len(), "wal batch op count")?;
-    for op in ops {
-        put_op(&mut payload, op)?;
+/// Append one committed batch to `out` (the engine's group buffer): its ops
+/// record followed by the commit marker carrying `seq`, framed in place.
+/// Fails when a length does not fit the format ([`put_len`]), leaving `out`
+/// exactly as it was.
+pub fn encode_batch(out: &mut Vec<u8>, ops: &[WalOp], seq: u64) -> StoreResult<()> {
+    let start = out.len();
+    let framed = put_record(out, |out| {
+        put_u8(out, PAYLOAD_OPS);
+        put_len(out, ops.len(), "wal batch op count")?;
+        ops.iter().try_for_each(|op| put_op(out, op))
+    })
+    .and_then(|()| {
+        put_record(out, |out| {
+            put_u8(out, PAYLOAD_COMMIT);
+            put_u64(out, seq);
+            Ok(())
+        })
+    });
+    if framed.is_err() {
+        out.truncate(start);
     }
-    let mut out = Vec::with_capacity(payload.len() + 2 * FRAME_HEADER_BYTES + 9);
-    frame(&payload, &mut out)?;
-    let mut commit = Vec::with_capacity(9);
-    put_u8(&mut commit, PAYLOAD_COMMIT);
-    put_u64(&mut commit, seq);
-    frame(&commit, &mut out)?;
-    Ok(out)
+    framed
 }
 
 /// The outcome of scanning a WAL file.
@@ -286,6 +303,12 @@ mod tests {
     use prov_model::PropValue;
     use std::sync::Arc;
 
+    fn batch(ops: &[WalOp], seq: u64) -> StoreResult<Vec<u8>> {
+        let mut out = Vec::new();
+        encode_batch(&mut out, ops, seq)?;
+        Ok(out)
+    }
+
     fn sample_ops() -> Vec<WalOp> {
         vec![
             WalOp::AddVertex { kind: VertexKind::Entity, name: Some(Arc::from("data-v1")) },
@@ -310,7 +333,7 @@ mod tests {
     #[test]
     fn every_op_round_trips_through_a_batch() {
         let ops = sample_ops();
-        let bytes = encode_batch(&ops, 1).unwrap();
+        let bytes = batch(&ops, 1).unwrap();
         let scan = scan(&bytes, 1).unwrap();
         assert_eq!(scan.batches, vec![ops]);
         assert_eq!(scan.committed_len, bytes.len());
@@ -327,7 +350,7 @@ mod tests {
                 kind: VertexKind::Entity,
                 name: Some(Arc::from(format!("v{seq}").as_str())),
             }];
-            bytes.extend_from_slice(&encode_batch(&ops, seq).unwrap());
+            bytes.extend_from_slice(&batch(&ops, seq).unwrap());
             boundaries.push(bytes.len());
         }
         for cut in 0..=bytes.len() {
@@ -343,7 +366,7 @@ mod tests {
     #[test]
     fn bit_flips_are_never_silently_committed() {
         let ops = sample_ops();
-        let bytes = encode_batch(&ops, 1).unwrap();
+        let bytes = batch(&ops, 1).unwrap();
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
@@ -360,8 +383,8 @@ mod tests {
 
     #[test]
     fn commit_seq_splices_are_corruption() {
-        let a = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 1).unwrap();
-        let b = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 3).unwrap();
+        let a = batch(&[WalOp::InternKey { key: Arc::from("k") }], 1).unwrap();
+        let b = batch(&[WalOp::InternKey { key: Arc::from("k") }], 3).unwrap();
         let mut spliced = a.clone();
         spliced.extend_from_slice(&b);
         let err = scan(&spliced, 1).unwrap_err();
@@ -374,7 +397,7 @@ mod tests {
     fn orphan_records_are_corruption() {
         // Ops record followed by another ops record (commit lost but a later
         // intact record follows — cannot be a torn tail).
-        let full = encode_batch(&[WalOp::InternKey { key: Arc::from("k") }], 1).unwrap();
+        let full = batch(&[WalOp::InternKey { key: Arc::from("k") }], 1).unwrap();
         let ops_only = &full[..full.len() - (FRAME_HEADER_BYTES + 9)];
         let mut doubled = ops_only.to_vec();
         doubled.extend_from_slice(ops_only);
@@ -389,7 +412,7 @@ mod tests {
         let mut bytes = Vec::new();
         for seq in 4..=6u64 {
             let key = Arc::from(format!("k{seq}").as_str());
-            bytes.extend_from_slice(&encode_batch(&[WalOp::InternKey { key }], seq).unwrap());
+            bytes.extend_from_slice(&batch(&[WalOp::InternKey { key }], seq).unwrap());
         }
         let collected = scan(&bytes, 4).unwrap();
         let mut seen = Vec::new();
@@ -434,7 +457,7 @@ mod tests {
         assert!(scan0.batches.is_empty());
         assert_eq!(scan0.committed_len, 0);
         assert_eq!(scan0.last_seq, 0);
-        let bytes = encode_batch(&[], 7).unwrap();
+        let bytes = batch(&[], 7).unwrap();
         let s = scan(&bytes, 7).unwrap();
         assert_eq!(s.batches, vec![Vec::new()]);
         assert_eq!(s.last_seq, 7);

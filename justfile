@@ -17,7 +17,7 @@ lint:
     cargo run -q -p prov-check
 
 # The repo's own lint gate alone (std collections, unexplained narrowing
-# casts, ad-hoc CSR walks, raw filesystem access, whole-file snapshot reads).
+# casts, ad-hoc CSR walks, raw filesystem access, whole-file run reads).
 # Justify real exceptions with `// lint-ok(<rule>): <reason>`.
 lint-strict:
     cargo run -q -p prov-check
@@ -55,11 +55,13 @@ segment-test:
         --test worklist_equivalence --test tst_scale
 
 # The durability suites alone: the kill-point sweep (recovery at every WAL
-# byte offset lands on a committed-batch prefix, group appends included), the
-# random ingest/crash/restart/query proptest (fsync/group/lazy policy sweep),
-# the lazy-vs-eager ColumnSource differential, and the storage engine's own
-# failpoint/compaction/torn-tail tests plus the group-buffer cases of its one
-# commit path (WalStorage::commit/flush; grouped bytes == ungrouped bytes).
+# byte offset lands on a committed-batch prefix, group appends and a merged
+# run list included), the random ingest/crash/restart/query proptest
+# (fsync/group/lazy/compaction-threshold policy sweep, so runs seal and
+# merge), the lazy-vs-eager ColumnSource differential over multi-run stores,
+# and the storage engine's own failpoint/torn-tail tests, every crash window
+# of a compaction and of a merge, the run/manifest codecs, plus the
+# group-buffer cases of its one commit path (grouped bytes == ungrouped).
 recovery-test:
     cargo test -q -p prov-store storage::
     cargo test -q -p prov-store --test column_source_differential
