@@ -4,10 +4,10 @@
 //! serving state, and the durable engine exists to make the first two cheap:
 //!
 //! * **Snapshot** — decode the columnar snapshot, replay the short WAL tail
-//!   after it, `refresh_in_place` the index (the compacting deployment:
-//!   recovery work is bounded by the tail, not history);
+//!   after it, build the index (the compacting deployment: replay work is
+//!   bounded by the tail, not history);
 //! * **WalReplay** — replay the entire op journal from WAL generation zero
-//!   and refresh the index (a deployment that never compacted);
+//!   and build the index (a deployment that never compacted);
 //! * **Reingest** — no durability at all: re-run the full activity stream
 //!   through a fresh in-memory [`ProvDb`] and rebuild the index from scratch
 //!   (what losing the storage engine would cost).
@@ -101,7 +101,7 @@ fn frozen_disk(acts: usize, compact_at: Option<usize>) -> MemIo {
 }
 
 /// Time one cold start from `disk`: open (decode snapshot, replay WAL,
-/// refresh index), acquire the serving snapshot, and touch the graph.
+/// build index), acquire the serving snapshot, and touch the graph.
 /// Returns (seconds, recovered vertex count).
 fn time_recovery(disk: &MemIo) -> (f64, u64) {
     let t0 = Instant::now();

@@ -198,7 +198,7 @@ fn in_scope(scope: Scope, path: &Path) -> bool {
         Scope::CsrConsumers => {
             !p.starts_with("vendor/")
                 && p != "crates/store/src/query/eval.rs"
-                && p != "crates/store/src/snapshot.rs"
+                && p != "crates/store/src/csr.rs"
         }
         Scope::StorageConsumers => {
             !p.starts_with("vendor/") && !p.starts_with("crates/store/src/storage/")
@@ -550,7 +550,7 @@ mod tests {
         // The single evaluation engine and the CSR structure itself.
         let src = "let adj = index.csr(kind, dir);\nfor w in adj.neighbors(v) {}\n";
         assert!(at("crates/store/src/query/eval.rs", src).is_empty());
-        assert!(at("crates/store/src/snapshot.rs", src).is_empty());
+        assert!(at("crates/store/src/csr.rs", src).is_empty());
         // Vendor stays out of scope; lookalike names don't trip the rule.
         assert!(at("vendor/serde/src/lib.rs", src).is_empty());
         assert!(at("crates/x/src/lib.rs", "let x = sparse_csr(a, b);\n").is_empty());

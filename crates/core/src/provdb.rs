@@ -185,10 +185,9 @@ impl ProvDb {
         };
         Ok(ProvDb {
             graph: Arc::new(graph),
-            // Install the recovered index (snapshot base caught up with
-            // `refresh_in_place` over the replayed WAL suffix): the first
-            // snapshot acquisition after a cold start is a reuse, not a
-            // rebuild.
+            // Install the recovered index (built once over the replayed
+            // graph): the first snapshot acquisition after a cold start is a
+            // reuse, not a rebuild.
             index: RwLock::new(Some(Arc::new(index))),
             versions,
             // The engine is the one commit path and holds the group buffer;

@@ -10,8 +10,8 @@
 //! 2. **exactly** the in-memory reference prefix after the last batch whose
 //!    commit marker survived ([`wal::scan`]'s `commit_offsets` predicts
 //!    which) — never a partial batch, never one batch fewer,
-//! 3. a recovered snapshot index (`refresh_in_place` over the replayed
-//!    suffix) equal to a from-scratch `ProvIndex::build`.
+//! 3. a recovered index (built once, after replay) equal to a from-scratch
+//!    `ProvIndex::build` and `validate()`-clean.
 
 use prov_core::{ActivityRecord, DurabilityPolicy, OutputSpec, ProvDb};
 use prov_store::storage::{wal, wal_file_name, FailpointIo, FaultPlan, MemIo, MAX_RUNS};
@@ -90,8 +90,8 @@ fn sweep(disk: &MemIo, generation: u64, base_seq: u64, prefixes: &[ProvGraph]) {
             &prefixes[surviving],
             "crash at byte {k}: expected exactly {surviving} surviving batches"
         );
-        // The recovered index (snapshot base + refresh_in_place over the
-        // replayed suffix) must equal a from-scratch rebuild.
+        // The recovered index (one build after the replay) must equal a
+        // from-scratch rebuild.
         let snap = db.snapshot();
         snap.validate().unwrap_or_else(|e| panic!("crash at byte {k}: invalid index: {e}"));
         assert_eq!(*snap, ProvIndex::build(db.graph()), "crash at byte {k}: refresh != rebuild");

@@ -1,4 +1,4 @@
-//! Frozen CSR snapshot ([`ProvIndex`]) for traversal-heavy query algorithms.
+//! The CSR index ([`ProvIndex`]) traversal-heavy query algorithms read.
 //!
 //! The segmentation/summarization algorithms traverse `used`/`wasGeneratedBy`
 //! adjacency millions of times. Rather than filtering the store's generic
@@ -14,6 +14,10 @@
 //!
 //! Each adjacency entry carries its [`EdgeId`] so boundary criteria can exclude
 //! individual edges.
+//!
+//! The graph only grows, so the index is refreshed rather than rebuilt: each
+//! [`Csr`] appends the delta into its rows ([`Csr`]'s slack layout), and every
+//! accessor still returns one contiguous slice per row.
 
 use crate::graph::{rank_u32, DeltaCursor, ProvGraph};
 use prov_model::{EdgeId, EdgeKind, VertexId, VertexKind};
@@ -25,14 +29,55 @@ use std::sync::Arc;
 pub type SharedIndex = Arc<ProvIndex>;
 
 /// One CSR direction of one relationship type.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Row `v` is always one contiguous slice of the parallel `targets` /
+/// `edge_ids` columns, in one of two layouts:
+///
+/// * **packed** — what `Csr::build` and a repack produce: `offsets` holds
+///   `n + 1` monotone entries, row `v` is `offsets[v]..offsets[v + 1]`, and
+///   `ends` is empty. The columns hold exactly the live entries.
+/// * **slack** — from the first refresh that appends entries on: `offsets[v]`
+///   is row `v`'s start and `ends[v]` its end, both tables `n` long. A row
+///   starting at or past `headroom_from` (the column length when the layout
+///   left packed) owns a slot of `len.next_power_of_two()` entries and takes
+///   new entries in place until the slot is full; a row before it owns
+///   exactly its entries. A full row moves to the column tail and leaves its
+///   old slot dead.
+///
+/// `live` counts the entries the rows hold; every other column slot is dead
+/// or spare, and `Csr::append` repacks once those outnumber the live ones.
+/// Equality compares rows, not layout: a refreshed CSR equals the `build` of
+/// the same graph.
+#[derive(Debug, Clone, Default)]
 pub struct Csr {
     offsets: Vec<u32>,
+    ends: Vec<u32>,
+    headroom_from: usize,
+    live: usize,
     targets: Vec<VertexId>,
     edge_ids: Vec<EdgeId>,
 }
 
+impl PartialEq for Csr {
+    fn eq(&self, other: &Csr) -> bool {
+        let rows = self.rows();
+        rows == other.rows()
+            && (0..rows).all(|v| {
+                let v = VertexId::new(rank_u32(v));
+                self.neighbors(v) == other.neighbors(v) && self.edge_ids(v) == other.edge_ids(v)
+            })
+    }
+}
+
+impl Eq for Csr {}
+
 impl Csr {
+    /// The packed layout over exactly these columns.
+    fn packed(offsets: Vec<u32>, targets: Vec<VertexId>, edge_ids: Vec<EdgeId>) -> Csr {
+        let live = targets.len();
+        Csr { offsets, ends: Vec::new(), headroom_from: live, live, targets, edge_ids }
+    }
+
     fn build(n: usize, pairs: &mut [(VertexId, VertexId, EdgeId)]) -> Csr {
         // Sort by (from, edge_id): the edge-id tie-break pins neighbor order
         // to insertion order. A single-key unstable sort would leave the
@@ -49,7 +94,7 @@ impl Csr {
         }
         let targets = pairs.iter().map(|(_, to, _)| *to).collect();
         let edge_ids = pairs.iter().map(|(.., e)| *e).collect();
-        Csr { offsets, targets, edge_ids }
+        Csr::packed(offsets, targets, edge_ids)
     }
 
     /// Neighbors of `v`.
@@ -82,137 +127,207 @@ impl Csr {
 
     /// Total number of adjacency entries.
     pub fn len(&self) -> usize {
-        self.targets.len()
+        self.live
     }
 
     /// True when the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
+        self.live == 0
+    }
+
+    /// Column slots allocated: the [`Csr::len`] live entries plus the dead
+    /// slots moved rows left behind and the spare room of headroom rows.
+    /// Equal to `len()` in the packed layout `build` and a repack produce.
+    pub fn slots(&self) -> usize {
+        self.targets.len()
     }
 
     #[inline]
     fn range(&self, v: VertexId) -> (usize, usize) {
-        if v.index() + 1 >= self.offsets.len() {
-            return (0, 0); // default-constructed (empty) CSR
+        let i = v.index();
+        // Packed, a row ends where the next one starts; slack, `ends` says.
+        let end = if self.ends.is_empty() { self.offsets.get(i + 1) } else { self.ends.get(i) };
+        match end {
+            Some(&end) => (self.offsets[i] as usize, end as usize),
+            None => (0, 0), // default-constructed (empty) CSR
         }
-        (self.offsets[v.index()] as usize, self.offsets[v.index() + 1] as usize)
+    }
+
+    /// Rows (vertices) this CSR covers.
+    fn rows(&self) -> usize {
+        if self.ends.is_empty() {
+            self.offsets.len().saturating_sub(1)
+        } else {
+            self.ends.len()
+        }
+    }
+
+    /// Slot size of a row starting at `start` with `len` entries: headroom
+    /// rows own the next power of two, every other row exactly its entries.
+    #[inline]
+    fn slot_len(&self, start: usize, len: usize) -> usize {
+        if self.ends.is_empty() || start < self.headroom_from || len == 0 {
+            len
+        } else {
+            len.next_power_of_two()
+        }
     }
 
     /// Check this CSR's structural invariants over a vertex space of `n`;
     /// `name` labels the relation/direction in the violation message.
     ///
-    /// The invariants are exactly what the traversal accessors assume — and
-    /// what `extend_tail`'s append-at-row-tail merge preserves: an offset
-    /// table of `n + 1` monotone non-decreasing entries starting at 0 and
-    /// closing at the adjacency length, in-bounds targets, and per-row
-    /// strictly ascending edge ids (insertion order; the tie-break `build`
-    /// sorts by and `extend_tail` relies on to append without comparing
-    /// against frozen entries).
+    /// The invariants are exactly what the traversal accessors assume and
+    /// what [`Csr::append`] preserves, in either layout:
+    ///
+    /// * the row tables are `n` long (packed: `n + 1` offsets; slack: `n`
+    ///   starts and `n` ends) and the two columns equally long;
+    /// * every row's slot — its entries, plus a headroom row's spare room —
+    ///   lies inside the columns, and no two slots overlap;
+    /// * the live count equals the sum of the row lengths;
+    /// * targets are in bounds, and each row's edge ids strictly ascend
+    ///   (insertion order: the tie-break `build` sorts by, and what lets
+    ///   `append` add at a row's end without comparing against its entries).
     fn validate(&self, name: &str, n: usize) -> Result<(), String> {
-        if self.offsets.len() != n + 1 {
+        let (starts, ends) = if self.ends.is_empty() {
+            if self.offsets.len() != n + 1 {
+                return Err(format!(
+                    "{name}: packed row table holds {} offsets, want n + 1 = {}",
+                    self.offsets.len(),
+                    n + 1
+                ));
+            }
+            (&self.offsets[..n], &self.offsets[1..])
+        } else {
+            if self.offsets.len() != n || self.ends.len() != n {
+                return Err(format!(
+                    "{name}: slack row tables hold {} starts and {} ends, want n = {n}",
+                    self.offsets.len(),
+                    self.ends.len()
+                ));
+            }
+            (&self.offsets[..], &self.ends[..])
+        };
+        let columns = self.targets.len();
+        if self.edge_ids.len() != columns {
             return Err(format!(
-                "{name}: offset table holds {} entries, want n + 1 = {}",
-                self.offsets.len(),
-                n + 1
-            ));
-        }
-        if self.offsets[0] != 0 {
-            return Err(format!("{name}: offsets[0] = {}, want 0", self.offsets[0]));
-        }
-        if let Some(v) = (0..n).find(|&v| self.offsets[v] > self.offsets[v + 1]) {
-            return Err(format!(
-                "{name}: offsets decrease at vertex {v} ({} then {})",
-                self.offsets[v],
-                self.offsets[v + 1]
-            ));
-        }
-        let total = self.offsets[n] as usize;
-        if total != self.targets.len() || self.targets.len() != self.edge_ids.len() {
-            return Err(format!(
-                "{name}: closing offset {total} vs {} targets / {} edge ids",
-                self.targets.len(),
+                "{name}: columns hold {columns} targets but {} edge ids",
                 self.edge_ids.len()
             ));
         }
-        if let Some(t) = self.targets.iter().find(|t| t.index() >= n) {
-            return Err(format!("{name}: target {t} out of bounds (n = {n})"));
-        }
-        for v in 0..n {
-            let row = &self.edge_ids[self.offsets[v] as usize..self.offsets[v + 1] as usize];
-            if let Some(w) = row.windows(2).find(|w| w[0] >= w[1]) {
+        let mut slots = Vec::new();
+        let mut total = 0usize;
+        for (v, (&lo, &hi)) in starts.iter().zip(ends).enumerate() {
+            let (lo, hi) = (lo as usize, hi as usize);
+            let slot_end = if lo <= hi { lo + self.slot_len(lo, hi - lo) } else { usize::MAX };
+            if slot_end > columns {
+                return Err(format!(
+                    "{name}: slot of row {v} ({lo}..{hi}) lies outside the {columns} column slots"
+                ));
+            }
+            total += hi - lo;
+            if slot_end > lo {
+                slots.push((lo, slot_end, v));
+            }
+            if let Some(t) = self.targets[lo..hi].iter().find(|t| t.index() >= n) {
+                return Err(format!("{name}: target {t} out of bounds (n = {n})"));
+            }
+            if let Some(w) = self.edge_ids[lo..hi].windows(2).find(|w| w[0] >= w[1]) {
                 return Err(format!(
                     "{name}: edge ids of vertex {v} not strictly ascending ({} then {})",
                     w[0], w[1]
                 ));
             }
         }
+        if total != self.live {
+            return Err(format!(
+                "{name}: live count {} but the rows hold {total} entries",
+                self.live
+            ));
+        }
+        slots.sort_unstable();
+        if let Some(w) = slots.windows(2).find(|w| w[1].0 < w[0].1) {
+            return Err(format!(
+                "{name}: slots of rows {} ({}..{}) and {} ({}..{}) overlap",
+                w[0].2, w[0].0, w[0].1, w[1].2, w[1].0, w[1].1
+            ));
+        }
         Ok(())
     }
 
-    /// Tail-merge `pairs` into the CSR and grow the vertex space to `n`.
+    /// Append `pairs` to their rows and grow the vertex space to `n`.
     ///
-    /// Requires every pair's edge id to exceed every frozen edge id (true by
-    /// construction for an append-only store: the delta holds only new edge
-    /// ids). Under that invariant each vertex's new entries sort *after* its
-    /// old entries in the `(from, edge_id)` order, so the merge appends at
-    /// each row tail and never compares against — let alone re-sorts — old
-    /// entries: sort the `m_new` pairs, shift the affected row suffix right
-    /// in one backward pass, and splice the new entries in. Rows before the
-    /// first touched vertex do not move, so the pass costs
-    /// `O(m_new log m_new + shifted suffix)`, not `O(m log m)` like
-    /// [`Csr::build`].
-    fn extend_tail(&mut self, n: usize, pairs: &mut [(VertexId, VertexId, EdgeId)]) {
-        debug_assert!(!self.offsets.is_empty(), "extend_tail needs a built CSR");
-        // New vertices have empty rows: they inherit the running total.
-        let old_total = *self.offsets.last().expect("built CSR has offsets");
-        self.offsets.resize(n + 1, old_total);
-        if pairs.is_empty() {
-            return;
+    /// Requires every pair's edge id to exceed every edge id already held
+    /// (true by construction for an append-only store: the delta holds only
+    /// new edge ids), so a row's new entries go after its old ones and old
+    /// entries are never compared, sorted or shifted. Only the rows the delta
+    /// touches are visited: one with room in its slot takes its entries in
+    /// place, a full one moves to the column tail into a slot of the next
+    /// power of two. Rows the delta does not touch keep their slots, so the
+    /// cost is `O(new rows + m_new log m_new + moved rows' lengths)`, plus —
+    /// once dead and spare slots outnumber the live entries — one linear
+    /// [`Csr::repack`], paid for by the appends that made that slack.
+    fn append(&mut self, n: usize, pairs: &mut [(VertexId, VertexId, EdgeId)]) {
+        debug_assert!(!self.offsets.is_empty(), "append needs a built CSR");
+        let tail = rank_u32(self.targets.len());
+        if self.ends.is_empty() {
+            if pairs.is_empty() {
+                // New vertices have empty rows: they inherit the running total.
+                self.offsets.resize(n + 1, tail);
+                return;
+            }
+            // First entries since the packed layout: split its offset table
+            // into row starts and row ends.
+            self.ends = self.offsets[1..].to_vec();
+            self.offsets.pop();
         }
+        self.offsets.resize(n, tail);
+        self.ends.resize(n, tail);
         // Same comparator as `build`: the edge-id tie-break keeps per-vertex
         // neighbor order deterministic (and, per the invariant above, after
-        // all frozen entries of that vertex).
+        // every entry the row already holds).
         pairs.sort_unstable_by_key(|(from, _, eid)| (*from, *eid));
-        // `add[v]` = new entries for vertices < v after the prefix pass, so
-        // each row shifts right by exactly `add[v]`.
-        let mut add = vec![0u32; n + 1];
-        for (from, ..) in pairs.iter() {
-            add[from.index() + 1] += 1;
-        }
-        for i in 0..n {
-            add[i + 1] += add[i];
-        }
-        let old_len = self.targets.len();
-        let new_len = old_len + pairs.len();
-        self.targets.resize(new_len, VertexId::new(0));
-        self.edge_ids.resize(new_len, EdgeId::new(0));
-        // One backward pass: rows move right, so writing high rows first
-        // never clobbers an unread low row (a row's destination starts at or
-        // after the next row's old start).
-        let mut pending = pairs.len();
-        for v in (0..n).rev() {
-            let old_lo = self.offsets[v] as usize;
-            let old_hi = self.offsets[v + 1] as usize;
-            let new_lo = old_lo + add[v] as usize;
-            let fresh = (add[v + 1] - add[v]) as usize;
-            for k in (0..fresh).rev() {
-                pending -= 1;
-                let (_, to, eid) = pairs[pending];
-                let pos = new_lo + (old_hi - old_lo) + k;
-                self.targets[pos] = to;
-                self.edge_ids[pos] = eid;
+        for fresh in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let v = fresh[0].0.index();
+            let (start, end) = (self.offsets[v] as usize, self.ends[v] as usize);
+            let len = end - start;
+            let at = if len + fresh.len() <= self.slot_len(start, len) {
+                end
+            } else {
+                let to = self.targets.len();
+                let slot = to + (len + fresh.len()).next_power_of_two();
+                self.targets.extend_from_within(start..end);
+                self.edge_ids.extend_from_within(start..end);
+                self.targets.resize(slot, VertexId::new(0));
+                self.edge_ids.resize(slot, EdgeId::new(0));
+                self.offsets[v] = rank_u32(to);
+                to + len
+            };
+            for (k, &(_, target, eid)) in fresh.iter().enumerate() {
+                self.targets[at + k] = target;
+                self.edge_ids[at + k] = eid;
             }
-            if add[v] > 0 && old_hi > old_lo {
-                self.targets.copy_within(old_lo..old_hi, new_lo);
-                self.edge_ids.copy_within(old_lo..old_hi, new_lo);
-            }
-            if pending == 0 && add[v] == 0 {
-                break; // every remaining row is below the first touched vertex
-            }
+            self.ends[v] = rank_u32(at + fresh.len());
         }
-        for (offset, shift) in self.offsets.iter_mut().zip(&add) {
-            *offset += shift;
+        self.live += pairs.len();
+        if self.targets.len() - self.live > self.live {
+            self.repack();
         }
+    }
+
+    /// Rewrite the rows, in vertex order, into exactly [`Csr::build`]'s
+    /// packed layout — no dead or spare slots left. One linear pass.
+    fn repack(&mut self) {
+        let mut offsets = Vec::with_capacity(self.ends.len() + 1);
+        let mut targets = Vec::with_capacity(self.live);
+        let mut edge_ids = Vec::with_capacity(self.live);
+        offsets.push(0);
+        for (&lo, &hi) in self.offsets.iter().zip(&self.ends) {
+            let (lo, hi) = (lo as usize, hi as usize);
+            targets.extend_from_slice(&self.targets[lo..hi]);
+            edge_ids.extend_from_slice(&self.edge_ids[lo..hi]);
+            offsets.push(rank_u32(targets.len()));
+        }
+        *self = Csr::packed(offsets, targets, edge_ids);
     }
 }
 
@@ -220,10 +335,11 @@ impl Csr {
 ///
 /// A snapshot remembers the [`DeltaCursor`] it was frozen at, so after the
 /// graph grows it can be *refreshed* ([`ProvIndex::refresh_in_place`])
-/// instead of rebuilt: the append-only delta is tail-merged into every CSR
-/// and the per-vertex tables extend at their ends. `PartialEq` is derived so
-/// differential tests can assert a refreshed snapshot is byte-identical to a
-/// full [`ProvIndex::build`] of the same graph.
+/// instead of rebuilt: the append-only delta is appended into the rows of
+/// every CSR and the per-vertex tables extend at their ends. `PartialEq` is
+/// derived (and [`Csr`]'s compares rows, not layout) so differential tests
+/// can assert a refreshed snapshot holds exactly what a full
+/// [`ProvIndex::build`] of the same graph holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProvIndex {
     n: usize,
@@ -360,11 +476,15 @@ impl ProvIndex {
     ///
     /// Instead of the full rebuild — re-dispatching all `m` edges, re-sorting
     /// every CSR in `O(m log m)`, re-collecting kinds and births — the
-    /// refresh dispatches only the `m_new` delta edges, tail-merges them into
-    /// each CSR (`Csr::extend_tail`), and appends the new vertices to the
-    /// kind/birth/rank tables: `O(n + m_new)` plus the shifted row suffixes.
-    /// The result is `==` to `ProvIndex::build(graph)` by construction (and
-    /// by the differential proptest in `tests/refresh_differential.rs`).
+    /// refresh dispatches only the `m_new` delta edges, appends them into the
+    /// rows of each CSR (`Csr::append`), and appends the new vertices to the
+    /// kind/birth/rank tables: `O(new vertices + m_new log m_new + moved
+    /// rows)`, independent of `n`, plus an occasional linear repack of a CSR
+    /// whose dead and spare slots came to outnumber its entries. The first
+    /// refresh of a freshly built CSR also splits its offset table into row
+    /// starts and ends, once. The result is `==` to `ProvIndex::build(graph)`
+    /// by construction (and by the differential tests in
+    /// `tests/refresh_differential.rs`).
     ///
     /// # Panics
     ///
@@ -388,19 +508,19 @@ impl ProvIndex {
             self.counts[k.as_index()] += 1;
         }
         self.n = n;
-        // Edge tables: dispatch the delta, tail-merge per CSR.
+        // Edge tables: dispatch the delta, append per CSR.
         let mut pairs = TypedPairs::collect(graph, self.frozen.edges);
         for (i, c) in pairs.edge_counts.iter().enumerate() {
             self.edge_counts[i] += c;
         }
-        self.used_out.extend_tail(n, &mut pairs.used);
-        self.used_in.extend_tail(n, &mut pairs.used_rev);
-        self.gen_out.extend_tail(n, &mut pairs.gen);
-        self.gen_in.extend_tail(n, &mut pairs.gen_rev);
-        self.assoc_out.extend_tail(n, &mut pairs.assoc);
-        self.attr_out.extend_tail(n, &mut pairs.attr);
-        self.deriv_out.extend_tail(n, &mut pairs.deriv);
-        self.deriv_in.extend_tail(n, &mut pairs.deriv_rev);
+        self.used_out.append(n, &mut pairs.used);
+        self.used_in.append(n, &mut pairs.used_rev);
+        self.gen_out.append(n, &mut pairs.gen);
+        self.gen_in.append(n, &mut pairs.gen_rev);
+        self.assoc_out.append(n, &mut pairs.assoc);
+        self.attr_out.append(n, &mut pairs.attr);
+        self.deriv_out.append(n, &mut pairs.deriv);
+        self.deriv_in.append(n, &mut pairs.deriv_rev);
         self.frozen = graph.cursor();
         self.paranoid_check();
     }
@@ -517,9 +637,10 @@ impl ProvIndex {
     ///   covering all `n` vertices;
     /// * `edge_counts` balance against the cursor's edge watermark, and each
     ///   of the eight CSRs holds exactly its relation's tally;
-    /// * every CSR satisfies [`Csr`]'s own invariants (monotone offsets
-    ///   closing at the adjacency length, in-bounds targets, per-row strictly
-    ///   ascending edge ids).
+    /// * every CSR satisfies [`Csr`]'s own invariants (`n`-long row tables,
+    ///   row slots inside the columns and disjoint, a live count equal to the
+    ///   row lengths' sum, in-bounds targets, per-row strictly ascending edge
+    ///   ids).
     ///
     /// `O(n + m)`. Under the `paranoid` feature it runs automatically after
     /// every `build`/`refresh_in_place`.
@@ -833,7 +954,7 @@ mod tests {
     fn refresh_matches_full_build_after_growth() {
         let (mut g, ids) = chain();
         let stale = ProvIndex::build(&g);
-        // Grow: a new activity using OLD entities (so frozen rows must shift),
+        // Grow: a new activity using OLD entities (so frozen rows must grow),
         // a new entity, agent edges, and a derivation to an old entity.
         let t3 = g.add_activity("t3");
         let w3 = g.add_entity("w3");
@@ -853,7 +974,7 @@ mod tests {
         let mut in_place = stale.clone();
         in_place.refresh_in_place(&g);
         assert_eq!(in_place, full);
-        // Spot-check a shifted frozen row: d's users are t1, t2, then t3.
+        // Spot-check a grown frozen row: d's users are t1, t2, then t3.
         assert_eq!(refreshed.users_of(ids[0]), &[ids[1], ids[3], t3]);
         assert_eq!(refreshed.cursor(), g.cursor());
         assert!(refreshed.is_fresh(&g));
@@ -879,6 +1000,98 @@ mod tests {
         assert_eq!(idx.users_of(d).len(), 6);
     }
 
+    #[test]
+    fn slack_csr_equals_the_packed_build_until_a_row_differs() {
+        let (mut g, ids) = chain();
+        let mut idx = ProvIndex::build(&g);
+        let t9 = g.add_activity("t9");
+        g.add_edge(EdgeKind::Used, t9, ids[0]).unwrap();
+        idx.refresh_in_place(&g);
+        let full = ProvIndex::build(&g);
+        let (slack, packed) = (&idx.used_in, &full.used_in);
+        assert!(!slack.ends.is_empty() && packed.ends.is_empty(), "one CSR of each layout");
+        assert!(slack.slots() > slack.len() && packed.slots() == packed.len());
+        assert_eq!(slack, packed);
+        // d's row moved to the column tail with one spare slot: what the
+        // spare slot holds is not part of any row.
+        let (start, end) = (slack.offsets[0] as usize, slack.ends[0] as usize);
+        let mut spare = slack.clone();
+        spare.targets[end] = ids[4];
+        assert_eq!(&spare, packed);
+        // One changed entry of one row breaks equality, in either column.
+        let mut changed = slack.clone();
+        changed.targets[start] = ids[3];
+        assert_ne!(&changed, packed);
+        let mut changed = slack.clone();
+        changed.edge_ids[start] = EdgeId::new(7);
+        assert_ne!(&changed, packed);
+    }
+
+    /// A packed CSR over `n` rows of two entries each (row `v` holds edge
+    /// ids `2v` and `2v + 1`).
+    fn two_per_row(n: usize) -> Csr {
+        let mut pairs: Vec<_> = (0..2 * n)
+            .map(|e| {
+                let v = e / 2;
+                (
+                    VertexId::new(rank_u32(v)),
+                    VertexId::new(rank_u32((v + 1) % n)),
+                    EdgeId::new(rank_u32(e)),
+                )
+            })
+            .collect();
+        Csr::build(n, &mut pairs)
+    }
+
+    /// Append three one-activity deltas to [`two_per_row`]`(n)` — three old
+    /// rows spread over the id space gain an entry each and one new row gets
+    /// two — checking that untouched rows keep their starts and the columns
+    /// grow by at most twice the touched rows' final lengths. Returns the
+    /// column growth per refresh.
+    fn one_activity_refreshes(n: usize) -> Vec<usize> {
+        let mut csr = two_per_row(n);
+        let mut next_edge = 2 * n;
+        let mut rows = n;
+        let mut growth = Vec::new();
+        for round in 0..3 {
+            // Row n / 5 is touched every round: it moves, then takes an entry
+            // in its headroom, then moves again.
+            let touched = [n / 5, n / 2 + round, n - 1 - round, rows];
+            let starts = csr.clone();
+            let mut pairs = Vec::new();
+            for (i, &v) in touched.iter().enumerate() {
+                for _ in 0..if i == 3 { 2 } else { 1 } {
+                    let e = EdgeId::new(rank_u32(next_edge));
+                    pairs.push((VertexId::new(rank_u32(v)), VertexId::new(0), e));
+                    next_edge += 1;
+                }
+            }
+            rows += 1;
+            let slots = csr.slots();
+            csr.append(rows, &mut pairs);
+            csr.validate("csr", rows).unwrap();
+            for v in (0..rows - 1).filter(|v| !touched.contains(v)) {
+                assert_eq!(csr.offsets[v], starts.offsets[v], "n = {n}: untouched row {v} moved");
+            }
+            let touched_len: usize =
+                touched.iter().map(|&v| csr.degree(VertexId::new(rank_u32(v)))).sum();
+            let grew = csr.slots() - slots;
+            assert!(grew <= 2 * touched_len, "n = {n}: columns grew {grew} for {touched_len}");
+            growth.push(grew);
+        }
+        growth
+    }
+
+    #[test]
+    fn refresh_work_is_independent_of_n() {
+        let small = one_activity_refreshes(20_000);
+        assert_eq!(small, one_activity_refreshes(200_000), "column growth depends on n");
+        // 14 = three moves into slots of 4 + the new row's 2; 10 = one append
+        // in place + two moves + 2; 18 = one move into a slot of 8 + two
+        // into slots of 4 + 2.
+        assert_eq!(small, vec![14, 10, 18]);
+    }
+
     /// Hand-corrupt one private field at a time and check that `validate`
     /// rejects the snapshot *naming the broken invariant* (ISSUE 7
     /// acceptance). In-module so the corruption can reach private fields.
@@ -888,6 +1101,19 @@ mod tests {
         fn built() -> ProvIndex {
             let (g, _) = chain();
             ProvIndex::build(&g)
+        }
+
+        /// `built()` after a refresh in which a new activity `t9` (vertex 6)
+        /// uses `d`: `used_out` gains row 6 at the column tail and `used_in`
+        /// moves d's row there, both now in the slack layout.
+        fn slack() -> ProvIndex {
+            let (mut g, ids) = chain();
+            let mut idx = ProvIndex::build(&g);
+            let t9 = g.add_activity("t9");
+            g.add_edge(EdgeKind::Used, t9, ids[0]).unwrap();
+            idx.refresh_in_place(&g);
+            assert!(!idx.used_out.ends.is_empty() && !idx.used_in.ends.is_empty());
+            idx
         }
 
         #[track_caller]
@@ -965,35 +1191,49 @@ mod tests {
         }
 
         #[test]
-        fn csr_offset_table_truncated() {
+        fn csr_row_table_length() {
             let mut idx = built();
             idx.gen_out.offsets.pop();
-            assert_names(&idx, "gen_out: offset table");
+            assert_names(&idx, "gen_out: packed row table");
+            let mut idx = slack();
+            idx.used_in.ends.pop();
+            assert_names(&idx, "used_in: slack row tables");
         }
 
         #[test]
-        fn csr_offsets_nonzero_start() {
-            let mut idx = built();
-            idx.used_in.offsets[0] = 1;
-            assert_names(&idx, "used_in: offsets[0]");
+        fn csr_slot_outside_columns() {
+            let mut idx = slack();
+            // t9's row is the last slot (3..4); a second entry would need a
+            // slot of two.
+            idx.used_out.ends[6] += 1;
+            assert_names(&idx, "used_out: slot of row 6");
         }
 
         #[test]
-        fn csr_offsets_decrease() {
-            let mut idx = built();
-            // Bump a middle offset above its successor.
-            let last = *idx.used_in.offsets.last().unwrap();
-            idx.used_in.offsets[1] = last + 1;
-            assert_names(&idx, "used_in: offsets decrease");
+        fn csr_live_count_mismatch() {
+            let mut idx = slack();
+            // Drop the last of d's three users from its row.
+            idx.used_in.ends[0] -= 1;
+            assert_names(&idx, "used_in: live count 4 but the rows hold 3");
+        }
+
+        #[test]
+        fn csr_slots_overlap() {
+            let mut idx = slack();
+            // Point t9's one-entry row at t1's: same length, same live count,
+            // one slot claimed twice.
+            idx.used_out.offsets[6] = idx.used_out.offsets[1];
+            idx.used_out.ends[6] = idx.used_out.ends[1];
+            assert_names(&idx, "used_out: slots of rows 1 (0..1) and 6 (0..1) overlap");
         }
 
         #[test]
         fn csr_adjacency_truncated() {
             let mut idx = built();
             // Popping a target trips the relation tally first; the parallel
-            // edge-id column reaches the closing-offset invariant itself.
+            // edge-id column reaches the column-length invariant itself.
             idx.used_out.edge_ids.pop();
-            assert_names(&idx, "used_out: closing offset");
+            assert_names(&idx, "used_out: columns hold");
         }
 
         #[test]

@@ -1473,7 +1473,7 @@ mod tests {
 
     /// Hand-corrupt private store state and check `validate` names the
     /// broken invariant (ISSUE 7 acceptance; the snapshot twin lives in
-    /// `snapshot::tests::corruption`).
+    /// `csr::tests::corruption`).
     mod corruption {
         use super::*;
 

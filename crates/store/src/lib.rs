@@ -7,8 +7,8 @@
 //!
 //! * [`graph::ProvGraph`] — the mutable store (vertices, edges, schema-later
 //!   properties, kind/name indexes, PROV validation).
-//! * [`snapshot::ProvIndex`] — frozen CSR snapshot with per-relationship typed
-//!   adjacency used by the query operators.
+//! * [`csr::ProvIndex`] — the CSR index with per-relationship typed adjacency
+//!   used by the query operators, refreshed from the graph's delta.
 //! * [`pattern`] — Cypher-flavoured pattern/path matching with materialized
 //!   path variables (the "standard graph query model" baseline).
 //! * [`query`] — the composable query IR every read path compiles into:
@@ -18,6 +18,7 @@
 //!   crash recovery and deterministic fault injection.
 //! * [`hash`], [`interner`] — supporting infrastructure.
 
+pub mod csr;
 pub mod error;
 pub mod graph;
 pub mod hash;
@@ -26,9 +27,9 @@ pub mod interner;
 pub mod json;
 pub mod pattern;
 pub mod query;
-pub mod snapshot;
 pub mod storage;
 
+pub use csr::{Csr, Direction, ProvIndex, SharedIndex};
 pub use error::{StoreError, StoreResult};
 pub use graph::{
     rank_u32, DeltaCursor, EdgeRecord, GraphDelta, GraphStats, ProvGraph, VertexRecord, WalOp,
@@ -40,7 +41,6 @@ pub use query::{
     evaluate, evaluate_at, lower_pattern, paginate, Page, Pipeline, Plan, Project, PropFilter,
     QueryCursor, QueryOutput, QueryStats, StartSet, Step, Traverse,
 };
-pub use snapshot::{Csr, Direction, ProvIndex, SharedIndex};
 pub use storage::{
     DurabilityCounters, DurabilityPolicy, FailpointIo, FaultPlan, Io, IoError, MemIo, Recovered,
     StdIo, WalStorage,

@@ -17,11 +17,11 @@
 //! the live store and need a pinned session for byte-stability, since
 //! property writes do not move the cursor).
 
+use crate::csr::{Csr, ProvIndex};
 use crate::error::{StoreError, StoreResult};
 use crate::graph::{rank_u32, DeltaCursor, ProvGraph};
 use crate::query::ir::{Project, PropFilter, StartSet, Step, Traverse};
 use crate::query::plan::Plan;
-use crate::snapshot::{Csr, ProvIndex};
 use prov_model::VertexId;
 use std::cell::RefCell;
 
@@ -257,9 +257,9 @@ fn traverse(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Direction;
     use crate::graph::ProvGraph;
     use crate::query::ir::Pipeline;
-    use crate::snapshot::Direction;
     use prov_model::{EdgeKind, VertexKind};
 
     /// d → t1 → w1 → t2 → w2 plus a side input s → t2 (the lineage test

@@ -5,7 +5,7 @@
 //! acquires meaning when [`crate::query::Plan::compile`] checks it and
 //! [`crate::query::evaluate`] runs it over a snapshot.
 
-use crate::snapshot::Direction;
+use crate::csr::Direction;
 use prov_model::{EdgeKind, PropValue, VertexId, VertexKind};
 use serde::{Deserialize, Serialize};
 

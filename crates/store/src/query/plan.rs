@@ -22,10 +22,10 @@
 //! `LineageDirection`/`LineageBound` (the bound types are not store
 //! concepts); everything store-shaped lowers here.
 
+use crate::csr::Direction;
 use crate::error::{StoreError, StoreResult};
 use crate::pattern::{NodeSpec, PathPattern, PatternDir, RelSpec};
 use crate::query::ir::{Pipeline, PropFilter, StartSet, Step, Traverse};
-use crate::snapshot::Direction;
 use prov_model::{EdgeKind, PropValue, VertexKind};
 
 /// A validated, normalized pipeline ready for [`crate::query::evaluate`].

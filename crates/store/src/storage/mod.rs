@@ -76,7 +76,7 @@
 //!    [`StoreError::CorruptLog`](crate::StoreError) — corruption is loud,
 //!    truncation is only for torn writes;
 //! 3. replay drives the ordinary graph mutators, and the recovered secondary
-//!    index is caught up with `ProvIndex::refresh_in_place`, so recovered
+//!    index is one `ProvIndex::build` over the replayed graph, so recovered
 //!    state is bit-for-bit the state the mutators would rebuild;
 //! 4. property writes replayed from the WAL tail onto ids below the last
 //!    run's end are kept for the next run's overwrite segment, exactly as
@@ -101,9 +101,9 @@ pub use io::{ColumnSource, Io, IoError, IoResult, MemIo, StdIo};
 pub use manifest::{Manifest, RunEntry, MAX_RUNS};
 pub use wal::WalScan;
 
+use crate::csr::ProvIndex;
 use crate::error::{StoreError, StoreResult};
 use crate::graph::{ProvGraph, WalOp};
-use crate::snapshot::ProvIndex;
 use serde::{Deserialize, Serialize};
 
 /// Name of the temp file an in-flight run (or merge) is written to.
@@ -255,8 +255,8 @@ pub struct DurabilityCounters {
 pub struct Recovered {
     /// The recovered graph: the manifest's runs + committed WAL suffix.
     pub graph: ProvGraph,
-    /// A secondary index over `graph`, built over the runs and caught up
-    /// with `refresh_in_place` over the replayed suffix.
+    /// A secondary index over `graph`: one packed `ProvIndex::build` after
+    /// the replay.
     pub index: ProvIndex,
 }
 
@@ -374,16 +374,12 @@ impl WalStorage {
         let base_seq = self.manifest.seq;
         let base = self.manifest.end();
 
-        // Index over the runs, *before* replay: the replayed suffix is then
-        // folded in with `refresh_in_place`, exactly as a live process would.
-        let mut index = ProvIndex::build(&graph);
-
         // Scan the live WAL, replaying each committed batch the moment its
         // commit marker validates (a batch is never applied before its
         // marker, so invariant 2 below holds; a later corruption fails the
         // open and the partly replayed graph is dropped with it). Neither
         // the decoded batches nor, past the scan, the log's bytes stay
-        // alive while the index catches up. Property writes below the last
+        // alive while the index is built. Property writes below the last
         // run's end belong to the next run, exactly as if committed live.
         let wal_name = wal_file_name(gen);
         let bytes = match self.io.read(&wal_name).map_err(Self::io_err)? {
@@ -415,7 +411,10 @@ impl WalStorage {
             self.counters.truncated_tail_bytes += torn;
         }
         self.counters.batches_replayed += scan.commit_offsets.len() as u64;
-        index.refresh_in_place(&graph);
+        // One build over the replayed graph, not a build over the runs plus a
+        // refresh over the tail: the index starts packed, with no headroom
+        // for a read-only store to carry.
+        let index = ProvIndex::build(&graph);
 
         // Sweep what the chosen generation does not use (crash windows after
         // a manifest rename, before its deletes; runs written by a

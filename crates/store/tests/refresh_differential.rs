@@ -1,22 +1,23 @@
 //! Incremental-refresh differential tests (ISSUE 5 acceptance): a
 //! [`ProvIndex`] maintained through `refresh_in_place`/`refreshed` across
 //! random ingest/query interleavings must stay `==` to a full
-//! [`ProvIndex::build`] of the same graph — identical CSRs (offsets, targets,
-//! edge ids), kind tables, ranks, births, and counts, which is exactly what
-//! the derived `PartialEq` compares.
+//! [`ProvIndex::build`] of the same graph — identical CSR rows (targets and
+//! edge ids, whatever the layout holding them), kind tables, ranks, births,
+//! and counts, which is exactly what `PartialEq` compares.
 //!
 //! The generator grows a random PROV-typed graph in batches (every edge kind,
-//! edges landing on arbitrarily old vertices so frozen CSR rows must shift,
+//! edges landing on arbitrarily old vertices so frozen CSR rows must grow,
 //! interleaved property writes that must NOT age the snapshot), and after
 //! each batch "queries" the maintained snapshot by comparing it against the
 //! reference build. Both refresh flavors — in place (sole owner) and
-//! clone-extend (pinned by sessions) — take the same merge path and are
+//! clone-extend (pinned by sessions) — take the same append path and are
 //! exercised alternately; a second snapshot refreshed only at the end covers
-//! multi-batch deltas.
+//! multi-batch deltas. A second leg refreshes one index after every single
+//! activity, the serving loop's shape, long enough that its CSRs repack.
 
 use proptest::prelude::*;
-use prov_model::{EdgeKind, VertexKind};
-use prov_store::{ProvGraph, ProvIndex};
+use prov_model::{EdgeKind, VertexId, VertexKind};
+use prov_store::{Csr, Direction, ProvGraph, ProvIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -145,4 +146,66 @@ proptest! {
         // The pinned original is untouched by the clone-extend path.
         prop_assert_eq!(pinned_at_start.vertex_count(), 3);
     }
+}
+
+/// The eight stored CSRs (plus the two empty agent in-directions).
+fn csrs(idx: &ProvIndex) -> Vec<(String, &Csr)> {
+    let mut all = Vec::new();
+    for kind in EdgeKind::ALL {
+        for dir in [Direction::Out, Direction::In] {
+            // lint-ok(csr-traversal): reads column counts, walks no adjacency
+            all.push((format!("{kind:?}/{dir:?}"), idx.csr(kind, dir)));
+        }
+    }
+    all
+}
+
+/// 240 single-activity refreshes of one index: it stays `==` to the
+/// reference build after every one, no CSR's columns ever exceed twice its
+/// entries (the repack rule), and a CSR whose columns shrank was repacked
+/// into exactly the packed layout — columns holding only live entries.
+#[test]
+fn single_activity_refreshes_repack_and_stay_equal_to_build() {
+    let mut rng = StdRng::seed_from_u64(25);
+    let mut g = ProvGraph::new();
+    let alice = g.add_agent("alice");
+    let seeds: Vec<VertexId> = (0..4).map(|i| g.add_entity(&format!("seed{i}"))).collect();
+    let mut pool = seeds.clone();
+    let mut idx = ProvIndex::build(&g);
+    let mut repacks = 0;
+    for round in 0..240 {
+        let a = g.add_activity(&format!("a{round}"));
+        // Half the inputs are the four seeds, so their rows keep growing
+        // past their slots and moving; the rest land anywhere in the pool.
+        let mut inputs = Vec::new();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let e = if rng.gen_bool(0.5) {
+                seeds[rng.gen_range(0..seeds.len())]
+            } else {
+                pool[rng.gen_range(0..pool.len())]
+            };
+            if !inputs.contains(&e) {
+                g.add_edge(EdgeKind::Used, a, e).unwrap();
+                inputs.push(e);
+            }
+        }
+        let out = g.add_entity(&format!("o{round}"));
+        g.add_edge(EdgeKind::WasGeneratedBy, out, a).unwrap();
+        g.add_edge(EdgeKind::WasAssociatedWith, a, alice).unwrap();
+        g.add_edge(EdgeKind::WasDerivedFrom, out, inputs[0]).unwrap();
+        pool.push(out);
+
+        let slots_before: Vec<usize> = csrs(&idx).iter().map(|(_, c)| c.slots()).collect();
+        idx.refresh_in_place(&g);
+        assert_eq!(idx, ProvIndex::build(&g), "round {round} diverged");
+        assert!(idx.validate().is_ok(), "round {round}: {:?}", idx.validate());
+        for ((name, csr), before) in csrs(&idx).into_iter().zip(slots_before) {
+            assert!(csr.slots() <= 2 * csr.len(), "round {round}: {name} kept its slack");
+            if csr.slots() < before {
+                repacks += 1;
+                assert_eq!(csr.slots(), csr.len(), "round {round}: {name} repacked with slack");
+            }
+        }
+    }
+    assert!(repacks > 0, "240 refreshes never repacked a CSR");
 }

@@ -67,6 +67,12 @@ recovery-test:
     cargo test -q -p prov-store --test column_source_differential
     cargo test -q -p prov-core --test recovery_killpoints --test durability_proptest
 
+# Regenerate just the serving-loop trajectory (fig7: refresh vs rebuild per
+# ingest round, lineage latency, snapshot acquisition after a write).
+fig7:
+    cargo run -q -p prov-bench --release --bin figure -- --quick fig7 \
+        --json BENCH_fig7.json
+
 # Regenerate just the durable-ingest/lazy-decode trajectory (fig10).
 fig10:
     cargo run -q -p prov-bench --release --bin figure -- --quick fig10 \
