@@ -234,7 +234,7 @@ pub struct RecordActivityRequest {
 /// `OpenSession` always induce with SimProvTst whatever is named here (see
 /// [`prov_segment::PgSegOptions`]): every value returns the `Tst` answer.
 /// The enum stays on the wire until its removal is coordinated with the
-/// clients that name it (ROADMAP items 4(d) and 5).
+/// clients that name it (ROADMAP items 6(d)/7(c)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EvaluatorSpec {
     /// Naive Cypher-style enumerate-and-join.
@@ -401,16 +401,17 @@ pub struct LineageRequest {
 }
 
 /// What a [`QueryRequest`] evaluates: a query-IR pipeline directly, or a
-/// Cypher-flavoured path pattern. Patterns in the lowerable family (single
-/// unbounded star, see [`prov_store::lower_pattern`]) compile onto the IR
-/// and gain its cursors; the rest fall back to the materializing pattern
-/// engine and report truncation via [`QueryResponse::is_complete`].
+/// Cypher-flavoured path pattern. Both run on the one IR engine: a pattern
+/// compiles through [`prov_store::lower_pattern`] when the IR's distance
+/// semantics equal its path semantics (at most one step, `min_hops` 0, or 1
+/// from at most one start going `Forward`/`Backward`, no reverse agent
+/// slice), and is refused with `InvalidQuery` otherwise.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QuerySpec {
     /// A query-IR pipeline (`StartSet → (Traverse | Filter | Limit)* →
     /// Project`), evaluated as-is.
     Pipeline(prov_store::Pipeline),
-    /// A path pattern, lowered onto the IR when possible.
+    /// A path pattern, lowered onto the IR or refused.
     Pattern(prov_store::PathPattern),
 }
 
@@ -431,22 +432,18 @@ pub struct QueryRequest {
     /// Rows per page. Unset returns everything in one shot (no cursor).
     #[serde(default)]
     pub page_size: Option<usize>,
-    /// Resume token from a previous page's [`QueryResponse::cursor`]. IR
-    /// pipelines and lowerable patterns replay at the token's watermark
-    /// (the first resumption of a walk holds that answer for the later
-    /// pages, unless the pipeline filters on properties); a non-lowerable
-    /// pattern cannot replay, so its token is refused as a stale cursor once
-    /// the evaluated snapshot has moved (a pinned session's never does).
+    /// Resume token from a previous page's [`QueryResponse::cursor`]. The
+    /// walk replays at the token's watermark (the first resumption of a
+    /// walk holds that answer for the later pages, unless the pipeline
+    /// filters on properties).
     #[serde(default)]
     pub cursor: Option<prov_store::QueryCursor>,
-    /// Pattern-fallback budget: maximum search-tree expansions (default
-    /// and ceiling: the library's [`prov_store::Budget`] default — a larger
-    /// value is clamped to it). Ignored for IR pipelines and lowerable
-    /// patterns.
+    /// Ignored: no query materializes paths, so there is no budget to set.
+    /// Kept only because `benchmark/src/program.rs` constructs it; removed
+    /// with ROADMAP items 6(d)/7(c).
     #[serde(default)]
     pub max_expansions: Option<u64>,
-    /// Pattern-fallback budget: maximum materialized paths (same default
-    /// and ceiling rule).
+    /// Ignored, like [`QueryRequest::max_expansions`].
     #[serde(default)]
     pub max_paths: Option<usize>,
 }
@@ -734,9 +731,9 @@ pub struct QueryResponse {
     /// Total result rows at the cursor's watermark (the whole result, not
     /// this page; what `Project::Count` returns with no rows).
     pub count: u64,
-    /// False when a pattern fell back to the materializing engine and its
-    /// budget ran out before the search finished: `rows` is a *truncated*
-    /// answer. IR-evaluated queries are always complete.
+    /// Always `true`: every query is evaluated whole. Kept only because
+    /// `benchmark/src/harness.rs` digests it; removed with ROADMAP items
+    /// 6(d)/7(c).
     pub is_complete: bool,
     /// Resume token for the next page; absent on the last (or only) page.
     #[serde(default)]

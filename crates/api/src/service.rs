@@ -21,7 +21,7 @@ use crate::error::{ApiError, ApiResult};
 use crate::held::{Held, Source, WalkKey, HELD_BUDGET_BYTES};
 use prov_core::{ActivityRecord, LineageDirection, OutputSpec, ProvDb};
 use prov_segment::{PgSegQuery, PgSegSession};
-use prov_store::{ProvGraph, ProvIndex, StoreError};
+use prov_store::StoreError;
 use prov_summary::{PgSumQuery, PropertyAggregation, SegmentRef};
 use std::sync::Arc;
 
@@ -29,15 +29,16 @@ fn error_response(e: &ApiError) -> Response {
     Response::Error(ErrorResponse { code: e.code(), message: e.to_string() })
 }
 
-fn query_response(
-    page: prov_store::Page,
-    count: u64,
-    is_complete: bool,
-    activity: QueryActivity,
-) -> Response {
+fn query_response(page: prov_store::Page, count: u64, activity: QueryActivity) -> Response {
     let mut stats = Stats::sized(page.rows.len(), 0);
     stats.query = activity;
-    Response::Query(QueryResponse { rows: page.rows, count, is_complete, cursor: page.next, stats })
+    Response::Query(QueryResponse {
+        rows: page.rows,
+        count,
+        is_complete: true,
+        cursor: page.next,
+        stats,
+    })
 }
 
 fn session_response(id: SessionId, session: &PgSegSession) -> Response {
@@ -355,28 +356,11 @@ impl ProvService {
         Ok(Response::Lineage(LineageResponse { entity, vertices, stats }))
     }
 
-    /// Run `f` over the snapshot `source` names: a session's pinned graph
-    /// and index, or the live store's graph and current index.
-    fn with_snapshot<R>(
-        &self,
-        source: Source,
-        f: impl FnOnce(&ProvGraph, &ProvIndex) -> ApiResult<R>,
-    ) -> ApiResult<R> {
-        match source {
-            Source::Session(id) => {
-                let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
-                f(session.graph(), session.index())
-            }
-            Source::Live => f(self.db.graph(), &self.db.snapshot()),
-        }
-    }
-
-    /// Serve one composable query: lower it onto the query IR when possible
-    /// (IR pipelines as-is; patterns through [`prov_store::lower_pattern`]),
-    /// evaluate over the pinned session snapshot or the live store, and
-    /// paginate with the stable-cursor machinery. Non-lowerable patterns
-    /// fall back to the materializing pattern engine and surface budget
-    /// truncation as `is_complete = false` — never silently.
+    /// Serve one composable query: compile it onto the query IR (pipelines
+    /// as-is; patterns through [`prov_store::lower_pattern`], which refuses
+    /// what the IR cannot answer exactly), evaluate over the pinned session
+    /// snapshot or the live store, and paginate with the stable-cursor
+    /// machinery.
     ///
     /// A resumed walk's answer is a pure value of `(source, compiled plan,
     /// watermark)` (bounded replay is deterministic), so the first
@@ -402,10 +386,7 @@ impl ProvService {
         };
         let pipeline = match &r.query {
             QuerySpec::Pipeline(p) => p.clone(),
-            QuerySpec::Pattern(p) => match prov_store::lower_pattern(p) {
-                Some(pipeline) => pipeline,
-                None => return self.pattern_query(r, p, source, resumptions),
-            },
+            QuerySpec::Pattern(p) => prov_store::lower_pattern(p)?,
         };
         let plan = prov_store::Plan::compile(pipeline)?;
 
@@ -420,71 +401,33 @@ impl ProvService {
                 }
                 // No step ran: the work counters are zero.
                 let activity = QueryActivity { resumptions, ..QueryActivity::default() };
-                return Ok(query_response(page, count, true, activity));
+                return Ok(query_response(page, count, activity));
             }
         }
 
         // Resumptions replay the pipeline at the cursor's snapshot watermark
         // (a watermark beyond the snapshot's log is rejected inside the
         // evaluator as a stale cursor).
-        let (output, watermark) = self.with_snapshot(source, |graph, index| {
-            let watermark = r.cursor.map_or(index.cursor(), |c| c.watermark());
-            Ok((prov_store::evaluate_at(graph, index, &plan, watermark, 1)?, watermark))
-        })?;
+        let live;
+        let (graph, index) = match source {
+            Source::Session(id) => {
+                let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
+                (session.graph(), session.index())
+            }
+            Source::Live => {
+                live = self.db.snapshot();
+                (self.db.graph(), &*live)
+            }
+        };
+        let watermark = r.cursor.map_or(index.cursor(), |c| c.watermark());
+        let output = prov_store::evaluate_at(graph, index, &plan, watermark, 1)?;
         let page = prov_store::paginate(&output.rows, watermark, r.cursor.as_ref(), r.page_size);
         let count = output.count;
         let activity = QueryActivity::from_stats(output.stats, resumptions);
         if let (Some(walk), Some(_)) = (walk, page.next) {
             self.held.hold_walk(walk, output);
         }
-        Ok(query_response(page, count, true, activity))
-    }
-
-    /// Outside the lowerable family: materialize paths and return the
-    /// distinct endpoint set (what the lowering would have produced), sorted
-    /// ascending like every IR answer.
-    fn pattern_query(
-        &self,
-        r: &QueryRequest,
-        pattern: &prov_store::PathPattern,
-        source: Source,
-        resumptions: u64,
-    ) -> ApiResult<Response> {
-        self.with_snapshot(source, |graph, index| {
-            // `match_paths` enumerates the snapshot as it is now and cannot
-            // replay an earlier watermark, so a resumed page is only cut from
-            // the first page's row set when the snapshot has not moved
-            // (always true under a pinned session).
-            let snap = index.cursor();
-            if let Some(c) = r.cursor.filter(|c| c.watermark() != snap) {
-                return Err(StoreError::InvalidQuery(format!(
-                    "stale cursor: watermark ({}v/{}e) is not the snapshot ({}v/{}e) and the \
-                     pattern engine cannot replay it; restart the walk or pin it to a session",
-                    c.vertices, c.edges, snap.vertices, snap.edges
-                ))
-                .into());
-            }
-            // The wire may lower the budget, never raise it.
-            let cap = prov_store::Budget::default();
-            let budget = prov_store::Budget {
-                max_expansions: r
-                    .max_expansions
-                    .map_or(cap.max_expansions, |n| n.min(cap.max_expansions)),
-                max_paths: r.max_paths.map_or(cap.max_paths, |n| n.min(cap.max_paths)),
-            };
-            let outcome = prov_store::pattern::match_paths(graph, pattern, budget);
-            let mut rows: Vec<prov_model::VertexId> = outcome
-                .paths()
-                .iter()
-                .map(|p| *p.vertices.last().expect("paths hold at least the start"))
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            let count = rows.len() as u64;
-            let page = prov_store::paginate(&rows, snap, r.cursor.as_ref(), r.page_size);
-            let activity = QueryActivity { resumptions, ..QueryActivity::default() };
-            Ok(query_response(page, count, outcome.is_complete(), activity))
-        })
+        Ok(query_response(page, count, activity))
     }
 
     fn export(&mut self) -> ApiResult<Response> {

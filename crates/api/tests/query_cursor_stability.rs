@@ -3,9 +3,9 @@
 //! answer — structurally stable on the live store via the cursor's snapshot
 //! watermark, byte-stable under a pinned session — and every page must be
 //! byte-equal to the same cursor answered cold by a service that never saw
-//! the walk (held answers are invisible on the wire). Plus the regression
-//! test that pattern-engine budget exhaustion is surfaced
-//! (`is_complete = false`) instead of silently truncating.
+//! the walk (held answers are invisible on the wire). Path patterns compile
+//! onto the same IR, so a pattern walk replays and is held like a pipeline
+//! walk; a pattern the IR cannot answer exactly is refused.
 
 use proptest::prelude::*;
 use prov_api::*;
@@ -167,7 +167,6 @@ fn walk_pages(
         let cold = query(&mut cold_service(doc, pin, scanned.len()), request);
         assert_eq!(wire(&page), wire(&cold), "page {} held vs cold", scanned.len() + 1);
         assert!(cold.stats.query.rows_scanned > 0, "the cold service evaluates");
-        assert!(page.is_complete);
         rows.extend_from_slice(&page.rows);
         scanned.push(page.stats.query.rows_scanned);
         assert!(scanned.len() <= 200, "walk must terminate");
@@ -349,7 +348,7 @@ fn stale_cursors_are_rejected_as_invalid_query() {
     }
 }
 
-/// Bounded star => outside the lowerable family => materializing engine.
+/// A bounded star: `min_hops = 0`, so it lowers to `Traverse{0..4}`.
 fn bounded_star() -> PathPattern {
     PathPattern::node(NodeSpec::of_kind(VertexKind::Entity)).then(
         RelSpec::star(&[EdgeKind::Used, EdgeKind::WasGeneratedBy], PatternDir::Forward, 0, 4),
@@ -357,111 +356,49 @@ fn bounded_star() -> PathPattern {
     )
 }
 
-/// Regression (ISSUE 16 satellite): the pattern-fallback arm re-enumerated
-/// the *live* graph on every page and re-stamped the cursor, so ingest
-/// between two pages could skip or duplicate rows. The pattern engine cannot
-/// replay at an old watermark, so an unpinned resume across ingest is
-/// refused as stale; a session-pinned walk continues exactly.
+/// Regression: a bounded star used to run on a second, materializing
+/// engine that could not replay an old watermark, so an unpinned resume
+/// across ingest was refused as a stale cursor. It now compiles onto the
+/// IR: the walk replays at its watermark, concatenates to the one-shot
+/// answer taken before the ingest, matches a cold service page for page,
+/// and is held from its first resumption like any pipeline walk.
 #[test]
-fn pattern_fallback_refuses_a_resume_cursor_the_snapshot_has_moved_past() {
-    let mut service = ProvService::new();
-    ingest_pipeline(&mut service, 6);
-    let session = match service.handle(&Request::OpenSession(OpenSessionRequest {
-        src: vec!["data-v1".into()],
-        dst: vec!["weights-v6".into()],
-        boundary: BoundarySpec::none(),
-        options: SegmentOptions::default(),
-    })) {
-        Response::Session(s) => s.session,
-        other => panic!("expected session, got {other:?}"),
-    };
-    let page = |service: &mut ProvService, session, cursor| {
-        service.handle(&Request::Query(QueryRequest {
-            query: QuerySpec::Pattern(bounded_star()),
-            session,
-            page_size: Some(3),
-            cursor,
-            max_expansions: None,
-            max_paths: None,
-        }))
-    };
-    let reference = one_shot(&mut service, QuerySpec::Pattern(bounded_star()), None);
+fn unpinned_pattern_walk_across_ingest_replays_at_its_watermark() {
+    let doc = pipeline_doc(6);
+    let mut service = imported(&doc);
+    let spec = QuerySpec::Pattern(bounded_star());
+    let reference = one_shot(&mut service, spec.clone(), None);
     assert!(reference.rows.len() > 6, "needs at least three pages");
 
-    let Response::Query(live1) = page(&mut service, None, None) else { panic!("page 1") };
-    let Response::Query(pinned1) = page(&mut service, Some(session), None) else {
-        panic!("pinned page 1")
-    };
-    assert_eq!(live1.rows, reference.rows[..3]);
-    assert_eq!(pinned1.rows, reference.rows[..3]);
-    // Resuming before any ingest works unpinned too: the snapshot is still
-    // the one page 1 was cut from.
-    let Response::Query(live2) = page(&mut service, None, live1.cursor) else { panic!("page 2") };
-    assert_eq!(live2.rows, reference.rows[3..6]);
-
-    ingest_batch(&mut service, 0);
-
-    match page(&mut service, None, live2.cursor) {
-        Response::Error(e) => {
-            assert_eq!(e.code, ErrorCode::InvalidQuery);
-            assert!(e.message.contains("stale cursor"), "{}", e.message);
-        }
-        other => panic!("expected a stale-cursor error, got {other:?}"),
-    }
-    // Pinned: the session's snapshot never moves, so the walk continues
-    // exactly where page 1 stopped and concatenates to the pre-ingest answer.
-    let mut rows = pinned1.rows;
-    let mut cursor = pinned1.cursor;
-    while cursor.is_some() {
-        let Response::Query(next) = page(&mut service, Some(session), cursor) else {
-            panic!("pinned resume")
-        };
-        if let (Some(a), Some(b)) = (cursor, next.cursor) {
-            assert_eq!(a.watermark(), b.watermark(), "the pinned watermark rides along unchanged");
-        }
-        rows.extend_from_slice(&next.rows);
-        cursor = next.cursor;
-    }
-    assert_eq!(rows, reference.rows);
+    let (rows, scanned) = walk_pages(&mut service, &doc, None, spec, 3, ingest_batch);
+    assert_eq!(rows, reference.rows, "pages must concatenate to the one-shot answer");
+    assert!(scanned.len() >= 3 && scanned.iter().skip(2).all(|&n| n == 0), "{scanned:?}");
 }
 
-/// Regression (ISSUE 8 satellite): pattern-engine budget exhaustion used to
-/// be observable only by calling `MatchOutcome::is_complete` in-process; on
-/// the wire a truncated answer was indistinguishable from a complete one.
-/// The query envelope must say so.
+/// A pattern the IR cannot answer exactly is refused, not approximated:
+/// Cypher's relationship uniqueness spans a pattern's steps, which
+/// set-at-a-time evaluation cannot see. Nothing is truncated any more, so
+/// there is no incomplete answer to report.
 #[test]
-fn pattern_budget_exhaustion_is_surfaced_not_silent() {
+fn two_step_pattern_is_refused_as_invalid_query() {
     let mut service = ProvService::new();
-    ingest_pipeline(&mut service, 6);
-    let pattern = bounded_star();
-    let complete = query(
-        &mut service,
-        QueryRequest {
-            query: QuerySpec::Pattern(pattern.clone()),
-            session: None,
-            page_size: None,
-            cursor: None,
-            max_expansions: None,
-            max_paths: None,
-        },
-    );
-    assert!(complete.is_complete, "default budget finishes this graph");
-    assert!(!complete.rows.is_empty());
-
-    let truncated = query(
-        &mut service,
-        QueryRequest {
-            query: QuerySpec::Pattern(pattern),
-            session: None,
-            page_size: None,
-            cursor: None,
-            max_expansions: Some(3),
-            max_paths: None,
-        },
-    );
-    assert!(!truncated.is_complete, "a 3-expansion budget cannot finish");
-    assert!(
-        truncated.rows.len() < complete.rows.len(),
-        "truncation must actually have dropped rows for this regression test to bite"
-    );
+    ingest_pipeline(&mut service, 3);
+    let pattern = PathPattern::node(NodeSpec::of_kind(VertexKind::Entity))
+        .then(RelSpec::one(&[EdgeKind::WasGeneratedBy], PatternDir::Forward), NodeSpec::any())
+        .then(RelSpec::one(&[EdgeKind::Used], PatternDir::Forward), NodeSpec::any());
+    let response = service.handle(&Request::Query(QueryRequest {
+        query: QuerySpec::Pattern(pattern),
+        session: None,
+        page_size: None,
+        cursor: None,
+        max_expansions: None,
+        max_paths: None,
+    }));
+    match response {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::InvalidQuery);
+            assert!(e.message.contains("at most one step"), "{}", e.message);
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
 }

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use prov_api::*;
 use prov_model::{EdgeKind, VertexKind};
 use prov_segment::{Boundary, PgSegOptions, PgSegQuery, VertexPred};
+use prov_store::{NodeSpec, PathPattern, PatternDir, RelSpec};
 
 /// Ingest a training pipeline through the envelope: `data-v1`, then `steps`
 /// train runs, each using the dataset and the previous weights, producing
@@ -355,6 +356,38 @@ fn unified_errors_reach_the_wire_with_codes() {
     // Malformed JSON on the byte entry.
     let wire = service.handle_json("{\"Expand\": ");
     assert!(wire.contains("\"MalformedRequest\""), "got {wire}");
+}
+
+/// Regression: an `Either` star with `min_hops = 1` from one start used to
+/// lower to a BFS, which never re-emits its start. From `train --step 1`,
+/// the trail `→ data-v1 ← train --step 0 ← weights-v1 ←` returns to the
+/// start, so the pattern's answer holds it; the wire answered without it.
+/// Such a pattern is now refused.
+#[test]
+fn either_star_that_can_return_to_its_start_is_refused() {
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 2);
+    let start = service.db().graph().vertex_by_name("train --step 1").unwrap();
+    let pattern = PathPattern::node(NodeSpec::any().with_ids(vec![start])).then(
+        RelSpec::star(
+            &[EdgeKind::Used, EdgeKind::WasGeneratedBy],
+            PatternDir::Either,
+            1,
+            RelSpec::UNBOUNDED,
+        ),
+        NodeSpec::any(),
+    );
+    let r = service.handle(&Request::Query(QueryRequest {
+        query: QuerySpec::Pattern(pattern),
+        session: None,
+        page_size: None,
+        cursor: None,
+        max_expansions: None,
+        max_paths: None,
+    }));
+    let Response::Error(e) = r else { panic!("expected a refusal, got {r:?}") };
+    assert_eq!(e.code, ErrorCode::InvalidQuery);
+    assert!(e.message.contains("undirected cycle"), "{}", e.message);
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! Bundles the ingestion surface (agents, versioned artifacts, activity
 //! records — what the paper's non-intrusive CLI toolkit would feed in) with
 //! the query facilities (PgSeg segmentation, PgSum summarization, lineage and
-//! pattern matching) over the embedded property graph store.
+//! query-IR pipelines, which path patterns lower onto) over the embedded
+//! property graph store.
 
 use crate::lineage::{compile_lineage, LineageBound};
 pub use crate::lineage::{lineage_reference, LineageDirection};
@@ -637,7 +638,7 @@ impl ProvDb {
     /// Evaluate a query-IR pipeline over the current snapshot.
     ///
     /// This is the unified read path every fixed-shape query compiles into
-    /// (DESIGN.md §9); `lineage`, `find_by_prop`, and lowerable patterns all
+    /// (DESIGN.md §9); `lineage`, `find_by_prop`, and lowered patterns all
     /// route through here. Returns the full (unpaginated) output; pair with
     /// [`prov_store::paginate`] or the wire `Query` envelope for cursors.
     pub fn query(&self, pipeline: Pipeline) -> StoreResult<QueryOutput> {

@@ -9,8 +9,8 @@
 //!   properties, kind/name indexes, PROV validation).
 //! * [`csr::ProvIndex`] — the CSR index with per-relationship typed adjacency
 //!   used by the query operators, refreshed from the graph's delta.
-//! * [`pattern`] — Cypher-flavoured pattern/path matching with materialized
-//!   path variables (the "standard graph query model" baseline).
+//! * [`pattern`] — Cypher-flavoured path patterns, wire sugar that
+//!   [`query::lower_pattern`] compiles onto the IR or refuses.
 //! * [`query`] — the composable query IR every read path compiles into:
 //!   step pipelines over CSR snapshots with resumable cursors.
 //! * [`json`] — PROV-JSON-style import/export.
@@ -34,9 +34,7 @@ pub use error::{StoreError, StoreResult};
 pub use graph::{
     rank_u32, DeltaCursor, EdgeRecord, GraphDelta, GraphStats, ProvGraph, VertexRecord, WalOp,
 };
-pub use pattern::{
-    Budget, MatchOutcome, MaterializedPath, NodeSpec, PathPattern, PatternDir, RelSpec,
-};
+pub use pattern::{NodeSpec, PathPattern, PatternDir, RelSpec};
 pub use query::{
     evaluate, evaluate_at, lower_pattern, paginate, Page, Pipeline, Plan, Project, PropFilter,
     QueryCursor, QueryOutput, QueryStats, StartSet, Step, Traverse,

@@ -1,20 +1,16 @@
-//! A small Cypher-flavoured pattern/path matching engine.
+//! Cypher-flavoured path patterns: wire sugar over the query IR.
 //!
-//! The paper argues that the *standard graph query model* — basic pattern
-//! matching (BPM) and regular path queries (RPQ) with path variables — is what
-//! popular property graph databases offer, and that it is insufficient (and
-//! catastrophically slow) for segmentation queries (Sec. I, III-B, Fig. 5(a)).
-//! To reproduce that comparison honestly we implement the same facility our
-//! store would offer a user: node patterns, variable-length relationship
-//! patterns, and *materialized path variables* (every matching path is held,
-//! exactly like Neo4j's `match p1=(b:E)<-[:U|G*]-(e1:E) with p1 ...` plan).
-//!
-//! The exponential blow-up of enumerate-then-join is intrinsic to this model,
-//! which is precisely the paper's point; the [`Budget`] guard lets benchmarks
-//! report DNF instead of hanging.
+//! A [`PathPattern`] is `start (rel node)*` — node predicates, and
+//! variable-length relationships with Cypher's trail semantics (an endpoint
+//! matches when *some* path of `min..max` hops repeating no edge reaches it).
+//! Patterns carry no evaluator of their own: [`crate::query::lower_pattern`]
+//! compiles each one onto a [`crate::query::Pipeline`] when the IR's
+//! BFS-distance semantics provably equal those path semantics, and refuses
+//! it with [`crate::StoreError::InvalidQuery`] otherwise. The paper's
+//! materialize-then-join plan (Sec. III-B) is reproduced once, as
+//! `prov_segment::naive`.
 
-use crate::graph::ProvGraph;
-use prov_model::{EdgeId, EdgeKind, PropValue, VertexId, VertexKind};
+use prov_model::{EdgeKind, PropValue, VertexId, VertexKind};
 
 /// Node predicate of a pattern (`(x:Kind {key: value, ...})`).
 ///
@@ -58,26 +54,6 @@ impl NodeSpec {
         self.props.push((key.to_string(), value.into()));
         self
     }
-
-    /// Evaluate the predicate on `v`.
-    pub fn matches(&self, graph: &ProvGraph, v: VertexId) -> bool {
-        if let Some(k) = self.kind {
-            if graph.vertex_kind(v) != k {
-                return false;
-            }
-        }
-        if let Some(n) = &self.name {
-            if graph.vertex_name(v) != Some(n.as_str()) {
-                return false;
-            }
-        }
-        if let Some(ids) = &self.ids {
-            if !ids.contains(&v) {
-                return false;
-            }
-        }
-        self.props.iter().all(|(key, want)| graph.vprop(v, key) == Some(want))
-    }
 }
 
 /// Edge traversal direction in a pattern.
@@ -106,8 +82,8 @@ pub struct RelSpec {
 }
 
 impl RelSpec {
-    /// Effectively unbounded hop count (`*` in Cypher). Bounded in practice by
-    /// the DAG's longest path and the evaluation budget.
+    /// Effectively unbounded hop count (`*` in Cypher); bounded in practice
+    /// by the DAG's longest path.
     pub const UNBOUNDED: u32 = u32::MAX;
 
     /// Single-hop relationship of the given kinds.
@@ -118,10 +94,6 @@ impl RelSpec {
     /// Variable-length relationship (`*1..` when `max = UNBOUNDED`).
     pub fn star(kinds: &[EdgeKind], dir: PatternDir, min_hops: u32, max_hops: u32) -> Self {
         RelSpec { kinds: kinds.to_vec(), dir, min_hops, max_hops }
-    }
-
-    fn kind_ok(&self, kind: EdgeKind) -> bool {
-        self.kinds.is_empty() || self.kinds.contains(&kind)
     }
 }
 
@@ -145,326 +117,5 @@ impl PathPattern {
     pub fn then(mut self, rel: RelSpec, node: NodeSpec) -> Self {
         self.steps.push((rel, node));
         self
-    }
-}
-
-/// A materialized path (Cypher path variable): alternating vertex/edge ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaterializedPath {
-    /// Vertices in order (length = edges + 1).
-    pub vertices: Vec<VertexId>,
-    /// Edges in traversal order.
-    pub edges: Vec<EdgeId>,
-}
-
-impl MaterializedPath {
-    /// Number of hops.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True for single-vertex paths.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// The label word of the path: alternating vertex-kind and edge-kind
-    /// letters including a direction sign for reversed traversals
-    /// (used by the naive join in the Cypher baseline).
-    pub fn label_word(&self, graph: &ProvGraph) -> String {
-        let mut w = String::with_capacity(self.vertices.len() * 2);
-        for (i, &v) in self.vertices.iter().enumerate() {
-            w.push(graph.vertex_kind(v).letter());
-            if i < self.edges.len() {
-                let e = graph.edge(self.edges[i]);
-                w.push(e.kind.letter());
-                // Mark traversal orientation: '>' forward, '<' backward.
-                w.push(if e.src == self.vertices[i] { '>' } else { '<' });
-            }
-        }
-        w
-    }
-}
-
-/// Evaluation budget: caps the number of expansions and materialized paths so
-/// benchmarks can report DNF like the paper's ">12h" entries.
-#[derive(Debug, Clone, Copy)]
-pub struct Budget {
-    /// Maximum number of search-tree node expansions.
-    pub max_expansions: u64,
-    /// Maximum number of materialized paths.
-    pub max_paths: usize,
-}
-
-impl Default for Budget {
-    fn default() -> Self {
-        Budget { max_expansions: 50_000_000, max_paths: 5_000_000 }
-    }
-}
-
-/// Outcome of a pattern query.
-#[derive(Debug, Clone)]
-pub enum MatchOutcome {
-    /// All matching paths, complete.
-    Complete(Vec<MaterializedPath>),
-    /// The budget was exhausted (paths found so far are returned).
-    BudgetExhausted(Vec<MaterializedPath>),
-}
-
-impl MatchOutcome {
-    /// Paths found (complete or not).
-    pub fn paths(&self) -> &[MaterializedPath] {
-        match self {
-            MatchOutcome::Complete(p) | MatchOutcome::BudgetExhausted(p) => p,
-        }
-    }
-
-    /// True when evaluation finished within budget.
-    pub fn is_complete(&self) -> bool {
-        matches!(self, MatchOutcome::Complete(_))
-    }
-}
-
-/// Enumerate every path matching `pattern`, holding all of them in memory
-/// (exactly the path-variable semantics the paper measured in Neo4j).
-///
-/// Paths may revisit vertices only when no cycle results (the provenance graph
-/// is a DAG, and we additionally forbid repeating an *edge* within a single
-/// variable-length expansion, matching Cypher's relationship-uniqueness rule).
-pub fn match_paths(graph: &ProvGraph, pattern: &PathPattern, budget: Budget) -> MatchOutcome {
-    let mut out = Vec::new();
-    let mut expansions: u64 = 0;
-    let starts: Vec<VertexId> = match &pattern.start.ids {
-        Some(ids) => ids.clone(),
-        None => graph.vertex_ids().collect(),
-    };
-    let mut exhausted = false;
-    'outer: for s in starts {
-        if !pattern.start.matches(graph, s) {
-            continue;
-        }
-        let mut path = MaterializedPath { vertices: vec![s], edges: Vec::new() };
-        if !extend(graph, pattern, 0, &mut path, &mut out, &mut expansions, budget) {
-            exhausted = true;
-            break 'outer;
-        }
-    }
-    if exhausted {
-        MatchOutcome::BudgetExhausted(out)
-    } else {
-        MatchOutcome::Complete(out)
-    }
-}
-
-/// Recursive expansion of step `step_idx`; returns false when out of budget.
-fn extend(
-    graph: &ProvGraph,
-    pattern: &PathPattern,
-    step_idx: usize,
-    path: &mut MaterializedPath,
-    out: &mut Vec<MaterializedPath>,
-    expansions: &mut u64,
-    budget: Budget,
-) -> bool {
-    *expansions += 1;
-    if *expansions > budget.max_expansions || out.len() >= budget.max_paths {
-        return false;
-    }
-    if step_idx == pattern.steps.len() {
-        out.push(path.clone());
-        return true;
-    }
-    let (rel, node) = &pattern.steps[step_idx];
-    expand_rel(graph, pattern, step_idx, rel, node, 0, path, out, expansions, budget)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn expand_rel(
-    graph: &ProvGraph,
-    pattern: &PathPattern,
-    step_idx: usize,
-    rel: &RelSpec,
-    node: &NodeSpec,
-    hops_done: u32,
-    path: &mut MaterializedPath,
-    out: &mut Vec<MaterializedPath>,
-    expansions: &mut u64,
-    budget: Budget,
-) -> bool {
-    *expansions += 1;
-    if *expansions > budget.max_expansions || out.len() >= budget.max_paths {
-        return false;
-    }
-    let here = *path.vertices.last().expect("path has a head");
-    // Accept the current position as the step's endpoint when enough hops done.
-    if hops_done >= rel.min_hops
-        && node.matches(graph, here)
-        && !extend(graph, pattern, step_idx + 1, path, out, expansions, budget)
-    {
-        return false;
-    }
-    if hops_done >= rel.max_hops {
-        return true;
-    }
-    // Forward expansion.
-    if matches!(rel.dir, PatternDir::Forward | PatternDir::Either) {
-        for (eid, e) in graph.out_edges(here) {
-            if rel.kind_ok(e.kind) && !path.edges.contains(&eid) {
-                path.vertices.push(e.dst);
-                path.edges.push(eid);
-                let ok = expand_rel(
-                    graph,
-                    pattern,
-                    step_idx,
-                    rel,
-                    node,
-                    hops_done + 1,
-                    path,
-                    out,
-                    expansions,
-                    budget,
-                );
-                path.vertices.pop();
-                path.edges.pop();
-                if !ok {
-                    return false;
-                }
-            }
-        }
-    }
-    // Backward expansion.
-    if matches!(rel.dir, PatternDir::Backward | PatternDir::Either) {
-        for (eid, e) in graph.in_edges(here) {
-            if rel.kind_ok(e.kind) && !path.edges.contains(&eid) {
-                path.vertices.push(e.src);
-                path.edges.push(eid);
-                let ok = expand_rel(
-                    graph,
-                    pattern,
-                    step_idx,
-                    rel,
-                    node,
-                    hops_done + 1,
-                    path,
-                    out,
-                    expansions,
-                    budget,
-                );
-                path.vertices.pop();
-                path.edges.pop();
-                if !ok {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// dataset <- train -> ...: the Fig. 2 shape in miniature.
-    fn mini() -> (ProvGraph, VertexId, VertexId, VertexId, VertexId) {
-        let mut g = ProvGraph::new();
-        let d = g.add_entity("dataset");
-        let m = g.add_entity("model");
-        let t = g.add_activity("train");
-        let w = g.add_entity("weights");
-        g.add_edge(EdgeKind::Used, t, d).unwrap();
-        g.add_edge(EdgeKind::Used, t, m).unwrap();
-        g.add_edge(EdgeKind::WasGeneratedBy, w, t).unwrap();
-        (g, d, m, t, w)
-    }
-
-    #[test]
-    fn node_spec_filters() {
-        let (g, d, _, t, _) = mini();
-        assert!(NodeSpec::of_kind(VertexKind::Entity).matches(&g, d));
-        assert!(!NodeSpec::of_kind(VertexKind::Entity).matches(&g, t));
-        let named = NodeSpec { name: Some("dataset".into()), ..NodeSpec::default() };
-        assert!(named.matches(&g, d));
-        let byid = NodeSpec::any().with_ids(vec![t]);
-        assert!(byid.matches(&g, t) && !byid.matches(&g, d));
-    }
-
-    #[test]
-    fn prop_predicates() {
-        let (mut g, d, ..) = mini();
-        g.set_vprop(d, "fmt", "csv");
-        let spec = NodeSpec::any().with_prop("fmt", "csv");
-        assert!(spec.matches(&g, d));
-        let spec2 = NodeSpec::any().with_prop("fmt", "parquet");
-        assert!(!spec2.matches(&g, d));
-    }
-
-    #[test]
-    fn single_hop_match() {
-        let (g, d, m, t, _) = mini();
-        // (a:Activity)-[:U]->(e:Entity)
-        let pat = PathPattern::node(NodeSpec::of_kind(VertexKind::Activity)).then(
-            RelSpec::one(&[EdgeKind::Used], PatternDir::Forward),
-            NodeSpec::of_kind(VertexKind::Entity),
-        );
-        let res = match_paths(&g, &pat, Budget::default());
-        assert!(res.is_complete());
-        let mut ends: Vec<VertexId> =
-            res.paths().iter().map(|p| *p.vertices.last().unwrap()).collect();
-        ends.sort();
-        assert_eq!(ends, vec![d, m]);
-        assert!(res.paths().iter().all(|p| p.vertices[0] == t));
-    }
-
-    #[test]
-    fn variable_length_backward_match() {
-        let (g, d, _, _, w) = mini();
-        // match p = (b)<-[:U|G*]-(e) — ancestry paths INTO d, i.e. traversing
-        // U/G edges backwards from d. weights-G->train-U->dataset gives the
-        // 2-hop path from d backwards to w.
-        let pat = PathPattern::node(NodeSpec::any().with_ids(vec![d])).then(
-            RelSpec::star(
-                &[EdgeKind::Used, EdgeKind::WasGeneratedBy],
-                PatternDir::Backward,
-                1,
-                RelSpec::UNBOUNDED,
-            ),
-            NodeSpec::of_kind(VertexKind::Entity),
-        );
-        let res = match_paths(&g, &pat, Budget::default());
-        assert!(res.is_complete());
-        let ends: Vec<VertexId> = res.paths().iter().map(|p| *p.vertices.last().unwrap()).collect();
-        assert!(ends.contains(&w), "2-hop backward path to weights expected, got {ends:?}");
-    }
-
-    #[test]
-    fn label_word_marks_direction() {
-        let (g, d, ..) = mini();
-        let pat = PathPattern::node(NodeSpec::any().with_ids(vec![d])).then(
-            RelSpec::star(&[EdgeKind::Used], PatternDir::Backward, 1, 1),
-            NodeSpec::of_kind(VertexKind::Activity),
-        );
-        let res = match_paths(&g, &pat, Budget::default());
-        assert_eq!(res.paths().len(), 1);
-        assert_eq!(res.paths()[0].label_word(&g), "EU<A");
-    }
-
-    #[test]
-    fn zero_hop_allows_identity() {
-        let (g, d, ..) = mini();
-        let pat = PathPattern::node(NodeSpec::any().with_ids(vec![d]))
-            .then(RelSpec::star(&[], PatternDir::Either, 0, 0), NodeSpec::any());
-        let res = match_paths(&g, &pat, Budget::default());
-        assert_eq!(res.paths().len(), 1);
-        assert!(res.paths()[0].is_empty());
-    }
-
-    #[test]
-    fn budget_exhaustion_is_reported() {
-        let (g, ..) = mini();
-        let pat = PathPattern::node(NodeSpec::any())
-            .then(RelSpec::star(&[], PatternDir::Either, 0, RelSpec::UNBOUNDED), NodeSpec::any());
-        let res = match_paths(&g, &pat, Budget { max_expansions: 3, max_paths: 10 });
-        assert!(!res.is_complete());
     }
 }

@@ -89,8 +89,8 @@ impl Traverse {
     pub const UNBOUNDED: u32 = u32::MAX;
 }
 
-/// Vertex predicate applied to the current row set (the `NodeSpec`
-/// predicate of the pattern engine, IR-shaped).
+/// Vertex predicate applied to the current row set (what a pattern's
+/// `NodeSpec` lowers to).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PropFilter {
     /// Required vertex kind, if any.

@@ -1,7 +1,7 @@
 //! Composable query IR over frozen CSR snapshots (DESIGN.md §9).
 //!
 //! Every fixed-shape read path of the reproduction — lineage closures,
-//! k-hop rings, property lookups, star-pattern reachability — is one
+//! k-hop rings, property lookups, path patterns — is one
 //! instance of the same step pipeline:
 //!
 //! ```text
@@ -22,9 +22,9 @@
 //!   rank watermark over the sorted row set, so pagination survives
 //!   concurrent ingest.
 //!
-//! The legacy sequential paths stay alive as *differential references* (the
-//! `alg_reference` pattern): proptests pin the IR evaluation byte-identical
-//! to `ProvGraph::find_by_prop` and `pattern::match_paths`, and compiled
+//! Proptests pin the IR evaluation byte-identical to
+//! `ProvGraph::find_by_prop` (kept as a differential reference), lowered
+//! patterns to a trail-enumeration oracle in test code, and compiled
 //! lineage to a definitional level-BFS oracle that is
 //! itself pinned to the seed walk `prov_core::lineage_reference`.
 

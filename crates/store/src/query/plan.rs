@@ -6,16 +6,17 @@
 //! identically (selector order, duplicate start ids, and duplicate filter
 //! ids never influence the answer).
 //!
-//! Lowering table (DESIGN.md §9; the store-shaped targets keep their
-//! original as a differential reference, lineage is checked against
-//! `prov_core::lineage_reference` and a definitional oracle in test code):
+//! Lowering table (DESIGN.md §9; `find_by_prop` keeps its original as a
+//! differential reference, patterns are checked against a trail-enumeration
+//! oracle and lineage against `prov_core::lineage_reference` and a
+//! definitional oracle, all in test code):
 //!
-//! | legacy path                      | pipeline                                       |
+//! | read path                        | pipeline                                       |
 //! |----------------------------------|------------------------------------------------|
 //! | `lineage` / `lineage_within`     | `Ids[e] → Traverse{ancestry, 1..bound}`        |
 //! | `k_hop`                          | `Ids[e] → Traverse{ancestry, k..k}`            |
 //! | `ProvGraph::find_by_prop`        | `Kind(k) → Filter{key = value}`                |
-//! | `pattern::match_paths` (star)    | `start → [Filter] → Traverse{kinds, min..∞} → Filter` |
+//! | `PathPattern` ([`lower_pattern`]'s family) | `start → [Filter] → Traverse{kinds, min..max} → [Filter]` |
 //! | `tests/cypher_query1`            | two reachability pipelines joined client-side  |
 //!
 //! The lineage lowering itself lives in `prov-core` next to
@@ -25,7 +26,7 @@
 use crate::csr::Direction;
 use crate::error::{StoreError, StoreResult};
 use crate::pattern::{NodeSpec, PathPattern, PatternDir, RelSpec};
-use crate::query::ir::{Pipeline, PropFilter, StartSet, Step, Traverse};
+use crate::query::ir::{Pipeline, PropFilter, StartSet, Step};
 use prov_model::{EdgeKind, PropValue, VertexKind};
 
 /// A validated, normalized pipeline ready for [`crate::query::evaluate`].
@@ -101,84 +102,85 @@ impl Pipeline {
     }
 }
 
-/// Lower a star path pattern to a pipeline, when the pipeline's
-/// set-semantics provably match [`crate::pattern::match_paths`]'s endpoint
-/// set. Returns `None` — *fall back to the reference engine* — otherwise.
+/// Lower a path pattern onto a pipeline, or refuse it.
 ///
-/// The lowerable family is patterns whose every step is
-/// `-[:kinds*min..]-` (unbounded star) with
+/// A pattern asks for the endpoints of *trails* (paths that repeat no
+/// edge); a `Traverse` emits by BFS *distance*. The two agree, and the
+/// pattern lowers, exactly on this family:
 ///
-/// * `min_hops == 0`, or `min_hops == 1` starting from at most one vertex
-///   (BFS depth is shortest-path distance: with several starts a vertex one
-///   hop from start B may sit at depth 0 because it *is* start A, and a
-///   bounded `max_hops` would need path — not distance — semantics);
-/// * at most one step (relationship uniqueness spans steps in the
-///   reference engine, which set-reachability cannot see);
-/// * no reverse agent slices (the snapshot stores `S`/`A` forward-only,
-///   while the reference walks the mutable adjacency both ways).
+/// * at most one step (relationship uniqueness spans steps, which
+///   set-reachability cannot see);
+/// * no reverse agent slice: `Backward`/`Either` over `S`/`A`, an empty
+///   kind list included, needs inbound agent slices the snapshot does not
+///   store;
+/// * `min_hops == 0`, with any start set, direction and `max_hops`: a
+///   shortest path never repeats an edge, so "some trail of at most `max`
+///   hops" is "multi-source BFS distance at most `max`";
+/// * `min_hops == 1` from at most one start id, `Forward` or `Backward`: on
+///   a DAG a directed trail never returns to its start, so its endpoints
+///   are exactly the vertices at distance `1..=max`. From several starts,
+///   one start can be another's endpoint yet sit at distance 0; going
+///   `Either` way, an undirected cycle returns to the start, which BFS
+///   never re-emits.
 ///
-/// Within that family, endpoint sets coincide: on a DAG every reachable
-/// vertex is reachable by a shortest path, which never repeats an edge, so
-/// Cypher's relationship-uniqueness rule prunes nothing.
-pub fn lower_pattern(pattern: &PathPattern) -> Option<Pipeline> {
-    if pattern.steps.len() > 1 {
-        return None;
-    }
+/// Everything else is [`StoreError::InvalidQuery`], naming the rule.
+pub fn lower_pattern(pattern: &PathPattern) -> StoreResult<Pipeline> {
+    let pipeline = lower_node_start(&pattern.start);
+    let (rel, node) = match pattern.steps.as_slice() {
+        [] => return Ok(pipeline),
+        [step] => step,
+        _ => return Err(refuse("at most one step: relationship uniqueness spans steps")),
+    };
+    let edges = lower_rel_edges(rel)?;
     let single_start = matches!(&pattern.start.ids, Some(ids) if ids.len() <= 1);
-    let mut pipeline = lower_node_start(&pattern.start);
-    for (rel, node) in &pattern.steps {
-        if rel.max_hops != RelSpec::UNBOUNDED {
-            return None;
+    match (rel.min_hops, rel.dir) {
+        (0, _) => {}
+        (1, _) if !single_start => {
+            return Err(refuse(
+                "min_hops = 1 needs at most one start id: a start reached from another sits \
+                 at distance 0",
+            ))
         }
-        if rel.min_hops > 1 || (rel.min_hops == 1 && !single_start) {
-            return None;
+        (1, PatternDir::Either) => {
+            return Err(refuse(
+                "min_hops = 1 goes Forward or Backward: an undirected cycle returns to the start",
+            ))
         }
-        let edges = lower_rel_edges(rel)?;
-        pipeline = pipeline.traverse(&edges, rel.min_hops, Traverse::UNBOUNDED);
-        let filter = lower_node_filter(node);
-        if !filter.is_pass_through() {
-            pipeline = pipeline.filter(filter);
-        }
+        (1, _) => {}
+        _ => return Err(refuse("min_hops is 0 or 1")),
     }
-    Some(pipeline)
+    let mut pipeline = pipeline.traverse(&edges, rel.min_hops, rel.max_hops);
+    let filter = lower_node_filter(node);
+    if !filter.is_pass_through() {
+        pipeline = pipeline.filter(filter);
+    }
+    Ok(pipeline)
+}
+
+/// The refusal of a pattern that breaks `rule`, pointing at the pipeline
+/// that asks the distance-semantics question instead.
+fn refuse(rule: &str) -> StoreError {
+    StoreError::InvalidQuery(format!(
+        "pattern outside the lowerable family ({rule}); for BFS-distance semantics, send a \
+         Pipeline of Traverse{{min_hops..max_hops}} and Filter steps"
+    ))
 }
 
 /// Start `NodeSpec` → start set plus (if needed) a residual filter.
 fn lower_node_start(spec: &NodeSpec) -> Pipeline {
-    let (start, residual) = match (&spec.ids, spec.kind) {
-        (Some(ids), _) => (
-            StartSet::Ids(ids.clone()),
-            PropFilter {
-                kind: spec.kind,
-                name: spec.name.clone(),
-                props: spec.props.clone(),
-                ids: None,
-            },
-        ),
-        (None, Some(kind)) => (
-            StartSet::Kind(kind),
-            PropFilter {
-                kind: None,
-                name: spec.name.clone(),
-                props: spec.props.clone(),
-                ids: None,
-            },
-        ),
-        (None, None) => (
-            StartSet::All,
-            PropFilter {
-                kind: None,
-                name: spec.name.clone(),
-                props: spec.props.clone(),
-                ids: None,
-            },
-        ),
+    let (start, kind) = match (&spec.ids, spec.kind) {
+        (Some(ids), kind) => (StartSet::Ids(ids.clone()), kind),
+        (None, Some(kind)) => (StartSet::Kind(kind), None),
+        (None, None) => (StartSet::All, None),
     };
-    let mut pipeline = Pipeline { start, steps: Vec::new(), project: Default::default() };
-    if !residual.is_pass_through() {
-        pipeline = pipeline.filter(residual);
+    let residual =
+        PropFilter { kind, name: spec.name.clone(), props: spec.props.clone(), ids: None };
+    let pipeline = Pipeline { start, steps: Vec::new(), project: Default::default() };
+    if residual.is_pass_through() {
+        pipeline
+    } else {
+        pipeline.filter(residual)
     }
-    pipeline
 }
 
 /// Interior/end `NodeSpec` → a plain filter.
@@ -191,38 +193,32 @@ fn lower_node_filter(spec: &NodeSpec) -> PropFilter {
     }
 }
 
-/// `RelSpec` kinds × direction → CSR selectors; `None` when a reverse agent
-/// slice would be needed.
-fn lower_rel_edges(rel: &RelSpec) -> Option<Vec<(EdgeKind, Direction)>> {
-    let kinds: Vec<EdgeKind> =
-        if rel.kinds.is_empty() { EdgeKind::ALL.to_vec() } else { rel.kinds.clone() };
+/// `RelSpec` kinds × direction → CSR selectors; refused when a reverse
+/// agent slice would be needed.
+fn lower_rel_edges(rel: &RelSpec) -> StoreResult<Vec<(EdgeKind, Direction)>> {
+    let kinds: &[EdgeKind] = if rel.kinds.is_empty() { &EdgeKind::ALL } else { &rel.kinds };
     let mut edges = Vec::new();
-    for &kind in &kinds {
-        let agent_kind = matches!(kind, EdgeKind::WasAssociatedWith | EdgeKind::WasAttributedTo);
-        match rel.dir {
-            PatternDir::Forward => edges.push((kind, Direction::Out)),
-            PatternDir::Backward => {
-                if agent_kind {
-                    return None;
-                }
-                edges.push((kind, Direction::In));
+    for &kind in kinds {
+        if rel.dir != PatternDir::Backward {
+            edges.push((kind, Direction::Out));
+        }
+        if rel.dir != PatternDir::Forward {
+            if matches!(kind, EdgeKind::WasAssociatedWith | EdgeKind::WasAttributedTo) {
+                return Err(refuse(&format!(
+                    "no reverse agent slice: {kind:?} is stored forward-only, so select it Out \
+                     only; an empty kind list names it"
+                )));
             }
-            PatternDir::Either => {
-                if agent_kind {
-                    return None;
-                }
-                edges.push((kind, Direction::Out));
-                edges.push((kind, Direction::In));
-            }
+            edges.push((kind, Direction::In));
         }
     }
-    Some(edges)
+    Ok(edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::ir::Project;
+    use crate::query::ir::{Project, Traverse};
     use prov_model::VertexId;
 
     #[test]
@@ -267,41 +263,72 @@ mod tests {
         assert_eq!(p.project, Project::Ids);
     }
 
+    fn refusal(pattern: &PathPattern) -> String {
+        match lower_pattern(pattern) {
+            Err(StoreError::InvalidQuery(message)) => message,
+            other => panic!("expected an InvalidQuery refusal, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn star_pattern_lowers_bounded_patterns_fall_back() {
-        let star = PathPattern::node(NodeSpec::any().with_ids(vec![VertexId::new(0)])).then(
-            RelSpec::star(
-                &[EdgeKind::Used, EdgeKind::WasGeneratedBy],
-                PatternDir::Backward,
-                0,
-                RelSpec::UNBOUNDED,
-            ),
+    fn lowering_accepts_exactly_the_family() {
+        let ancestry = [EdgeKind::Used, EdgeKind::WasGeneratedBy];
+        let one_start = || NodeSpec::any().with_ids(vec![VertexId::new(0)]);
+        let star = PathPattern::node(one_start()).then(
+            RelSpec::star(&ancestry, PatternDir::Backward, 1, RelSpec::UNBOUNDED),
             NodeSpec::of_kind(VertexKind::Entity),
         );
-        let lowered = lower_pattern(&star).expect("unbounded star lowers");
+        let lowered = lower_pattern(&star).expect("single-start directed star lowers");
         assert_eq!(lowered.steps.len(), 2, "traverse + endpoint filter");
 
-        let bounded = PathPattern::node(NodeSpec::any())
-            .then(RelSpec::star(&[EdgeKind::Used], PatternDir::Forward, 1, 3), NodeSpec::any());
-        assert!(lower_pattern(&bounded).is_none(), "bounded hops need path semantics");
+        let bounded = PathPattern::node(NodeSpec::of_kind(VertexKind::Entity))
+            .then(RelSpec::star(&ancestry, PatternDir::Either, 0, 3), NodeSpec::any());
+        let lowered = lower_pattern(&bounded).expect("min 0 lowers at any max");
+        assert_eq!(lowered.start, StartSet::Kind(VertexKind::Entity));
+        match &lowered.steps[..] {
+            [Step::Traverse(t)] => assert_eq!((t.min_hops, t.max_hops, t.edges.len()), (0, 3, 4)),
+            other => panic!("unexpected steps {other:?}"),
+        }
+        let forward_agent = PathPattern::node(NodeSpec::any())
+            .then(RelSpec::star(&[], PatternDir::Forward, 0, 1), NodeSpec::any());
+        assert!(lower_pattern(&forward_agent).is_ok(), "agent slices are stored forward");
 
-        let multi_start_min1 =
-            PathPattern::node(NodeSpec::any().with_ids(vec![VertexId::new(0), VertexId::new(1)]))
-                .then(
-                    RelSpec::star(&[EdgeKind::Used], PatternDir::Forward, 1, RelSpec::UNBOUNDED),
-                    NodeSpec::any(),
-                );
-        assert!(lower_pattern(&multi_start_min1).is_none(), "min 1 from many starts");
+        let one = |rel| PathPattern::node(NodeSpec::any()).then(rel, NodeSpec::any());
+        for (pattern, rule) in [
+            (one(RelSpec::star(&ancestry, PatternDir::Forward, 1, 4)), "at most one start id"),
+            (one(RelSpec::star(&ancestry, PatternDir::Forward, 2, 4)), "min_hops is 0 or 1"),
+            (one(RelSpec::star(&[], PatternDir::Backward, 0, 1)), "empty kind list"),
+            (
+                one(RelSpec::one(&[EdgeKind::WasAttributedTo], PatternDir::Either)),
+                "reverse agent slice",
+            ),
+            (
+                one(RelSpec::one(&ancestry, PatternDir::Forward))
+                    .then(RelSpec::one(&ancestry, PatternDir::Forward), NodeSpec::any()),
+                "at most one step",
+            ),
+        ] {
+            assert!(refusal(&pattern).contains(rule), "{pattern:?} should break {rule:?}");
+        }
+    }
 
-        let reverse_agent = PathPattern::node(NodeSpec::any()).then(
-            RelSpec::star(&[EdgeKind::WasAttributedTo], PatternDir::Either, 0, RelSpec::UNBOUNDED),
+    /// Regression: `e0`=0, `a0`=1, `e1`=2, `a1`=3 with `a0 -U-> e0`,
+    /// `e1 -G-> a0`, `a1 -U-> e0`, `a1 -U-> e1`. The trail
+    /// `a1 → e0 ← a0 ← e1 ← a1` returns to `a1`, so the pattern's endpoints
+    /// are `[0, 1, 2, 3]`; `Traverse{1..}` never re-emits its start and
+    /// answered `[0, 1, 2]`. Such a pattern is now refused.
+    #[test]
+    fn either_star_from_one_start_with_min_one_is_refused() {
+        let pattern = PathPattern::node(NodeSpec::any().with_ids(vec![VertexId::new(3)])).then(
+            RelSpec::star(
+                &[EdgeKind::Used, EdgeKind::WasGeneratedBy],
+                PatternDir::Either,
+                1,
+                RelSpec::UNBOUNDED,
+            ),
             NodeSpec::any(),
         );
-        assert!(lower_pattern(&reverse_agent).is_none(), "reverse agent slices are empty");
-
-        let all_kinds = PathPattern::node(NodeSpec::any())
-            .then(RelSpec::star(&[], PatternDir::Either, 0, RelSpec::UNBOUNDED), NodeSpec::any());
-        assert!(lower_pattern(&all_kinds).is_none(), "empty kind list includes agent kinds");
+        assert!(refusal(&pattern).contains("undirected cycle"));
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! A tour of the `ProvDb` facade: ingest a small project the way the paper's
 //! CLI toolkit would, then exercise every query facility — lineage,
-//! segmentation with boundaries, interactive adjustment, Cypher-style pattern
-//! matching, and the JSON interchange round trip.
+//! segmentation with boundaries, interactive adjustment, the JSON
+//! interchange round trip, and a Cypher-style path pattern served through
+//! `ProvService`.
 //!
 //! ```sh
 //! cargo run --release --example provdb_tour
 //! ```
 
+use prov_api::{ProvService, QueryRequest, QuerySpec, Request, Response};
 use prov_core::{ActivityRecord, OutputSpec, ProvDb};
 use prov_model::{EdgeKind, VertexKind};
 use prov_segment::{Boundary, PgSegOptions, PgSegQuery, VertexPred};
-use prov_store::{Budget, NodeSpec, PathPattern, PatternDir, RelSpec};
+use prov_store::{NodeSpec, PathPattern, PatternDir, RelSpec};
 
 fn main() {
     let mut db = ProvDb::new();
@@ -96,21 +98,6 @@ fn main() {
     println!("after bx(dataset, 1): {} vertices", session.segment().vertex_count());
     drop(session);
 
-    // ---- Cypher-style pattern matching ---------------------------------
-    // match (w:Entity)<-[:G]-? … all weights generated by a train run:
-    // (a:Activity {command: train})<-[:G]-(w:Entity) in our orientation is
-    // w -G-> a, i.e. forward from w.
-    let pattern = PathPattern::node(NodeSpec::of_kind(VertexKind::Entity)).then(
-        RelSpec::one(&[EdgeKind::WasGeneratedBy], PatternDir::Forward),
-        NodeSpec::of_kind(VertexKind::Activity).with_prop("command", "train"),
-    );
-    let matches = prov_store::pattern::match_paths(db.graph(), &pattern, Budget::default());
-    println!(
-        "\npattern `(e)-[:G]->(a {{command: train}})` matched {} paths",
-        matches.paths().len()
-    );
-    assert_eq!(matches.paths().len(), 6, "3 runs × (weights + log)");
-
     // ---- JSON round trip -------------------------------------------------
     let json = db.export_json().unwrap();
     let restored = ProvDb::import_json(&json).unwrap();
@@ -118,4 +105,33 @@ fn main() {
     let again = restored.ancestors_of(weights3);
     assert_eq!(again, ancestors);
     println!("\nJSON round trip OK ({} bytes)", json.len());
+
+    // ---- Cypher-style pattern, over the wire -----------------------------
+    // (a:Activity {command: train})<-[:G*0..1]-(e:Entity): every artifact a
+    // train run generated. `G` points from the artifact to the run, so the
+    // step walks it backward. The pattern compiles onto the query IR; one
+    // the IR cannot answer exactly would be refused with `InvalidQuery`.
+    let mut service = ProvService::from_db(db);
+    let pattern =
+        PathPattern::node(NodeSpec::of_kind(VertexKind::Activity).with_prop("command", "train"))
+            .then(
+                RelSpec::star(&[EdgeKind::WasGeneratedBy], PatternDir::Backward, 0, 1),
+                NodeSpec::of_kind(VertexKind::Entity),
+            );
+    let response = service.handle(&Request::Query(QueryRequest {
+        query: QuerySpec::Pattern(pattern),
+        session: None,
+        page_size: None,
+        cursor: None,
+        max_expansions: None,
+        max_paths: None,
+    }));
+    let Response::Query(answer) = response else { panic!("pattern refused: {response:?}") };
+    let graph = service.db().graph();
+    println!(
+        "\npattern `(a {{command: train}})<-[:G*0..1]-(e:Entity)` matched {}: {}",
+        answer.count,
+        answer.rows.iter().map(|&v| graph.display_name(v)).collect::<Vec<_>>().join(", ")
+    );
+    assert_eq!(answer.rows.len(), 6, "3 runs × (weights + log)");
 }
