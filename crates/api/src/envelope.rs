@@ -429,7 +429,9 @@ pub struct QueryRequest {
     /// the store's delta cursor).
     #[serde(default)]
     pub session: Option<SessionId>,
-    /// Rows per page. Unset returns everything in one shot (no cursor).
+    /// Rows per page, at least 1: `Some(0)` is refused with `InvalidQuery`
+    /// (it would page nothing and end the walk). Unset returns everything
+    /// in one shot (no cursor).
     #[serde(default)]
     pub page_size: Option<usize>,
     /// Resume token from a previous page's [`QueryResponse::cursor`]. The

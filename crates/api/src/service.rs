@@ -369,6 +369,13 @@ impl ProvService {
     /// nothing shows the client will come back. Plans with a property
     /// filter read the live store and are never held.
     fn query(&mut self, r: &QueryRequest) -> ApiResult<Response> {
+        // An empty page would answer no rows and no cursor: the walk would
+        // end with rows left.
+        if r.page_size == Some(0) {
+            return Err(ApiError::invalid_query(
+                "page_size must be at least 1; unset means all rows",
+            ));
+        }
         if r.cursor.is_some() {
             self.resumptions += 1;
         }

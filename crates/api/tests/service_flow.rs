@@ -390,6 +390,52 @@ fn either_star_that_can_return_to_its_start_is_refused() {
     assert!(e.message.contains("undirected cycle"), "{}", e.message);
 }
 
+/// Regression: `page_size: 0` used to answer no rows and no cursor, so a
+/// walk ended silently with rows left, and a held walk resumed with it was
+/// dropped. It is refused, on a first page and on a resumption, and the
+/// walk it interrupts still resumes.
+#[test]
+fn zero_page_size_is_refused_not_a_truncated_walk() {
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 2);
+    let query = |page_size, cursor| {
+        Request::Query(QueryRequest {
+            query: QuerySpec::Pipeline(prov_store::Pipeline::from_all()),
+            session: None,
+            page_size,
+            cursor,
+            max_expansions: None,
+            max_paths: None,
+        })
+    };
+    let page = |r: Response| match r {
+        Response::Query(q) => q,
+        other => panic!("expected a page, got {other:?}"),
+    };
+    let refused = |r: Response| {
+        let Response::Error(e) = r else { panic!("expected a refusal, got {r:?}") };
+        assert_eq!(e.code, ErrorCode::InvalidQuery);
+        assert!(e.message.contains("page_size"), "{}", e.message);
+    };
+    refused(service.handle(&query(Some(0), None)));
+
+    let first = page(service.handle(&query(Some(2), None)));
+    let second = page(service.handle(&query(Some(2), first.cursor)));
+    // The second page held the walk; a zero-size resumption must not drop it.
+    refused(service.handle(&query(Some(0), second.cursor)));
+    let third = page(service.handle(&query(Some(2), second.cursor)));
+    assert_eq!(third.stats.query.steps, 0, "the walk is still held");
+    let mut walked = [first.rows, second.rows, third.rows].concat();
+    let mut cursor = third.cursor;
+    while let Some(c) = cursor {
+        let next = page(service.handle(&query(Some(2), Some(c))));
+        walked.extend(next.rows);
+        cursor = next.cursor;
+    }
+    let whole = page(service.handle(&query(None, None)));
+    assert_eq!(walked, whole.rows);
+}
+
 #[test]
 fn hostile_wire_input_is_refused_not_fatal() {
     let mut service = ProvService::new();

@@ -5,6 +5,15 @@
 //! slices with an epoch-stamped scratch (`EvalScratch`, the only one in
 //! the workspace), one level at a time on the caller's thread.
 //!
+//! **A traverse pays for its closure, once.** A `Filter` step directly
+//! after a `Traverse` is tested as each row is emitted, so no second pass
+//! runs over the closure. The emitted rows leave in id order through
+//! `sort_ids`: dense ones (spanning at most as many 64-bit words as there
+//! are rows) are scattered into a per-thread bitmap and swept back out,
+//! sparse ones are sorted. [`QueryStats`] reads as if the steps ran apart:
+//! `steps` counts both, and `rows_scanned` adds every row the filter
+//! tested.
+//!
 //! **Bounded replay.** Every evaluation runs against a [`DeltaCursor`]
 //! watermark. Because the store is append-only and every CSR row keeps its
 //! edge ids strictly ascending, filtering adjacency entries to
@@ -67,6 +76,9 @@ struct EvalScratch {
     epoch: u32,
     frontier: Vec<VertexId>,
     next: Vec<VertexId>,
+    /// One bit per vertex id, all-zero between calls: [`sort_ids`]'s
+    /// bitmap.
+    bits: Vec<u64>,
 }
 
 impl EvalScratch {
@@ -74,6 +86,7 @@ impl EvalScratch {
     fn begin(&mut self, n: usize) {
         if self.stamps.len() < n {
             self.stamps.resize(n, 0);
+            self.bits.resize(n.div_ceil(64), 0);
         }
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
@@ -150,11 +163,22 @@ pub fn evaluate_at(
         }
         StartSet::All => (0..watermark.vertices).map(VertexId::new).collect(),
     };
-    for step in &pipeline.steps {
+    let mut steps = pipeline.steps.iter();
+    while let Some(step) = steps.next() {
         stats.steps += 1;
         match step {
             Step::Traverse(t) => {
-                rows = traverse(index, t, &rows, watermark.edges, &mut stats);
+                // A filter directly after the traverse runs at emit time.
+                let filter = match steps.as_slice().first() {
+                    Some(Step::Filter(f)) => {
+                        steps.next();
+                        stats.steps += 1;
+                        Some(f)
+                    }
+                    _ => None,
+                };
+                let edges = watermark.edges;
+                rows = traverse(graph, index, t, filter, &rows, edges, &mut stats);
             }
             Step::Filter(f) => {
                 stats.rows_scanned += rows.len() as u64;
@@ -195,14 +219,21 @@ fn filter_matches(graph: &ProvGraph, index: &ProvIndex, f: &PropFilter, v: Verte
 }
 
 /// Multi-source BFS from the sorted row set `sources`, emitting vertices at
-/// depth `min_hops..=max_hops`. Adjacency entries with
-/// `edge_id >= edge_limit` are invisible (bounded replay); pass the
-/// watermark's edge count — entries past it never existed at the watermark,
-/// and entries below it always target watermark-resident vertices, because
-/// an edge's endpoints precede it in the append-only log.
+/// depth `min_hops..=max_hops` that pass `filter` (the `Filter` step right
+/// after this traverse, fused: a source emitted under `min_hops == 0` is
+/// tested too, and `rows_scanned` counts every tested row, exactly as a
+/// separate pass would). Adjacency entries with `edge_id >= edge_limit`
+/// are invisible (bounded replay); pass the watermark's edge count —
+/// entries past it never existed at the watermark, and entries below it
+/// always target watermark-resident vertices, because an edge's endpoints
+/// precede it in the append-only log.
+///
+/// The rows come out in BFS order and leave through [`sort_ids`].
 fn traverse(
+    graph: &ProvGraph,
     index: &ProvIndex,
     t: &Traverse,
+    filter: Option<&PropFilter>,
     sources: &[VertexId],
     edge_limit: u32,
     stats: &mut QueryStats,
@@ -210,48 +241,92 @@ fn traverse(
     if t.min_hops > t.max_hops {
         return Vec::new();
     }
-    let mut out: Vec<VertexId> = if t.min_hops == 0 { sources.to_vec() } else { Vec::new() };
-    if t.max_hops == 0 || sources.is_empty() {
-        return out;
+    let keep = |v: VertexId| filter.is_none_or(|f| filter_matches(graph, index, f, v));
+    // Rows reaching the emit test: what the filter scans.
+    let mut tested = 0u64;
+    let mut out: Vec<VertexId> = Vec::new();
+    if t.min_hops == 0 {
+        tested += sources.len() as u64;
+        out.extend(sources.iter().copied().filter(|&v| keep(v)));
     }
-    let csrs: Vec<&Csr> = t.edges.iter().map(|&(kind, dir)| index.csr(kind, dir)).collect();
-    let n = index.vertex_count();
-    with_scratch(|scratch| {
-        scratch.begin(n);
-        let mut frontier = std::mem::take(&mut scratch.frontier);
-        let mut next = std::mem::take(&mut scratch.next);
-        frontier.clear();
-        next.clear();
-        for &s in sources {
-            scratch.mark(s);
-            frontier.push(s);
-        }
-        let mut depth = 0u32;
-        while !frontier.is_empty() && depth < t.max_hops {
-            depth += 1;
-            stats.rows_scanned += frontier.len() as u64;
-            stats.frontier_peak = stats.frontier_peak.max(rank_u32(frontier.len()));
-            let emit = depth >= t.min_hops;
-            for &v in &frontier {
-                for csr in &csrs {
-                    for (w, eid) in csr.entries(v) {
-                        if eid.raw() < edge_limit && scratch.mark(w) {
-                            if emit {
-                                out.push(w);
+    if t.max_hops > 0 && !sources.is_empty() {
+        let csrs: Vec<&Csr> = t.edges.iter().map(|&(kind, dir)| index.csr(kind, dir)).collect();
+        with_scratch(|scratch| {
+            scratch.begin(index.vertex_count());
+            let mut frontier = std::mem::take(&mut scratch.frontier);
+            let mut next = std::mem::take(&mut scratch.next);
+            frontier.clear();
+            next.clear();
+            for &s in sources {
+                scratch.mark(s);
+                frontier.push(s);
+            }
+            let mut depth = 0u32;
+            while !frontier.is_empty() && depth < t.max_hops {
+                depth += 1;
+                stats.rows_scanned += frontier.len() as u64;
+                stats.frontier_peak = stats.frontier_peak.max(rank_u32(frontier.len()));
+                let emit = depth >= t.min_hops;
+                for &v in &frontier {
+                    for csr in &csrs {
+                        for (w, eid) in csr.entries(v) {
+                            if eid.raw() < edge_limit && scratch.mark(w) {
+                                if emit {
+                                    tested += 1;
+                                    if keep(w) {
+                                        out.push(w);
+                                    }
+                                }
+                                next.push(w);
                             }
-                            next.push(w);
                         }
                     }
                 }
+                std::mem::swap(&mut frontier, &mut next);
+                next.clear();
             }
-            std::mem::swap(&mut frontier, &mut next);
-            next.clear();
-        }
-        scratch.frontier = frontier;
-        scratch.next = next;
-    });
-    out.sort_unstable();
+            scratch.frontier = frontier;
+            scratch.next = next;
+            sort_ids(&mut scratch.bits, &mut out);
+        });
+    }
+    if filter.is_some() {
+        stats.rows_scanned += tested;
+    }
     out
+}
+
+/// Sort a duplicate-free row set ascending, at the cost the rows allow.
+///
+/// When the 64-bit words spanning the rows' ids number at most the rows
+/// (dense), each row sets its bit in `bits` and one sweep over that span
+/// writes them back in order, zeroing every word as it reads it, so `bits`
+/// is all-zero again on return: `O(ℓ + span/64)`. Sparse rows keep
+/// `sort_unstable`, `O(ℓ log ℓ)`. The rule reads only the rows; `bits`
+/// must cover every id (`EvalScratch::begin`).
+fn sort_ids(bits: &mut [u64], rows: &mut [VertexId]) {
+    if rows.len() < 2 {
+        return;
+    }
+    let (lo, hi) =
+        rows.iter().fold((u32::MAX, 0), |(lo, hi), v| (lo.min(v.raw()), hi.max(v.raw())));
+    let (first, last) = (lo as usize / 64, hi as usize / 64);
+    if last - first + 1 > rows.len() {
+        rows.sort_unstable();
+        return;
+    }
+    for v in rows.iter() {
+        bits[v.index() / 64] |= 1 << (v.raw() % 64);
+    }
+    let mut at = 0;
+    for (word, base) in bits[first..=last].iter_mut().zip((lo & !63..).step_by(64)) {
+        let mut set = std::mem::take(word);
+        while set != 0 {
+            rows[at] = VertexId::new(base + set.trailing_zeros());
+            set &= set - 1;
+            at += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -398,7 +473,7 @@ mod tests {
 
     #[test]
     fn stats_count_steps_rows_and_frontiers() {
-        let (g, idx, [_, _, _, _, w2, _]) = chain();
+        let (g, idx, [d, _, w1, _, w2, s]) = chain();
         let out = run(
             &g,
             &idx,
@@ -406,8 +481,78 @@ mod tests {
                 .traverse(&ANCESTRY_UP, 1, u32::MAX)
                 .filter(PropFilter::of_kind(VertexKind::Entity)),
         );
-        assert_eq!(out.stats.steps, 2);
-        assert!(out.stats.frontier_peak >= 2, "level {{w1, s}} has width 2");
-        assert!(out.stats.rows_scanned > 0);
+        assert_eq!(out.rows, vec![d, w1, s]);
+        // BFS levels {w2}, {t2}, {w1, s}, {t1}, {d} expand 6 frontier rows;
+        // the filter tests the 5 traversed rows.
+        assert_eq!(out.stats, QueryStats { steps: 2, rows_scanned: 6 + 5, frontier_peak: 2 });
+    }
+
+    #[test]
+    fn sort_ids_leaves_the_bitmap_zero_between_calls() {
+        // 1,000 entities; e_i derives from e_(i-1) for i < 200, and e999
+        // from e300 and e700.
+        let mut g = ProvGraph::new();
+        let e: Vec<VertexId> = (0..1000).map(|i| g.add_entity(&format!("e{i}"))).collect();
+        for i in 1..200 {
+            g.add_edge(EdgeKind::WasDerivedFrom, e[i], e[i - 1]).unwrap();
+        }
+        g.add_edge(EdgeKind::WasDerivedFrom, e[999], e[300]).unwrap();
+        g.add_edge(EdgeKind::WasDerivedFrom, e[999], e[700]).unwrap();
+        let idx = ProvIndex::build(&g);
+        let closure = |start: VertexId, dir| {
+            Plan::compile(Pipeline::from_ids(vec![start]).traverse(
+                &[(EdgeKind::WasDerivedFrom, dir)],
+                1,
+                u32::MAX,
+            ))
+            .unwrap()
+        };
+        let plans = [
+            // Dense: 199 rows over 4 words.
+            closure(e[0], Direction::In),
+            // Sparse, at another id range: 2 rows over 7 words.
+            closure(e[999], Direction::Out),
+            // Dense again, inside the first answer's words: a stale bit
+            // would add a row.
+            closure(e[100], Direction::In),
+        ];
+        let fresh: Vec<Vec<VertexId>> = std::thread::scope(|s| {
+            plans
+                .iter()
+                .map(|plan| s.spawn(|| evaluate(&g, &idx, plan).unwrap().rows).join().unwrap())
+                .collect()
+        });
+        assert_eq!(fresh[0], e[1..200]);
+        assert_eq!(fresh[1], vec![e[300], e[700]]);
+        assert_eq!(fresh[2], e[101..200]);
+        for (plan, expect) in plans.iter().zip(&fresh) {
+            assert_eq!(&evaluate(&g, &idx, plan).unwrap().rows, expect);
+            with_scratch(|scratch| assert!(scratch.bits.iter().all(|&w| w == 0)));
+        }
+    }
+
+    #[test]
+    fn stats_of_a_property_filter_after_a_traverse() {
+        let (g, idx, [d, _, w1, _, w2, _]) = chain();
+        let out = run(
+            &g,
+            &idx,
+            Pipeline::from_ids(vec![w2])
+                .traverse(&ANCESTRY_UP, 0, u32::MAX)
+                .filter(PropFilter::prop("stage", "weights")),
+        );
+        assert_eq!(out.rows, vec![w1, w2]);
+        // The filter tests the source too (`min_hops == 0`): 6 rows.
+        assert_eq!(out.stats, QueryStats { steps: 2, rows_scanned: 6 + 6, frontier_peak: 2 });
+        let raw = run(
+            &g,
+            &idx,
+            Pipeline::from_ids(vec![d])
+                .traverse(&ANCESTRY_UP, 0, 0)
+                .filter(PropFilter::prop("stage", "raw"))
+                .limit(1),
+        );
+        assert_eq!(raw.rows, vec![d]);
+        assert_eq!(raw.stats, QueryStats { steps: 3, rows_scanned: 1, frontier_peak: 0 });
     }
 }

@@ -7,10 +7,14 @@
 
 use proptest::prelude::*;
 use prov_model::{EdgeId, EdgeKind, PropValue, VertexId, VertexKind};
-use prov_store::query::{evaluate, evaluate_at, lower_pattern, Pipeline, Plan};
+use prov_store::query::{
+    evaluate, evaluate_at, lower_pattern, Pipeline, Plan, Project, PropFilter, QueryStats,
+    StartSet, Step,
+};
 use prov_store::{Direction, NodeSpec, PathPattern, PatternDir, ProvGraph, ProvIndex, RelSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 const KEYS: [&str; 2] = ["stage", "score"];
@@ -237,6 +241,207 @@ proptest! {
             prop_assert_eq!(&replayed.rows, &over_old.rows);
         }
     }
+}
+
+/// The evaluator as it was before the filter was fused into the traverse:
+/// a level BFS over the mutable adjacency, then `sort_unstable`, then a
+/// separate `retain` per `Filter`, with the counters that engine kept.
+fn bfs_sort_retain(g: &ProvGraph, pipeline: &Pipeline) -> (Vec<VertexId>, u64, QueryStats) {
+    let n = g.vertex_count();
+    let mut stats = QueryStats::default();
+    let mut rows: Vec<VertexId> = match &pipeline.start {
+        StartSet::Ids(ids) => {
+            let set: BTreeSet<VertexId> = ids.iter().copied().filter(|v| v.index() < n).collect();
+            set.into_iter().collect()
+        }
+        StartSet::Kind(kind) => g.vertex_ids().filter(|&v| g.vertex_kind(v) == *kind).collect(),
+        StartSet::All => g.vertex_ids().collect(),
+    };
+    for (at, step) in pipeline.steps.iter().enumerate() {
+        stats.steps += 1;
+        match step {
+            Step::Traverse(t) => {
+                if t.min_hops > t.max_hops {
+                    rows.clear();
+                    continue;
+                }
+                let mut seen = vec![false; n];
+                let mut out = if t.min_hops == 0 { rows.clone() } else { Vec::new() };
+                let mut frontier = rows.clone();
+                for &v in &frontier {
+                    seen[v.index()] = true;
+                }
+                let mut depth = 0;
+                while !frontier.is_empty() && depth < t.max_hops {
+                    depth += 1;
+                    stats.rows_scanned += frontier.len() as u64;
+                    stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u32);
+                    let mut next = Vec::new();
+                    for &v in &frontier {
+                        for &(kind, dir) in &t.edges {
+                            let targets: Vec<VertexId> = match dir {
+                                Direction::Out => g
+                                    .out_edges(v)
+                                    .filter(|(_, e)| e.kind == kind)
+                                    .map(|(_, e)| e.dst)
+                                    .collect(),
+                                Direction::In => g
+                                    .in_edges(v)
+                                    .filter(|(_, e)| e.kind == kind)
+                                    .map(|(_, e)| e.src)
+                                    .collect(),
+                            };
+                            for w in targets {
+                                if !std::mem::replace(&mut seen[w.index()], true) {
+                                    next.push(w);
+                                }
+                            }
+                        }
+                    }
+                    if depth >= t.min_hops {
+                        out.extend_from_slice(&next);
+                    }
+                    frontier = next;
+                }
+                out.sort_unstable();
+                rows = out;
+                // Which ordering the engine uses depends on the rows it
+                // emits, which a directly following filter thins first.
+                let mut emitted = rows.clone();
+                if let Some(Step::Filter(f)) = pipeline.steps.get(at + 1) {
+                    emitted.retain(|&v| filter_ok(g, f, v));
+                }
+                if t.max_hops > 0 {
+                    count_ordering(&emitted);
+                }
+            }
+            Step::Filter(f) => {
+                stats.rows_scanned += rows.len() as u64;
+                rows.retain(|&v| filter_ok(g, f, v));
+            }
+            Step::Limit(k) => rows.truncate(*k),
+        }
+    }
+    let count = rows.len() as u64;
+    if pipeline.project == Project::Count {
+        rows.clear();
+    }
+    (rows, count, stats)
+}
+
+fn filter_ok(g: &ProvGraph, f: &PropFilter, v: VertexId) -> bool {
+    f.kind.is_none_or(|k| g.vertex_kind(v) == k)
+        && f.name.as_deref().is_none_or(|n| g.vertex_name(v) == Some(n))
+        && f.ids.as_ref().is_none_or(|ids| ids.contains(&v))
+        && f.props.iter().all(|(key, want)| g.vprop(v, key) == Some(want))
+}
+
+thread_local! {
+    /// Traverse outputs of ≥ 2 rows seen by the oracle: `[bitmap, sort]`.
+    static ORDERINGS: Cell<[usize; 2]> = const { Cell::new([0, 0]) };
+}
+
+/// Tally which ordering the engine picks for `rows`: the id bitmap when the
+/// 64-bit words spanning them number at most the rows, `sort_unstable`
+/// otherwise.
+fn count_ordering(rows: &[VertexId]) {
+    if rows.len() < 2 {
+        return;
+    }
+    let words = rows[rows.len() - 1].index() / 64 - rows[0].index() / 64 + 1;
+    let mut tally = ORDERINGS.get();
+    tally[usize::from(words > rows.len())] += 1;
+    ORDERINGS.set(tally);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Run by [`fused_traverse_matches_bfs_sort_retain`].
+    fn fused_traverse_cases(
+        seed in 0u64..100_000,
+        steps in 40usize..1500,
+        start_pick in 0usize..6,
+        selector_bits in 1u32..64,
+        min_hops in 0u32..3,
+        max_pick in 0usize..6,
+        filter_pick in 0usize..7,
+        limit_pick in 0usize..4,
+        count in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_graph(&mut rng, steps);
+        let n = g.vertex_count() as u32;
+        let mut random_id = || VertexId::new(rng.gen_range(0..n));
+        let mut pipeline = match start_pick {
+            0 => Pipeline::from_ids(vec![random_id()]),
+            // A late vertex: its ancestry is scattered over the whole id
+            // range, so a small ring is sparse in its span.
+            1 => Pipeline::from_ids(vec![VertexId::new(n - 1)]),
+            2 => Pipeline::from_ids((0..3).map(|_| random_id()).collect()),
+            3 => Pipeline::from_kind([VertexKind::Entity, VertexKind::Activity][seed as usize % 2]),
+            // The two ends of the id range: sparse unless the closure fills it.
+            4 => Pipeline::from_ids(vec![VertexId::new(0), VertexId::new(n - 1)]),
+            _ => Pipeline::from_all(),
+        };
+        let selectors: Vec<(EdgeKind, Direction)> = [
+            (EdgeKind::Used, Direction::Out),
+            (EdgeKind::WasGeneratedBy, Direction::Out),
+            (EdgeKind::WasDerivedFrom, Direction::Out),
+            (EdgeKind::Used, Direction::In),
+            (EdgeKind::WasGeneratedBy, Direction::In),
+            (EdgeKind::WasAssociatedWith, Direction::Out),
+        ]
+        .into_iter()
+        .enumerate()
+        .filter(|(bit, _)| selector_bits & (1 << bit) != 0)
+        .map(|(_, selector)| selector)
+        .collect();
+        let max_hops = [0, 1, 2, 3, 6, u32::MAX][max_pick];
+        pipeline = pipeline.traverse(&selectors, min_hops, max_hops);
+        let filter = match filter_pick {
+            0 => Some(PropFilter::of_kind(VertexKind::Entity)),
+            1 => Some(PropFilter {
+                name: Some(format!("e{}", rng.gen_range(0..steps))),
+                ..PropFilter::default()
+            }),
+            2 => Some(PropFilter {
+                ids: Some((0..20).map(|_| random_id()).collect()),
+                ..PropFilter::default()
+            }),
+            3 => Some(PropFilter::prop(KEYS[0], "v0")),
+            4 => Some(PropFilter {
+                kind: Some(VertexKind::Activity),
+                ..PropFilter::prop(KEYS[1], 1i64)
+            }),
+            _ => None,
+        };
+        if let Some(f) = filter {
+            pipeline = pipeline.filter(f);
+        }
+        if limit_pick > 0 {
+            pipeline = pipeline.limit([0, 3, 50][limit_pick - 1]);
+        }
+        if count {
+            pipeline = pipeline.count();
+        }
+        let plan = Plan::compile(pipeline).unwrap();
+        let out = evaluate(&g, &ProvIndex::build(&g), &plan).unwrap();
+        let (rows, count, stats) = bfs_sort_retain(&g, plan.pipeline());
+        prop_assert_eq!(&out.rows, &rows, "{:?}", plan.pipeline());
+        prop_assert_eq!(out.count, count);
+        prop_assert_eq!(out.stats, stats, "{:?}", plan.pipeline());
+    }
+}
+
+/// A traverse, with and without a following filter and limit, answers as
+/// BFS + sort + retain did: rows, count and every counter. Both orderings
+/// must have been exercised.
+#[test]
+fn fused_traverse_matches_bfs_sort_retain() {
+    fused_traverse_cases();
+    let [bitmap, sort] = ORDERINGS.get();
+    assert!(bitmap > 0 && sort > 0, "orderings exercised: bitmap {bitmap}, sort {sort}");
 }
 
 proptest! {

@@ -87,6 +87,13 @@ bench-smoke:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# Alternating end-to-end benchmark pairs between two revisions, each built
+# from `git archive` under $TMPDIR: median [q1, q3] per side and the
+# change's win count for every end-to-end metric.
+#   just bench-pairs HEAD~1 HEAD mixed 1 20 10
+bench-pairs base change workload seed="1" seconds="20" pairs="10":
+    scripts/bench-pairs.sh {{base}} {{change}} {{workload}} {{seed}} {{seconds}} {{pairs}}
+
 # Regenerate all committed BENCH_*.json trajectories; pass "--full" for
 # paper scale.
 bench-sweep *args:
