@@ -241,6 +241,31 @@ fn every_evaluator_spec_returns_the_tst_segment() {
     }
 }
 
+/// `Expand.k` counts activities, so the walk is `2k` hops: a `k` of 2^31 or
+/// more must saturate to "everything upstream", not overflow.
+#[test]
+fn expand_by_the_largest_k_equals_expanding_by_the_vertex_count() {
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 4);
+    let n = service.db().graph().vertex_count() as u32;
+    let mut expand = |k: u32| {
+        let (id, _) = open_session(&mut service, "weights-v1", "weights-v2");
+        let r = service.handle(&Request::Expand(ExpandRequest {
+            session: id,
+            roots: vec!["weights-v4".into()],
+            k,
+        }));
+        match r {
+            Response::Session(s) => s.segment,
+            other => panic!("expected session, got {other:?}"),
+        }
+    };
+    let whole = expand(n);
+    assert!(whole.vertices.len() > expand(0).vertices.len(), "the expansion must add vertices");
+    assert_eq!(expand(u32::MAX), whole);
+    assert_eq!(expand(1 << 31), whole);
+}
+
 #[test]
 fn sessions_survive_later_ingest() {
     let mut service = ProvService::new();
@@ -281,6 +306,29 @@ fn summarize_over_session_segments() {
     assert!(!summary.vertices.is_empty());
     assert!(summary.compaction_ratio <= 1.0);
     assert!(summary.vertices.len() <= summary.input_vertex_count);
+}
+
+/// `Summarize.k` runs that many type-refinement rounds, so a huge `k` must be
+/// cut to what can still refine (the segments' vertex count), not looped.
+#[test]
+fn summarize_with_a_huge_k_returns_the_bounded_summary() {
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 4);
+    let (s1, _) = open_session(&mut service, "data-v1", "weights-v2");
+    let (s2, _) = open_session(&mut service, "data-v1", "weights-v4");
+    let mut summarize = |k: usize| {
+        let r = service.handle(&Request::Summarize(SummarizeRequest {
+            sessions: vec![s1, s2],
+            k: Some(k),
+            entity_keys: vec![],
+            activity_keys: vec![],
+        }));
+        match r {
+            Response::Summary(s) => s.summary,
+            other => panic!("{other:?}"),
+        }
+    };
+    assert_eq!(summarize(1 << 40), summarize(64));
 }
 
 #[test]

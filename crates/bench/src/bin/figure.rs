@@ -2,7 +2,7 @@
 //! machine-readable `BENCH_fig5.json` / `BENCH_fig6.json` trajectories.
 //!
 //! ```sh
-//! # Text tables (any subset of 5a..5h, wl, 6a..6c, or `all`):
+//! # Text tables (any subset of 5a..5h, wl, 6a..6c, 8a, 10b, or `all`):
 //! cargo run -p prov-bench --release --bin figure -- all          # full scale
 //! cargo run -p prov-bench --release --bin figure -- 5a --quick   # smoke run
 //!
@@ -15,16 +15,10 @@
 //! # The summarization trajectory (`fig6` shorthand for 6a 6b 6c):
 //! cargo run -p prov-bench --release -- --quick fig6 --json BENCH_fig6.json
 //!
-//! # The serving-loop trajectory (`fig7` shorthand for 7a 7b 7c):
-//! cargo run -p prov-bench --release -- --quick fig7 --json BENCH_fig7.json
-//!
-//! # The query-layer trajectory (`fig8` shorthand for 8a 8b):
+//! # The query-depth trajectory (`fig8` shorthand for 8a):
 //! cargo run -p prov-bench --release -- --quick fig8 --json BENCH_fig8.json
 //!
-//! # The cold-start recovery trajectory (`coldstart` shorthand for cs):
-//! cargo run -p prov-bench --release -- --quick coldstart --json BENCH_coldstart.json
-//!
-//! # The durable-ingest trajectory (`fig10` shorthand for 10a 10b):
+//! # The lazy-decode trajectory (`fig10` shorthand for 10b):
 //! cargo run -p prov-bench --release -- --quick fig10 --json BENCH_fig10.json
 //! ```
 //!
@@ -36,7 +30,7 @@
 
 use prov_bench::{
     run_figure, BenchReport, FigureResult, PdCache, Scale, SdCache, ALL_FIGURES, BENCH_FIGURES,
-    COLDSTART_FIGURES, FIG10_FIGURES, FIG6_FIGURES, FIG7_FIGURES, FIG8_FIGURES,
+    FIG10_FIGURES, FIG6_FIGURES, FIG8_FIGURES,
 };
 
 struct Cli {
@@ -82,14 +76,12 @@ fn main() {
     } else if cli.ids.iter().any(|i| i == "all") {
         ALL_FIGURES.iter().map(|s| s.to_string()).collect()
     } else {
-        // `fig6`/`fig7`/`fig8` expand to their trajectory subsets.
+        // `fig6`/`fig8`/`fig10` expand to their trajectory subsets.
         cli.ids
             .iter()
             .flat_map(|id| match id.as_str() {
                 "fig6" => FIG6_FIGURES.iter().map(|s| s.to_string()).collect(),
-                "fig7" => FIG7_FIGURES.iter().map(|s| s.to_string()).collect(),
                 "fig8" => FIG8_FIGURES.iter().map(|s| s.to_string()).collect(),
-                "coldstart" => COLDSTART_FIGURES.iter().map(|s| s.to_string()).collect(),
                 "fig10" => FIG10_FIGURES.iter().map(|s| s.to_string()).collect(),
                 _ => vec![id.clone()],
             })
@@ -110,8 +102,8 @@ fn main() {
             }
             None => {
                 eprintln!(
-                    "unknown figure id {id:?}; valid: {ALL_FIGURES:?}, `fig6`, `fig7`, `fig8`, \
-                     `coldstart`, `fig10`, or `all`"
+                    "unknown figure id {id:?}; valid: {ALL_FIGURES:?}, `fig6`, `fig8`, \
+                     `fig10`, or `all`"
                 );
                 std::process::exit(2);
             }
@@ -162,7 +154,7 @@ fn main() {
     let summary = report.summary_table(baseline.as_ref());
     print!("{summary}");
     // Mirror it into the GitHub job summary when CI provides one (append:
-    // the fig5/fig6/fig7 invocations of one job share the file).
+    // the fig5/fig6/fig8/fig10 invocations of one job share the file).
     if let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") {
         use std::io::Write;
         let md = format!(

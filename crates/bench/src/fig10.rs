@@ -1,34 +1,23 @@
-//! The durable-ingest and lazy-decode benchmarks (`10a`/`10b`, ISSUE 10).
+//! The lazy-decode benchmark (`10b`, ISSUE 10): cold start, eager vs lazy
+//! snapshot decode.
 //!
-//! * **10a — group-commit ingest throughput.** Drive a fixed activity stream
-//!   into a durable [`ProvDb`], one committed batch per activity, sweeping
-//!   the [`DurabilityPolicy`] group window (batches per flush). On the real
-//!   filesystem backend (`StdIo`, fsync-per-flush) the window amortizes the
-//!   dominant fsync cost, so runtime must fall monotonically as the window
-//!   grows; the in-memory control series (`MemIo`, fsync is a no-op) pins
-//!   the pipeline's own buffering overhead to ~flat. Each point's `work`
-//!   fingerprint is the engine's fsync count — the batches-per-fsync
-//!   amortization is visible in the committed JSON itself, not just in the
-//!   timings.
+//! Freeze a fully compacted, property-heavy disk, then time `open → serving
+//! snapshot` under both [`prov_store::storage::SnapshotDecode`] modes. Lazy
+//! decode materializes only the structural columns (interner, vertices,
+//! edges, index declarations) and leaves the property columns on disk behind
+//! the `ColumnSource`, so its cold start must beat the full decode; `work`
+//! carries the recovered vertex count as the cross-checkable equality
+//! fingerprint.
 //!
-//! * **10b — cold start, eager vs lazy snapshot decode.** Freeze a fully
-//!   compacted, property-heavy disk, then time `open → serving snapshot`
-//!   under both [`prov_store::storage::SnapshotDecode`] modes. Lazy decode materializes only the
-//!   structural columns (interner, vertices, edges, index declarations) and
-//!   leaves the property columns on disk behind the `ColumnSource`, so its
-//!   cold start must beat the full decode; `work` carries the recovered
-//!   vertex count as the cross-checkable equality fingerprint.
-//!
-//! The committed trajectory (`BENCH_fig10.json`) gates both the same way
-//! fig5–fig8 and coldstart do: a >2× slowdown of any point against its
-//! committed baseline fails CI.
+//! The committed trajectory (`BENCH_fig10.json`) gates it the same way as
+//! fig5, fig6 and fig8: a >2× slowdown of any point against its committed
+//! baseline fails CI.
 
 use crate::harness::{FigureResult, Point, Scale, Series};
 use prov_core::{ActivityRecord, DurabilityPolicy, OutputSpec, ProvDb};
 use prov_model::VertexId;
-use prov_store::storage::{MemIo, StdIo};
+use prov_store::storage::MemIo;
 use prov_workload::{ActivityStream, StreamParams};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Root artifacts seeded before the stream (its recency universe floor).
@@ -63,95 +52,6 @@ fn ingest_props(db: &mut ProvDb, acts: usize) {
             })
             .expect("streamed ingest is valid");
         pool.extend(outcome.outputs);
-    }
-}
-
-/// A scratch directory for one `StdIo`-backed run, unique per process and
-/// call. Removed by [`Scratch::drop`].
-struct Scratch(std::path::PathBuf);
-
-impl Scratch {
-    fn new() -> Scratch {
-        static SERIAL: AtomicU64 = AtomicU64::new(0);
-        let n = SERIAL.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("prov-fig10-{}-{n}", std::process::id()));
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        // lint-ok(raw-io): bench scratch-dir cleanup, nothing durable here.
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Time ingesting `acts` activities through the group-commit pipeline with
-/// the given window, ending with an explicit durability barrier. Returns
-/// (seconds, fsyncs performed).
-fn time_grouped_ingest(open: &dyn Fn() -> ProvDb, acts: usize) -> (f64, u64) {
-    let mut db = open();
-    let t0 = Instant::now();
-    ingest_props(&mut db, acts);
-    db.flush().expect("final group flushes");
-    let secs = t0.elapsed().as_secs_f64();
-    (secs, db.durability_counters().expect("durable db").fsyncs)
-}
-
-/// The group-commit ingest figure: runtime for a fixed durable ingest,
-/// sweeping the group window.
-pub fn fig10a(scale: Scale) -> FigureResult {
-    let (acts, windows): (usize, &[u32]) = match scale {
-        Scale::Quick => (240, &[1, 2, 4, 8]),
-        Scale::Full => (1_500, &[1, 2, 4, 8, 16, 32]),
-    };
-    let mut series = [
-        Series { name: "StdIo".into(), points: Vec::new() },
-        Series { name: "MemIo".into(), points: Vec::new() },
-    ];
-    for &window in windows {
-        let policy = DurabilityPolicy::never_compact().with_group_batches(window);
-        let mut best = [f64::INFINITY; 2];
-        let mut work = [0u64; 2];
-        for _ in 0..3 {
-            let scratch = Scratch::new();
-            let p = policy.clone();
-            let dir = scratch.0.clone();
-            let std_open = move || {
-                ProvDb::open_with_io(
-                    Box::new(StdIo::open(&dir).expect("scratch dir opens")),
-                    p.clone(),
-                )
-                .expect("fresh disk opens")
-            };
-            let p = policy.clone();
-            let mem_open = move || {
-                ProvDb::open_with_io(Box::new(MemIo::new()), p.clone()).expect("fresh mem opens")
-            };
-            let runs = [time_grouped_ingest(&std_open, acts), time_grouped_ingest(&mem_open, acts)];
-            for (i, (secs, fsyncs)) in runs.into_iter().enumerate() {
-                best[i] = best[i].min(secs);
-                work[i] = fsyncs;
-            }
-        }
-        for i in 0..2 {
-            series[i].points.push(Point {
-                x: f64::from(window),
-                y: Some(best[i]),
-                work: Some(work[i]),
-            });
-        }
-    }
-    FigureResult {
-        id: "10a",
-        title: format!(
-            "Durable ingest of {acts} activities (one committed batch each) sweeping the \
-             group-commit window: fsync-per-flush filesystem backend vs in-memory control; \
-             `work` = fsyncs performed"
-        ),
-        x_label: "group window (batches/flush)".into(),
-        y_label: "runtime (s)".into(),
-        series: series.to_vec(),
     }
 }
 
@@ -224,26 +124,6 @@ pub fn fig10b(scale: Scale) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn group_window_amortizes_fsyncs_on_the_real_backend() {
-        let acts = 24;
-        let scratch = Scratch::new();
-        let dir = scratch.0.clone();
-        let policy = DurabilityPolicy::never_compact().with_group_batches(8);
-        let open = move || {
-            ProvDb::open_with_io(
-                Box::new(StdIo::open(&dir).expect("scratch dir opens")),
-                policy.clone(),
-            )
-            .expect("fresh disk opens")
-        };
-        let (_, fsyncs) = time_grouped_ingest(&open, acts);
-        // ROOTS + acts batches, window 8: far fewer fsyncs than batches.
-        let batches = (ROOTS + acts) as u64;
-        assert!(fsyncs * 2 <= batches, "{fsyncs} fsyncs for {batches} batches is not grouped");
-        assert!(fsyncs >= batches / 8, "fsyncs can't undercut the window");
-    }
 
     #[test]
     fn eager_and_lazy_cold_starts_recover_the_identical_state() {

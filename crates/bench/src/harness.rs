@@ -746,25 +746,16 @@ pub fn run_figure(
         "6a" => fig6a(scale, sd),
         "6b" => fig6b(scale, sd),
         "6c" => fig6c(scale, pd),
-        "7a" => crate::fig7::fig7a(scale, pd),
-        "7b" => crate::fig7::fig7b(scale, pd),
-        "7c" => crate::fig7::fig7c(scale, pd),
         "8a" => crate::fig8::fig8a(scale, pd),
-        "8b" => crate::fig8::fig8b(scale, pd),
-        "cs" => crate::coldstart::figcs(scale),
-        "10a" => crate::fig10::fig10a(scale),
         "10b" => crate::fig10::fig10b(scale),
         _ => return None,
     })
 }
 
-/// All figure ids in paper order (plus the worklist ablation, the
-/// summarization runtime sweeps, the serving-loop sweeps, and the
-/// query-layer sweeps).
-pub const ALL_FIGURES: [&str; 20] = [
-    "5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "6a", "6b", "6c", "7a", "7b", "7c", "8a",
-    "8b", "cs", "10a", "10b",
-];
+/// All figure ids in paper order, plus the worklist ablation, the
+/// summarization runtime sweeps, query depth (`8a`) and lazy decode (`10b`).
+pub const ALL_FIGURES: [&str; 14] =
+    ["5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "6a", "6b", "6c", "8a", "10b"];
 
 /// The ids the JSON bench mode runs by default: the runtime sweeps
 /// Fig. 5(a)–(d) and the worklist ablation — the repo's per-PR perf
@@ -775,25 +766,13 @@ pub const BENCH_FIGURES: [&str; 5] = ["5a", "5b", "5c", "5d", "wl"];
 /// frozen seed PgSum pipeline vs the counting/quotient-incremental rewrite.
 pub const FIG6_FIGURES: [&str; 3] = ["6a", "6b", "6c"];
 
-/// The serving-loop trajectory committed as `BENCH_fig7.json`: the
-/// ingest/query interleave (rebuild-every-batch vs incremental refresh),
-/// the lineage latency sweep (seed walk vs the compiled query-IR path), and
-/// the session-open acquisition sweep.
-pub const FIG7_FIGURES: [&str; 3] = ["7a", "7b", "7c"];
-
 /// The query-layer trajectory committed as `BENCH_fig8.json`: IR pipeline
-/// latency by depth and the paginated cursor walk vs one-shot evaluation.
-pub const FIG8_FIGURES: [&str; 2] = ["8a", "8b"];
+/// latency by depth.
+pub const FIG8_FIGURES: [&str; 1] = ["8a"];
 
-/// The cold-start trajectory committed as `BENCH_coldstart.json`: time back
-/// to a serving state after a restart — snapshot+tail recovery vs full WAL
-/// replay vs in-memory re-ingest (ISSUE 9).
-pub const COLDSTART_FIGURES: [&str; 1] = ["cs"];
-
-/// The durable-ingest trajectory committed as `BENCH_fig10.json`: group-commit
-/// ingest throughput sweeping the flush window, and eager-vs-lazy snapshot
-/// decode cold starts (ISSUE 10).
-pub const FIG10_FIGURES: [&str; 2] = ["10a", "10b"];
+/// The cold-start decode trajectory committed as `BENCH_fig10.json`:
+/// eager-vs-lazy snapshot decode.
+pub const FIG10_FIGURES: [&str; 1] = ["10b"];
 
 #[cfg(test)]
 mod tests {
@@ -881,28 +860,14 @@ mod tests {
                 run_figure(gone, Scale::Quick, &mut PdCache::new(), &mut SdCache::new()).is_none()
             );
         }
-        for id in ALL_FIGURES {
-            // Only check resolvability, not execution (expensive).
-            assert!([
-                "5a", "5b", "5c", "5d", "5e", "5f", "5g", "5h", "wl", "6a", "6b", "6c", "7a", "7b",
-                "7c", "8a", "8b", "cs", "10a", "10b"
-            ]
-            .contains(&id));
-        }
         for id in BENCH_FIGURES {
             assert!(ALL_FIGURES.contains(&id), "bench subset must stay resolvable");
         }
         for id in FIG6_FIGURES {
             assert!(ALL_FIGURES.contains(&id), "fig6 subset must stay resolvable");
         }
-        for id in FIG7_FIGURES {
-            assert!(ALL_FIGURES.contains(&id), "fig7 subset must stay resolvable");
-        }
         for id in FIG8_FIGURES {
             assert!(ALL_FIGURES.contains(&id), "fig8 subset must stay resolvable");
-        }
-        for id in COLDSTART_FIGURES {
-            assert!(ALL_FIGURES.contains(&id), "coldstart subset must stay resolvable");
         }
         for id in FIG10_FIGURES {
             assert!(ALL_FIGURES.contains(&id), "fig10 subset must stay resolvable");

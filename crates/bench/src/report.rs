@@ -1,16 +1,15 @@
-//! `BENCH_fig5.json` / `BENCH_fig6.json` / `BENCH_fig7.json`: the
-//! machine-readable benchmark trajectories.
+//! `BENCH_fig5.json` / `BENCH_fig6.json` / `BENCH_fig8.json` /
+//! `BENCH_fig10.json`: the machine-readable benchmark trajectories.
 //!
 //! Every PR regenerates these reports — the quick-scale Fig. 5(a)–(d)
 //! sweeps plus the worklist comparison (`wl`) in `BENCH_fig5.json`, the
 //! summarization sweeps (`6a`–`6c`: pSum vs seed PgSum vs the rewritten
-//! PgSum) in `BENCH_fig6.json`, and the serving-loop sweeps (`7a`–`7c`:
-//! ingest/query interleave, lineage latency, session-open latency) in
-//! `BENCH_fig7.json` — giving the repo perf trajectories the CI can gate
-//! on: a fresh run is compared point-by-point against the committed
-//! baseline and any series that regresses beyond the configured factor
-//! fails the build. [`BenchReport::summary_table`] renders the same data as
-//! a compact per-figure table for the job log.
+//! PgSum) in `BENCH_fig6.json`, query depth (`8a`) in `BENCH_fig8.json` and
+//! lazy decode (`10b`) in `BENCH_fig10.json` — giving the repo perf
+//! trajectories the CI can gate on: a fresh run is compared point-by-point
+//! against the committed baseline and any series that regresses beyond the
+//! configured factor fails the build. [`BenchReport::summary_table`] renders
+//! the same data as a compact per-figure table for the job log.
 
 use crate::harness::{FigureResult, Scale};
 use serde::{Deserialize, Serialize};
@@ -164,7 +163,7 @@ impl BenchReport {
     /// Compact per-figure trajectory summary: for every series, its
     /// largest-x measured point, the speedup against the figure's *first*
     /// series at that x (the reference/baseline method of the figure — e.g.
-    /// `Rebuild` in 7a, `SeedLoop` in `wl`, `pSum` in fig6), and, when a
+    /// `EagerDecode` in 10b, `SeedLoop` in `wl`, `pSum` in fig6), and, when a
     /// committed `baseline` report is supplied, the speedup against the same
     /// point of that baseline. Printed into the CI job log so the perf
     /// history reads without downloading artifacts.

@@ -30,12 +30,8 @@ pub mod lineage;
 pub mod provdb;
 
 pub use example_graph::{fig2, fig3, Example};
-pub use lineage::{
-    ancestry_edges, compile_lineage, lineage_reference, LineageBound, LineageDirection,
-};
-pub use provdb::{
-    ActivityOutcome, ActivityRecord, OutputSpec, ProvDb, SnapshotCounters, SnapshotPolicy,
-};
+pub use lineage::{ancestry_edges, compile_lineage, LineageBound, LineageDirection};
+pub use provdb::{ActivityOutcome, ActivityRecord, OutputSpec, ProvDb, SnapshotCounters};
 
 // Durability surface (re-exported so service/bench layers need not name
 // prov-store directly).

@@ -6,17 +6,15 @@
 //! [`prov_store::Pipeline`], and `prov_store::evaluate` — the one traversal
 //! engine, with the one epoch-stamp scratch (DESIGN.md §6) — runs it. That
 //! is what [`crate::ProvDb::lineage`], `lineage_within`, `k_hop` and the
-//! wire `Lineage` request execute.
-//!
-//! [`lineage_reference`] is the frozen seed walk, kept as the differential
-//! oracle for the unbounded closure and as the `Seed` series of figure `7b`.
+//! wire `Lineage` request execute. Its one differential oracle is the level
+//! BFS in `tests/common` (`tests/lineage_differential.rs`).
 //!
 //! Output contract (wire-stable, asserted by regression tests): the result
 //! is sorted ascending by dense vertex id and excludes the start vertex.
 //! BFS discovery order is an implementation detail and never escapes.
 
 use prov_model::{EdgeKind, VertexId};
-use prov_store::{Direction, Pipeline, ProvIndex};
+use prov_store::{Direction, Pipeline};
 
 /// Which way a lineage traversal walks the ancestry relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,42 +75,10 @@ pub fn compile_lineage(
     Pipeline::from_ids(vec![start]).traverse(&ancestry_edges(direction), min_hops, max_hops)
 }
 
-/// The frozen seed lineage path, kept verbatim for differential tests and
-/// the fig7(b) latency sweep: per-call `vec![false; n]` visited state, a
-/// [`prov_segment::MaskedGraph`] wrapper, DFS worklist, sort at the end.
-/// Answers are identical to the compiled [`LineageBound::Unbounded`]
-/// pipeline (both produce the sorted closure); only the cost profile differs.
-pub fn lineage_reference(
-    index: &ProvIndex,
-    e: VertexId,
-    direction: LineageDirection,
-) -> Vec<VertexId> {
-    let view = prov_segment::MaskedGraph::unmasked(index);
-    let mut seen = vec![false; index.vertex_count()];
-    let mut stack = vec![e];
-    seen[e.index()] = true;
-    let mut out = Vec::new();
-    while let Some(v) = stack.pop() {
-        let mut visit = |w: VertexId| {
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                out.push(w);
-                stack.push(w);
-            }
-        };
-        match direction {
-            LineageDirection::Ancestors => view.upstream(v).for_each(&mut visit),
-            LineageDirection::Descendants => view.downstream(v).for_each(&mut visit),
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prov_store::{evaluate, Plan, ProvGraph};
+    use prov_store::{evaluate, Plan, ProvGraph, ProvIndex};
 
     /// d → t1 → w1 → t2 → w2 (a two-step chain), plus a side input s → t2.
     fn chain() -> (ProvGraph, ProvIndex, [VertexId; 6]) {
@@ -145,16 +111,21 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_matches_reference_both_directions() {
+    fn unbounded_closures_both_directions() {
+        use LineageDirection::{Ancestors, Descendants};
         let c = chain();
-        for &v in &c.2 {
-            for dir in [LineageDirection::Ancestors, LineageDirection::Descendants] {
-                assert_eq!(
-                    lineage(&c, v, dir, LineageBound::Unbounded),
-                    lineage_reference(&c.1, v, dir),
-                    "diverged at {v} {dir:?}"
-                );
-            }
+        let [d, t1, w1, t2, w2, s] = c.2;
+        let expected = [
+            (d, vec![], vec![t1, w1, t2, w2]),
+            (t1, vec![d], vec![w1, t2, w2]),
+            (w1, vec![d, t1], vec![t2, w2]),
+            (t2, vec![d, t1, w1, s], vec![w2]),
+            (w2, vec![d, t1, w1, t2, s], vec![]),
+            (s, vec![], vec![t2, w2]),
+        ];
+        for (v, up, down) in expected {
+            assert_eq!(lineage(&c, v, Ancestors, LineageBound::Unbounded), up, "{v} up");
+            assert_eq!(lineage(&c, v, Descendants, LineageBound::Unbounded), down, "{v} down");
         }
     }
 

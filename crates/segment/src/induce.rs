@@ -99,7 +99,7 @@ pub fn expansion_vertices(view: &MaskedGraph<'_>, roots: &[VertexId], k: u32) ->
             frontier.push(r);
         }
     }
-    let max_hops = 2 * k;
+    let max_hops = k.saturating_mul(2);
     let mut out = Vec::new();
     let mut next = Vec::new();
     for hop in 1..=max_hops {

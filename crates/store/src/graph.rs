@@ -114,15 +114,6 @@ impl<'g> GraphDelta<'g> {
     pub fn new_edges(&self) -> impl Iterator<Item = EdgeId> + 'g {
         (self.from.edges..rank_u32(self.graph.edge_count())).map(EdgeId::new)
     }
-
-    /// Delta size relative to the frozen prefix: the larger of the vertex and
-    /// edge growth ratios. A refresh-vs-rebuild policy compares this against
-    /// its threshold.
-    pub fn fraction(&self) -> f64 {
-        let vf = self.new_vertex_count() as f64 / (self.from.vertices.max(1) as f64);
-        let ef = self.new_edge_count() as f64 / (self.from.edges.max(1) as f64);
-        vf.max(ef)
-    }
 }
 
 /// One logical store mutation, as written to the write-ahead log.

@@ -25,8 +25,7 @@
 //! Proptests pin the IR evaluation byte-identical to
 //! `ProvGraph::find_by_prop` (kept as a differential reference), lowered
 //! patterns to a trail-enumeration oracle in test code, and compiled
-//! lineage to a definitional level-BFS oracle that is
-//! itself pinned to the seed walk `prov_core::lineage_reference`.
+//! lineage to a definitional level-BFS oracle.
 
 pub mod cursor;
 pub mod eval;

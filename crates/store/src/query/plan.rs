@@ -8,8 +8,8 @@
 //!
 //! Lowering table (DESIGN.md §9; `find_by_prop` keeps its original as a
 //! differential reference, patterns are checked against a trail-enumeration
-//! oracle and lineage against `prov_core::lineage_reference` and a
-//! definitional oracle, all in test code):
+//! oracle and lineage against a definitional level-BFS oracle, both in test
+//! code):
 //!
 //! | read path                        | pipeline                                       |
 //! |----------------------------------|------------------------------------------------|

@@ -209,3 +209,36 @@ fn single_activity_refreshes_repack_and_stay_equal_to_build() {
     }
     assert!(repacks > 0, "240 refreshes never repacked a CSR");
 }
+
+/// A tiny frozen prefix grown 2×, 10× and 50×: a refresh in place and a
+/// refresh on a copy of a pinned snapshot (`refreshed`) both equal the
+/// reference build and keep every invariant, and the pin does not move.
+/// `ProvDb` rebuilds past half the prefix because that is cheaper, not
+/// because a refresh would be wrong.
+#[test]
+fn deltas_many_times_the_prefix_refresh_equal_to_build() {
+    for factor in [2usize, 10, 50] {
+        let mut rng = StdRng::seed_from_u64(factor as u64);
+        let mut g = ProvGraph::new();
+        let mut step = 0usize;
+        while g.vertex_count() < 8 {
+            mutate(&mut g, &mut rng, step);
+            step += 1;
+        }
+        let pinned = ProvIndex::build(&g);
+        let base = g.vertex_count();
+        while g.vertex_count() < factor * base {
+            mutate(&mut g, &mut rng, step);
+            step += 1;
+        }
+        let reference = ProvIndex::build(&g);
+        let mut owned = pinned.clone();
+        owned.refresh_in_place(&g);
+        let copy = pinned.refreshed(&g);
+        for (how, idx) in [("in place", &owned), ("copy", &copy)] {
+            assert_eq!(idx, &reference, "{factor}x {how}");
+            assert!(idx.validate().is_ok(), "{factor}x {how}: {:?}", idx.validate());
+        }
+        assert_eq!(pinned.vertex_count(), base, "{factor}x: the pinned snapshot moved");
+    }
+}

@@ -84,6 +84,10 @@ pub fn build_g0(
     // shared with the type refinement.
     let mut seg_base: Vec<u32> = Vec::with_capacity(segments.len());
     let mut seg_ranks: Vec<FxHashMap<VertexId, u32>> = Vec::with_capacity(segments.len());
+    // Refinement over the disjoint union of the segments is stable after as
+    // many rounds as it has vertices, and class ids follow first appearance,
+    // so any larger `k` yields the same `g0` — without running its rounds.
+    let k = k.min(segments.iter().map(|s| s.vertices.len()).sum());
 
     for (si, seg) in segments.iter().enumerate() {
         let ranks = segment_ranks(seg);

@@ -3,7 +3,8 @@
 //! * the summary preserves bounded path-label words exactly;
 //! * `cr(PgSum) ≤ cr(pSum) ≤ 1`;
 //! * merging is idempotent (summarizing a summary changes nothing);
-//! * the fast simulation equals the naive fixpoint.
+//! * the fast simulation equals the naive fixpoint;
+//! * a type radius `k` past the input's vertex count changes nothing.
 
 use proptest::prelude::*;
 use prov_model::{EdgeKind, VertexId};
@@ -11,7 +12,7 @@ use prov_store::ProvGraph;
 use prov_summary::paths::check_invariant;
 use prov_summary::simulation::{simulation, simulation_naive, SimDirection};
 use prov_summary::{
-    build_g0, merge, pgsum_with_internals, psum, PgSumQuery, PropertyAggregation, SegmentRef,
+    build_g0, merge, pgsum, pgsum_with_internals, psum, PgSumQuery, PropertyAggregation, SegmentRef,
 };
 
 /// Plan for one segment: a chain/DAG of `steps` activities over `k` activity
@@ -160,6 +161,18 @@ proptest! {
         }
         // Psg vertex count matches quotient node count.
         prop_assert_eq!(psg.vertex_count(), quotiented.len());
+    }
+
+    #[test]
+    fn type_radius_past_the_vertex_count_changes_nothing(
+        plans in proptest::collection::vec(segment_plan(3), 1..5),
+    ) {
+        let (g, segs) = build(&plans);
+        let n: usize = segs.iter().map(|s| s.vertices.len()).sum();
+        for aggregation in [PropertyAggregation::ignore_all(), PropertyAggregation::fig2e()] {
+            let at = |k| format!("{:?}", pgsum(&g, &segs, &PgSumQuery::new(aggregation.clone(), k)));
+            prop_assert_eq!(at(n), at(n + 3));
+        }
     }
 }
 

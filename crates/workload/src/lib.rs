@@ -9,8 +9,8 @@
 //! * [`sd`] — `Sd` Markov-chain segment sets for PgSum experiments
 //!   (Fig. 5(e)–(h));
 //! * [`stream`] — the `Pd` workload as a deterministic *ingest stream*
-//!   (batched activity records against a live store) for the fig7
-//!   serving-loop interleave benchmark;
+//!   (batched activity records against a live store) for the `benchmark/`
+//!   write workloads and the `10b` cold-start figure;
 //! * [`dist`] — the underlying Zipf / Poisson / Gamma / Dirichlet samplers
 //!   (built on `rand`, which provides none of them).
 

@@ -1,7 +1,7 @@
 //! Deterministic ingest-stream generator for serving-loop benchmarks.
 //!
 //! The `Pd` generator ([`crate::pd`]) materializes a whole collaborative
-//! project at once; the fig7 interleave benchmark instead needs the same
+//! project at once; a serving-loop benchmark instead needs the same
 //! workload *as a stream* — activity records arriving batch by batch against
 //! a live database, inputs drawn from whatever entities exist at arrival
 //! time. [`ActivityStream`] produces that: the `Pd` parameterization
@@ -9,8 +9,8 @@
 //! artifacts) decoupled from any particular store, so the benchmark driver
 //! resolves the picks against the database it is ingesting into.
 //!
-//! The stream is fully deterministic per seed: a rebuild-policy baseline run
-//! and a refresh-policy run replay byte-identical ingest sequences.
+//! The stream is fully deterministic per seed: two runs replay
+//! byte-identical ingest sequences.
 
 use crate::dist::{poisson, ZipfTable};
 use rand::rngs::StdRng;

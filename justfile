@@ -67,13 +67,7 @@ recovery-test:
     cargo test -q -p prov-store --test column_source_differential
     cargo test -q -p prov-core --test recovery_killpoints --test durability_proptest
 
-# Regenerate just the serving-loop trajectory (fig7: refresh vs rebuild per
-# ingest round, lineage latency, snapshot acquisition after a write).
-fig7:
-    cargo run -q -p prov-bench --release --bin figure -- --quick fig7 \
-        --json BENCH_fig7.json
-
-# Regenerate just the durable-ingest/lazy-decode trajectory (fig10).
+# Regenerate just the lazy-decode trajectory (fig10).
 fig10:
     cargo run -q -p prov-bench --release --bin figure -- --quick fig10 \
         --json BENCH_fig10.json
@@ -105,11 +99,7 @@ bench-gate:
         --json BENCH_fig5.new.json --baseline BENCH_fig5.json
     cargo run -q -p prov-bench --release --bin figure -- --quick fig6 \
         --json BENCH_fig6.new.json --baseline BENCH_fig6.json
-    cargo run -q -p prov-bench --release --bin figure -- --quick fig7 \
-        --json BENCH_fig7.new.json --baseline BENCH_fig7.json
     cargo run -q -p prov-bench --release --bin figure -- --quick fig8 \
         --json BENCH_fig8.new.json --baseline BENCH_fig8.json
-    cargo run -q -p prov-bench --release --bin figure -- --quick coldstart \
-        --json BENCH_coldstart.new.json --baseline BENCH_coldstart.json
     cargo run -q -p prov-bench --release --bin figure -- --quick fig10 \
         --json BENCH_fig10.new.json --baseline BENCH_fig10.json

@@ -28,12 +28,8 @@ run $scale --json BENCH_fig5.json
 # shellcheck disable=SC2086
 run $scale fig6 --json BENCH_fig6.json
 # shellcheck disable=SC2086
-run $scale fig7 --json BENCH_fig7.json
-# shellcheck disable=SC2086
 run $scale fig8 --json BENCH_fig8.json
-# shellcheck disable=SC2086
-run $scale coldstart --json BENCH_coldstart.json
 # shellcheck disable=SC2086
 run $scale fig10 --json BENCH_fig10.json
 
-echo "regenerated BENCH_fig5.json BENCH_fig6.json BENCH_fig7.json BENCH_fig8.json BENCH_coldstart.json BENCH_fig10.json" >&2
+echo "regenerated BENCH_fig5.json BENCH_fig6.json BENCH_fig8.json BENCH_fig10.json" >&2
