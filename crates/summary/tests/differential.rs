@@ -10,13 +10,17 @@
 //!   exact `group_of` labels, which the rewrite preserves by construction).
 
 use proptest::prelude::*;
-use prov_model::{EdgeKind, VertexId};
+use proptest::test_runner::TestRng;
+use prov_model::{EdgeKind, VertexId, VertexKind};
 use prov_store::hash::FxHashMap;
 use prov_store::ProvGraph;
 use prov_summary::merge_reference::merge_reference;
 use prov_summary::simulation::{simulation, simulation_naive, SimDirection};
 use prov_summary::simulation_reference::simulation_reference;
-use prov_summary::{build_g0, merge, PgSumQuery, PropertyAggregation, SegmentRef, G0};
+use prov_summary::union::G0Node;
+use prov_summary::{
+    build_g0, merge, AggLabel, ClassId, PgSumQuery, PropertyAggregation, SegmentRef, G0,
+};
 
 /// Plan for one segment: a chain/DAG of `steps` activities over `k` activity
 /// type labels, each consuming 1–2 previous entities and producing 0–2
@@ -91,6 +95,85 @@ fn normalize(group_of: &[u32]) -> Vec<u32> {
             *remap.entry(g).or_insert(next)
         })
         .collect()
+}
+
+/// A `G0` drawn directly, not built from segments: arbitrary edges over two
+/// kinds, so self-loops, multi-edges and cycles all occur (a quotient can
+/// have them; a `build_g0` output never does).
+fn raw_g0(class_of: &[u32], classes: usize, edges: &[(usize, u8, usize)]) -> G0 {
+    let n = class_of.len();
+    let nodes = class_of
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| G0Node { segment: 0, vertex: VertexId::new(i as u32), class: ClassId(c) })
+        .collect();
+    let mut out_adj = vec![Vec::new(); n];
+    let mut in_adj = vec![Vec::new(); n];
+    for &(s, k, d) in edges {
+        out_adj[s].push((k, d as u32));
+        in_adj[d].push((k, s as u32));
+    }
+    let label = AggLabel { kind: VertexKind::Entity, values: Vec::new() };
+    G0 {
+        nodes,
+        out_adj,
+        in_adj,
+        segment_count: 1,
+        class_labels: vec![label; classes],
+        class_names: vec![String::new(); classes],
+    }
+}
+
+/// True when `g0`'s edges contain a cycle (Kahn leaves a node behind).
+fn is_cyclic(g0: &G0) -> bool {
+    let mut children: Vec<usize> = g0.out_adj.iter().map(Vec::len).collect();
+    let mut ready: Vec<usize> = (0..g0.len()).filter(|&v| children[v] == 0).collect();
+    let mut done = 0;
+    while let Some(v) = ready.pop() {
+        done += 1;
+        for &(_, p) in &g0.in_adj[v] {
+            children[p as usize] -= 1;
+            if children[p as usize] == 0 {
+                ready.push(p as usize);
+            }
+        }
+    }
+    done < g0.len()
+}
+
+/// `simulation` equals the naive pair fixpoint, in both directions, on raw
+/// graphs of up to 14 nodes, 3 classes and `3n` edges. Most of them are
+/// cyclic, which is where a children-first order runs out and the relation
+/// must still reach its greatest fixpoint.
+#[test]
+fn simulation_matches_naive_on_raw_cyclic_g0s() {
+    const CASES: usize = 1_024;
+    let mut rng =
+        TestRng::deterministic("differential::simulation_matches_naive_on_raw_cyclic_g0s");
+    let mut cyclic = 0;
+    for case in 0..CASES {
+        let n = (1..15usize).sample(&mut rng);
+        let classes = (1..4usize).sample(&mut rng);
+        let class_of = proptest::collection::vec(0..classes as u32, n..n + 1).sample(&mut rng);
+        let edges = proptest::collection::vec((0..n, 0..2u8, 0..n), 0..3 * n + 1).sample(&mut rng);
+        let g0 = raw_g0(&class_of, classes, &edges);
+        cyclic += is_cyclic(&g0) as usize;
+        for dir in [SimDirection::Out, SimDirection::In] {
+            let fast = simulation(&g0, dir);
+            let naive = simulation_naive(&g0, dir);
+            for v in 0..n as u32 {
+                for u in 0..n as u32 {
+                    assert_eq!(
+                        fast.le(v, u),
+                        naive[v as usize][u as usize],
+                        "case {case}: dir={dir:?} v={v} u={u} class_of={class_of:?} \
+                         edges={edges:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(2 * cyclic > CASES, "only {cyclic} of {CASES} cases are cyclic");
 }
 
 proptest! {
