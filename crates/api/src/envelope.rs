@@ -364,7 +364,8 @@ pub struct CloseSessionRequest {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SummarizeRequest {
     /// Sessions whose segments form the input set `S` (must all pin the same
-    /// graph snapshot).
+    /// graph snapshot). Each session may be listed once: `|S|` divides every
+    /// edge frequency `γ`, so a repeated id is refused with `InvalidQuery`.
     pub sessions: Vec<SessionId>,
     /// Provenance-type radius `k` of `Rk` (default 1).
     #[serde(default)]

@@ -21,6 +21,7 @@ use crate::error::{ApiError, ApiResult};
 use crate::held::{Held, Source, WalkKey, HELD_BUDGET_BYTES};
 use prov_core::{ActivityRecord, LineageDirection, OutputSpec, ProvDb};
 use prov_segment::{PgSegQuery, PgSegSession};
+use prov_store::hash::FxHashSet;
 use prov_store::StoreError;
 use prov_summary::{PgSumQuery, PropertyAggregation, SegmentRef};
 use std::sync::Arc;
@@ -306,7 +307,13 @@ impl ProvService {
         }
         let mut segments = Vec::with_capacity(r.sessions.len());
         let mut graph: Option<&Arc<_>> = None;
+        let mut listed = FxHashSet::default();
         for &id in &r.sessions {
+            if !listed.insert(id) {
+                return Err(ApiError::invalid_query(format!(
+                    "Summarize lists session {id} more than once"
+                )));
+            }
             let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
             match graph {
                 None => graph = Some(session.graph_shared()),

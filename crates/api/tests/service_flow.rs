@@ -308,6 +308,26 @@ fn summarize_over_session_segments() {
     assert!(summary.vertices.len() <= summary.input_vertex_count);
 }
 
+/// `|S|` divides every edge frequency, so listing a session twice would
+/// count its segment twice: `[s1, s1, s2]` must be refused, not answered
+/// with an edge only in `s2` at 1/3.
+#[test]
+fn summarize_refuses_a_repeated_session() {
+    let mut service = ProvService::new();
+    ingest_pipeline(&mut service, 4);
+    let (s1, _) = open_session(&mut service, "data-v1", "weights-v2");
+    let (s2, _) = open_session(&mut service, "data-v1", "weights-v4");
+    let r = service.handle(&Request::Summarize(SummarizeRequest {
+        sessions: vec![s1, s1, s2],
+        k: Some(1),
+        entity_keys: vec![],
+        activity_keys: vec![],
+    }));
+    let Response::Error(e) = r else { panic!("expected error, got {r:?}") };
+    assert_eq!(e.code, ErrorCode::InvalidQuery);
+    assert!(e.message.contains(&s1.to_string()), "{}", e.message);
+}
+
 /// `Summarize.k` runs that many type-refinement rounds, so a huge `k` must be
 /// cut to what can still refine (the segments' vertex count), not looped.
 #[test]

@@ -608,20 +608,20 @@ fn fig6_query() -> PgSumQuery {
     )
 }
 
-/// Time the three summarizers on one frozen segment set. `work` carries the
-/// output size (pSum blocks / Psg vertices), so a run where the rewrite and
-/// the frozen seed pipeline diverge is visible in the committed JSON.
+/// Time the two summarizers on one frozen segment set. `work` carries the
+/// output size (pSum blocks / Psg vertices), so a change in what PgSum
+/// merges is visible in the committed JSON.
 fn time_summarizers(
     graph: &ProvGraph,
     segments: &[SegmentRef],
     x: f64,
     reps: usize,
-    series: &mut [Series; 3],
+    series: &mut [Series; 2],
 ) {
     let query = fig6_query();
     // Best-of-`reps` per method, like the `wl` trajectory series.
-    let mut best = [f64::INFINITY; 3];
-    let mut work = [0u64; 3];
+    let mut best = [f64::INFINITY; 2];
+    let mut work = [0u64; 2];
     for _ in 0..reps {
         let t0 = Instant::now();
         let ps = prov_summary::psum_baseline(graph, segments, &query);
@@ -629,23 +629,17 @@ fn time_summarizers(
         work[0] = ps.block_count as u64;
 
         let t0 = Instant::now();
-        let seed = prov_summary::pgsum_reference(graph, segments, &query);
+        let psg = prov_summary::pgsum(graph, segments, &query);
         best[1] = best[1].min(t0.elapsed().as_secs_f64());
-        work[1] = seed.vertex_count() as u64;
-
-        let t0 = Instant::now();
-        let new = prov_summary::pgsum(graph, segments, &query);
-        best[2] = best[2].min(t0.elapsed().as_secs_f64());
-        work[2] = new.vertex_count() as u64;
+        work[1] = psg.vertex_count() as u64;
     }
-    for i in 0..3 {
+    for i in 0..2 {
         series[i].points.push(Point { x, y: Some(best[i]), work: Some(work[i]) });
     }
 }
 
-fn fig6_series() -> [Series; 3] {
-    ["pSum", "PGSum Seed", "PGSum Alg"]
-        .map(|name| Series { name: name.to_string(), points: Vec::new() })
+fn fig6_series() -> [Series; 2] {
+    ["pSum", "PGSum Alg"].map(|name| Series { name: name.to_string(), points: Vec::new() })
 }
 
 fn fig6_reps(scale: Scale) -> usize {
@@ -762,8 +756,8 @@ pub const ALL_FIGURES: [&str; 14] =
 /// trajectory committed as `BENCH_fig5.json`.
 pub const BENCH_FIGURES: [&str; 5] = ["5a", "5b", "5c", "5d", "wl"];
 
-/// The summarization trajectory committed as `BENCH_fig6.json`: pSum vs the
-/// frozen seed PgSum pipeline vs the counting/quotient-incremental rewrite.
+/// The summarization trajectory committed as `BENCH_fig6.json`: pSum vs
+/// PgSum.
 pub const FIG6_FIGURES: [&str; 3] = ["6a", "6b", "6c"];
 
 /// The query-layer trajectory committed as `BENCH_fig8.json`: IR pipeline
@@ -889,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn fig6_sweep_times_all_three_summarizers() {
+    fn fig6_sweep_times_both_summarizers() {
         // Tiny sizes, one rep: shapes only (the real sweep runs in release
         // through the bench binary).
         let mut cache = SdCache::new();
@@ -902,14 +896,11 @@ mod tests {
             assert_eq!(s.points.len(), 2);
             assert!(s.points.iter().all(|p| p.y.is_some() && p.work.is_some()));
         }
-        // The frozen seed pipeline and the rewrite summarize to the same
-        // number of groups; pSum never compacts further than PgSum.
+        // pSum never compacts further than PgSum.
         for i in 0..2 {
-            let seed = series[1].points[i].work.unwrap();
-            let new = series[2].points[i].work.unwrap();
             let psum = series[0].points[i].work.unwrap();
-            assert_eq!(seed, new, "rewrite must match the reference |M|");
-            assert!(new <= psum, "PgSum at least as compact as pSum");
+            let pgsum = series[1].points[i].work.unwrap();
+            assert!(pgsum <= psum, "PgSum at least as compact as pSum");
         }
     }
 }

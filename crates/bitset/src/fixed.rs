@@ -11,7 +11,7 @@ const WORD_BITS: usize = 64;
 /// * `collect_missing`, `union_with` are `O(universe / 64)` word-parallel passes,
 ///   which is the `O(n / log n)` "method of four Russians"-style bulk behaviour
 ///   the CflrB complexity analysis assumes.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct FixedBitSet {
     words: Vec<u64>,
     nbits: usize,

@@ -15,7 +15,6 @@
 
 pub mod aggregation;
 pub mod merge;
-pub mod merge_reference;
 pub mod paths;
 pub mod pgsum;
 pub mod provtype;
@@ -23,17 +22,14 @@ pub mod psg;
 pub mod psum;
 pub mod segment_ref;
 pub mod simulation;
-pub mod simulation_reference;
 pub mod union;
 
 pub use aggregation::{AggLabel, PropertyAggregation};
 pub use merge::{merge, quotient, MergeResult};
-pub use merge_reference::merge_reference;
-pub use pgsum::{pgsum, pgsum_reference, pgsum_with_internals, psum_baseline, PgSumQuery};
+pub use pgsum::{pgsum, pgsum_with_internals, psum_baseline, PgSumQuery};
 pub use provtype::{provenance_types, ProvTypes};
 pub use psg::{Psg, PsgEdge, PsgVertex};
 pub use psum::{psum, PsumResult};
 pub use segment_ref::SegmentRef;
 pub use simulation::{simulation, SimDirection, SimRelation};
-pub use simulation_reference::simulation_reference;
 pub use union::{build_g0, ClassId, G0};

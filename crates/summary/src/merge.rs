@@ -23,24 +23,28 @@
 //! `condition_three_round_keeps_the_path_language` in
 //! `tests/invariants.rs`; ROADMAP item 3 tracks the fix.
 //!
-//! **Quotient-incremental rounds** (ISSUE 4). The seed recomputed *both*
-//! simulation preorders from scratch on the current quotient before every
-//! round (frozen as [`mod@crate::merge_reference`]). But quotienting by
-//! simulation equivalence is exact for the *same* direction: `[u] ≤ [v]` on
-//! the quotient iff `u ≤ v` on the pre-merge graph (see `DESIGN.md` §5 for
-//! the two-inclusion proof). So after an `≃in` round the maintained `≤in`
-//! relation is *projected* onto the surviving representatives — rows and
-//! columns shrunk in place through the group map — and only the `≤out`
-//! relation (whose languages the merge really changed) is marked stale and
-//! recomputed lazily. Symmetrically for `≃out` rounds. Condition-3 rounds
-//! change both languages of the absorbed node, so they invalidate both
-//! relations and fall back to full recompute. A full cycle that used to cost
-//! four fixpoints now costs at most three, almost all on already-shrunk
-//! quotients.
+//! **Quotient-incremental rounds.** Quotienting by simulation equivalence
+//! is exact for the *same* direction: `[u] ≤ [v]` on the quotient iff
+//! `u ≤ v` on the pre-merge graph (see `DESIGN.md` §5 for the two-inclusion
+//! proof). So after an `≃in` round the maintained `≤in` relation is
+//! *projected* onto the surviving representatives — rows and columns shrunk
+//! through the group map — and only the `≤out` relation (whose languages the
+//! merge really changed) is marked stale and recomputed lazily.
+//! Symmetrically for `≃out` rounds. Condition-3 rounds change both languages
+//! of the absorbed node, so they invalidate both relations. A full cycle
+//! costs at most three simulations, almost all on already-shrunk quotients.
+//! The tests hold this to a merge that recomputes both relations before
+//! every round; there is no frozen copy of it in the crate.
+//!
+//! **`≃` groups by row equality.** In a preorder `u ≃ v` holds exactly when
+//! the up-sets of `u` and `v` are equal, so an `≃` round groups the nodes by
+//! their relation row in one hash pass instead of testing pairs.
 
 use crate::simulation::{simulation, SimDirection, SimRelation};
 use crate::union::{G0Node, G0};
-use prov_store::hash::FxHashSet;
+use prov_bitset::FixedBitSet;
+use prov_store::hash::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
 
 /// Union-find over g0 node ids, with union-by-size and path compression.
 ///
@@ -140,14 +144,16 @@ pub fn quotient(g0: &G0, group_of: &[u32], group_count: usize) -> G0 {
     }
 }
 
-/// Collect all ≃-equivalence groups of a simulation relation and union them.
-fn merge_equiv_classes(g: &G0, rel: &SimRelation, dsu: &mut Dsu) -> bool {
+/// Union every `≃` group of a simulation relation. In a preorder `u ≃ v`
+/// holds exactly when the two up-sets are equal, so the groups are the
+/// nodes that share a row.
+fn merge_equiv_classes(rel: &SimRelation, n: usize, dsu: &mut Dsu) -> bool {
+    let mut first: FxHashMap<&FixedBitSet, u32> = FxHashMap::default();
     let mut merged = false;
-    for v in 0..g.len() as u32 {
-        for u in rel.row(v).ones() {
-            if u > v && rel.equiv(u, v) {
-                merged |= dsu.union(u, v);
-            }
+    for v in 0..n as u32 {
+        let u = *first.entry(rel.row(v)).or_insert(v);
+        if u != v {
+            merged |= dsu.union(v, u);
         }
     }
     merged
@@ -170,8 +176,8 @@ fn merge_dominated(g: &G0, le_in: &SimRelation, le_out: &SimRelation, dsu: &mut 
 /// Apply a round's unions: rewrite `group_of` (original node → new dense
 /// quotient id) and return `(new_count, node_map)` where `node_map[old
 /// quotient id] = new quotient id`. Dense ids follow first-appearance order
-/// over the original nodes, exactly like the seed's `dsu.find` + [`densify`]
-/// composition, so the resulting partition (and its labeling) is identical.
+/// over the original nodes, so the labeling does not depend on which DSU
+/// root a union picked.
 fn apply_unions(group_of: &mut [u32], dsu: &mut Dsu, old_count: usize) -> (usize, Vec<u32>) {
     let mut root_id: Vec<u32> = vec![u32::MAX; old_count];
     let mut next = 0u32;
@@ -194,7 +200,8 @@ pub fn merge(g0: &G0) -> MergeResult {
     // group_of maps ORIGINAL node -> current quotient node id (kept dense).
     let mut group_of: Vec<u32> = (0..n0 as u32).collect();
     let mut gcount = n0;
-    let mut current = quotient(g0, &group_of, gcount);
+    // `g0` itself until the first union: its identity quotient is a copy.
+    let mut current = Cow::Borrowed(g0);
     let mut rounds = 0usize;
 
     // Maintained preorders of `current`; `None` = stale (must recompute).
@@ -215,12 +222,12 @@ pub fn merge(g0: &G0) -> MergeResult {
             let merged = match round {
                 Round::InEquiv => {
                     let rel = sim_in.get_or_insert_with(|| simulation(&current, SimDirection::In));
-                    merge_equiv_classes(&current, rel, &mut dsu)
+                    merge_equiv_classes(rel, current.len(), &mut dsu)
                 }
                 Round::OutEquiv => {
                     let rel =
                         sim_out.get_or_insert_with(|| simulation(&current, SimDirection::Out));
-                    merge_equiv_classes(&current, rel, &mut dsu)
+                    merge_equiv_classes(rel, current.len(), &mut dsu)
                 }
                 Round::Dominated => {
                     let le_in =
@@ -240,7 +247,7 @@ pub fn merge(g0: &G0) -> MergeResult {
                 any = true;
                 let (new_count, node_map) = apply_unions(&mut group_of, &mut dsu, gcount);
                 gcount = new_count;
-                current = quotient(g0, &group_of, gcount);
+                current = Cow::Owned(quotient(g0, &group_of, gcount));
                 // Shrink-in-place vs full recompute: quotienting by ≃ is
                 // exact for the merged direction only; a condition-3 merge
                 // (or the opposite direction) is invalidated.
@@ -352,28 +359,6 @@ mod tests {
             for &m in group {
                 assert_eq!(g0.class(m), class);
             }
-        }
-    }
-
-    #[test]
-    fn matches_reference_discipline_on_fixtures() {
-        for g0 in [twins(), {
-            let mut g = ProvGraph::new();
-            let d1 = g.add_entity("d");
-            let t1 = g.add_activity("t");
-            let w1 = g.add_entity("w");
-            let e1 = g.add_edge(EdgeKind::Used, t1, d1).unwrap();
-            let e2 = g.add_edge(EdgeKind::WasGeneratedBy, w1, t1).unwrap();
-            let d2 = g.add_entity("d");
-            let t2 = g.add_activity("t");
-            let e3 = g.add_edge(EdgeKind::Used, t2, d2).unwrap();
-            let s1 = SegmentRef::new(vec![d1, t1, w1], vec![e1, e2]);
-            let s2 = SegmentRef::new(vec![d2, t2], vec![e3]);
-            build_g0(&g, &[s1, s2], &PropertyAggregation::ignore_all(), 0)
-        }] {
-            let new = merge(&g0);
-            let old = crate::merge_reference::merge_reference(&g0);
-            assert_eq!(new.group_of, old.group_of, "identical partition and labeling");
         }
     }
 

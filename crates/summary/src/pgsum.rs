@@ -36,15 +36,6 @@ pub fn pgsum(graph: &ProvGraph, segments: &[SegmentRef], query: &PgSumQuery) -> 
     Psg::from_merge(graph, &g0, &merged)
 }
 
-/// Evaluate PgSum through the frozen seed pipeline
-/// ([`mod@crate::merge_reference`] over [`mod@crate::simulation_reference`]) — the
-/// fixed point the `fig6` benchmark series measures the rewrite against.
-pub fn pgsum_reference(graph: &ProvGraph, segments: &[SegmentRef], query: &PgSumQuery) -> Psg {
-    let g0 = build_g0(graph, segments, &query.aggregation, query.k);
-    let merged = crate::merge_reference::merge_reference(&g0);
-    Psg::from_merge(graph, &g0, &merged)
-}
-
 /// Evaluate PgSum and also return the intermediate graphs (for tests and the
 /// invariant checker).
 pub fn pgsum_with_internals(

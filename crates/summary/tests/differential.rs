@@ -1,25 +1,23 @@
-//! Differential suite for the summarization rewrite (ISSUE 4): on random
-//! multi-segment `g0` inputs,
+//! Differential suite for PgSum's simulation and merge phases:
 //!
-//! * the counting-based [`simulation`] ≡ the naive pair fixpoint
-//!   ([`simulation_naive`]) ≡ the frozen seed sweep
-//!   ([`simulation_reference`]), in both directions;
-//! * the quotient-incremental [`merge`] produces the same quotient groups as
-//!   the frozen recompute-every-round [`merge_reference`] (up to group
-//!   relabeling — asserted via partition normalization AND, stronger, via the
-//!   exact `group_of` labels, which the rewrite preserves by construction).
+//! * the children-first [`simulation`] sweep ≡ the naive pair fixpoint
+//!   ([`simulation_naive`]), in both directions, on `g0`s built from random
+//!   segments and on raw, mostly cyclic `G0`s;
+//! * the quotient-incremental [`merge`] ≡ a test-local merge that recomputes
+//!   both relations with [`simulation_naive`] on a fresh [`quotient`] before
+//!   every round: the same `group_of` labels, so projecting a relation onto
+//!   a quotient instead of recomputing it changes nothing.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use prov_model::{EdgeKind, VertexId, VertexKind};
 use prov_store::hash::FxHashMap;
 use prov_store::ProvGraph;
-use prov_summary::merge_reference::merge_reference;
 use prov_summary::simulation::{simulation, simulation_naive, SimDirection};
-use prov_summary::simulation_reference::simulation_reference;
 use prov_summary::union::G0Node;
 use prov_summary::{
-    build_g0, merge, AggLabel, ClassId, PgSumQuery, PropertyAggregation, SegmentRef, G0,
+    build_g0, merge, pgsum, quotient, AggLabel, ClassId, MergeResult, PgSumQuery,
+    PropertyAggregation, Psg, SegmentRef, G0,
 };
 
 /// Plan for one segment: a chain/DAG of `steps` activities over `k` activity
@@ -84,17 +82,59 @@ fn g0s(plans: &[SegmentPlan]) -> Vec<G0> {
     ]
 }
 
-/// Normalize a partition labeling to first-appearance order, so two
-/// partitions compare equal iff they group the same nodes together.
-fn normalize(group_of: &[u32]) -> Vec<u32> {
-    let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
-    group_of
-        .iter()
-        .map(|&g| {
-            let next = remap.len() as u32;
-            *remap.entry(g).or_insert(next)
-        })
-        .collect()
+/// The merge phase by its definition: before every round, recompute both
+/// relations with [`simulation_naive`] on the quotient so far. Unions and
+/// group ids follow the same rules as [`merge`]: `≃` groups join, a
+/// condition-3 node joins its first dominating target, and ids are dense
+/// in first-appearance order over the original nodes.
+fn merge_oracle(g0: &G0) -> Vec<u32> {
+    fn find(root: &mut [u32], x: u32) -> u32 {
+        let mut r = x;
+        while root[r as usize] != r {
+            r = root[r as usize];
+        }
+        root[x as usize] = r;
+        r
+    }
+    let n0 = g0.len();
+    let mut group_of: Vec<u32> = (0..n0 as u32).collect();
+    let mut gcount = n0;
+    loop {
+        let mut any = false;
+        for round in 0..3 {
+            let q = quotient(g0, &group_of, gcount);
+            let le_in = simulation_naive(&q, SimDirection::In);
+            let le_out = simulation_naive(&q, SimDirection::Out);
+            let mut root: Vec<u32> = (0..gcount as u32).collect();
+            for u in 0..gcount {
+                for v in 0..gcount {
+                    let join = match round {
+                        0 => le_in[u][v] && le_in[v][u],
+                        1 => le_out[u][v] && le_out[v][u],
+                        _ => u != v && le_in[u][v] && le_out[u][v],
+                    };
+                    if join {
+                        let (a, b) = (find(&mut root, u as u32), find(&mut root, v as u32));
+                        root[a as usize] = b;
+                        if round == 2 {
+                            break;
+                        }
+                    }
+                }
+            }
+            let mut dense: FxHashMap<u32, u32> = FxHashMap::default();
+            for g in group_of.iter_mut() {
+                let r = find(&mut root, *g);
+                let next = dense.len() as u32;
+                *g = *dense.entry(r).or_insert(next);
+            }
+            any |= dense.len() < gcount;
+            gcount = dense.len();
+        }
+        if !any {
+            return group_of;
+        }
+    }
 }
 
 /// A `G0` drawn directly, not built from segments: arbitrary edges over two
@@ -172,6 +212,7 @@ fn simulation_matches_naive_on_raw_cyclic_g0s() {
                 }
             }
         }
+        assert_eq!(merge(&g0).group_of, merge_oracle(&g0), "case {case}: edges={edges:?}");
     }
     assert!(2 * cyclic > CASES, "only {cyclic} of {CASES} cases are cyclic");
 }
@@ -180,25 +221,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn counting_simulation_matches_naive_and_reference(
+    fn sweep_simulation_matches_naive(
         plans in proptest::collection::vec(segment_plan(3), 1..5),
     ) {
         for g0 in g0s(&plans) {
             for dir in [SimDirection::Out, SimDirection::In] {
                 let fast = simulation(&g0, dir);
                 let naive = simulation_naive(&g0, dir);
-                let frozen = simulation_reference(&g0, dir);
                 for v in 0..g0.len() as u32 {
                     for u in 0..g0.len() as u32 {
                         prop_assert_eq!(
                             fast.le(v, u),
                             naive[v as usize][u as usize],
-                            "vs naive: dir={:?} v={} u={}", dir, v, u
-                        );
-                        prop_assert_eq!(
-                            fast.le(v, u),
-                            frozen.le(v, u),
-                            "vs reference: dir={:?} v={} u={}", dir, v, u
+                            "dir={:?} v={} u={}", dir, v, u
                         );
                     }
                 }
@@ -235,36 +270,31 @@ proptest! {
     }
 
     #[test]
-    fn incremental_merge_matches_reference_quotient(
+    fn incremental_merge_matches_the_recompute_oracle(
         plans in proptest::collection::vec(segment_plan(3), 1..5),
     ) {
         for g0 in g0s(&plans) {
-            let new = merge(&g0);
-            let old = merge_reference(&g0);
-            // Same quotient groups up to relabeling...
-            prop_assert_eq!(
-                normalize(&new.group_of),
-                normalize(&old.group_of),
-                "partitions differ"
-            );
-            // ...and in fact the same labels: the incremental discipline
-            // assigns dense ids in the seed's first-appearance order.
-            prop_assert_eq!(&new.group_of, &old.group_of);
-            prop_assert_eq!(new.members.len(), old.members.len());
+            prop_assert_eq!(merge(&g0).group_of, merge_oracle(&g0));
         }
     }
 
     #[test]
-    fn pgsum_end_to_end_matches_reference(
+    fn pgsum_end_to_end_matches_the_oracle_summary(
         plans in proptest::collection::vec(segment_plan(2), 1..4),
     ) {
         let (g, segs) = build(&plans);
         for q in [PgSumQuery::new(PropertyAggregation::ignore_all(), 0), PgSumQuery::fig2e()] {
-            let new = prov_summary::pgsum(&g, &segs, &q);
-            let old = prov_summary::pgsum_reference(&g, &segs, &q);
-            prop_assert_eq!(new.vertex_count(), old.vertex_count());
-            prop_assert_eq!(new.edge_count(), old.edge_count());
-            prop_assert!((new.compaction_ratio() - old.compaction_ratio()).abs() < 1e-12);
+            let g0 = build_g0(&g, &segs, &q.aggregation, q.k);
+            let group_of = merge_oracle(&g0);
+            let mut members = vec![Vec::new(); group_of.iter().max().map_or(0, |&m| m as usize + 1)];
+            for (i, &grp) in group_of.iter().enumerate() {
+                members[grp as usize].push(i as u32);
+            }
+            let oracle = Psg::from_merge(&g, &g0, &MergeResult { group_of, members, rounds: 0 });
+            let psg = pgsum(&g, &segs, &q);
+            prop_assert_eq!(psg.vertex_count(), oracle.vertex_count());
+            prop_assert_eq!(psg.edge_count(), oracle.edge_count());
+            prop_assert!((psg.compaction_ratio() - oracle.compaction_ratio()).abs() < 1e-12);
         }
     }
 }

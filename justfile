@@ -54,6 +54,12 @@ segment-test:
     cargo test -q --release -p prov-segment --test differential --test constrained \
         --test worklist_equivalence --test tst_scale
 
+# The PgSum suites alone, optimized: the simulation sweep against the naive
+# pair fixpoint (segment-built and raw, mostly cyclic G0s), the merge phase
+# against a recompute-every-round oracle, and the summary invariants.
+summary-test:
+    cargo test -q --release -p prov-summary
+
 # The durability suites alone: the kill-point sweep (recovery at every WAL
 # byte offset lands on a committed-batch prefix, group appends and a merged
 # run list included), the random ingest/crash/restart/query proptest
