@@ -21,7 +21,6 @@ use crate::error::{ApiError, ApiResult};
 use crate::held::{Held, Source, WalkKey, HELD_BUDGET_BYTES};
 use prov_core::{ActivityRecord, LineageDirection, OutputSpec, ProvDb};
 use prov_segment::{PgSegQuery, PgSegSession};
-use prov_store::hash::FxHashSet;
 use prov_store::StoreError;
 use prov_summary::{PgSumQuery, PropertyAggregation, SegmentRef};
 use std::sync::Arc;
@@ -305,15 +304,17 @@ impl ProvService {
         if r.sessions.is_empty() {
             return Err(ApiError::invalid_query("Summarize needs at least one session"));
         }
+        let mut listed = r.sessions.clone();
+        listed.sort_unstable();
+        if let Some(pair) = listed.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(ApiError::invalid_query(format!(
+                "Summarize lists session {} more than once",
+                pair[0]
+            )));
+        }
         let mut segments = Vec::with_capacity(r.sessions.len());
         let mut graph: Option<&Arc<_>> = None;
-        let mut listed = FxHashSet::default();
         for &id in &r.sessions {
-            if !listed.insert(id) {
-                return Err(ApiError::invalid_query(format!(
-                    "Summarize lists session {id} more than once"
-                )));
-            }
             let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
             match graph {
                 None => graph = Some(session.graph_shared()),
