@@ -34,7 +34,7 @@
 //! of the absorbed node, so they invalidate both relations. A full cycle
 //! costs at most three simulations, almost all on already-shrunk quotients.
 //! The tests hold this to a merge that recomputes both relations before
-//! every round; there is no frozen copy of it in the crate.
+//! every round (test-local in `tests/differential.rs`).
 //!
 //! **`≃` groups by row equality.** In a preorder `u ≃ v` holds exactly when
 //! the up-sets of `u` and `v` are equal, so an `≃` round groups the nodes by
@@ -144,9 +144,8 @@ pub fn quotient(g0: &G0, group_of: &[u32], group_count: usize) -> G0 {
     }
 }
 
-/// Union every `≃` group of a simulation relation. In a preorder `u ≃ v`
-/// holds exactly when the two up-sets are equal, so the groups are the
-/// nodes that share a row.
+/// Union every `≃` group of a simulation relation: the nodes that share a
+/// row.
 fn merge_equiv_classes(rel: &SimRelation, n: usize, dsu: &mut Dsu) -> bool {
     let mut first: FxHashMap<&FixedBitSet, u32> = FxHashMap::default();
     let mut merged = false;

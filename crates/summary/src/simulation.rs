@@ -40,17 +40,6 @@ impl SimRelation {
         self.sim[u as usize].contains(v)
     }
 
-    /// Are `u` and `v` simulation-equivalent (`u ≃ v`)?
-    #[inline]
-    pub fn equiv(&self, u: u32, v: u32) -> bool {
-        self.le(u, v) && self.le(v, u)
-    }
-
-    /// All nodes simulating `u` (including `u`).
-    pub fn above(&self, u: u32) -> Vec<u32> {
-        self.sim[u as usize].to_vec()
-    }
-
     /// The row of nodes simulating `u`, as a bitset (no allocation).
     #[inline]
     pub fn row(&self, u: u32) -> &FixedBitSet {
@@ -291,7 +280,7 @@ mod tests {
         let out = simulation(&g0, SimDirection::Out);
         for v in 0..g0.len() as u32 {
             assert!(out.le(v, v), "reflexive at {v}");
-            for u in out.above(v) {
+            for u in out.row(v).ones() {
                 assert_eq!(g0.class(u), g0.class(v));
             }
         }
