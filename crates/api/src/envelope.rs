@@ -15,14 +15,18 @@
 //!   timed by the injected [`crate::Clock`].
 //! * DTOs ([`SegmentDto`], [`PsgDto`]) — segments and summaries are
 //!   flattened into self-describing wire shapes (names, kinds, category
-//!   tags) instead of bare id lists.
+//!   tags) instead of bare id lists. The service writes those shapes
+//!   straight from the kernel's result (one encoder per shape, shared with
+//!   the DTOs' `Serialize`), so a DTO is built only by
+//!   [`crate::ProvService::handle`] and by clients that parse answers.
 
 use crate::error::ErrorCode;
 use prov_model::{EdgeId, EdgeKind, PropValue, VertexId, VertexKind};
 use prov_segment::SegmentGraph;
 use prov_store::ProvGraph;
-use prov_summary::Psg;
-use serde::{Deserialize, Serialize};
+use prov_summary::{Psg, PsgEdge, PsgVertex};
+use serde::{Deserialize, JsonWriter, Serialize};
+use std::fmt::Display;
 
 // ---------------------------------------------------------------------------
 // Addressing
@@ -499,7 +503,7 @@ pub enum Request {
 // ---------------------------------------------------------------------------
 
 /// One segment vertex on the wire.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SegmentVertexDto {
     /// Dense vertex id.
     pub id: VertexId,
@@ -509,6 +513,12 @@ pub struct SegmentVertexDto {
     pub kind: VertexKind,
     /// Category tags (`src|vc1|vc2|...`).
     pub tags: String,
+}
+
+impl Serialize for SegmentVertexDto {
+    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+        write_segment_vertex(out, self.id, self.name.as_deref(), self.kind, &self.tags)
+    }
 }
 
 /// One induced segment edge on the wire.
@@ -524,8 +534,16 @@ pub struct SegmentEdgeDto {
     pub kind: EdgeKind,
 }
 
+impl SegmentEdgeDto {
+    /// Edge `e` of `graph`.
+    fn of(graph: &ProvGraph, e: EdgeId) -> SegmentEdgeDto {
+        let rec = graph.edge(e);
+        SegmentEdgeDto { id: e, src: rec.src, dst: rec.dst, kind: rec.kind }
+    }
+}
+
 /// A PgSeg segment on the wire.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SegmentDto {
     /// Queried sources.
     pub vsrc: Vec<VertexId>,
@@ -535,6 +553,12 @@ pub struct SegmentDto {
     pub vertices: Vec<SegmentVertexDto>,
     /// Induced edges.
     pub edges: Vec<SegmentEdgeDto>,
+}
+
+impl Serialize for SegmentDto {
+    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+        write_segment(out, &self.vsrc, &self.vdst, self.vertices.iter(), self.edges.iter())
+    }
 }
 
 impl SegmentDto {
@@ -548,17 +572,10 @@ impl SegmentDto {
                 id: v,
                 name: graph.vertex_name(v).map(str::to_string),
                 kind: graph.vertex_kind(v),
-                tags: c.tags(),
+                tags: c.to_string(),
             })
             .collect();
-        let edges = seg
-            .edges
-            .iter()
-            .map(|&e| {
-                let rec = graph.edge(e);
-                SegmentEdgeDto { id: e, src: rec.src, dst: rec.dst, kind: rec.kind }
-            })
-            .collect();
+        let edges = seg.edges.iter().map(|&e| SegmentEdgeDto::of(graph, e)).collect();
         SegmentDto { vsrc: seg.vsrc.clone(), vdst: seg.vdst.clone(), vertices, edges }
     }
 
@@ -574,7 +591,7 @@ impl SegmentDto {
 }
 
 /// One summary vertex on the wire.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct PsgVertexDto {
     /// Display label (representative name + provenance-type tag).
     pub label: String,
@@ -582,6 +599,12 @@ pub struct PsgVertexDto {
     pub kind: VertexKind,
     /// Members as `(segment index, vertex id)` pairs.
     pub members: Vec<(u32, VertexId)>,
+}
+
+impl Serialize for PsgVertexDto {
+    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+        write_psg_vertex(out, &self.label, self.kind, &self.members)
+    }
 }
 
 /// One summary edge on the wire.
@@ -597,8 +620,14 @@ pub struct PsgEdgeDto {
     pub frequency: f64,
 }
 
+impl From<&PsgEdge> for PsgEdgeDto {
+    fn from(e: &PsgEdge) -> Self {
+        PsgEdgeDto { src: e.src, dst: e.dst, kind: e.kind, frequency: e.frequency }
+    }
+}
+
 /// A provenance summary graph on the wire.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct PsgDto {
     /// Summary vertices.
     pub vertices: Vec<PsgVertexDto>,
@@ -610,6 +639,13 @@ pub struct PsgDto {
     pub input_vertex_count: usize,
     /// `|M| / |⋃ᵢ VSᵢ|` (lower is better).
     pub compaction_ratio: f64,
+}
+
+impl Serialize for PsgDto {
+    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+        let counts = [self.segment_count, self.input_vertex_count];
+        write_summary(out, self.vertices.iter(), self.edges.iter(), counts, self.compaction_ratio)
+    }
 }
 
 impl PsgDto {
@@ -625,20 +661,177 @@ impl PsgDto {
                     members: v.members.clone(),
                 })
                 .collect(),
-            edges: psg
-                .edges
-                .iter()
-                .map(|e| PsgEdgeDto {
-                    src: e.src,
-                    dst: e.dst,
-                    kind: e.kind,
-                    frequency: e.frequency,
-                })
-                .collect(),
+            edges: psg.edges.iter().map(PsgEdgeDto::from).collect(),
             segment_count: psg.segment_count,
             input_vertex_count: psg.input_vertex_count,
             compaction_ratio: psg.compaction_ratio(),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Segment and summary encoders
+// ---------------------------------------------------------------------------
+//
+// One writer per shape. A DTO's `Serialize` and the borrowed view of the
+// kernel's result both call it, so the two cannot write different bytes.
+
+/// Bytes reserved per row of a segment or summary, and for what surrounds
+/// the rows (the `Stats` block among it): a response grows its buffer once,
+/// not a doubling at a time. Measured rows are 50–70 bytes, plus ≈ 12 per
+/// summary member.
+const ROW_BYTES: usize = 72;
+const MEMBER_BYTES: usize = 12;
+const ENVELOPE_BYTES: usize = 512;
+
+/// `items` as a JSON array.
+fn write_seq<T: Serialize>(
+    out: &mut JsonWriter,
+    items: impl Iterator<Item = T>,
+) -> Result<(), serde::Error> {
+    out.begin_seq();
+    for item in items {
+        out.element();
+        item.write_json(out)?;
+    }
+    out.end_seq();
+    Ok(())
+}
+
+/// The segment shape: `{"vsrc","vdst","vertices","edges"}`.
+fn write_segment<V: Serialize, E: Serialize>(
+    out: &mut JsonWriter,
+    vsrc: &[VertexId],
+    vdst: &[VertexId],
+    vertices: impl ExactSizeIterator<Item = V>,
+    edges: impl ExactSizeIterator<Item = E>,
+) -> Result<(), serde::Error> {
+    out.reserve(ROW_BYTES * (vertices.len() + edges.len()) + ENVELOPE_BYTES);
+    out.begin_map();
+    out.quoted_key("\"vsrc\":");
+    vsrc.write_json(out)?;
+    out.quoted_key("\"vdst\":");
+    vdst.write_json(out)?;
+    out.quoted_key("\"vertices\":");
+    write_seq(out, vertices)?;
+    out.quoted_key("\"edges\":");
+    write_seq(out, edges)?;
+    out.end_map();
+    Ok(())
+}
+
+/// One segment vertex: `{"id","name","kind","tags"}`. The tags are written
+/// from their `Display` text (for a vertex of a kernel result, the
+/// [`prov_segment::Categories`] bits) with no intermediate `String`.
+fn write_segment_vertex(
+    out: &mut JsonWriter,
+    id: VertexId,
+    name: Option<&str>,
+    kind: VertexKind,
+    tags: &impl Display,
+) -> Result<(), serde::Error> {
+    out.begin_map();
+    out.quoted_key("\"id\":");
+    id.write_json(out)?;
+    out.quoted_key("\"name\":");
+    name.write_json(out)?;
+    out.quoted_key("\"kind\":");
+    kind.write_json(out)?;
+    out.quoted_key("\"tags\":");
+    out.display(tags);
+    out.end_map();
+    Ok(())
+}
+
+/// The summary shape: `{"vertices","edges","segment_count",
+/// "input_vertex_count","compaction_ratio"}`; `counts` holds the two
+/// counts in that order.
+fn write_summary<V: Serialize, E: Serialize>(
+    out: &mut JsonWriter,
+    vertices: impl ExactSizeIterator<Item = V>,
+    edges: impl ExactSizeIterator<Item = E>,
+    counts: [usize; 2],
+    compaction_ratio: f64,
+) -> Result<(), serde::Error> {
+    let [segment_count, input_vertex_count] = counts;
+    let rows = vertices.len() + edges.len();
+    out.reserve(ROW_BYTES * rows + MEMBER_BYTES * input_vertex_count + ENVELOPE_BYTES);
+    out.begin_map();
+    out.quoted_key("\"vertices\":");
+    write_seq(out, vertices)?;
+    out.quoted_key("\"edges\":");
+    write_seq(out, edges)?;
+    out.quoted_key("\"segment_count\":");
+    segment_count.write_json(out)?;
+    out.quoted_key("\"input_vertex_count\":");
+    input_vertex_count.write_json(out)?;
+    out.quoted_key("\"compaction_ratio\":");
+    compaction_ratio.write_json(out)?;
+    out.end_map();
+    Ok(())
+}
+
+/// One summary vertex: `{"label","kind","members"}`.
+fn write_psg_vertex(
+    out: &mut JsonWriter,
+    label: &str,
+    kind: VertexKind,
+    members: &[(u32, VertexId)],
+) -> Result<(), serde::Error> {
+    out.begin_map();
+    out.quoted_key("\"label\":");
+    label.write_json(out)?;
+    out.quoted_key("\"kind\":");
+    kind.write_json(out)?;
+    out.quoted_key("\"members\":");
+    members.write_json(out)?;
+    out.end_map();
+    Ok(())
+}
+
+/// A kernel's segment read through its backing graph: writes the bytes of
+/// [`SegmentDto::from_segment`]`(graph, segment)` without building it.
+#[derive(Clone, Copy)]
+pub(crate) struct SegmentView<'a> {
+    pub(crate) graph: &'a ProvGraph,
+    pub(crate) segment: &'a SegmentGraph,
+}
+
+impl Serialize for SegmentView<'_> {
+    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+        /// One vertex row, borrowed from the graph.
+        struct Row<'a>(&'a ProvGraph, VertexId, prov_segment::Categories);
+        impl Serialize for Row<'_> {
+            fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+                let &Row(graph, v, tags) = self;
+                write_segment_vertex(out, v, graph.vertex_name(v), graph.vertex_kind(v), &tags)
+            }
+        }
+        let (graph, seg) = (self.graph, self.segment);
+        let vertices = seg.vertices.iter().zip(&seg.categories).map(|(&v, &c)| Row(graph, v, c));
+        let edges = seg.edges.iter().map(|&e| SegmentEdgeDto::of(graph, e));
+        write_segment(out, &seg.vsrc, &seg.vdst, vertices, edges)
+    }
+}
+
+/// A kernel's summary: writes the bytes of [`PsgDto::from_psg`] without
+/// building it.
+pub(crate) struct PsgView<'a>(pub(crate) &'a Psg);
+
+impl Serialize for PsgView<'_> {
+    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+        /// One vertex row, borrowed from the summary.
+        struct Row<'a>(&'a PsgVertex);
+        impl Serialize for Row<'_> {
+            fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+                write_psg_vertex(out, &self.0.label, self.0.kind, &self.0.members)
+            }
+        }
+        let psg = self.0;
+        let vertices = psg.vertices.iter().map(Row);
+        let edges = psg.edges.iter().map(PsgEdgeDto::from);
+        let counts = [psg.segment_count, psg.input_vertex_count];
+        write_summary(out, vertices, edges, counts, psg.compaction_ratio())
     }
 }
 
@@ -829,5 +1022,85 @@ impl Response {
     /// True when this is an error response.
     pub fn is_error(&self) -> bool {
         matches!(self, Response::Error(_))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prov_segment::Categories;
+    use prov_summary::ClassId;
+
+    /// The views write the DTOs' bytes: names that need escaping, an
+    /// unnamed vertex, every category bit and the empty set, an empty
+    /// segment, and summary labels and frequencies, in both layouts.
+    #[test]
+    fn views_write_the_dto_bytes() {
+        let mut graph = ProvGraph::new();
+        let data = graph.add_entity("da\"ta\\set\u{1}é-v1");
+        let train = graph.add_activity("train\n\t→");
+        let weights = graph.add_vertex(VertexKind::Entity, None).unwrap();
+        let alice = graph.add_agent("al\"ice");
+        graph.add_edge(EdgeKind::Used, train, data).unwrap();
+        graph.add_edge(EdgeKind::WasGeneratedBy, weights, train).unwrap();
+        graph.add_edge(EdgeKind::WasAssociatedWith, train, alice).unwrap();
+        let every = [
+            Categories::SRC,
+            Categories::DST,
+            Categories::DIRECT,
+            Categories::SIMILAR,
+            Categories::SIBLING,
+            Categories::AGENT,
+            Categories::EXPANDED,
+        ]
+        .into_iter()
+        .fold(Categories::none(), Categories::union);
+        let members = vec![
+            (data, Categories::SRC.union(Categories::DIRECT)),
+            (train, every),
+            (weights, Categories::none()),
+            (alice, Categories::AGENT.union(Categories::EXPANDED)),
+        ];
+        let full = SegmentGraph::assemble(&graph, &[data], &[weights], members, |_| true);
+        let empty = SegmentGraph::assemble(&graph, &[data], &[weights], Vec::new(), |_| true);
+        assert_eq!(full.edge_count(), 3);
+        for segment in [&full, &empty] {
+            let view = SegmentView { graph: &graph, segment };
+            let dto = SegmentDto::from_segment(&graph, segment);
+            assert_eq!(serde_json::to_string(&view).unwrap(), serde_json::to_string(&dto).unwrap());
+            let pretty = serde_json::to_string_pretty(&view).unwrap();
+            assert_eq!(pretty, serde_json::to_string_pretty(&dto).unwrap());
+            assert_eq!(serde_json::from_str::<SegmentDto>(&pretty).unwrap(), dto);
+        }
+        let tags = SegmentDto::from_segment(&graph, &full).vertices;
+        assert_eq!(tags[1].tags, "src|dst|vc1|vc2|vc3|vc4|bx");
+        assert_eq!(tags[2].tags, "");
+
+        let vertex = |label: &str, members: Vec<(u32, VertexId)>| PsgVertex {
+            class: ClassId(0),
+            kind: VertexKind::Entity,
+            label: label.into(),
+            members,
+        };
+        let edge = |frequency| PsgEdge { src: 0, dst: 1, kind: EdgeKind::Used, frequency };
+        let psg = Psg {
+            vertices: vec![
+                vertex("da\"ta\u{1}é [t0]", vec![(0, data), (2, data)]),
+                vertex("", vec![]),
+            ],
+            edges: vec![edge(0.5), edge(1.0 / 3.0), edge(1.0)],
+            segment_count: 3,
+            input_vertex_count: 7,
+        };
+        for p in [&psg, &Psg::default()] {
+            let dto = PsgDto::from_psg(p);
+            assert_eq!(
+                serde_json::to_string(&PsgView(p)).unwrap(),
+                serde_json::to_string(&dto).unwrap()
+            );
+            let pretty = serde_json::to_string_pretty(&PsgView(p)).unwrap();
+            assert_eq!(pretty, serde_json::to_string_pretty(&dto).unwrap());
+            assert_eq!(serde_json::from_str::<PsgDto>(&pretty).unwrap(), dto);
+        }
     }
 }

@@ -219,7 +219,7 @@ impl Held {
         &mut self,
         id: SessionId,
         adjust: impl FnOnce(&mut PgSegSession) -> ApiResult<()>,
-    ) -> ApiResult<&PgSegSession> {
+    ) -> ApiResult<()> {
         let key = Key::Session(id);
         let slot = self.entries.get_mut(&key).ok_or(ApiError::UnknownSession(id))?;
         let Entry::Session(session) = &mut slot.entry else {
@@ -246,7 +246,7 @@ impl Held {
             }
         }
         self.used += charge;
-        self.session(id).ok_or(ApiError::UnknownSession(id))
+        Ok(())
     }
 
     /// Unregister a session and drop every walk held over its snapshot.

@@ -13,16 +13,20 @@
 //! [`ProvService::handle`] maps one [`Request`] to one [`Response`] and
 //! never panics on bad input: every failure funnels through
 //! [`crate::ApiError`] into [`Response::Error`]. [`ProvService::handle_json`]
-//! is the byte-level entry a transport would bind.
+//! is the byte-level entry a transport would bind. Both run one dispatch,
+//! whose reply keeps a segment or summary answer as the kernel left it:
+//! `handle_json` writes that straight into the wire buffer, and only
+//! `handle` flattens it into DTOs.
 
 use crate::clock::{Clock, SystemClock};
 use crate::envelope::*;
 use crate::error::{ApiError, ApiResult};
 use crate::held::{Held, Source, WalkKey, HELD_BUDGET_BYTES};
 use prov_core::{ActivityRecord, LineageDirection, OutputSpec, ProvDb};
-use prov_segment::{PgSegQuery, PgSegSession};
-use prov_store::StoreError;
-use prov_summary::{PgSumQuery, PropertyAggregation, SegmentRef};
+use prov_segment::{PgSegQuery, PgSegSession, SegmentGraph};
+use prov_store::{ProvGraph, StoreError};
+use prov_summary::{PgSumQuery, PropertyAggregation, Psg, SegmentRef};
+use serde::{JsonWriter, Serialize};
 use std::sync::Arc;
 
 fn error_response(e: &ApiError) -> Response {
@@ -41,10 +45,108 @@ fn query_response(page: prov_store::Page, count: u64, activity: QueryActivity) -
     })
 }
 
-fn session_response(id: SessionId, session: &PgSegSession) -> Response {
-    let segment = SegmentDto::from_segment(session.graph(), session.segment());
-    let stats = Stats::sized(segment.vertices.len(), segment.edges.len());
-    Response::Session(SessionResponse { session: id, segment, stats })
+/// What a request produced: a small answer in its wire type, or a segment
+/// or summary as the kernel left it (a session's by its id).
+enum Answer {
+    Response(Response),
+    Segment(SegmentGraph),
+    Session(SessionId),
+    Summary(Psg),
+}
+
+/// One served request, stats stamped, before it is written. Segment and
+/// summary answers borrow or own the kernel's result: [`Serialize`] writes
+/// them straight from it, and [`Reply::into_response`] is the one place
+/// their DTOs are still built.
+enum Reply<'a> {
+    Response(Response),
+    Segment { graph: &'a ProvGraph, segment: SegmentGraph, stats: Stats },
+    Session { id: SessionId, session: &'a PgSegSession, stats: Stats },
+    Summary { psg: Psg, stats: Stats },
+}
+
+impl Reply<'_> {
+    fn stats_mut(&mut self) -> Option<&mut Stats> {
+        match self {
+            Reply::Response(r) => r.stats_mut(),
+            Reply::Segment { stats, .. }
+            | Reply::Session { stats, .. }
+            | Reply::Summary { stats, .. } => Some(stats),
+        }
+    }
+
+    /// The typed [`Response`], DTOs built.
+    fn into_response(self) -> Response {
+        match self {
+            Reply::Response(r) => r,
+            Reply::Segment { graph, segment, stats } => Response::Segment(SegmentResponse {
+                segment: SegmentDto::from_segment(graph, &segment),
+                stats,
+            }),
+            Reply::Session { id, session, stats } => Response::Session(SessionResponse {
+                session: id,
+                segment: SegmentDto::from_segment(session.graph(), session.segment()),
+                stats,
+            }),
+            Reply::Summary { psg, stats } => {
+                Response::Summary(SummaryResponse { summary: PsgDto::from_psg(&psg), stats })
+            }
+        }
+    }
+}
+
+/// The bytes of [`Reply::into_response`]'s answer, written without it.
+impl Serialize for Reply<'_> {
+    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
+        match self {
+            Reply::Response(r) => r.write_json(out),
+            Reply::Segment { graph, segment, stats } => {
+                let view = SegmentView { graph, segment };
+                write_tagged(out, "\"Segment\":", &[("\"segment\":", &view), ("\"stats\":", stats)])
+            }
+            Reply::Session { id, session, stats } => {
+                let view = SegmentView { graph: session.graph(), segment: session.segment() };
+                let fields: [(&str, &dyn Serialize); 3] =
+                    [("\"session\":", id), ("\"segment\":", &view), ("\"stats\":", stats)];
+                write_tagged(out, "\"Session\":", &fields)
+            }
+            Reply::Summary { psg, stats } => {
+                let fields: [(&str, &dyn Serialize); 2] =
+                    [("\"summary\":", &PsgView(psg)), ("\"stats\":", stats)];
+                write_tagged(out, "\"Summary\":", &fields)
+            }
+        }
+    }
+}
+
+/// `{tag: {key: value, ...}}`, the externally tagged form of a
+/// [`Response`] variant; tag and keys are quoted, then `:`.
+fn write_tagged(
+    out: &mut JsonWriter,
+    tag: &str,
+    fields: &[(&str, &dyn Serialize)],
+) -> Result<(), serde::Error> {
+    out.begin_map();
+    out.quoted_key(tag);
+    out.begin_map();
+    for (key, value) in fields {
+        out.quoted_key(key);
+        value.write_json(out)?;
+    }
+    out.end_map();
+    out.end_map();
+    Ok(())
+}
+
+/// `value` as wire JSON; what has no JSON form becomes an error response.
+fn encode(value: &impl Serialize) -> String {
+    serde_json::to_string(value).unwrap_or_else(|e| {
+        // A non-finite float stored through the Rust API (the wire
+        // parser refuses them); the error envelope is a code and a
+        // string, which always serialize.
+        let refused = StoreError::Import(format!("response has no JSON form: {e}")).into();
+        serde_json::to_string(&error_response(&refused)).expect("error responses serialize")
+    })
 }
 
 /// The provenance service: database + held-state registry + clock.
@@ -132,52 +234,74 @@ impl ProvService {
     /// database's snapshot reuse/refresh/rebuild counters — the serving
     /// loop's health, observable per response.
     pub fn handle(&mut self, request: &Request) -> Response {
+        self.serve(request).into_response()
+    }
+
+    /// Byte-level entry: parse a JSON request, serve it, serialize the
+    /// response — the bytes `handle` would give, written straight from the
+    /// kernel's result. Parse failures come back as a serialized error
+    /// response.
+    pub fn handle_json(&mut self, request: &str) -> String {
+        match serde_json::from_str::<Request>(request) {
+            Ok(req) => encode(&self.serve(&req)),
+            Err(e) => encode(&error_response(&ApiError::Malformed(e.to_string()))),
+        }
+    }
+
+    /// Dispatch, then stamp the stats: the one place for both entries.
+    fn serve(&mut self, request: &Request) -> Reply<'_> {
         let start = self.clock.now_micros();
-        let mut response = match self.dispatch(request) {
-            Ok(r) => r,
-            Err(e) => error_response(&e),
-        };
+        let answer = self.dispatch(request);
         let elapsed = self.clock.now_micros().saturating_sub(start);
-        if let Some(stats) = response.stats_mut() {
+        let mut reply = match answer.and_then(|a| self.reply(a)) {
+            Ok(r) => r,
+            Err(e) => Reply::Response(error_response(&e)),
+        };
+        if let Some(stats) = reply.stats_mut() {
             stats.elapsed_micros = elapsed;
             stats.snapshot = self.db.snapshot_counters();
             stats.durability = self.db.durability_counters().unwrap_or_default();
         }
-        response
+        reply
     }
 
-    /// Byte-level entry: parse a JSON request, serve it, serialize the
-    /// response. Parse failures come back as a serialized error response.
-    pub fn handle_json(&mut self, request: &str) -> String {
-        let response = match serde_json::from_str::<Request>(request) {
-            Ok(req) => self.handle(&req),
-            Err(e) => error_response(&ApiError::Malformed(e.to_string())),
-        };
-        serde_json::to_string(&response).unwrap_or_else(|e| {
-            // A non-finite float stored through the Rust API (the wire
-            // parser refuses them); the error envelope is a code and a
-            // string, which always serialize.
-            let refused = StoreError::Import(format!("response has no JSON form: {e}")).into();
-            serde_json::to_string(&error_response(&refused)).expect("error responses serialize")
+    /// Borrow what an answer names; size its stats.
+    fn reply(&self, answer: Answer) -> ApiResult<Reply<'_>> {
+        Ok(match answer {
+            Answer::Response(r) => Reply::Response(r),
+            Answer::Segment(segment) => {
+                let stats = Stats::sized(segment.vertex_count(), segment.edge_count());
+                Reply::Segment { graph: self.db.graph(), segment, stats }
+            }
+            Answer::Session(id) => {
+                let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
+                let segment = session.segment();
+                let stats = Stats::sized(segment.vertex_count(), segment.edge_count());
+                Reply::Session { id, session, stats }
+            }
+            Answer::Summary(psg) => {
+                let stats = Stats::sized(psg.vertex_count(), psg.edge_count());
+                Reply::Summary { psg, stats }
+            }
         })
     }
 
-    fn dispatch(&mut self, request: &Request) -> ApiResult<Response> {
-        match request {
-            Request::AddAgent(r) => self.add_agent(r),
-            Request::AddArtifact(r) => self.add_artifact(r),
-            Request::RecordActivity(r) => self.record_activity(r),
-            Request::Segment(r) => self.segment(r),
-            Request::OpenSession(r) => self.open_session(r),
-            Request::Expand(r) => self.expand(r),
-            Request::Restrict(r) => self.restrict(r),
-            Request::CloseSession(r) => self.close_session(r),
-            Request::Summarize(r) => self.summarize(r),
-            Request::Lineage(r) => self.lineage(r),
-            Request::Query(r) => self.query(r),
-            Request::Export(_) => self.export(),
-            Request::Import(r) => self.import(r),
-        }
+    fn dispatch(&mut self, request: &Request) -> ApiResult<Answer> {
+        Ok(match request {
+            Request::AddAgent(r) => Answer::Response(self.add_agent(r)?),
+            Request::AddArtifact(r) => Answer::Response(self.add_artifact(r)?),
+            Request::RecordActivity(r) => Answer::Response(self.record_activity(r)?),
+            Request::Segment(r) => Answer::Segment(self.segment(r)?),
+            Request::OpenSession(r) => Answer::Session(self.open_session(r)?),
+            Request::Expand(r) => Answer::Session(self.expand(r)?),
+            Request::Restrict(r) => Answer::Session(self.restrict(r)?),
+            Request::CloseSession(r) => Answer::Response(self.close_session(r)?),
+            Request::Summarize(r) => Answer::Summary(self.summarize(r)?),
+            Request::Lineage(r) => Answer::Response(self.lineage(r)?),
+            Request::Query(r) => Answer::Response(self.query(r)?),
+            Request::Export(_) => Answer::Response(self.export()?),
+            Request::Import(r) => Answer::Response(self.import(r)?),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -248,24 +372,19 @@ impl ProvService {
         Ok(PgSegQuery::between(vsrc, vdst).with_boundary(boundary.resolve(graph)?))
     }
 
-    fn segment(&mut self, r: &SegmentRequest) -> ApiResult<Response> {
+    fn segment(&mut self, r: &SegmentRequest) -> ApiResult<SegmentGraph> {
         let query = self.build_query(&r.src, &r.dst, &r.boundary)?;
-        let seg = self.db.segment(query, &r.options.to_options())?;
-        let segment = SegmentDto::from_segment(self.db.graph(), &seg);
-        let stats = Stats::sized(segment.vertices.len(), segment.edges.len());
-        Ok(Response::Segment(SegmentResponse { segment, stats }))
+        Ok(self.db.segment(query, &r.options.to_options())?)
     }
 
-    fn open_session(&mut self, r: &OpenSessionRequest) -> ApiResult<Response> {
+    fn open_session(&mut self, r: &OpenSessionRequest) -> ApiResult<SessionId> {
         let query = self.build_query(&r.src, &r.dst, &r.boundary)?;
         let session = self.db.segment_session(query, &r.options.to_options())?;
-        let id = self.held.open_session(session)?;
-        let session = self.held.session(id).ok_or(ApiError::UnknownSession(id))?;
-        Ok(session_response(id, session))
+        self.held.open_session(session)
     }
 
-    fn expand(&mut self, r: &ExpandRequest) -> ApiResult<Response> {
-        let session = self.held.adjust_session(r.session, |session| {
+    fn expand(&mut self, r: &ExpandRequest) -> ApiResult<SessionId> {
+        self.held.adjust_session(r.session, |session| {
             // Resolve against the session's pinned snapshot, not the live
             // store: the expansion must land on vertices the session can
             // actually see.
@@ -273,21 +392,21 @@ impl ProvService {
             session.expand(&roots, r.k);
             Ok(())
         })?;
-        Ok(session_response(r.session, session))
+        Ok(r.session)
     }
 
-    fn restrict(&mut self, r: &RestrictRequest) -> ApiResult<Response> {
+    fn restrict(&mut self, r: &RestrictRequest) -> ApiResult<SessionId> {
         if r.boundary.has_expansions() {
             return Err(ApiError::invalid_query(
                 "restrict boundaries carry exclusions only; send Expand for bx(Vx, k)",
             ));
         }
-        let session = self.held.adjust_session(r.session, |session| {
+        self.held.adjust_session(r.session, |session| {
             let boundary = r.boundary.resolve(session.graph())?;
             session.restrict(&boundary);
             Ok(())
         })?;
-        Ok(session_response(r.session, session))
+        Ok(r.session)
     }
 
     fn close_session(&mut self, r: &CloseSessionRequest) -> ApiResult<Response> {
@@ -300,7 +419,7 @@ impl ProvService {
     // Summarization / lineage / interchange
     // ------------------------------------------------------------------
 
-    fn summarize(&mut self, r: &SummarizeRequest) -> ApiResult<Response> {
+    fn summarize(&mut self, r: &SummarizeRequest) -> ApiResult<Psg> {
         if r.sessions.is_empty() {
             return Err(ApiError::invalid_query("Summarize needs at least one session"));
         }
@@ -344,10 +463,7 @@ impl ProvService {
             .with_keys(prov_model::VertexKind::Entity, &entity_keys)
             .with_keys(prov_model::VertexKind::Activity, &activity_keys);
         let query = PgSumQuery::new(aggregation, r.k.unwrap_or(1));
-        let psg = prov_summary::pgsum(graph, &segments, &query);
-        let summary = PsgDto::from_psg(&psg);
-        let stats = Stats::sized(summary.vertices.len(), summary.edges.len());
-        Ok(Response::Summary(SummaryResponse { summary, stats }))
+        Ok(prov_summary::pgsum(graph, &segments, &query))
     }
 
     fn lineage(&mut self, r: &LineageRequest) -> ApiResult<Response> {

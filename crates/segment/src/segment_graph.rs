@@ -3,6 +3,7 @@
 
 use prov_model::{EdgeId, VertexId};
 use prov_store::ProvGraph;
+use std::fmt;
 
 /// Why a vertex is part of the segment (a vertex can qualify several ways).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,10 +44,13 @@ impl Categories {
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
+}
 
-    /// Short human-readable tags, e.g. `src|vc1|vc2`.
-    pub fn tags(self) -> String {
-        let mut parts = Vec::new();
+/// Short human-readable tags joined by `|`, e.g. `src|vc1|vc2`; the empty
+/// set writes nothing. Written piece by piece: no `Vec`, no `String`.
+impl fmt::Display for Categories {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sep = "";
         for (bit, tag) in [
             (Categories::SRC, "src"),
             (Categories::DST, "dst"),
@@ -57,10 +61,12 @@ impl Categories {
             (Categories::EXPANDED, "bx"),
         ] {
             if self.contains(bit) {
-                parts.push(tag);
+                f.write_str(sep)?;
+                f.write_str(tag)?;
+                sep = "|";
             }
         }
-        parts.join("|")
+        Ok(())
     }
 }
 
@@ -151,11 +157,9 @@ impl SegmentGraph {
                 prov_model::VertexKind::Agent => "house",
             };
             out.push_str(&format!(
-                "  v{} [label=\"{}\\n{}\" shape={}];\n",
+                "  v{} [label=\"{}\\n{c}\" shape={shape}];\n",
                 v.raw(),
                 graph.display_name(v),
-                c.tags(),
-                shape
             ));
         }
         for &e in &self.edges {
@@ -193,9 +197,9 @@ mod tests {
         assert!(c.contains(Categories::SRC));
         assert!(c.contains(Categories::DIRECT));
         assert!(!c.contains(Categories::AGENT));
-        assert_eq!(c.tags(), "src|vc1");
+        assert_eq!(c.to_string(), "src|vc1");
         assert!(Categories::none().is_empty());
-        assert_eq!(Categories::none().tags(), "");
+        assert_eq!(Categories::none().to_string(), "");
     }
 
     #[test]

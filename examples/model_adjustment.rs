@@ -28,7 +28,7 @@ fn main() {
         println!(
             "{:<12} {:<14} {}",
             ex.graph.display_name(v),
-            cat.tags(),
+            cat.to_string(),
             if cat.contains(Categories::SIMILAR) { "yes" } else { "" }
         );
     }

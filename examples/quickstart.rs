@@ -18,7 +18,7 @@ fn print_segment(title: &str, graph: &ProvGraph, seg: &SegmentGraph) {
     println!("\n=== {title} ===");
     println!("vertices ({}):", seg.vertex_count());
     for (&v, cat) in seg.vertices.iter().zip(seg.categories.iter()) {
-        println!("  {:<12} [{}]", graph.display_name(v), cat.tags());
+        println!("  {:<12} [{cat}]", graph.display_name(v));
     }
     println!("induced edges: {}", seg.edge_count());
 }
