@@ -46,7 +46,9 @@ fn query_response(page: prov_store::Page, count: u64, activity: QueryActivity) -
 }
 
 /// What a request produced: a small answer in its wire type, or a segment
-/// or summary as the kernel left it (a session's by its id).
+/// or summary as the kernel left it (a session's by its id). `dispatch`
+/// needs `&mut self`, so a reply it returned could not borrow the session
+/// while the stats are stamped; [`ProvService::reply`] borrows it after.
 enum Answer {
     Response(Response),
     Segment(SegmentGraph),
