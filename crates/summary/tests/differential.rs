@@ -217,6 +217,22 @@ fn simulation_matches_naive_on_raw_cyclic_g0s() {
     assert!(2 * cyclic > CASES, "only {cyclic} of {CASES} cases are cyclic");
 }
 
+/// After a `≃in` round, `merge` must drop `≤out`, not project it onto the
+/// quotient: a merged node has the union of its members' children, so the
+/// `≤out` row of any one member can be wrong for it. This graph (one class,
+/// two edge kinds, cyclic) tells the two apart: projecting leaves node 0
+/// alone; recomputing merges all four. Found by mutating `merge` to
+/// project and searching raw `G0`s; about 2 in a million random ones of up
+/// to 11 nodes hit it, so it is pinned here rather than left to sampling.
+#[test]
+fn merge_recomputes_out_simulation_after_an_in_equivalence_round() {
+    let edges =
+        [(2, 1, 2), (3, 0, 3), (1, 0, 3), (1, 0, 2), (0, 1, 1), (2, 1, 1), (0, 0, 2), (3, 0, 2)];
+    let g0 = raw_g0(&[0; 4], 1, &edges);
+    assert_eq!(merge_oracle(&g0), [0; 4]);
+    assert_eq!(merge(&g0).group_of, [0; 4]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
