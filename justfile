@@ -60,6 +60,13 @@ segment-test:
 summary-test:
     cargo test -q --release -p prov-summary
 
+# The wire's byte pins alone: every envelope variant round-trips, the
+# golden transcript of every request (handle_json's bytes = handle's
+# Response serialized), and the serde shim's golden bytes.
+wire-test:
+    cargo test -q -p prov-api --test envelope_roundtrip --test wire_pin
+    cd vendor/serde_json && cargo test -q --test golden
+
 # The durability suites alone: the kill-point sweep (recovery at every WAL
 # byte offset lands on a committed-batch prefix, group appends and a merged
 # run list included), the random ingest/crash/restart/query proptest
