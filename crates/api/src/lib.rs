@@ -33,6 +33,10 @@
 //! assert!(wire.contains("\"Vertex\""));
 //! ```
 
+// No input from the wire may turn into a panic: every unwrap, expect or
+// panic outside tests carries an `#[expect]` naming why it cannot fire.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod clock;
 pub mod envelope;
 pub mod error;

@@ -141,6 +141,10 @@ fn write_tagged(
 }
 
 /// `value` as wire JSON; what has no JSON form becomes an error response.
+#[expect(
+    clippy::expect_used,
+    reason = "the error envelope is a code and a string, which always serialize"
+)]
 fn encode(value: &impl Serialize) -> String {
     serde_json::to_string(value).unwrap_or_else(|e| {
         // A non-finite float stored through the Rust API (the wire
@@ -448,6 +452,7 @@ impl ProvService {
             }
             segments.push(SegmentRef::from(session.segment()));
         }
+        #[expect(clippy::expect_used, reason = "the is_empty refusal above leaves a session")]
         let graph = graph.expect("at least one session");
         // Each key list defaults independently (entities: `filename`,
         // activities: `command` — the Fig. 2(e) aggregation).

@@ -125,7 +125,7 @@ fn main() {
     };
     let report = BenchReport::from_figures(scale, &figures, command);
     if let Some(path) = &cli.json {
-        // lint-ok(raw-io): bench report artifact, nothing durable flows here.
+        #[expect(clippy::disallowed_methods, reason = "bench report artifact, nothing durable")]
         if let Err(e) = std::fs::write(path, report.to_json()) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
@@ -133,7 +133,10 @@ fn main() {
         println!("wrote {path} ({} figures)", report.figures.len());
     }
     let baseline = cli.baseline.as_ref().map(|path| {
-        // lint-ok(raw-io): reads a committed baseline report, not engine state.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reads a committed baseline report, not engine state"
+        )]
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -162,7 +165,7 @@ fn main() {
             report.figures.len(),
             report.host_threads
         );
-        // lint-ok(raw-io): CI job-summary sink owned by the runner, not us.
+        #[expect(clippy::disallowed_types, reason = "CI job-summary sink owned by the runner")]
         let appended = std::fs::OpenOptions::new()
             .append(true)
             .create(true)

@@ -86,13 +86,16 @@ pub trait FastSet: Clone {
 /// A `HashSet`-backed [`FastSet`], the naive baseline representation.
 #[derive(Debug, Clone, Default)]
 pub struct HashFastSet {
-    // lint-ok(std-collections): HashFastSet *is* the deliberate std-hasher baseline oracle.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "HashFastSet *is* the deliberate std-hasher baseline oracle"
+    )]
     inner: std::collections::HashSet<u32>,
 }
 
 impl FastSet for HashFastSet {
+    #[expect(clippy::disallowed_types, reason = "the std baseline constructs its own backing set")]
     fn with_universe(_universe: usize) -> Self {
-        // lint-ok(std-collections): the std baseline constructs its own backing set.
         Self { inner: std::collections::HashSet::new() }
     }
 

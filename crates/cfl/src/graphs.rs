@@ -3,6 +3,7 @@
 use crate::solver::TerminalEdges;
 use crate::symbol::{Orientation, Terminal};
 use prov_model::{EdgeKind, VertexId};
+use prov_store::graph::rank_u32;
 use prov_store::{Direction, ProvIndex};
 
 /// Adapter exposing a [`ProvIndex`] as a terminal-labeled graph:
@@ -47,11 +48,17 @@ impl TerminalEdges for IndexedProvGraph<'_> {
                         _ => (Direction::In, false),
                     },
                 };
-                // lint-ok(csr-traversal): CFL terminal enumeration feeds the Datalog solver
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "CFL terminal enumeration feeds the Datalog solver"
+                )]
                 let csr = self.index.csr(kind, dir);
-                for v in 0..self.index.vertex_count() as u32 {
+                for v in 0..rank_u32(self.index.vertex_count()) {
                     let vid = VertexId::new(v);
-                    // lint-ok(csr-traversal): whole-relation scan, not an ad-hoc read path
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "whole-relation scan, not an ad-hoc read path"
+                    )]
                     for nbr in csr.neighbors(vid) {
                         if flip {
                             f(nbr.raw(), v);

@@ -23,6 +23,10 @@
 //! * [`naive`] — Cypher-style enumerate-and-join (baseline of baselines);
 //! * [`induce`] / [`segment_graph`] — assembly of the segment `S(VS, ES)`.
 
+// narrowing-cast: every truncating `as` carries an `#[expect]` naming why the
+// value fits.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod alg;
 pub mod alg_reference;
 pub mod boundary;

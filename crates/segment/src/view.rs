@@ -53,13 +53,16 @@ impl<'a> MaskedGraph<'a> {
 
     /// Masked neighbors over one relation/direction.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the masked view is the PgSeg kernels' own read surface"
+    )]
     pub fn neighbors(
         &self,
         kind: EdgeKind,
         dir: Direction,
         v: VertexId,
     ) -> impl Iterator<Item = VertexId> + '_ {
-        // lint-ok(csr-traversal): the masked view is the PgSeg kernels' own read surface
         let csr = self.index.csr(kind, dir);
         csr.entries(v).filter_map(move |(nbr, eid)| match self.mask {
             Some(m) if !(m.edge(eid) && m.vertex(nbr)) => None,
@@ -70,28 +73,24 @@ impl<'a> MaskedGraph<'a> {
     /// Activities that generated entity `e` (upstream step from an entity).
     #[inline]
     pub fn generators_of(&self, e: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        // lint-ok(csr-traversal): masked-view wrapper, not a raw CSR walk
         self.neighbors(EdgeKind::WasGeneratedBy, Direction::Out, e)
     }
 
     /// Entities used by activity `a` (upstream step from an activity).
     #[inline]
     pub fn inputs_of(&self, a: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        // lint-ok(csr-traversal): masked-view wrapper, not a raw CSR walk
         self.neighbors(EdgeKind::Used, Direction::Out, a)
     }
 
     /// Activities that used entity `e` (downstream step from an entity).
     #[inline]
     pub fn users_of(&self, e: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        // lint-ok(csr-traversal): masked-view wrapper, not a raw CSR walk
         self.neighbors(EdgeKind::Used, Direction::In, e)
     }
 
     /// Entities generated by activity `a` (downstream step from an activity).
     #[inline]
     pub fn outputs_of(&self, a: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        // lint-ok(csr-traversal): masked-view wrapper, not a raw CSR walk
         self.neighbors(EdgeKind::WasGeneratedBy, Direction::In, a)
     }
 
@@ -126,13 +125,20 @@ impl TerminalEdges for MaskedGraph<'_> {
                         _ => (Direction::In, false),
                     },
                 };
-                // lint-ok(csr-traversal): CFL terminal enumeration feeds the Datalog solver
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "CFL terminal enumeration feeds the Datalog solver"
+                )]
                 let csr = self.index.csr(kind, dir);
                 for v in 0..rank_u32(self.index.vertex_count()) {
                     let vid = VertexId::new(v);
                     if !self.vertex_ok(vid) {
                         continue;
                     }
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "whole-relation scan under the mask, not an ad-hoc read path"
+                    )]
                     for (nbr, eid) in csr.entries(vid) {
                         if let Some(m) = self.mask {
                             if !(m.edge(eid) && m.vertex(nbr)) {

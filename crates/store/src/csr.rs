@@ -19,6 +19,11 @@
 //! [`Csr`] appends the delta into its rows ([`Csr`]'s slack layout), and every
 //! accessor still returns one contiguous slice per row.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the CSR structure walks its own rows: equality, the typed accessors, validation"
+)]
+
 use crate::graph::{rank_u32, DeltaCursor, ProvGraph};
 use prov_model::{EdgeId, EdgeKind, VertexId, VertexKind};
 use std::sync::Arc;

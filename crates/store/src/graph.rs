@@ -53,9 +53,12 @@ pub struct EdgeRecord {
 /// nothing. Lengths headed for a durable format take the checked
 /// `storage::codec::put_len` instead.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the one sanctioned narrowing; bounded by check_capacity as documented above"
+)]
 pub fn rank_u32(n: usize) -> u32 {
     debug_assert!(u32::try_from(n).is_ok(), "dense rank {n} escaped check_capacity");
-    // lint-ok(narrowing-cast): the one sanctioned narrowing; bounded as documented above.
     n as u32
 }
 

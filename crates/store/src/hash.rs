@@ -65,11 +65,11 @@ impl Hasher for FxHasher {
 }
 
 /// `HashMap` with the Fx hasher.
-// lint-ok(std-collections): definition site of the sanctioned Fx-hashed alias.
+#[expect(clippy::disallowed_types, reason = "definition site of the sanctioned Fx-hashed alias")]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// `HashSet` with the Fx hasher.
-// lint-ok(std-collections): definition site of the sanctioned Fx-hashed alias.
+#[expect(clippy::disallowed_types, reason = "definition site of the sanctioned Fx-hashed alias")]
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// Hash any `Hash` value to a `u64` with the Fx hasher (used for provenance

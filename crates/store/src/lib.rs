@@ -18,6 +18,10 @@
 //!   crash recovery and deterministic fault injection.
 //! * [`hash`], [`interner`] — supporting infrastructure.
 
+// narrowing-cast: the seed silently wrapped ids past u32::MAX, so every
+// truncating `as` here carries an `#[expect]` naming why the value fits.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod csr;
 pub mod error;
 pub mod graph;

@@ -26,6 +26,11 @@
 //! the live store and need a pinned session for byte-stability, since
 //! property writes do not move the cursor).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the query engine is the one read path that walks CSR rows directly"
+)]
+
 use crate::csr::{Csr, ProvIndex};
 use crate::error::{StoreError, StoreResult};
 use crate::graph::{rank_u32, DeltaCursor, ProvGraph};

@@ -72,7 +72,7 @@
 //! backends that can serve real range reads do ([`super::StdIo`] keeps an
 //! open descriptor, [`super::MemIo`] slices in place), and the buffered
 //! fallback below is the one full-file run read outside the backends — the
-//! `snapshot-slurp` lint rule in `prov-check` keeps it that way.
+//! `snapshot-slurp` entries of the root `clippy.toml` keep it that way.
 
 use super::codec::{
     crc32, crc32_combine, len_u32, patch_u32, put_len, put_prop_value, put_str, put_tag, put_u32,
@@ -792,7 +792,10 @@ fn segment_items<'a>(
     id: usize,
 ) -> Result<(u32, &'a [u8], u32), String> {
     let seg = dir.segments[id];
-    // `read_directory` proved the segments tile the image exactly.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "read_directory proved the segments tile the in-memory image exactly"
+    )]
     let payload = &bytes[seg.offset as usize..seg.offset as usize + seg.len as usize];
     let (count, _) = items(payload, id)?;
     let (prefix, item_bytes) = payload.split_at(4);
@@ -857,6 +860,10 @@ impl ColumnSource for BufferedColumnSource {
 /// A column source for `name` on `io`: the backend's native one when
 /// available, otherwise a buffered whole-file fallback. `None` when the file
 /// does not exist.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the buffered fallback for a backend with no native column source"
+)]
 fn source_for(io: &dyn Io, name: &str) -> IoResult<Option<Box<dyn ColumnSource>>> {
     if let Some(source) = io.column_source(name)? {
         return Ok(Some(source));
@@ -1099,6 +1106,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the offset is read_directory's, bounds-proven against the in-memory image"
+    )]
     fn damage_in_a_merged_input_survives_into_the_merged_run_and_is_caught() {
         let (_, sealer) = two_runs();
         let (disk, runs) = sealer.disk();
@@ -1189,6 +1200,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the offset is read_directory's, bounds-proven against the in-memory image"
+    )]
     fn corrupt_deferred_segment_panics_at_first_touch_not_open() {
         let (_, sealer) = two_runs();
         let (disk, runs) = sealer.disk();

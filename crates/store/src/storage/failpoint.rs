@@ -19,6 +19,11 @@
 //!   every read — modeling at-rest corruption that CRCs must catch during
 //!   recovery. The disk itself is untouched.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "FailpointIo wraps Io::read to flip bits on whole-file reads"
+)]
+
 use super::io::{Io, IoError, IoResult, MemIo};
 
 /// A deterministic schedule of injected faults. `Default` injects nothing.
@@ -92,6 +97,10 @@ impl Io for FailpointIo {
         self.inner.list()
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "fault plans name offsets inside in-memory test files"
+    )]
     fn read(&self, name: &str) -> IoResult<Option<Vec<u8>>> {
         self.gate()?;
         let mut bytes = self.inner.read(name)?;
@@ -112,6 +121,7 @@ impl Io for FailpointIo {
             if (data.len() as u64) > left {
                 // Torn write: only the prefix that fits the budget lands,
                 // then the process is dead.
+                #[expect(clippy::cast_possible_truncation, reason = "left < data.len(), a usize")]
                 self.inner.append(name, &data[..left as usize])?;
                 self.appended += left;
                 self.crashed = true;

@@ -10,8 +10,16 @@
 //! and the kill-point harness can fork [`MemIo`] "disks" to simulate a crash
 //! at every offset.
 //!
-//! This file (and only this file) is allowed to use `std::fs`; the
-//! `raw-io` lint rule in `prov-check` keeps every other byte injectable.
+//! This file (and only this file) is allowed to use `std::fs`: the `raw-io`
+//! entries of the root `clippy.toml` keep every other byte injectable, and
+//! the `#![expect]` below is their one module-wide exemption.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the Io backends: StdIo is the one std::fs user, and the default \
+              Io::read_range buffers the whole file"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -44,7 +52,7 @@ pub type IoResult<T> = Result<T, IoError>;
 /// readable after the file it was opened on is removed or replaced (the
 /// `std::fs` backend keeps the descriptor open; a compaction loads a lazy
 /// graph's deferred columns before it deletes a merged-away run regardless).
-#[allow(clippy::len_without_is_empty)] // a zero-length run is invalid, not "empty"
+#[expect(clippy::len_without_is_empty, reason = "a zero-length run is invalid, not \"empty\"")]
 pub trait ColumnSource: std::fmt::Debug + Send + Sync {
     /// Total length of the file in bytes.
     fn len(&self) -> u64;
@@ -406,6 +414,10 @@ impl Io for MemIo {
         Ok(())
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "recovery truncates to a prefix of the file, whose in-memory length fits usize"
+    )]
     fn truncate(&mut self, name: &str, len: u64) -> IoResult<()> {
         match self.lock().get_mut(name) {
             Some(bytes) => {

@@ -353,6 +353,10 @@ impl WalStorage {
         let mut graph = if gen == 0 {
             ProvGraph::new()
         } else {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a manifest is small and is decoded whole"
+            )]
             let bytes =
                 self.io.read(&manifest_file_name(gen)).map_err(Self::io_err)?.ok_or_else(|| {
                     StoreError::StorageUnavailable(format!(
@@ -382,6 +386,7 @@ impl WalStorage {
         // alive while the index is built. Property writes below the last
         // run's end belong to the next run, exactly as if committed live.
         let wal_name = wal_file_name(gen);
+        #[expect(clippy::disallowed_methods, reason = "recovery replays the whole live WAL")]
         let bytes = match self.io.read(&wal_name).map_err(Self::io_err)? {
             Some(bytes) => bytes,
             None => {
@@ -1000,6 +1005,7 @@ mod tests {
         fn list(&self) -> IoResult<Vec<String>> {
             self.disk.list()
         }
+        #[expect(clippy::disallowed_methods, reason = "forwards to the wrapped disk")]
         fn read(&self, name: &str) -> IoResult<Option<Vec<u8>>> {
             self.disk.read(name)
         }

@@ -166,7 +166,7 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
 /// Reference implementation used by property tests: the naive fixpoint over
 /// explicit pair checks (`O(n⁴)`-ish, tiny inputs only).
 #[doc(hidden)]
-#[allow(clippy::needless_range_loop)] // pairwise index loops mirror the math
+#[expect(clippy::needless_range_loop, reason = "pairwise index loops mirror the math")]
 pub fn simulation_naive(g0: &G0, direction: SimDirection) -> Vec<Vec<bool>> {
     let n = g0.len();
     let adj = match direction {
