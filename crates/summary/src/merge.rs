@@ -15,13 +15,15 @@
 //! algorithm therefore alternates rounds — all `≃in` classes, then all `≃out`
 //! classes, then all `≤in∧≤out` dominations — until a full cycle performs no
 //! merge. Condition-1 groups share their in-language exactly, so an `≃in`
-//! round is jointly sound (symmetrically `≃out`). A condition-3 round is
-//! **not**: each union is justified against the relations as they stood
-//! before the round, and the union-find composes several of them into groups
-//! no single pairwise justification covers, so the summary can gain a path
-//! word no segment spells (and even a cyclic quotient). The smallest known case is the ignored
-//! `condition_three_round_keeps_the_path_language` in
-//! `tests/invariants.rs`; ROADMAP item 3 tracks the fix.
+//! round is jointly sound (symmetrically `≃out`). Condition-3 unions are
+//! not: each is justified against the relations as they stand, and a
+//! union-find that composed several of them could form groups no single
+//! pairwise justification covers, so the summary could gain a path word no
+//! segment spells (and even a cyclic quotient). A condition-3 round
+//! therefore makes one union, the first dominated pair in node order, and
+//! the next cycle recomputes both relations before it trusts them again
+//! (`condition_three_round_keeps_the_path_language` in
+//! `tests/invariants.rs` is the smallest input that needs this).
 //!
 //! **Quotient-incremental rounds.** Quotienting by simulation equivalence
 //! is exact for the *same* direction: `[u] ≤ [v]` on the quotient iff
@@ -158,18 +160,18 @@ fn merge_equiv_classes(rel: &SimRelation, n: usize, dsu: &mut Dsu) -> bool {
     merged
 }
 
-/// Union condition-3 pairs: `u ≤in v ∧ u ≤out v` (u strictly dominated).
+/// Union the first condition-3 pair `u ≤in v ∧ u ≤out v` (u strictly
+/// dominated) and stop: the justification holds against the relations as
+/// they stand, so only one union per round is sound (Lemma 5).
 fn merge_dominated(g: &G0, le_in: &SimRelation, le_out: &SimRelation, dsu: &mut Dsu) -> bool {
-    let mut merged = false;
     for u in 0..g.len() as u32 {
         for v in le_in.row(u).ones() {
-            if v != u && le_out.le(u, v) {
-                merged |= dsu.union(u, v);
-                break; // one dominating target suffices for u
+            if v != u && le_out.le(u, v) && dsu.union(u, v) {
+                return true;
             }
         }
     }
-    merged
+    false
 }
 
 /// Apply a round's unions: rewrite `group_of` (original node → new dense

@@ -85,7 +85,7 @@ fn g0s(plans: &[SegmentPlan]) -> Vec<G0> {
 /// The merge phase by its definition: before every round, recompute both
 /// relations with [`simulation_naive`] on the quotient so far. Unions and
 /// group ids follow the same rules as [`merge`]: `≃` groups join, a
-/// condition-3 node joins its first dominating target, and ids are dense
+/// condition-3 round joins only its first dominated pair, and ids are dense
 /// in first-appearance order over the original nodes.
 fn merge_oracle(g0: &G0) -> Vec<u32> {
     fn find(root: &mut [u32], x: u32) -> u32 {
@@ -106,7 +106,7 @@ fn merge_oracle(g0: &G0) -> Vec<u32> {
             let le_in = simulation_naive(&q, SimDirection::In);
             let le_out = simulation_naive(&q, SimDirection::Out);
             let mut root: Vec<u32> = (0..gcount as u32).collect();
-            for u in 0..gcount {
+            'pairs: for u in 0..gcount {
                 for v in 0..gcount {
                     let join = match round {
                         0 => le_in[u][v] && le_in[v][u],
@@ -116,8 +116,8 @@ fn merge_oracle(g0: &G0) -> Vec<u32> {
                     if join {
                         let (a, b) = (find(&mut root, u as u32), find(&mut root, v as u32));
                         root[a as usize] = b;
-                        if round == 2 {
-                            break;
+                        if round == 2 && a != b {
+                            break 'pairs;
                         }
                     }
                 }

@@ -176,13 +176,13 @@ proptest! {
     }
 }
 
-/// Smallest known input on which one condition-3 (`Round::Dominated`) round
-/// unions several node pairs whose redirected languages are individually
-/// dominated but jointly are not: the summary gains the 4-edge word
-/// `f1 -G-> op0 -U-> f0 -G-> op0 -U-> f1`, which no path of the segment
-/// spells. Sound at k = 1 and k = 2; broken at k = 0 for either vertex order.
+/// Smallest known input on which a condition-3 (`Round::Dominated`) round
+/// that unions several node pairs at once is unsound: their redirected
+/// languages are individually dominated but jointly are not, and the
+/// summary gains the 4-edge word `f1 -G-> op0 -U-> f0 -G-> op0 -U-> f1`,
+/// which no path of the segment spells. One union per round keeps it
+/// sound, with 8 summary vertices (the unsound batch gave 7).
 #[test]
-#[ignore = "condition-3 round unsound, ROADMAP item 3"]
 fn condition_three_round_keeps_the_path_language() {
     let mut g = ProvGraph::new();
     let mut vertices = Vec::new();
@@ -223,6 +223,6 @@ fn condition_three_round_keeps_the_path_language() {
     let segs = [SegmentRef::new(vertices, edges.to_vec())];
     let q = PgSumQuery::new(PgSumQuery::fig2e().aggregation, 0);
     let (psg, g0, quotiented) = pgsum_with_internals(&g, &segs, &q);
-    assert_eq!(psg.vertex_count(), 7);
+    assert_eq!(psg.vertex_count(), 8);
     check_invariant(&g0, &quotiented, 8).unwrap();
 }
