@@ -77,21 +77,6 @@ impl FixedBitSet {
         self.words.iter().zip(other.words.iter()).all(|(a, b)| a & b == 0)
     }
 
-    /// Project this set through a surjection: insert `map[x]` into `out` for
-    /// every element `x`. Batch primitive for quotient projections (PgSum's
-    /// incremental merge rounds): `map` must cover the universe and its
-    /// values must fit `out`'s universe.
-    pub fn remap_into(&self, map: &[u32], out: &mut FixedBitSet) {
-        for (i, &word) in self.words.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                out.insert(map[i * WORD_BITS + bit]);
-            }
-        }
-    }
-
     /// First (smallest) element, if any.
     pub fn min_elem(&self) -> Option<u32> {
         for (i, &w) in self.words.iter().enumerate() {
@@ -350,21 +335,6 @@ mod tests {
         let mut seen = Vec::new();
         s.for_each_elem(&mut |x| seen.push(x));
         assert_eq!(seen, vec![63, 64, 65]);
-    }
-
-    #[test]
-    fn remap_into_projects_through_surjection() {
-        let mut s = FixedBitSet::new(6);
-        for x in [0u32, 2, 3, 5] {
-            s.insert(x);
-        }
-        // 0,1 -> 0; 2,3 -> 1; 4,5 -> 2.
-        let map = [0u32, 0, 1, 1, 2, 2];
-        let mut out = FixedBitSet::new(3);
-        s.remap_into(&map, &mut out);
-        assert_eq!(out.to_vec(), vec![0, 1, 2]);
-        // Collisions collapse (2 and 3 both map to 1) and len stays exact.
-        assert_eq!(out.len(), 3);
     }
 
     #[test]

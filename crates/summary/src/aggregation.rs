@@ -6,7 +6,8 @@
 //! equal kind look identical (e.g. `KU = ∅` folds Alice and Bob into one
 //! abstract team member).
 
-use prov_model::{PropValue, VertexId, VertexKind};
+use prov_model::{PropKeyId, PropValue, VertexId, VertexKind};
+use prov_store::hash::FxHashMap;
 use prov_store::ProvGraph;
 
 /// The property aggregation choice of a PgSum query.
@@ -63,6 +64,44 @@ impl PropertyAggregation {
         let kind = graph.vertex_kind(v);
         let values = self.keys_for(kind).iter().map(|k| graph.vprop(v, k).cloned()).collect();
         AggLabel { kind, values }
+    }
+}
+
+/// Dense ids for the aggregate labels of one graph's vertices: two vertices
+/// get the same id exactly when [`PropertyAggregation::label`] gives them
+/// equal labels. The visible keys are resolved once, and a lookup borrows
+/// the values from the graph into a reused buffer, so a label seen before
+/// allocates nothing.
+pub(crate) struct LabelIds<'g> {
+    graph: &'g ProvGraph,
+    /// Visible key ids per vertex kind (`None`: the graph never interned the
+    /// key, so no vertex carries it).
+    keys: [Vec<Option<PropKeyId>>; 3],
+    ids: FxHashMap<(VertexKind, Vec<Option<&'g PropValue>>), u32>,
+    buf: Vec<Option<&'g PropValue>>,
+}
+
+impl<'g> LabelIds<'g> {
+    pub(crate) fn new(graph: &'g ProvGraph, aggregation: &PropertyAggregation) -> Self {
+        let keys = VertexKind::ALL
+            .map(|kind| aggregation.keys_for(kind).iter().map(|k| graph.key_id(k)).collect());
+        LabelIds { graph, keys, ids: FxHashMap::default(), buf: Vec::new() }
+    }
+
+    /// The label id of `v`, in first-appearance order.
+    pub(crate) fn id(&mut self, v: VertexId) -> u32 {
+        let kind = self.graph.vertex_kind(v);
+        let props = self.graph.vertex_props(v);
+        self.buf.clear();
+        self.buf.extend(self.keys[kind.as_index()].iter().map(|k| k.and_then(|k| props.get(k))));
+        let key = (kind, std::mem::take(&mut self.buf));
+        if let Some(&id) = self.ids.get(&key) {
+            self.buf = key.1;
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.ids.insert(key, id);
+        id
     }
 }
 
@@ -150,6 +189,22 @@ mod tests {
         let k = PropertyAggregation::ignore_all().with_keys(VertexKind::Activity, &["command"]);
         assert_eq!(k.label(&g, t1).render(None), "activity(train)");
         assert_eq!(PropertyAggregation::ignore_all().label(&g, t1).render(Some("t")), "t");
+    }
+
+    #[test]
+    fn label_ids_follow_label_equality() {
+        let (g, t1, t2, d, a) = sample();
+        let k = PropertyAggregation::ignore_all()
+            .with_keys(VertexKind::Activity, &["command", "lr", "never-set"]);
+        let mut ids = LabelIds::new(&g, &k);
+        let vs = [t1, t2, d, a, t1, d];
+        let got: Vec<u32> = vs.iter().map(|&v| ids.id(v)).collect();
+        assert_eq!(got, [0, 1, 2, 3, 0, 2]);
+        for (i, &x) in vs.iter().enumerate() {
+            for (j, &y) in vs.iter().enumerate() {
+                assert_eq!(got[i] == got[j], k.label(&g, x) == k.label(&g, y));
+            }
+        }
     }
 
     #[test]

@@ -32,4 +32,4 @@ pub use psg::{Psg, PsgEdge, PsgVertex};
 pub use psum::{psum, PsumResult};
 pub use segment_ref::SegmentRef;
 pub use simulation::{simulation, SimDirection, SimRelation};
-pub use union::{build_g0, ClassId, G0};
+pub use union::{build_g0, ClassId, Link, G0};

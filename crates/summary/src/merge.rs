@@ -25,27 +25,18 @@
 //! (`condition_three_round_keeps_the_path_language` in
 //! `tests/invariants.rs` is the smallest input that needs this).
 //!
-//! **Quotient-incremental rounds.** Quotienting by simulation equivalence
-//! is exact for the *same* direction: `[u] ≤ [v]` on the quotient iff
-//! `u ≤ v` on the pre-merge graph (see `DESIGN.md` §5 for the two-inclusion
-//! proof). So after an `≃in` round the maintained `≤in` relation is
-//! *projected* onto the surviving representatives — rows and columns shrunk
-//! through the group map — and only the `≤out` relation (whose languages the
-//! merge really changed) is marked stale and recomputed lazily.
-//! Symmetrically for `≃out` rounds. Condition-3 rounds change both languages
-//! of the absorbed node, so they invalidate both relations. A full cycle
-//! costs at most three simulations, almost all on already-shrunk quotients.
-//! The tests hold this to a merge that recomputes both relations before
-//! every round (test-local in `tests/differential.rs`).
+//! **A relation lasts as long as its quotient.** It is reused only while its
+//! round merged nothing; after any union both are recomputed on the new,
+//! smaller quotient. The tests hold this to a merge that recomputes both
+//! relations before every round (test-local in `tests/differential.rs`).
 //!
-//! **`≃` groups by row equality.** In a preorder `u ≃ v` holds exactly when
-//! the up-sets of `u` and `v` are equal, so an `≃` round groups the nodes by
-//! their relation row in one hash pass instead of testing pairs.
+//! **`≃` groups by row scan.** In a preorder `u ≃ v` holds exactly when each
+//! is in the other's row, so an `≃` round joins every node to the first
+//! member of its row that it simulates back: the smallest member of its
+//! `≃`-class. No pair scan and no hashing of rows.
 
 use crate::simulation::{simulation, SimDirection, SimRelation};
-use crate::union::{G0Node, G0};
-use prov_bitset::FixedBitSet;
-use prov_store::hash::{FxHashMap, FxHashSet};
+use crate::union::{edge_key, G0Node, G0};
 use std::borrow::Cow;
 
 /// Union-find over g0 node ids, with union-by-size and path compression.
@@ -98,61 +89,41 @@ impl Dsu {
 }
 
 /// Result of the merge phase: a mapping from original `g0` nodes to quotient
-/// groups, plus the quotient graph itself (as a new `G0` whose `segment` /
-/// `vertex` fields hold a representative member).
+/// groups, dense in first-appearance order over the original nodes.
 #[derive(Debug, Clone)]
 pub struct MergeResult {
     /// Quotient group of each original node.
     pub group_of: Vec<u32>,
-    /// Members of each group (original node ids).
-    pub members: Vec<Vec<u32>>,
+    /// Number of groups.
+    pub group_count: usize,
     /// How many rounds ran (diagnostics).
     pub rounds: usize,
 }
 
-/// Build the quotient `G0` induced by `group_of` (dedup multi-edges).
+/// Build the quotient `G0` induced by `group_of` (dedup multi-edges). Group
+/// `g`'s node takes the `segment` / `vertex` of its first member.
 /// `group_of` values must be dense in `0..group_count`.
 pub fn quotient(g0: &G0, group_of: &[u32], group_count: usize) -> G0 {
     let mut nodes: Vec<Option<G0Node>> = vec![None; group_count];
-    for (i, node) in g0.nodes.iter().enumerate() {
-        let slot = group_of[i] as usize;
-        if nodes[slot].is_none() {
-            nodes[slot] =
-                Some(G0Node { segment: node.segment, vertex: node.vertex, class: node.class });
-        }
+    for (node, &g) in g0.nodes.iter().zip(group_of) {
+        nodes[g as usize].get_or_insert_with(|| node.clone());
     }
-    let nodes: Vec<G0Node> = nodes.into_iter().map(|n| n.expect("group non-empty")).collect();
-    let n = nodes.len();
-    let mut out_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); n];
-    let mut in_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); n];
-    let mut seen: FxHashSet<(u32, u8, u32)> = FxHashSet::default();
-    for (i, adj) in g0.out_adj.iter().enumerate() {
-        let s = group_of[i];
-        for &(k, d) in adj {
-            let d2 = group_of[d as usize];
-            if seen.insert((s, k, d2)) {
-                out_adj[s as usize].push((k, d2));
-                in_adj[d2 as usize].push((k, s));
-            }
-        }
+    let nodes = nodes.into_iter().map(|n| n.expect("group non-empty")).collect();
+    let mut keys = Vec::with_capacity(g0.edge_count());
+    for (v, &g) in group_of.iter().enumerate() {
+        let out = g0.out_links(v as u32);
+        keys.extend(out.iter().map(|l| edge_key(g, l.kind(), group_of[l.node() as usize])));
     }
-    G0 {
-        nodes,
-        out_adj,
-        in_adj,
-        segment_count: g0.segment_count,
-        class_labels: g0.class_labels.clone(),
-        class_names: g0.class_names.clone(),
-    }
+    G0::from_keys(nodes, keys, g0.segment_count, g0.class_count())
 }
 
-/// Union every `≃` group of a simulation relation: the nodes that share a
-/// row.
+/// Union every `≃` group of a simulation relation. In a preorder the
+/// `≃`-class of `v` is `{w ∈ sim(v) : v ∈ sim(w)}`, so the first such `w` in
+/// `v`'s ascending row is the class's smallest member: join `v` to it.
 fn merge_equiv_classes(rel: &SimRelation, n: usize, dsu: &mut Dsu) -> bool {
-    let mut first: FxHashMap<&FixedBitSet, u32> = FxHashMap::default();
     let mut merged = false;
     for v in 0..n as u32 {
-        let u = *first.entry(rel.row(v)).or_insert(v);
+        let u = rel.row(v).find(|&w| rel.le(w, v)).unwrap_or(v);
         if u != v {
             merged |= dsu.union(v, u);
         }
@@ -163,9 +134,9 @@ fn merge_equiv_classes(rel: &SimRelation, n: usize, dsu: &mut Dsu) -> bool {
 /// Union the first condition-3 pair `u ≤in v ∧ u ≤out v` (u strictly
 /// dominated) and stop: the justification holds against the relations as
 /// they stand, so only one union per round is sound (Lemma 5).
-fn merge_dominated(g: &G0, le_in: &SimRelation, le_out: &SimRelation, dsu: &mut Dsu) -> bool {
-    for u in 0..g.len() as u32 {
-        for v in le_in.row(u).ones() {
+fn merge_dominated(n: usize, le_in: &SimRelation, le_out: &SimRelation, dsu: &mut Dsu) -> bool {
+    for u in 0..n as u32 {
+        for v in le_in.row(u) {
             if v != u && le_out.le(u, v) && dsu.union(u, v) {
                 return true;
             }
@@ -174,24 +145,28 @@ fn merge_dominated(g: &G0, le_in: &SimRelation, le_out: &SimRelation, dsu: &mut 
     false
 }
 
-/// Apply a round's unions: rewrite `group_of` (original node → new dense
-/// quotient id) and return `(new_count, node_map)` where `node_map[old
-/// quotient id] = new quotient id`. Dense ids follow first-appearance order
-/// over the original nodes, so the labeling does not depend on which DSU
-/// root a union picked.
+/// Apply a round's unions: return `(new_count, node_map)` where
+/// `node_map[old quotient id] = new quotient id`, and rewrite `group_of`
+/// (original node → quotient id) through it. New ids follow first
+/// appearance over the old ids, which themselves first appear in order over
+/// the original nodes, so the labeling does not depend on which DSU root a
+/// union picked.
 fn apply_unions(group_of: &mut [u32], dsu: &mut Dsu, old_count: usize) -> (usize, Vec<u32>) {
     let mut root_id: Vec<u32> = vec![u32::MAX; old_count];
     let mut next = 0u32;
+    let node_map: Vec<u32> = (0..old_count as u32)
+        .map(|c| {
+            let r = dsu.find(c) as usize;
+            if root_id[r] == u32::MAX {
+                root_id[r] = next;
+                next += 1;
+            }
+            root_id[r]
+        })
+        .collect();
     for g in group_of.iter_mut() {
-        let r = dsu.find(*g) as usize;
-        if root_id[r] == u32::MAX {
-            root_id[r] = next;
-            next += 1;
-        }
-        *g = root_id[r];
+        *g = node_map[*g as usize];
     }
-    // Complete the old-quotient-id → new-id map for non-root members.
-    let node_map: Vec<u32> = (0..old_count as u32).map(|c| root_id[dsu.find(c) as usize]).collect();
     (next as usize, node_map)
 }
 
@@ -200,12 +175,11 @@ pub fn merge(g0: &G0) -> MergeResult {
     let n0 = g0.len();
     // group_of maps ORIGINAL node -> current quotient node id (kept dense).
     let mut group_of: Vec<u32> = (0..n0 as u32).collect();
-    let mut gcount = n0;
     // `g0` itself until the first union: its identity quotient is a copy.
     let mut current = Cow::Borrowed(g0);
     let mut rounds = 0usize;
 
-    // Maintained preorders of `current`; `None` = stale (must recompute).
+    // The preorders of `current`; `None` until computed on it.
     let mut sim_in: Option<SimRelation> = None;
     let mut sim_out: Option<SimRelation> = None;
 
@@ -219,53 +193,28 @@ pub fn merge(g0: &G0) -> MergeResult {
         rounds += 1;
         let mut any = false;
         for round in [Round::InEquiv, Round::OutEquiv, Round::Dominated] {
-            let mut dsu = Dsu::new(current.len());
+            let n = current.len();
+            let mut dsu = Dsu::new(n);
+            let le_in = || simulation(&current, SimDirection::In);
+            let le_out = || simulation(&current, SimDirection::Out);
             let merged = match round {
                 Round::InEquiv => {
-                    let rel = sim_in.get_or_insert_with(|| simulation(&current, SimDirection::In));
-                    merge_equiv_classes(rel, current.len(), &mut dsu)
+                    merge_equiv_classes(sim_in.get_or_insert_with(le_in), n, &mut dsu)
                 }
                 Round::OutEquiv => {
-                    let rel =
-                        sim_out.get_or_insert_with(|| simulation(&current, SimDirection::Out));
-                    merge_equiv_classes(rel, current.len(), &mut dsu)
+                    merge_equiv_classes(sim_out.get_or_insert_with(le_out), n, &mut dsu)
                 }
                 Round::Dominated => {
-                    let le_in =
-                        sim_in.take().unwrap_or_else(|| simulation(&current, SimDirection::In));
-                    let le_out =
-                        sim_out.take().unwrap_or_else(|| simulation(&current, SimDirection::Out));
-                    let m = merge_dominated(&current, &le_in, &le_out, &mut dsu);
-                    if !m {
-                        // No merge: the quotient is unchanged, keep both.
-                        sim_in = Some(le_in);
-                        sim_out = Some(le_out);
-                    }
-                    m
+                    let le_in = sim_in.get_or_insert_with(le_in);
+                    merge_dominated(n, le_in, sim_out.get_or_insert_with(le_out), &mut dsu)
                 }
             };
             if merged {
                 any = true;
-                let (new_count, node_map) = apply_unions(&mut group_of, &mut dsu, gcount);
-                gcount = new_count;
-                current = Cow::Owned(quotient(g0, &group_of, gcount));
-                // Shrink-in-place vs full recompute: quotienting by ≃ is
-                // exact for the merged direction only; a condition-3 merge
-                // (or the opposite direction) is invalidated.
-                match round {
-                    Round::InEquiv => {
-                        sim_in = sim_in.take().map(|rel| rel.project(&node_map, gcount));
-                        sim_out = None;
-                    }
-                    Round::OutEquiv => {
-                        sim_out = sim_out.take().map(|rel| rel.project(&node_map, gcount));
-                        sim_in = None;
-                    }
-                    Round::Dominated => {
-                        sim_in = None;
-                        sim_out = None;
-                    }
-                }
+                let (count, node_map) = apply_unions(&mut group_of, &mut dsu, n);
+                current = Cow::Owned(quotient(&current, &node_map, count));
+                sim_in = None;
+                sim_out = None;
             }
         }
         if !any {
@@ -273,11 +222,7 @@ pub fn merge(g0: &G0) -> MergeResult {
         }
     }
 
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); gcount];
-    for (i, &g) in group_of.iter().enumerate() {
-        members[g as usize].push(i as u32);
-    }
-    MergeResult { group_of, members, rounds }
+    MergeResult { group_of, group_count: current.len(), rounds }
 }
 
 #[cfg(test)]
@@ -309,7 +254,7 @@ mod tests {
         let g0 = twins();
         let res = merge(&g0);
         // 6 instances -> 3 groups (d, t, w).
-        assert_eq!(res.members.len(), 3);
+        assert_eq!(res.group_count, 3);
         assert_eq!(res.group_of[0], res.group_of[3]);
         assert_eq!(res.group_of[1], res.group_of[4]);
         assert_eq!(res.group_of[2], res.group_of[5]);
@@ -320,10 +265,9 @@ mod tests {
     fn quotient_dedups_edges() {
         let g0 = twins();
         let res = merge(&g0);
-        let q = quotient(&g0, &res.group_of, res.members.len());
+        let q = quotient(&g0, &res.group_of, res.group_count);
         assert_eq!(q.len(), 3);
-        let total: usize = q.out_adj.iter().map(|a| a.len()).sum();
-        assert_eq!(total, 2, "U and G edges once each");
+        assert_eq!(q.edge_count(), 2, "U and G edges once each");
     }
 
     #[test]
@@ -348,17 +292,18 @@ mod tests {
         let g0 = build_g0(&g, &[s1, s2], &PropertyAggregation::ignore_all(), 0);
         let res = merge(&g0);
         // Everything class-compatible merges here: {d1,d2}, {t1,t2}, {w1}.
-        assert_eq!(res.members.len(), 3);
+        assert_eq!(res.group_count, 3);
     }
 
     #[test]
     fn different_classes_never_merge() {
         let g0 = twins();
         let res = merge(&g0);
-        for group in &res.members {
-            let class = g0.class(group[0]);
-            for &m in group {
-                assert_eq!(g0.class(m), class);
+        for u in 0..g0.len() {
+            for v in 0..g0.len() {
+                if res.group_of[u] == res.group_of[v] {
+                    assert_eq!(g0.class(u as u32), g0.class(v as u32));
+                }
             }
         }
     }

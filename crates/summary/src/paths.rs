@@ -29,7 +29,8 @@ fn extend(graph: &G0, v: u32, remaining: usize, word: &mut Word, words: &mut BTr
     if remaining == 0 {
         return;
     }
-    for &(k, d) in &graph.out_adj[v as usize] {
+    for l in graph.out_links(v) {
+        let (k, d) = (l.kind(), l.node());
         word.push(k as u32 + 1_000_000); // offset: edge kinds vs class ids
         word.push(graph.class(d).0);
         extend(graph, d, remaining - 1, word, words);
@@ -92,7 +93,7 @@ mod tests {
     fn merge_preserves_bounded_words() {
         let g0 = twins_g0();
         let merged = merge(&g0);
-        let q = quotient(&g0, &merged.group_of, merged.members.len());
+        let q = quotient(&g0, &merged.group_of, merged.group_count);
         check_invariant(&g0, &q, 4).expect("twin merge is path-preserving");
     }
 
@@ -120,10 +121,7 @@ mod tests {
     fn detector_catches_lost_paths() {
         let g0 = twins_g0();
         // Summary that drops all edges: loses words.
-        let mut broken = g0.clone();
-        for adj in broken.out_adj.iter_mut() {
-            adj.clear();
-        }
+        let broken = G0::new(g0.nodes.clone(), [], g0.segment_count, g0.class_count());
         let err = check_invariant(&g0, &broken, 3).unwrap_err();
         assert!(err.contains("LOSES"), "{err}");
     }

@@ -45,7 +45,7 @@ pub fn pgsum_with_internals(
 ) -> (Psg, G0, G0) {
     let g0 = build_g0(graph, segments, &query.aggregation, query.k);
     let merged = merge(&g0);
-    let q = quotient(&g0, &merged.group_of, merged.members.len());
+    let q = quotient(&g0, &merged.group_of, merged.group_count);
     let psg = Psg::from_merge(graph, &g0, &merged);
     (psg, g0, q)
 }
@@ -189,20 +189,16 @@ mod tests {
         let (psg, _, q) = pgsum_with_internals(&g, &segs, &PgSumQuery::fig2e());
         // Kahn over the quotient.
         let n = q.len();
-        let mut indeg = vec![0usize; n];
-        for adj in &q.out_adj {
-            for &(_, d) in adj {
-                indeg[d as usize] += 1;
-            }
-        }
+        let mut indeg: Vec<usize> = (0..n as u32).map(|v| q.in_links(v).len()).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
         let mut seen = 0;
         while let Some(v) = queue.pop() {
             seen += 1;
-            for &(_, d) in &q.out_adj[v] {
-                indeg[d as usize] -= 1;
-                if indeg[d as usize] == 0 {
-                    queue.push(d as usize);
+            for l in q.out_links(v as u32) {
+                let d = l.node() as usize;
+                indeg[d] -= 1;
+                if indeg[d] == 0 {
+                    queue.push(d);
                 }
             }
         }

@@ -8,12 +8,12 @@
 //! hashing the *sorted multiset* of (direction, edge kind, neighbor type)
 //! triples rather than the concatenation alone.
 //!
-//! The refinement runs in dense rank space (ISSUE 4): one pre-pass assigns
-//! each segment vertex its position in `segment.vertices` as a local rank,
-//! the segment-restricted adjacency is lowered once into flat
-//! `Vec<(u8, u32)>` rows over those ranks ((direction, kind) packed into the
-//! tag byte), and every WL round is then a plain array walk — no per-round
-//! `FxHashMap` lookups for either the neighbor fingerprints or the rows.
+//! The refinement runs in dense rank space: each segment vertex is named by
+//! its position in `segment.vertices` (its rank, found by binary search, as
+//! the list is sorted), round 0 is the vertex's aggregate-label id, the
+//! segment-restricted adjacency is lowered once into compressed rows of
+//! `(tag, rank)` pairs ((direction, kind) packed into the tag byte), and
+//! every WL round is then a plain array walk.
 //!
 //! Soundness: differing fingerprints imply non-isomorphic neighborhoods, so
 //! refinement never merges what isomorphism would keep apart... up to 64-bit
@@ -23,10 +23,10 @@
 //! accepted; on the tree-like neighborhoods of provenance segments the
 //! refinement is exact.
 
-use crate::aggregation::PropertyAggregation;
+use crate::aggregation::{LabelIds, PropertyAggregation};
 use crate::segment_ref::SegmentRef;
 use prov_model::VertexId;
-use prov_store::hash::{fx_hash64, FxHashMap};
+use prov_store::hash::fx_hash64;
 use prov_store::ProvGraph;
 
 /// Per-vertex provenance-type fingerprints for one segment.
@@ -39,49 +39,61 @@ pub struct ProvTypes {
 impl ProvTypes {
     /// Fingerprint of `v` (which must be one of the segment's vertices).
     pub fn of(&self, segment: &SegmentRef, v: VertexId) -> u64 {
-        // `SegmentRef::new` sorts and dedups `vertices`, so rank lookup is a
-        // binary search.
-        let rank = segment.vertices.binary_search(&v).expect("vertex belongs to the segment");
-        self.fingerprints[rank]
+        self.fingerprints[rank(segment, v)]
     }
 }
 
-/// The segment-local rank assignment: `rank_of[v] = position of v in
-/// `segment.vertices``. Built once per segment and shared between the type
-/// refinement and `build_g0`'s adjacency lowering.
-pub(crate) fn segment_ranks(segment: &SegmentRef) -> FxHashMap<VertexId, u32> {
-    segment.vertices.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect()
+/// Position of `v` in `segment.vertices`, which `SegmentRef::new` sorts and
+/// dedups.
+fn rank(segment: &SegmentRef, v: VertexId) -> usize {
+    segment.vertices.binary_search(&v).expect("vertex belongs to the segment")
 }
 
-/// Rank-space WL refinement over a pre-built rank assignment.
-pub(crate) fn provenance_types_ranked(
+/// Lower the segment's edges into rank space as `(kind, src rank, dst
+/// rank)`, replacing `out`'s contents.
+pub(crate) fn segment_edges(
     graph: &ProvGraph,
     segment: &SegmentRef,
-    ranks: &FxHashMap<VertexId, u32>,
-    aggregation: &PropertyAggregation,
-    k: usize,
-) -> Vec<u64> {
-    let n = segment.vertices.len();
+    out: &mut Vec<(u8, u32, u32)>,
+) {
+    out.clear();
+    out.extend(segment.edges.iter().map(|&e| {
+        let rec = graph.edge(e);
+        let kind = rec.kind.as_index() as u8;
+        (kind, rank(segment, rec.src) as u32, rank(segment, rec.dst) as u32)
+    }));
+}
 
-    // Round 0: aggregate labels (rank order).
-    let mut current: Vec<u64> =
-        segment.vertices.iter().map(|&v| fx_hash64(&aggregation.label(graph, v))).collect();
+/// `k` rounds of refinement over one segment in rank space: `labels[r]` is
+/// rank `r`'s round-0 value, `edges` come from [`segment_edges`].
+pub(crate) fn refine(labels: &[u64], edges: &[(u8, u32, u32)], k: usize) -> Vec<u64> {
+    let n = labels.len();
+    let mut current = labels.to_vec();
     if k == 0 {
         return current;
     }
 
-    // Lower the segment-restricted adjacency once: per rank, a flat row of
-    // (tag, neighbor rank) pairs where tag = direction << 3 | kind. Sorting
-    // rows by tag keeps (direction, kind) lexicographic order, since the
+    // Compressed rows: rank r's (tag, neighbor rank) pairs are
+    // `entries[start[r]..start[r + 1]]`, with tag = direction << 3 | kind.
+    // Sorting by tag keeps (direction, kind) lexicographic order, since the
     // packing is order-preserving.
-    let mut rows: Vec<Vec<(u8, u32)>> = vec![Vec::new(); n];
-    for &e in &segment.edges {
-        let rec = graph.edge(e);
-        let s = ranks[&rec.src];
-        let d = ranks[&rec.dst];
-        let kind = rec.kind.as_index() as u8;
-        rows[s as usize].push((kind, d)); // direction 0: outgoing
-        rows[d as usize].push((1 << 3 | kind, s)); // direction 1: incoming
+    let mut start = vec![0u32; n + 1];
+    for &(_, s, d) in edges {
+        start[s as usize + 1] += 1;
+        start[d as usize + 1] += 1;
+    }
+    for r in 0..n {
+        start[r + 1] += start[r];
+    }
+    let mut fill = start.clone();
+    let mut entries = vec![(0u8, 0u32); 2 * edges.len()];
+    let mut put = |r: u32, entry: (u8, u32)| {
+        entries[fill[r as usize] as usize] = entry;
+        fill[r as usize] += 1;
+    };
+    for &(kind, s, d) in edges {
+        put(s, (kind, d)); // direction 0: outgoing
+        put(d, (1 << 3 | kind, s)); // direction 1: incoming
     }
 
     // Rounds 1..=k: refine by neighbor multisets — plain array walks.
@@ -90,9 +102,8 @@ pub(crate) fn provenance_types_ranked(
     for _ in 0..k {
         for r in 0..n {
             scratch.clear();
-            for &(tag, nb) in &rows[r] {
-                scratch.push((tag, current[nb as usize]));
-            }
+            let row = &entries[start[r] as usize..start[r + 1] as usize];
+            scratch.extend(row.iter().map(|&(tag, nb)| (tag, current[nb as usize])));
             scratch.sort_unstable();
             next[r] = fx_hash64(&(current[r], &scratch));
         }
@@ -111,8 +122,11 @@ pub fn provenance_types(
     aggregation: &PropertyAggregation,
     k: usize,
 ) -> ProvTypes {
-    let ranks = segment_ranks(segment);
-    ProvTypes { fingerprints: provenance_types_ranked(graph, segment, &ranks, aggregation, k) }
+    let mut ids = LabelIds::new(graph, aggregation);
+    let labels: Vec<u64> = segment.vertices.iter().map(|&v| u64::from(ids.id(v))).collect();
+    let mut edges = Vec::new();
+    segment_edges(graph, segment, &mut edges);
+    ProvTypes { fingerprints: refine(&labels, &edges, k) }
 }
 
 #[cfg(test)]

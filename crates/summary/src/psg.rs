@@ -3,7 +3,6 @@
 use crate::merge::MergeResult;
 use crate::union::{ClassId, G0};
 use prov_model::{EdgeKind, VertexId, VertexKind};
-use prov_store::hash::FxHashMap;
 use prov_store::ProvGraph;
 
 /// One summary vertex `µ ⊆ [v]`.
@@ -67,62 +66,91 @@ impl Psg {
 
     /// Assemble a Psg from the merge result.
     pub fn from_merge(graph: &ProvGraph, g0: &G0, merged: &MergeResult) -> Psg {
-        // Count how many groups share each class to suffix type tags (t1, t2,
-        // ... as in Fig. 2(e)).
-        let mut class_seen: FxHashMap<ClassId, u32> = FxHashMap::default();
-        let mut vertices: Vec<PsgVertex> = Vec::with_capacity(merged.members.len());
-        for members in &merged.members {
-            let first = members[0];
-            let node = &g0.nodes[first as usize];
-            let class = node.class;
-            let tag = {
-                let c = class_seen.entry(class).or_insert(0);
-                *c += 1;
-                *c
-            };
-            let base = g0.class_names[class.0 as usize].clone();
-            vertices.push(PsgVertex {
-                class,
-                kind: graph.vertex_kind(node.vertex),
-                label: format!("{base} (t{tag})"),
-                members: members
-                    .iter()
-                    .map(|&m| (g0.nodes[m as usize].segment, g0.nodes[m as usize].vertex))
-                    .collect(),
-            });
+        let group_count = merged.group_count;
+        // Each group's first member and size; each class's first node names
+        // it, and its group count decides whether labels carry a type tag
+        // (t1, t2, ... as in Fig. 2(e)).
+        let mut first = vec![u32::MAX; group_count];
+        let mut size = vec![0u32; group_count];
+        let mut class_first = vec![u32::MAX; g0.class_count()];
+        for (i, &g) in merged.group_of.iter().enumerate() {
+            if first[g as usize] == u32::MAX {
+                first[g as usize] = i as u32;
+            }
+            size[g as usize] += 1;
+            let c = &mut class_first[g0.class(i as u32).0 as usize];
+            if *c == u32::MAX {
+                *c = i as u32;
+            }
         }
-        // Relabel: classes represented by a single group drop the tag.
-        for v in &mut vertices {
-            if class_seen[&v.class] == 1 {
-                if let Some(idx) = v.label.rfind(" (t") {
-                    v.label.truncate(idx);
+        let mut class_groups = vec![0u32; g0.class_count()];
+        for &f in &first {
+            class_groups[g0.class(f).0 as usize] += 1;
+        }
+        let names: Vec<String> = class_first
+            .iter()
+            .map(|&f| {
+                if f == u32::MAX {
+                    String::new()
+                } else {
+                    graph.display_name(g0.nodes[f as usize].vertex)
                 }
-            }
-        }
-
-        // Edges with per-segment support.
-        let mut support: FxHashMap<(u32, u8, u32), Vec<bool>> = FxHashMap::default();
-        for (i, adj) in g0.out_adj.iter().enumerate() {
-            let s = merged.group_of[i];
-            let seg = g0.nodes[i].segment as usize;
-            for &(k, d) in adj {
-                let d2 = merged.group_of[d as usize];
-                let entry =
-                    support.entry((s, k, d2)).or_insert_with(|| vec![false; g0.segment_count]);
-                entry[seg] = true;
-            }
-        }
-        let mut edges: Vec<PsgEdge> = support
-            .into_iter()
-            .map(|((s, k, d), segs)| PsgEdge {
-                src: s,
-                dst: d,
-                kind: EdgeKind::from_index(k as usize).expect("valid kind"),
-                frequency: segs.iter().filter(|&&x| x).count() as f64
-                    / g0.segment_count.max(1) as f64,
             })
             .collect();
-        edges.sort_by_key(|e| (e.src, e.dst, e.kind.as_index()));
+        let mut tags = vec![0u32; g0.class_count()];
+        let mut vertices: Vec<PsgVertex> = first
+            .iter()
+            .zip(&size)
+            .map(|(&f, &size)| {
+                let node = &g0.nodes[f as usize];
+                let c = node.class.0 as usize;
+                tags[c] += 1;
+                let label = if class_groups[c] == 1 {
+                    names[c].clone()
+                } else {
+                    format!("{} (t{})", names[c], tags[c])
+                };
+                PsgVertex {
+                    class: node.class,
+                    kind: graph.vertex_kind(node.vertex),
+                    label,
+                    members: Vec::with_capacity(size as usize),
+                }
+            })
+            .collect();
+        for (node, &g) in g0.nodes.iter().zip(&merged.group_of) {
+            vertices[g as usize].members.push((node.segment, node.vertex));
+        }
+
+        // γ: one key per (summary edge, segment) that has it, sorted so each
+        // edge's keys are adjacent and edges come out in (src, dst, kind)
+        // order; an edge's frequency is its count of distinct segments.
+        let mut keys: Vec<u128> = Vec::with_capacity(g0.edge_count());
+        for (v, node) in g0.nodes.iter().enumerate() {
+            let s = merged.group_of[v];
+            for l in g0.out_links(v as u32) {
+                let d = merged.group_of[l.node() as usize];
+                keys.push(
+                    u128::from(s) << 96
+                        | u128::from(d) << 64
+                        | u128::from(l.kind()) << 32
+                        | u128::from(node.segment),
+                );
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let denominator = g0.segment_count.max(1) as f64;
+        let mut edges: Vec<PsgEdge> = Vec::new();
+        for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let key = run[0];
+            edges.push(PsgEdge {
+                src: (key >> 96) as u32,
+                dst: (key >> 64) as u32,
+                kind: EdgeKind::from_index((key >> 32) as u32 as usize).expect("valid kind"),
+                frequency: run.len() as f64 / denominator,
+            });
+        }
 
         Psg { vertices, edges, segment_count: g0.segment_count, input_vertex_count: g0.len() }
     }

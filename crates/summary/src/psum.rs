@@ -47,19 +47,19 @@ pub fn psum(g0: &G0) -> PsumResult {
     let total = n + 2;
     let mut out_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); total];
     let mut in_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); total];
-    for (v, adj) in g0.out_adj.iter().enumerate() {
-        for &(k, d) in adj {
-            out_adj[v].push((k, d));
-            in_adj[d as usize].push((k, v as u32));
+    for (v, row) in out_adj.iter_mut().enumerate().take(n) {
+        for l in g0.out_links(v as u32) {
+            row.push((l.kind(), l.node()));
+            in_adj[l.node() as usize].push((l.kind(), v as u32));
         }
     }
     const VIRT: u8 = 255;
     for v in 0..n {
-        if g0.in_adj[v].is_empty() {
+        if g0.in_links(v as u32).is_empty() {
             out_adj[start].push((VIRT, v as u32));
             in_adj[v].push((VIRT, start as u32));
         }
-        if g0.out_adj[v].is_empty() {
+        if g0.out_links(v as u32).is_empty() {
             out_adj[v].push((VIRT, end as u32));
             in_adj[end].push((VIRT, v as u32));
         }
@@ -185,9 +185,9 @@ mod tests {
         let ps = psum(&g0);
         let pg = merge(&g0);
         assert!(
-            pg.members.len() <= ps.block_count,
+            pg.group_count <= ps.block_count,
             "PgSum ({}) must compact at least as well as pSum ({})",
-            pg.members.len(),
+            pg.group_count,
             ps.block_count
         );
     }

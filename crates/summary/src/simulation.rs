@@ -22,53 +22,204 @@
 //! repeats over them until no row shrinks: rows only shrink and never drop
 //! below the greatest fixpoint, so the first quiet pass is that fixpoint.
 //! [`simulation_naive`] is the definitional oracle the tests hold it to.
+//!
+//! Since `sim(u) ⊆ class(u)`, a row is stored over `u`'s class only: bit `i`
+//! stands for the class's `i`-th member in global-id order, so a row's set
+//! bits ascend by global id too. All rows share one word array, and a
+//! relation costs `Σ |class|²` bits instead of `n²`.
 
-use crate::union::G0;
-use prov_bitset::{FastSet, FixedBitSet};
+use crate::union::{Link, G0};
+
+const WORD: usize = 64;
+
+/// The nodes renumbered class by class, and where each node's row lives.
+/// A node's *slot* is its position in that order: class `c` holds slots
+/// `first[c]..first[c + 1]`, its members in global-id order, so bit `i` of
+/// a class-`c` row stands for slot `first[c] + i`.
+#[derive(Debug, Clone)]
+struct Layout {
+    /// Slot of every node.
+    slot: Vec<u32>,
+    /// Node in every slot.
+    node: Vec<u32>,
+    /// Class of every slot.
+    class: Vec<u32>,
+    /// First slot of every class, and the slot count at the end.
+    first: Vec<u32>,
+    /// First word of every slot's row.
+    row: Vec<usize>,
+}
+
+impl Layout {
+    /// The layout of `g0`'s classes and the words all rows take.
+    fn new(g0: &G0) -> (Layout, usize) {
+        let (n, classes) = (g0.len(), g0.class_count());
+        let mut first = vec![0u32; classes + 1];
+        for node in &g0.nodes {
+            first[node.class.0 as usize + 1] += 1;
+        }
+        for c in 0..classes {
+            first[c + 1] += first[c];
+        }
+        // Each class's rows are one block of `size · width` words.
+        let mut base = vec![0usize; classes];
+        let mut words = 0;
+        for (c, b) in base.iter_mut().enumerate() {
+            *b = words;
+            let size = (first[c + 1] - first[c]) as usize;
+            words += size * size.div_ceil(WORD);
+        }
+        let mut layout = Layout {
+            slot: vec![0; n],
+            node: vec![0; n],
+            class: vec![0; n],
+            row: vec![0; n],
+            first,
+        };
+        let mut fill = layout.first.clone();
+        for (v, node) in g0.nodes.iter().enumerate() {
+            let c = node.class.0;
+            let x = fill[c as usize];
+            fill[c as usize] += 1;
+            layout.slot[v] = x;
+            layout.node[x as usize] = v as u32;
+            layout.class[x as usize] = c;
+            let local = (x - layout.first[c as usize]) as usize;
+            layout.row[x as usize] = base[c as usize] + local * layout.width(c);
+        }
+        (layout, words)
+    }
+
+    /// Members of class `c`.
+    #[inline]
+    fn size(&self, c: u32) -> usize {
+        (self.first[c as usize + 1] - self.first[c as usize]) as usize
+    }
+
+    /// Words per row of class `c`.
+    #[inline]
+    fn width(&self, c: u32) -> usize {
+        self.size(c).div_ceil(WORD)
+    }
+
+    /// The word range of slot `x`'s row.
+    #[inline]
+    fn span(&self, x: u32) -> std::ops::Range<usize> {
+        let start = self.row[x as usize];
+        start..start + self.width(self.class[x as usize])
+    }
+
+    /// One direction's child rows and parent rows over slots, each row
+    /// sorted by slot: so the links of a row into one class are one
+    /// contiguous run ([`Rows::around`]).
+    fn rows(&self, g0: &G0, children: fn(&G0, u32) -> &[Link]) -> (Rows, Rows) {
+        let n = self.node.len();
+        let mut down = Rows { start: vec![0; n + 1], links: Vec::new() };
+        let mut up = Rows { start: vec![0; n + 1], links: Vec::new() };
+        for (x, &v) in self.node.iter().enumerate() {
+            down.start[x + 1] = children(g0, v).len() as u32;
+            for l in children(g0, v) {
+                up.start[self.slot[l.node() as usize] as usize + 1] += 1;
+            }
+        }
+        for x in 0..n {
+            down.start[x + 1] += down.start[x];
+            up.start[x + 1] += up.start[x];
+        }
+        // Filling each side by walking the other in slot order sorts it.
+        up.links = vec![Link::new(0, 0); up.start[n] as usize];
+        let mut fill = up.start.clone();
+        for (x, &v) in self.node.iter().enumerate() {
+            for l in children(g0, v) {
+                let y = self.slot[l.node() as usize] as usize;
+                up.links[fill[y] as usize] = Link::new(l.kind(), x as u32);
+                fill[y] += 1;
+            }
+        }
+        down.links = vec![Link::new(0, 0); down.start[n] as usize];
+        fill.copy_from_slice(&down.start);
+        for y in 0..n as u32 {
+            for l in up.of(y) {
+                let x = l.node() as usize;
+                down.links[fill[x] as usize] = Link::new(l.kind(), y);
+                fill[x] += 1;
+            }
+        }
+        (down, up)
+    }
+}
+
+/// Adjacency rows over slots, each sorted by slot.
+struct Rows {
+    start: Vec<u32>,
+    links: Vec<Link>,
+}
+
+impl Rows {
+    #[inline]
+    fn of(&self, x: u32) -> &[Link] {
+        &self.links[self.start[x as usize] as usize..self.start[x as usize + 1] as usize]
+    }
+
+    /// A run of `x`'s row that holds every link into slots `lo..hi`: the
+    /// whole row when it is short, since a scan beats a binary search there.
+    #[inline]
+    fn around(&self, x: u32, lo: u32, hi: u32) -> &[Link] {
+        let row = self.of(x);
+        if row.len() <= 16 {
+            return row;
+        }
+        let from = row.partition_point(|l| l.node() < lo);
+        let to = from + row[from..].partition_point(|l| l.node() < hi);
+        &row[from..to]
+    }
+}
+
+#[inline]
+fn test(words: &[u64], i: u32) -> bool {
+    words[i as usize / WORD] >> (i as usize % WORD) & 1 == 1
+}
+
+/// The set bits of a row, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                (i * WORD) as u32 + bit
+            })
+        })
+    })
+}
 
 /// A computed simulation preorder over `g0` nodes.
 #[derive(Debug, Clone)]
 pub struct SimRelation {
-    /// `sim[v]` = set of `u` such that `u` simulates `v` (i.e. `v ≤ u`).
-    sim: Vec<FixedBitSet>,
+    layout: Layout,
+    /// Every row, class-local: bit `i` of `u`'s row is set iff the `i`-th
+    /// member of `u`'s class simulates `u`.
+    words: Vec<u64>,
 }
 
 impl SimRelation {
     /// Is `u ≤ v` (does `v` simulate `u`)?
     #[inline]
     pub fn le(&self, u: u32, v: u32) -> bool {
-        self.sim[u as usize].contains(v)
+        let layout = &self.layout;
+        let (x, y) = (layout.slot[u as usize], layout.slot[v as usize]);
+        let c = layout.class[x as usize];
+        layout.class[y as usize] == c
+            && test(&self.words[layout.span(x)], y - layout.first[c as usize])
     }
 
-    /// The row of nodes simulating `u`, as a bitset (no allocation).
-    #[inline]
-    pub fn row(&self, u: u32) -> &FixedBitSet {
-        &self.sim[u as usize]
-    }
-
-    /// Project the relation onto a quotient: `map[old] = new` must send
-    /// simulation-equivalent nodes (w.r.t. *this* relation's direction) to
-    /// the same new id, with new ids dense in `0..new_len`. Exactness of the
-    /// projection for same-direction quotients is argued in `DESIGN.md` §5.
-    pub(crate) fn project(&self, map: &[u32], new_len: usize) -> SimRelation {
-        // One representative old row per new id (any member works: `≃` nodes
-        // have identical up-sets, and membership is invariant within a
-        // member's class).
-        let mut rep: Vec<u32> = vec![u32::MAX; new_len];
-        for (old, &new) in map.iter().enumerate() {
-            if rep[new as usize] == u32::MAX {
-                rep[new as usize] = old as u32;
-            }
-        }
-        let sim = rep
-            .iter()
-            .map(|&old| {
-                let mut row = FixedBitSet::new(new_len);
-                self.sim[old as usize].remap_into(map, &mut row);
-                row
-            })
-            .collect();
-        SimRelation { sim }
+    /// The nodes simulating `u`, ascending (no allocation).
+    pub fn row(&self, u: u32) -> impl Iterator<Item = u32> + '_ {
+        let x = self.layout.slot[u as usize];
+        let first = self.layout.first[self.layout.class[x as usize] as usize];
+        let row = &self.words[self.layout.span(x)];
+        ones(row).map(move |i| self.layout.node[(first + i) as usize])
     }
 }
 
@@ -84,18 +235,22 @@ pub enum SimDirection {
 /// Compute the simulation preorder over `g0` in the given direction.
 pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
     let n = g0.len();
+    let (layout, total) = Layout::new(g0);
+    // Children and parents by slot: a class's candidates are consecutive
+    // slots, so walking them reads their rows in order.
     let (adj, radj) = match direction {
-        SimDirection::Out => (&g0.out_adj, &g0.in_adj),
-        SimDirection::In => (&g0.in_adj, &g0.out_adj),
+        SimDirection::Out => layout.rows(g0, G0::out_links),
+        SimDirection::In => layout.rows(g0, G0::in_links),
     };
 
-    // Children first (Kahn over `adj`): a node is ready once every child is
-    // placed. Nodes on or above a cycle never get ready and are appended.
-    let mut pending: Vec<u32> = adj.iter().map(|row| row.len() as u32).collect();
-    let mut order: Vec<u32> = (0..n as u32).filter(|&v| pending[v as usize] == 0).collect();
+    // Children first (Kahn over `adj`): a slot is ready once every child is
+    // placed. Slots on or above a cycle never get ready and are appended.
+    let mut pending: Vec<u32> = (0..n as u32).map(|x| adj.of(x).len() as u32).collect();
+    let mut order: Vec<u32> = (0..n as u32).filter(|&x| pending[x as usize] == 0).collect();
     let mut next = 0;
     while next < order.len() {
-        for &(_, p) in &radj[order[next] as usize] {
+        for &p in radj.of(order[next]) {
+            let p = p.node();
             pending[p as usize] -= 1;
             if pending[p as usize] == 0 {
                 order.push(p);
@@ -104,58 +259,94 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
         next += 1;
     }
     let placed = order.len();
-    order.extend((0..n as u32).filter(|&v| pending[v as usize] != 0));
+    order.extend((0..n as u32).filter(|&x| pending[x as usize] != 0));
 
-    let mut class_row: Vec<FixedBitSet> =
-        (0..g0.class_count()).map(|_| FixedBitSet::new(n)).collect();
-    for v in 0..n as u32 {
-        class_row[g0.class(v).0 as usize].insert(v);
+    // Every row starts as its whole class.
+    let mut words = vec![0u64; total];
+    let mut len: Vec<u32> = vec![0; n];
+    for x in 0..n as u32 {
+        let size = layout.size(layout.class[x as usize]);
+        let row = &mut words[layout.span(x)];
+        row.fill(!0);
+        if size % WORD != 0 {
+            row[size / WORD] = (1 << (size % WORD)) - 1;
+        }
+        len[x as usize] = size as u32;
     }
-    let mut sim: Vec<FixedBitSet> =
-        (0..n as u32).map(|v| class_row[g0.class(v).0 as usize].clone()).collect();
 
     // sim(u) ∩= pre_k(sim(c)) for every child (k, c) of u, where pre_k(S)
     // is the set of k-parents of S. Whichever side is smaller is walked: the
     // candidates in sim(u), keeping those with a k-child in sim(c), or
-    // sim(c), gathering its k-parents into `pre`. Both read sim(c) in full
-    // before the row changes, so a self-loop sees the row as it stood. A row
-    // down to `{u}` cannot shrink further: the relation is reflexive.
-    let mut pre = FixedBitSet::new(n);
-    let mut strikes: Vec<u32> = Vec::new();
+    // sim(c), gathering its k-parents of u's class into `pre`. Both read
+    // sim(c) in full before the row changes, so a self-loop sees the row as
+    // it stood. A row down to `{u}` cannot shrink further: the relation is
+    // reflexive.
+    let mut mask: Vec<u64> = Vec::new();
     let mut sweep = &order[..];
     loop {
         let mut shrunk = false;
         for &u in sweep {
-            let before = sim[u as usize].len();
-            for &(k, c) in &adj[u as usize] {
-                let (row, child) = (&sim[u as usize], &sim[c as usize]);
-                if row.len() == 1 {
+            let cu = layout.class[u as usize] as usize;
+            let (lo_u, hi_u) = (layout.first[cu], layout.first[cu + 1]);
+            let before = len[u as usize];
+            for &child in adj.of(u) {
+                if len[u as usize] == 1 {
                     break;
                 }
-                if row.len() < child.len() {
-                    strikes.clear();
-                    strikes.extend(row.ones().filter(|&w| {
-                        !adj[w as usize].iter().any(|&(k2, c2)| k2 == k && child.contains(c2))
+                let (k, c) = (child.kind(), child.node());
+                let cc = layout.class[c as usize] as usize;
+                let (lo_c, hi_c) = (layout.first[cc], layout.first[cc + 1]);
+                let (row, child_row) = (&words[layout.span(u)], &words[layout.span(c)]);
+                mask.clear();
+                if len[u as usize] < len[c as usize] {
+                    // Keep the candidates with a k-child in sim(c).
+                    let kept = |l: &Link| {
+                        let y = l.node();
+                        l.kind() == k && (lo_c..hi_c).contains(&y) && test(child_row, y - lo_c)
+                    };
+                    mask.extend(row.iter().enumerate().map(|(i, &word)| {
+                        let (mut rest, mut keep) = (word, 0u64);
+                        while rest != 0 {
+                            let bit = rest.trailing_zeros();
+                            rest &= rest - 1;
+                            let w = lo_u + (i * WORD) as u32 + bit;
+                            if adj.around(w, lo_c, hi_c).iter().any(kept) {
+                                keep |= 1 << bit;
+                            }
+                        }
+                        keep
                     }));
-                    for &w in &strikes {
-                        sim[u as usize].remove(w);
-                    }
                 } else {
-                    pre.clear();
-                    for x in child.ones() {
-                        for &(k2, p) in &radj[x as usize] {
-                            if k2 == k {
-                                pre.insert(p);
+                    // Gather the k-parents of sim(c) that are in u's class.
+                    mask.resize(row.len(), 0);
+                    for (j, &word) in child_row.iter().enumerate() {
+                        let mut rest = word;
+                        while rest != 0 {
+                            let bit = rest.trailing_zeros();
+                            rest &= rest - 1;
+                            let x = lo_c + (j * WORD) as u32 + bit;
+                            for &parent in radj.around(x, lo_u, hi_u) {
+                                let p = parent.node();
+                                if parent.kind() == k && (lo_u..hi_u).contains(&p) {
+                                    let i = (p - lo_u) as usize;
+                                    mask[i / WORD] |= 1 << (i % WORD);
+                                }
                             }
                         }
                     }
-                    sim[u as usize].intersect_with(&pre);
                 }
+                let row = &mut words[layout.span(u)];
+                let mut kept = 0;
+                for (w, &keep) in row.iter_mut().zip(&mask) {
+                    *w &= keep;
+                    kept += w.count_ones();
+                }
+                len[u as usize] = kept;
             }
-            shrunk |= sim[u as usize].len() < before;
+            shrunk |= len[u as usize] < before;
         }
         if !shrunk {
-            return SimRelation { sim };
+            return SimRelation { layout, words };
         }
         // Rows Kahn placed were final after the first pass; only the rest
         // can still shrink.
@@ -169,9 +360,9 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
 #[expect(clippy::needless_range_loop, reason = "pairwise index loops mirror the math")]
 pub fn simulation_naive(g0: &G0, direction: SimDirection) -> Vec<Vec<bool>> {
     let n = g0.len();
-    let adj = match direction {
-        SimDirection::Out => &g0.out_adj,
-        SimDirection::In => &g0.in_adj,
+    let adj = |v: usize| match direction {
+        SimDirection::Out => g0.out_links(v as u32),
+        SimDirection::In => g0.in_links(v as u32),
     };
     let mut le = vec![vec![false; n]; n];
     for v in 0..n {
@@ -186,8 +377,10 @@ pub fn simulation_naive(g0: &G0, direction: SimDirection) -> Vec<Vec<bool>> {
                 if !le[v][u] {
                     continue;
                 }
-                let ok = adj[v].iter().all(|&(k, c)| {
-                    adj[u].iter().any(|&(k2, c2)| k2 == k && le[c as usize][c2 as usize])
+                let ok = adj(v).iter().all(|c| {
+                    adj(u).iter().any(|c2| {
+                        c2.kind() == c.kind() && le[c.node() as usize][c2.node() as usize]
+                    })
                 });
                 if !ok {
                     le[v][u] = false;
@@ -280,7 +473,7 @@ mod tests {
         let out = simulation(&g0, SimDirection::Out);
         for v in 0..g0.len() as u32 {
             assert!(out.le(v, v), "reflexive at {v}");
-            for u in out.row(v).ones() {
+            for u in out.row(v) {
                 assert_eq!(g0.class(u), g0.class(v));
             }
         }
@@ -291,6 +484,6 @@ mod tests {
         let g = ProvGraph::new();
         let g0 = build_g0(&g, &[], &PropertyAggregation::ignore_all(), 0);
         let rel = simulation(&g0, SimDirection::Out);
-        assert!(rel.sim.is_empty());
+        assert!(rel.words.is_empty());
     }
 }

@@ -3,9 +3,13 @@
 //! Each segment vertex becomes one `g0` node labeled by its equivalence class
 //! under `≡kκ` (same kind, same visible property values, same provenance
 //! type). `g0` itself is a valid Psg — the merging phase only improves on it.
+//!
+//! A [`G0`] is flat: its nodes are one array and each adjacency is one
+//! compressed row array of packed [`Link`]s, so neither `build_g0` nor
+//! [`crate::merge::quotient`] allocates per node.
 
-use crate::aggregation::{AggLabel, PropertyAggregation};
-use crate::provtype::{provenance_types_ranked, segment_ranks};
+use crate::aggregation::{LabelIds, PropertyAggregation};
+use crate::provtype::{refine, segment_edges};
 use crate::segment_ref::SegmentRef;
 use prov_model::VertexId;
 use prov_store::hash::FxHashMap;
@@ -26,24 +30,113 @@ pub struct G0Node {
     pub class: ClassId,
 }
 
+/// One adjacency entry: a neighbor node and the edge kind, packed into one
+/// word as `node << 3 | kind`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Link(u32);
+
+impl Link {
+    /// Pack `(kind, node)`; `kind` must be an `EdgeKind` index (below 8) and
+    /// `node` below 2²⁹.
+    #[inline]
+    pub fn new(kind: u8, node: u32) -> Link {
+        debug_assert!(kind < 8 && node < 1 << 29, "link ({kind}, {node}) out of range");
+        Link(node << 3 | u32::from(kind))
+    }
+
+    /// The edge kind index.
+    #[inline]
+    pub fn kind(self) -> u8 {
+        (self.0 & 7) as u8
+    }
+
+    /// The neighbor node.
+    #[inline]
+    pub fn node(self) -> u32 {
+        self.0 >> 3
+    }
+}
+
+/// Compressed rows: node `v`'s links are `links[start[v]..start[v + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    start: Vec<u32>,
+    links: Vec<Link>,
+}
+
+impl Adjacency {
+    #[inline]
+    fn row(&self, v: u32) -> &[Link] {
+        &self.links[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
+    }
+}
+
 /// The disjoint union of the input segments, class-labeled.
 #[derive(Debug, Clone, Default)]
 pub struct G0 {
     /// Nodes (instances).
     pub nodes: Vec<G0Node>,
-    /// Outgoing adjacency: `(edge kind index, node)` pairs.
-    pub out_adj: Vec<Vec<(u8, u32)>>,
-    /// Incoming adjacency.
-    pub in_adj: Vec<Vec<(u8, u32)>>,
+    out: Adjacency,
+    inc: Adjacency,
     /// Number of input segments.
     pub segment_count: usize,
-    /// A representative aggregate label per class (for rendering).
-    pub class_labels: Vec<AggLabel>,
-    /// A representative display name per class.
-    pub class_names: Vec<String>,
+    class_count: usize,
+}
+
+/// An edge `src →kind dst` packed as one sortable key: `src` in the high
+/// word, the `Link` to `dst` in the low one.
+#[inline]
+pub(crate) fn edge_key(src: u32, kind: u8, dst: u32) -> u64 {
+    u64::from(src) << 32 | u64::from(Link::new(kind, dst).0)
 }
 
 impl G0 {
+    /// Assemble a `G0` from its nodes and edges `(src, kind, dst)`; repeated
+    /// edges are kept once. Every class id must be below `class_count`.
+    pub fn new(
+        nodes: Vec<G0Node>,
+        edges: impl IntoIterator<Item = (u32, u8, u32)>,
+        segment_count: usize,
+        class_count: usize,
+    ) -> G0 {
+        let keys = edges.into_iter().map(|(s, k, d)| edge_key(s, k, d)).collect();
+        G0::from_keys(nodes, keys, segment_count, class_count)
+    }
+
+    /// [`G0::new`] over [`edge_key`]s: sort and dedup them, then lay out
+    /// both adjacencies (out-rows ordered by `(dst, kind)`, in-rows by
+    /// `(src, kind)`).
+    pub(crate) fn from_keys(
+        nodes: Vec<G0Node>,
+        mut keys: Vec<u64>,
+        segment_count: usize,
+        class_count: usize,
+    ) -> G0 {
+        keys.sort_unstable();
+        keys.dedup();
+        let n = nodes.len();
+        let mut out = Adjacency { start: vec![0; n + 1], links: Vec::with_capacity(keys.len()) };
+        let mut inc = Adjacency { start: vec![0; n + 1], links: vec![Link(0); keys.len()] };
+        for &key in &keys {
+            let (src, link) = ((key >> 32) as u32, Link(key as u32));
+            out.start[src as usize + 1] += 1;
+            inc.start[link.node() as usize + 1] += 1;
+            out.links.push(link);
+        }
+        for v in 0..n {
+            out.start[v + 1] += out.start[v];
+            inc.start[v + 1] += inc.start[v];
+        }
+        let mut fill = inc.start.clone();
+        for &key in &keys {
+            let (src, link) = ((key >> 32) as u32, Link(key as u32));
+            let slot = &mut fill[link.node() as usize];
+            inc.links[*slot as usize] = Link::new(link.kind(), src);
+            *slot += 1;
+        }
+        G0 { nodes, out, inc, segment_count, class_count }
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -62,65 +155,66 @@ impl G0 {
 
     /// Number of distinct classes.
     pub fn class_count(&self) -> usize {
-        self.class_labels.len()
+        self.class_count
+    }
+
+    /// Number of (distinct) edges.
+    pub fn edge_count(&self) -> usize {
+        self.out.links.len()
+    }
+
+    /// Outgoing edges of `v`: `(kind, dst)` links.
+    #[inline]
+    pub fn out_links(&self, v: u32) -> &[Link] {
+        self.out.row(v)
+    }
+
+    /// Incoming edges of `v`: `(kind, src)` links.
+    #[inline]
+    pub fn in_links(&self, v: u32) -> &[Link] {
+        self.inc.row(v)
     }
 }
 
 /// Build `g0` from segments under the aggregation `K` and provenance type
 /// radius `k`.
+///
+/// Each vertex's aggregate label is interned once to a dense id; that id is
+/// round 0 of the type refinement, and the class key is `(label id, type)`,
+/// with class ids in first-appearance order.
 pub fn build_g0(
     graph: &ProvGraph,
     segments: &[SegmentRef],
     aggregation: &PropertyAggregation,
     k: usize,
 ) -> G0 {
-    let mut nodes: Vec<G0Node> = Vec::new();
-    let mut class_ids: FxHashMap<(AggLabel, u64), ClassId> = FxHashMap::default();
-    let mut class_labels: Vec<AggLabel> = Vec::new();
-    let mut class_names: Vec<String> = Vec::new();
-    // Rank spaces: node index of (segment si, local rank r) is
-    // `seg_base[si] + r`, so the edge pass below needs no per-(segment,
-    // vertex) map — only each segment's rank assignment, built once and
-    // shared with the type refinement.
-    let mut seg_base: Vec<u32> = Vec::with_capacity(segments.len());
-    let mut seg_ranks: Vec<FxHashMap<VertexId, u32>> = Vec::with_capacity(segments.len());
+    let total: usize = segments.iter().map(|s| s.vertices.len()).sum();
     // Refinement over the disjoint union of the segments is stable after as
     // many rounds as it has vertices, and class ids follow first appearance,
     // so any larger `k` yields the same `g0` — without running its rounds.
-    let k = k.min(segments.iter().map(|s| s.vertices.len()).sum());
-
+    let k = k.min(total);
+    let mut label_ids = LabelIds::new(graph, aggregation);
+    let mut class_ids: FxHashMap<(u64, u64), ClassId> = FxHashMap::default();
+    let mut nodes: Vec<G0Node> = Vec::with_capacity(total);
+    let mut keys: Vec<u64> = Vec::new();
+    let mut labels: Vec<u64> = Vec::new();
+    let mut edges: Vec<(u8, u32, u32)> = Vec::new();
     for (si, seg) in segments.iter().enumerate() {
-        let ranks = segment_ranks(seg);
-        let types = provenance_types_ranked(graph, seg, &ranks, aggregation, k);
-        seg_base.push(nodes.len() as u32);
-        seg_ranks.push(ranks);
-        for (r, &v) in seg.vertices.iter().enumerate() {
-            let agg = aggregation.label(graph, v);
-            let key = (agg.clone(), types[r]);
-            let next_id = ClassId(class_labels.len() as u32);
-            let class = *class_ids.entry(key).or_insert_with(|| {
-                class_labels.push(agg);
-                class_names.push(graph.display_name(v));
-                next_id
-            });
-            nodes.push(G0Node { segment: si as u32, vertex: v, class });
+        // The node of the segment's rank-`r` vertex is `base + r`.
+        let base = nodes.len() as u32;
+        labels.clear();
+        labels.extend(seg.vertices.iter().map(|&v| u64::from(label_ids.id(v))));
+        segment_edges(graph, seg, &mut edges);
+        let types = refine(&labels, &edges, k);
+        for (r, &vertex) in seg.vertices.iter().enumerate() {
+            let next = ClassId(class_ids.len() as u32);
+            let class = *class_ids.entry((labels[r], types[r])).or_insert(next);
+            nodes.push(G0Node { segment: si as u32, vertex, class });
         }
+        keys.extend(edges.iter().map(|&(kind, s, d)| edge_key(base + s, kind, base + d)));
     }
-
-    let mut out_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); nodes.len()];
-    let mut in_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); nodes.len()];
-    for (si, seg) in segments.iter().enumerate() {
-        let (base, ranks) = (seg_base[si], &seg_ranks[si]);
-        for &e in &seg.edges {
-            let rec = graph.edge(e);
-            let s = base + ranks[&rec.src];
-            let d = base + ranks[&rec.dst];
-            out_adj[s as usize].push((rec.kind.as_index() as u8, d));
-            in_adj[d as usize].push((rec.kind.as_index() as u8, s));
-        }
-    }
-
-    G0 { nodes, out_adj, in_adj, segment_count: segments.len(), class_labels, class_names }
+    let class_count = class_ids.len();
+    G0::from_keys(nodes, keys, segments.len(), class_count)
 }
 
 #[cfg(test)]
@@ -152,8 +246,7 @@ mod tests {
         assert_eq!(g0.len(), 6);
         assert_eq!(g0.segment_count, 2);
         // Adjacency matches segment edges (2 per segment).
-        let total_out: usize = g0.out_adj.iter().map(|a| a.len()).sum();
-        assert_eq!(total_out, 4);
+        assert_eq!(g0.edge_count(), 4);
     }
 
     #[test]

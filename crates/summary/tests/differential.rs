@@ -1,12 +1,14 @@
 //! Differential suite for PgSum's simulation and merge phases:
 //!
-//! * the children-first [`simulation`] sweep ≡ the naive pair fixpoint
-//!   ([`simulation_naive`]), in both directions, on `g0`s built from random
-//!   segments and on raw, mostly cyclic `G0`s;
-//! * the quotient-incremental [`merge`] ≡ a test-local merge that recomputes
-//!   both relations with [`simulation_naive`] on a fresh [`quotient`] before
-//!   every round: the same `group_of` labels, so projecting a relation onto
-//!   a quotient instead of recomputing it changes nothing.
+//! * the children-first [`simulation`] sweep over class-local rows ≡ the
+//!   naive pair fixpoint ([`simulation_naive`]), in both directions, on
+//!   `g0`s built from random segments, on raw, mostly cyclic `G0`s, and at
+//!   the rows' edges (singleton classes, one class of every node, classes of
+//!   64 and 65 members);
+//! * [`merge`] ≡ a test-local merge that recomputes both relations with
+//!   [`simulation_naive`] on a fresh [`quotient`] before every round: the
+//!   same `group_of` labels on random segments, raw `G0`s and fig6's `Sd`
+//!   generator.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -16,9 +18,10 @@ use prov_store::ProvGraph;
 use prov_summary::simulation::{simulation, simulation_naive, SimDirection};
 use prov_summary::union::G0Node;
 use prov_summary::{
-    build_g0, merge, pgsum, quotient, AggLabel, ClassId, MergeResult, PgSumQuery,
-    PropertyAggregation, Psg, SegmentRef, G0,
+    build_g0, merge, pgsum, quotient, ClassId, MergeResult, PgSumQuery, PropertyAggregation, Psg,
+    SegmentRef, G0,
 };
+use prov_workload::{generate_sd, SdParams};
 
 /// Plan for one segment: a chain/DAG of `steps` activities over `k` activity
 /// type labels, each consuming 1–2 previous entities and producing 0–2
@@ -141,40 +144,26 @@ fn merge_oracle(g0: &G0) -> Vec<u32> {
 /// kinds, so self-loops, multi-edges and cycles all occur (a quotient can
 /// have them; a `build_g0` output never does).
 fn raw_g0(class_of: &[u32], classes: usize, edges: &[(usize, u8, usize)]) -> G0 {
-    let n = class_of.len();
     let nodes = class_of
         .iter()
         .enumerate()
         .map(|(i, &c)| G0Node { segment: 0, vertex: VertexId::new(i as u32), class: ClassId(c) })
         .collect();
-    let mut out_adj = vec![Vec::new(); n];
-    let mut in_adj = vec![Vec::new(); n];
-    for &(s, k, d) in edges {
-        out_adj[s].push((k, d as u32));
-        in_adj[d].push((k, s as u32));
-    }
-    let label = AggLabel { kind: VertexKind::Entity, values: Vec::new() };
-    G0 {
-        nodes,
-        out_adj,
-        in_adj,
-        segment_count: 1,
-        class_labels: vec![label; classes],
-        class_names: vec![String::new(); classes],
-    }
+    G0::new(nodes, edges.iter().map(|&(s, k, d)| (s as u32, k, d as u32)), 1, classes)
 }
 
 /// True when `g0`'s edges contain a cycle (Kahn leaves a node behind).
 fn is_cyclic(g0: &G0) -> bool {
-    let mut children: Vec<usize> = g0.out_adj.iter().map(Vec::len).collect();
+    let mut children: Vec<usize> = (0..g0.len() as u32).map(|v| g0.out_links(v).len()).collect();
     let mut ready: Vec<usize> = (0..g0.len()).filter(|&v| children[v] == 0).collect();
     let mut done = 0;
     while let Some(v) = ready.pop() {
         done += 1;
-        for &(_, p) in &g0.in_adj[v] {
-            children[p as usize] -= 1;
-            if children[p as usize] == 0 {
-                ready.push(p as usize);
+        for l in g0.in_links(v as u32) {
+            let p = l.node() as usize;
+            children[p] -= 1;
+            if children[p] == 0 {
+                ready.push(p);
             }
         }
     }
@@ -215,6 +204,77 @@ fn simulation_matches_naive_on_raw_cyclic_g0s() {
         assert_eq!(merge(&g0).group_of, merge_oracle(&g0), "case {case}: edges={edges:?}");
     }
     assert!(2 * cyclic > CASES, "only {cyclic} of {CASES} cases are cyclic");
+}
+
+/// Class-local rows at their edges: every class a singleton (one-bit rows),
+/// one class holding every node (rows as wide as the graph), and classes of
+/// exactly 64 and 65 members (a row that fills one word, and one that spills
+/// a bit into a second). Members of the two-class shapes interleave, so a
+/// node's position in its class differs from its id. Half the graphs are
+/// DAGs (edges run to lower ids), half arbitrary.
+#[test]
+fn class_local_simulation_matches_naive_at_row_edges() {
+    let shapes: [(&str, Vec<u32>); 4] = [
+        ("singletons", (0..40).collect()),
+        ("one class", vec![0; 70]),
+        ("64 members", (0..128).map(|i| i % 2).collect()),
+        ("65 members", (0..130).map(|i| i % 2).collect()),
+    ];
+    let mut rng =
+        TestRng::deterministic("differential::class_local_simulation_matches_naive_at_row_edges");
+    for (shape, class_of) in shapes {
+        let n = class_of.len();
+        let classes = class_of.iter().max().map_or(0, |&c| c as usize + 1);
+        for case in 0..8 {
+            let mut edges =
+                proptest::collection::vec((0..n, 0..2u8, 0..n), n / 2..2 * n).sample(&mut rng);
+            if case % 2 == 0 {
+                edges.retain(|&(s, _, d)| s > d);
+            }
+            let g0 = raw_g0(&class_of, classes, &edges);
+            for dir in [SimDirection::Out, SimDirection::In] {
+                let fast = simulation(&g0, dir);
+                let naive = simulation_naive(&g0, dir);
+                for v in 0..n as u32 {
+                    for u in 0..n as u32 {
+                        assert_eq!(
+                            fast.le(v, u),
+                            naive[v as usize][u as usize],
+                            "{shape} case {case}: dir={dir:?} v={v} u={u}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `merge` equals the recompute oracle on fig6's `Sd` inputs (Markov chains
+/// over 5 activity types; activities by command) at k = 0 and k = 1: the
+/// smallest 6a point (|S| = 5, n = 20), the smallest 6b point (|S| = 10,
+/// n = 10) and a set of short chains. The oracle runs the naive fixpoint
+/// before every round, so larger points are left to the proptests' shapes.
+#[test]
+fn merge_matches_the_oracle_on_sd_inputs() {
+    let aggregation =
+        PropertyAggregation::ignore_all().with_keys(VertexKind::Activity, &["command"]);
+    for (num_segments, n) in [(5, 20), (10, 10), (8, 5)] {
+        let sd = generate_sd(&SdParams { num_segments, n, ..SdParams::default() });
+        let segs: Vec<SegmentRef> = sd
+            .segments
+            .iter()
+            .map(|s| SegmentRef::new(s.vertices.clone(), s.edges.clone()))
+            .collect();
+        for k in [0, 1] {
+            let g0 = build_g0(&sd.graph, &segs, &aggregation, k);
+            assert_eq!(
+                merge(&g0).group_of,
+                merge_oracle(&g0),
+                "|S|={num_segments} n={n} k={k} ({} g0 nodes)",
+                g0.len()
+            );
+        }
+    }
 }
 
 /// After a `≃in` round, `merge` must drop `≤out`, not project it onto the
@@ -286,7 +346,7 @@ proptest! {
     }
 
     #[test]
-    fn incremental_merge_matches_the_recompute_oracle(
+    fn merge_matches_the_recompute_oracle(
         plans in proptest::collection::vec(segment_plan(3), 1..5),
     ) {
         for g0 in g0s(&plans) {
@@ -302,11 +362,8 @@ proptest! {
         for q in [PgSumQuery::new(PropertyAggregation::ignore_all(), 0), PgSumQuery::fig2e()] {
             let g0 = build_g0(&g, &segs, &q.aggregation, q.k);
             let group_of = merge_oracle(&g0);
-            let mut members = vec![Vec::new(); group_of.iter().max().map_or(0, |&m| m as usize + 1)];
-            for (i, &grp) in group_of.iter().enumerate() {
-                members[grp as usize].push(i as u32);
-            }
-            let oracle = Psg::from_merge(&g, &g0, &MergeResult { group_of, members, rounds: 0 });
+            let group_count = group_of.iter().max().map_or(0, |&m| m as usize + 1);
+            let oracle = Psg::from_merge(&g, &g0, &MergeResult { group_of, group_count, rounds: 0 });
             let psg = pgsum(&g, &segs, &q);
             prop_assert_eq!(psg.vertex_count(), oracle.vertex_count());
             prop_assert_eq!(psg.edge_count(), oracle.edge_count());
