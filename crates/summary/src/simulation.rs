@@ -28,7 +28,8 @@
 //! bits ascend by global id too. All rows share one word array, and a
 //! relation costs `Σ |class|²` bits instead of `n²`.
 
-use crate::union::{Link, G0};
+use crate::union::{Adjacency, Link, G0};
+use prov_store::hash::FxHashMap;
 
 const WORD: usize = 64;
 
@@ -111,68 +112,27 @@ impl Layout {
 
     /// One direction's child rows and parent rows over slots, each row
     /// sorted by slot: so the links of a row into one class are one
-    /// contiguous run ([`Rows::around`]).
-    fn rows(&self, g0: &G0, children: fn(&G0, u32) -> &[Link]) -> (Rows, Rows) {
-        let n = self.node.len();
-        let mut down = Rows { start: vec![0; n + 1], links: Vec::new() };
-        let mut up = Rows { start: vec![0; n + 1], links: Vec::new() };
-        for (x, &v) in self.node.iter().enumerate() {
-            down.start[x + 1] = children(g0, v).len() as u32;
-            for l in children(g0, v) {
-                up.start[self.slot[l.node() as usize] as usize + 1] += 1;
-            }
-        }
-        for x in 0..n {
-            down.start[x + 1] += down.start[x];
-            up.start[x + 1] += up.start[x];
-        }
-        // Filling each side by walking the other in slot order sorts it.
-        up.links = vec![Link::new(0, 0); up.start[n] as usize];
-        let mut fill = up.start.clone();
-        for (x, &v) in self.node.iter().enumerate() {
-            for l in children(g0, v) {
-                let y = self.slot[l.node() as usize] as usize;
-                up.links[fill[y] as usize] = Link::new(l.kind(), x as u32);
-                fill[y] += 1;
-            }
-        }
-        down.links = vec![Link::new(0, 0); down.start[n] as usize];
-        fill.copy_from_slice(&down.start);
-        for y in 0..n as u32 {
-            for l in up.of(y) {
-                let x = l.node() as usize;
-                down.links[fill[x] as usize] = Link::new(l.kind(), y);
-                fill[x] += 1;
-            }
-        }
-        (down, up)
+    /// contiguous run ([`around`]).
+    fn rows(&self, g0: &G0, children: fn(&G0, u32) -> &[Link]) -> (Adjacency, Adjacency) {
+        let unsorted = Adjacency::from_rows(self.node.iter().map(|&v| {
+            children(g0, v).iter().map(|l| Link::new(l.kind(), self.slot[l.node() as usize]))
+        }));
+        let up = unsorted.reversed();
+        (up.reversed(), up)
     }
 }
 
-/// Adjacency rows over slots, each sorted by slot.
-struct Rows {
-    start: Vec<u32>,
-    links: Vec<Link>,
-}
-
-impl Rows {
-    #[inline]
-    fn of(&self, x: u32) -> &[Link] {
-        &self.links[self.start[x as usize] as usize..self.start[x as usize + 1] as usize]
+/// A run of `row` (sorted by node) that holds every link into slots
+/// `lo..hi`: the whole row when it is short, since a scan beats a binary
+/// search there.
+#[inline]
+fn around(row: &[Link], lo: u32, hi: u32) -> &[Link] {
+    if row.len() <= 16 {
+        return row;
     }
-
-    /// A run of `x`'s row that holds every link into slots `lo..hi`: the
-    /// whole row when it is short, since a scan beats a binary search there.
-    #[inline]
-    fn around(&self, x: u32, lo: u32, hi: u32) -> &[Link] {
-        let row = self.of(x);
-        if row.len() <= 16 {
-            return row;
-        }
-        let from = row.partition_point(|l| l.node() < lo);
-        let to = from + row[from..].partition_point(|l| l.node() < hi);
-        &row[from..to]
-    }
+    let from = row.partition_point(|l| l.node() < lo);
+    let to = from + row[from..].partition_point(|l| l.node() < hi);
+    &row[from..to]
 }
 
 #[inline]
@@ -192,6 +152,17 @@ fn ones(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
             })
         })
     })
+}
+
+/// `row &= mask`; returns the row's new count.
+fn intersect(row: &mut [u64], mask: &[u64]) -> u32 {
+    row.iter_mut()
+        .zip(mask)
+        .map(|(w, &keep)| {
+            *w &= keep;
+            w.count_ones()
+        })
+        .sum()
 }
 
 /// A computed simulation preorder over `g0` nodes.
@@ -245,11 +216,11 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
 
     // Children first (Kahn over `adj`): a slot is ready once every child is
     // placed. Slots on or above a cycle never get ready and are appended.
-    let mut pending: Vec<u32> = (0..n as u32).map(|x| adj.of(x).len() as u32).collect();
+    let mut pending: Vec<u32> = (0..n as u32).map(|x| adj.row(x).len() as u32).collect();
     let mut order: Vec<u32> = (0..n as u32).filter(|&x| pending[x as usize] == 0).collect();
     let mut next = 0;
     while next < order.len() {
-        for &p in radj.of(order[next]) {
+        for &p in radj.row(order[next]) {
             let p = p.node();
             pending[p as usize] -= 1;
             if pending[p as usize] == 0 {
@@ -282,6 +253,7 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
     // it stood. A row down to `{u}` cannot shrink further: the relation is
     // reflexive.
     let mut mask: Vec<u64> = Vec::new();
+    let mut whole: FxHashMap<(usize, u8, usize), Vec<u64>> = FxHashMap::default();
     let mut sweep = &order[..];
     loop {
         let mut shrunk = false;
@@ -289,7 +261,7 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
             let cu = layout.class[u as usize] as usize;
             let (lo_u, hi_u) = (layout.first[cu], layout.first[cu + 1]);
             let before = len[u as usize];
-            for &child in adj.of(u) {
+            for &child in adj.row(u) {
                 if len[u as usize] == 1 {
                     break;
                 }
@@ -297,6 +269,23 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
                 let cc = layout.class[c as usize] as usize;
                 let (lo_c, hi_c) = (layout.first[cc], layout.first[cc + 1]);
                 let (row, child_row) = (&words[layout.span(u)], &words[layout.span(c)]);
+                if len[c as usize] as usize == layout.size(cc as u32) {
+                    // sim(c) is c's whole class, so pre_k of it depends on
+                    // (class(c), k, class(u)) alone: build it once.
+                    let whole = whole.entry((cc, k, cu)).or_insert_with(|| {
+                        let mut keep = vec![0u64; row.len()];
+                        for w in lo_u..hi_u {
+                            let into = |l: &Link| l.kind() == k && (lo_c..hi_c).contains(&l.node());
+                            if around(adj.row(w), lo_c, hi_c).iter().any(into) {
+                                let i = (w - lo_u) as usize;
+                                keep[i / WORD] |= 1 << (i % WORD);
+                            }
+                        }
+                        keep
+                    });
+                    len[u as usize] = intersect(&mut words[layout.span(u)], whole);
+                    continue;
+                }
                 mask.clear();
                 if len[u as usize] < len[c as usize] {
                     // Keep the candidates with a k-child in sim(c).
@@ -310,7 +299,7 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
                             let bit = rest.trailing_zeros();
                             rest &= rest - 1;
                             let w = lo_u + (i * WORD) as u32 + bit;
-                            if adj.around(w, lo_c, hi_c).iter().any(kept) {
+                            if around(adj.row(w), lo_c, hi_c).iter().any(kept) {
                                 keep |= 1 << bit;
                             }
                         }
@@ -325,7 +314,7 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
                             let bit = rest.trailing_zeros();
                             rest &= rest - 1;
                             let x = lo_c + (j * WORD) as u32 + bit;
-                            for &parent in radj.around(x, lo_u, hi_u) {
+                            for &parent in around(radj.row(x), lo_u, hi_u) {
                                 let p = parent.node();
                                 if parent.kind() == k && (lo_u..hi_u).contains(&p) {
                                     let i = (p - lo_u) as usize;
@@ -335,13 +324,7 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
                         }
                     }
                 }
-                let row = &mut words[layout.span(u)];
-                let mut kept = 0;
-                for (w, &keep) in row.iter_mut().zip(&mask) {
-                    *w &= keep;
-                    kept += w.count_ones();
-                }
-                len[u as usize] = kept;
+                len[u as usize] = intersect(&mut words[layout.span(u)], &mask);
             }
             shrunk |= len[u as usize] < before;
         }

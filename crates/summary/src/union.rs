@@ -59,15 +59,51 @@ impl Link {
 
 /// Compressed rows: node `v`'s links are `links[start[v]..start[v + 1]]`.
 #[derive(Debug, Clone, Default)]
-struct Adjacency {
+pub(crate) struct Adjacency {
     start: Vec<u32>,
     links: Vec<Link>,
 }
 
 impl Adjacency {
+    /// One row per item of `rows`, in order.
+    pub(crate) fn from_rows<R: IntoIterator<Item = Link>>(
+        rows: impl Iterator<Item = R>,
+    ) -> Adjacency {
+        let mut adjacency = Adjacency { start: vec![0], links: Vec::new() };
+        for row in rows {
+            adjacency.links.extend(row);
+            adjacency.start.push(adjacency.links.len() as u32);
+        }
+        adjacency
+    }
+
     #[inline]
-    fn row(&self, v: u32) -> &[Link] {
+    pub(crate) fn row(&self, v: u32) -> &[Link] {
         &self.links[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
+    }
+
+    /// The reverse edges: `w`'s row holds `(k, v)` for every `(k, w)` in
+    /// `v`'s row, in ascending `v`, so every reversed row is sorted by
+    /// node.
+    pub(crate) fn reversed(&self) -> Adjacency {
+        let n = self.start.len() - 1;
+        let mut start = vec![0u32; n + 1];
+        for l in &self.links {
+            start[l.node() as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut links = vec![Link(0); self.links.len()];
+        for v in 0..n as u32 {
+            for l in self.row(v) {
+                let slot = &mut fill[l.node() as usize];
+                links[*slot as usize] = Link::new(l.kind(), v);
+                *slot += 1;
+            }
+        }
+        Adjacency { start, links }
     }
 }
 
@@ -114,26 +150,15 @@ impl G0 {
     ) -> G0 {
         keys.sort_unstable();
         keys.dedup();
-        let n = nodes.len();
-        let mut out = Adjacency { start: vec![0; n + 1], links: Vec::with_capacity(keys.len()) };
-        let mut inc = Adjacency { start: vec![0; n + 1], links: vec![Link(0); keys.len()] };
+        let mut out = Adjacency { start: vec![0; nodes.len() + 1], links: Vec::new() };
         for &key in &keys {
-            let (src, link) = ((key >> 32) as u32, Link(key as u32));
-            out.start[src as usize + 1] += 1;
-            inc.start[link.node() as usize + 1] += 1;
-            out.links.push(link);
+            out.start[(key >> 32) as usize + 1] += 1;
         }
-        for v in 0..n {
+        for v in 0..nodes.len() {
             out.start[v + 1] += out.start[v];
-            inc.start[v + 1] += inc.start[v];
         }
-        let mut fill = inc.start.clone();
-        for &key in &keys {
-            let (src, link) = ((key >> 32) as u32, Link(key as u32));
-            let slot = &mut fill[link.node() as usize];
-            inc.links[*slot as usize] = Link::new(link.kind(), src);
-            *slot += 1;
-        }
+        out.links = keys.iter().map(|&key| Link(key as u32)).collect();
+        let inc = out.reversed();
         G0 { nodes, out, inc, segment_count, class_count }
     }
 
