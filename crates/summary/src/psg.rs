@@ -141,16 +141,15 @@ impl Psg {
         keys.sort_unstable();
         keys.dedup();
         let denominator = g0.segment_count.max(1) as f64;
-        let mut edges: Vec<PsgEdge> = Vec::new();
-        for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let key = run[0];
-            edges.push(PsgEdge {
-                src: (key >> 96) as u32,
-                dst: (key >> 64) as u32,
-                kind: EdgeKind::from_index((key >> 32) as u32 as usize).expect("valid kind"),
+        let edges = keys
+            .chunk_by(|a, b| a >> 32 == b >> 32)
+            .map(|run| PsgEdge {
+                src: (run[0] >> 96) as u32,
+                dst: (run[0] >> 64) as u32,
+                kind: EdgeKind::from_index((run[0] >> 32) as u32 as usize).expect("valid kind"),
                 frequency: run.len() as f64 / denominator,
-            });
-        }
+            })
+            .collect();
 
         Psg { vertices, edges, segment_count: g0.segment_count, input_vertex_count: g0.len() }
     }

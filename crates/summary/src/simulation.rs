@@ -26,7 +26,9 @@
 //! Since `sim(u) ⊆ class(u)`, a row is stored over `u`'s class only: bit `i`
 //! stands for the class's `i`-th member in global-id order, so a row's set
 //! bits ascend by global id too. All rows share one word array, and a
-//! relation costs `Σ |class|²` bits instead of `n²`.
+//! relation costs `Σ |class|²` bits instead of `n²`. While a child's row is
+//! still its whole class (every leaf's is), `pre_k` of it depends only on
+//! the two classes and `k`, so that mask is built once per triple.
 
 use crate::union::{Adjacency, Link, G0};
 use prov_store::hash::FxHashMap;
@@ -217,7 +219,8 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
     // Children first (Kahn over `adj`): a slot is ready once every child is
     // placed. Slots on or above a cycle never get ready and are appended.
     let mut pending: Vec<u32> = (0..n as u32).map(|x| adj.row(x).len() as u32).collect();
-    let mut order: Vec<u32> = (0..n as u32).filter(|&x| pending[x as usize] == 0).collect();
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    order.extend((0..n as u32).filter(|&x| pending[x as usize] == 0));
     let mut next = 0;
     while next < order.len() {
         for &p in radj.row(order[next]) {
@@ -248,9 +251,9 @@ pub fn simulation(g0: &G0, direction: SimDirection) -> SimRelation {
     // sim(u) ∩= pre_k(sim(c)) for every child (k, c) of u, where pre_k(S)
     // is the set of k-parents of S. Whichever side is smaller is walked: the
     // candidates in sim(u), keeping those with a k-child in sim(c), or
-    // sim(c), gathering its k-parents of u's class into `pre`. Both read
-    // sim(c) in full before the row changes, so a self-loop sees the row as
-    // it stood. A row down to `{u}` cannot shrink further: the relation is
+    // sim(c), gathering its k-parents of u's class. Either way the mask is
+    // built before the row changes, so a self-loop sees the row as it
+    // stood. A row down to `{u}` cannot shrink further: the relation is
     // reflexive.
     let mut mask: Vec<u64> = Vec::new();
     let mut whole: FxHashMap<(usize, u8, usize), Vec<u64>> = FxHashMap::default();

@@ -128,14 +128,21 @@ pub(crate) fn edge_key(src: u32, kind: u8, dst: u32) -> u64 {
 
 impl G0 {
     /// Assemble a `G0` from its nodes and edges `(src, kind, dst)`; repeated
-    /// edges are kept once. Every class id must be below `class_count`.
+    /// edges are kept once. Every class id must be below `class_count`, and
+    /// every kind below 8.
     pub fn new(
         nodes: Vec<G0Node>,
         edges: impl IntoIterator<Item = (u32, u8, u32)>,
         segment_count: usize,
         class_count: usize,
     ) -> G0 {
-        let keys = edges.into_iter().map(|(s, k, d)| edge_key(s, k, d)).collect();
+        let keys = edges
+            .into_iter()
+            .map(|(s, k, d)| {
+                assert!(k < 8, "edge kind {k} does not fit a link");
+                edge_key(s, k, d)
+            })
+            .collect();
         G0::from_keys(nodes, keys, segment_count, class_count)
     }
 
@@ -148,6 +155,7 @@ impl G0 {
         segment_count: usize,
         class_count: usize,
     ) -> G0 {
+        assert!(nodes.len() <= 1 << 29, "{} nodes do not fit a link", nodes.len());
         keys.sort_unstable();
         keys.dedup();
         let mut out = Adjacency { start: vec![0; nodes.len() + 1], links: Vec::new() };
