@@ -64,14 +64,6 @@ impl Layout {
         for c in 0..classes {
             first[c + 1] += first[c];
         }
-        // Each class's rows are one block of `size · width` words.
-        let mut base = vec![0usize; classes];
-        let mut words = 0;
-        for (c, b) in base.iter_mut().enumerate() {
-            *b = words;
-            let size = (first[c + 1] - first[c]) as usize;
-            words += size * size.div_ceil(WORD);
-        }
         let mut layout = Layout {
             slot: vec![0; n],
             node: vec![0; n],
@@ -87,8 +79,12 @@ impl Layout {
             layout.slot[v] = x;
             layout.node[x as usize] = v as u32;
             layout.class[x as usize] = c;
-            let local = (x - layout.first[c as usize]) as usize;
-            layout.row[x as usize] = base[c as usize] + local * layout.width(c);
+        }
+        // Rows follow the slots, each as wide as its class needs.
+        let mut words = 0;
+        for x in 0..n {
+            layout.row[x] = words;
+            words += layout.width(layout.class[x]);
         }
         (layout, words)
     }
