@@ -136,6 +136,10 @@ impl G0 {
         segment_count: usize,
         class_count: usize,
     ) -> G0 {
+        assert!(
+            nodes.iter().all(|node| (node.class.0 as usize) < class_count),
+            "a node's class is not below class_count {class_count}"
+        );
         let keys = edges
             .into_iter()
             .map(|(s, k, d)| {
