@@ -16,17 +16,15 @@
 //! * DTOs ([`SegmentDto`], [`PsgDto`]) — segments and summaries are
 //!   flattened into self-describing wire shapes (names, kinds, category
 //!   tags) instead of bare id lists. The service writes those shapes
-//!   straight from the kernel's result (one encoder per shape, shared with
-//!   the DTOs' `Serialize`), so a DTO is built only by
-//!   [`crate::ProvService::handle`] and by clients that parse answers.
+//!   straight from the kernel's result; the DTOs are what a client decodes
+//!   them into, [`crate::ProvService::handle`] included.
 
 use crate::error::ErrorCode;
 use prov_model::{EdgeId, EdgeKind, PropValue, VertexId, VertexKind};
 use prov_segment::SegmentGraph;
 use prov_store::ProvGraph;
-use prov_summary::{Psg, PsgEdge, PsgVertex};
+use prov_summary::{Psg, PsgEdge};
 use serde::{Deserialize, JsonWriter, Serialize};
-use std::fmt::Display;
 
 // ---------------------------------------------------------------------------
 // Addressing
@@ -503,7 +501,7 @@ pub enum Request {
 // ---------------------------------------------------------------------------
 
 /// One segment vertex on the wire.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SegmentVertexDto {
     /// Dense vertex id.
     pub id: VertexId,
@@ -513,12 +511,6 @@ pub struct SegmentVertexDto {
     pub kind: VertexKind,
     /// Category tags (`src|vc1|vc2|...`).
     pub tags: String,
-}
-
-impl Serialize for SegmentVertexDto {
-    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
-        write_segment_vertex(out, self.id, self.name.as_deref(), self.kind, &self.tags)
-    }
 }
 
 /// One induced segment edge on the wire.
@@ -543,7 +535,7 @@ impl SegmentEdgeDto {
 }
 
 /// A PgSeg segment on the wire.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SegmentDto {
     /// Queried sources.
     pub vsrc: Vec<VertexId>,
@@ -553,12 +545,6 @@ pub struct SegmentDto {
     pub vertices: Vec<SegmentVertexDto>,
     /// Induced edges.
     pub edges: Vec<SegmentEdgeDto>,
-}
-
-impl Serialize for SegmentDto {
-    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
-        write_segment(out, &self.vsrc, &self.vdst, self.vertices.iter(), self.edges.iter())
-    }
 }
 
 impl SegmentDto {
@@ -591,7 +577,7 @@ impl SegmentDto {
 }
 
 /// One summary vertex on the wire.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PsgVertexDto {
     /// Display label (representative name + provenance-type tag).
     pub label: String,
@@ -599,12 +585,6 @@ pub struct PsgVertexDto {
     pub kind: VertexKind,
     /// Members as `(segment index, vertex id)` pairs.
     pub members: Vec<(u32, VertexId)>,
-}
-
-impl Serialize for PsgVertexDto {
-    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
-        write_psg_vertex(out, &self.label, self.kind, &self.members)
-    }
 }
 
 /// One summary edge on the wire.
@@ -627,7 +607,7 @@ impl From<&PsgEdge> for PsgEdgeDto {
 }
 
 /// A provenance summary graph on the wire.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PsgDto {
     /// Summary vertices.
     pub vertices: Vec<PsgVertexDto>,
@@ -641,40 +621,9 @@ pub struct PsgDto {
     pub compaction_ratio: f64,
 }
 
-impl Serialize for PsgDto {
-    fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
-        let counts = [self.segment_count, self.input_vertex_count];
-        write_summary(out, self.vertices.iter(), self.edges.iter(), counts, self.compaction_ratio)
-    }
-}
-
-impl PsgDto {
-    /// Flatten a summary graph.
-    pub fn from_psg(psg: &Psg) -> PsgDto {
-        PsgDto {
-            vertices: psg
-                .vertices
-                .iter()
-                .map(|v| PsgVertexDto {
-                    label: v.label.clone(),
-                    kind: v.kind,
-                    members: v.members.clone(),
-                })
-                .collect(),
-            edges: psg.edges.iter().map(PsgEdgeDto::from).collect(),
-            segment_count: psg.segment_count,
-            input_vertex_count: psg.input_vertex_count,
-            compaction_ratio: psg.compaction_ratio(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Segment and summary encoders
 // ---------------------------------------------------------------------------
-//
-// One writer per shape. A DTO's `Serialize` and the borrowed view of the
-// kernel's result both call it, so the two cannot write different bytes.
 
 /// Bytes reserved per row of a segment or summary, per summary member, and
 /// for what surrounds the rows (the `Stats` block among it): a response
@@ -684,108 +633,18 @@ const ROW_BYTES: usize = 72;
 const MEMBER_BYTES: usize = 12;
 const ENVELOPE_BYTES: usize = 512;
 
-/// `items` as a JSON array.
-fn write_seq<T: Serialize>(
+/// `items` as a JSON array, each written by `write`.
+fn write_seq<T>(
     out: &mut JsonWriter,
-    items: impl Iterator<Item = T>,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut JsonWriter, T) -> Result<(), serde::Error>,
 ) -> Result<(), serde::Error> {
     out.begin_seq();
     for item in items {
         out.element();
-        item.write_json(out)?;
+        write(out, item)?;
     }
     out.end_seq();
-    Ok(())
-}
-
-/// The segment shape: `{"vsrc","vdst","vertices","edges"}`.
-fn write_segment<V: Serialize, E: Serialize>(
-    out: &mut JsonWriter,
-    vsrc: &[VertexId],
-    vdst: &[VertexId],
-    vertices: impl ExactSizeIterator<Item = V>,
-    edges: impl ExactSizeIterator<Item = E>,
-) -> Result<(), serde::Error> {
-    out.reserve(ROW_BYTES * (vertices.len() + edges.len()) + ENVELOPE_BYTES);
-    out.begin_map();
-    out.quoted_key("\"vsrc\":");
-    vsrc.write_json(out)?;
-    out.quoted_key("\"vdst\":");
-    vdst.write_json(out)?;
-    out.quoted_key("\"vertices\":");
-    write_seq(out, vertices)?;
-    out.quoted_key("\"edges\":");
-    write_seq(out, edges)?;
-    out.end_map();
-    Ok(())
-}
-
-/// One segment vertex: `{"id","name","kind","tags"}`. The tags are written
-/// from their `Display` text (for a vertex of a kernel result, the
-/// [`prov_segment::Categories`] bits) with no intermediate `String`.
-fn write_segment_vertex(
-    out: &mut JsonWriter,
-    id: VertexId,
-    name: Option<&str>,
-    kind: VertexKind,
-    tags: &impl Display,
-) -> Result<(), serde::Error> {
-    out.begin_map();
-    out.quoted_key("\"id\":");
-    id.write_json(out)?;
-    out.quoted_key("\"name\":");
-    name.write_json(out)?;
-    out.quoted_key("\"kind\":");
-    kind.write_json(out)?;
-    out.quoted_key("\"tags\":");
-    out.display(tags);
-    out.end_map();
-    Ok(())
-}
-
-/// The summary shape: `{"vertices","edges","segment_count",
-/// "input_vertex_count","compaction_ratio"}`; `counts` holds the two
-/// counts in that order.
-fn write_summary<V: Serialize, E: Serialize>(
-    out: &mut JsonWriter,
-    vertices: impl ExactSizeIterator<Item = V>,
-    edges: impl ExactSizeIterator<Item = E>,
-    counts: [usize; 2],
-    compaction_ratio: f64,
-) -> Result<(), serde::Error> {
-    let [segment_count, input_vertex_count] = counts;
-    let rows = vertices.len() + edges.len();
-    out.reserve(ROW_BYTES * rows + MEMBER_BYTES * input_vertex_count + ENVELOPE_BYTES);
-    out.begin_map();
-    out.quoted_key("\"vertices\":");
-    write_seq(out, vertices)?;
-    out.quoted_key("\"edges\":");
-    write_seq(out, edges)?;
-    out.quoted_key("\"segment_count\":");
-    segment_count.write_json(out)?;
-    out.quoted_key("\"input_vertex_count\":");
-    input_vertex_count.write_json(out)?;
-    out.quoted_key("\"compaction_ratio\":");
-    compaction_ratio.write_json(out)?;
-    out.end_map();
-    Ok(())
-}
-
-/// One summary vertex: `{"label","kind","members"}`.
-fn write_psg_vertex(
-    out: &mut JsonWriter,
-    label: &str,
-    kind: VertexKind,
-    members: &[(u32, VertexId)],
-) -> Result<(), serde::Error> {
-    out.begin_map();
-    out.quoted_key("\"label\":");
-    label.write_json(out)?;
-    out.quoted_key("\"kind\":");
-    kind.write_json(out)?;
-    out.quoted_key("\"members\":");
-    members.write_json(out)?;
-    out.end_map();
     Ok(())
 }
 
@@ -798,40 +657,73 @@ pub(crate) struct SegmentView<'a> {
 }
 
 impl Serialize for SegmentView<'_> {
+    /// `{"vsrc","vdst","vertices","edges"}`; a vertex is
+    /// `{"id","name","kind","tags"}`, its tags written from the
+    /// [`prov_segment::Categories`] `Display` text with no intermediate
+    /// `String`.
     fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
-        /// One vertex row, borrowed from the graph.
-        struct Row<'a>(&'a ProvGraph, VertexId, prov_segment::Categories);
-        impl Serialize for Row<'_> {
-            fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
-                let &Row(graph, v, tags) = self;
-                write_segment_vertex(out, v, graph.vertex_name(v), graph.vertex_kind(v), &tags)
-            }
-        }
         let (graph, seg) = (self.graph, self.segment);
-        let vertices = seg.vertices.iter().zip(&seg.categories).map(|(&v, &c)| Row(graph, v, c));
-        let edges = seg.edges.iter().map(|&e| SegmentEdgeDto::of(graph, e));
-        write_segment(out, &seg.vsrc, &seg.vdst, vertices, edges)
+        out.reserve(ROW_BYTES * (seg.vertices.len() + seg.edges.len()) + ENVELOPE_BYTES);
+        out.begin_map();
+        out.quoted_key("\"vsrc\":");
+        seg.vsrc.write_json(out)?;
+        out.quoted_key("\"vdst\":");
+        seg.vdst.write_json(out)?;
+        out.quoted_key("\"vertices\":");
+        write_seq(out, seg.vertices.iter().zip(&seg.categories), |out, (&v, tags)| {
+            out.begin_map();
+            out.quoted_key("\"id\":");
+            v.write_json(out)?;
+            out.quoted_key("\"name\":");
+            graph.vertex_name(v).write_json(out)?;
+            out.quoted_key("\"kind\":");
+            graph.vertex_kind(v).write_json(out)?;
+            out.quoted_key("\"tags\":");
+            out.display(tags);
+            out.end_map();
+            Ok(())
+        })?;
+        out.quoted_key("\"edges\":");
+        write_seq(out, &seg.edges, |out, &e| SegmentEdgeDto::of(graph, e).write_json(out))?;
+        out.end_map();
+        Ok(())
     }
 }
 
-/// A kernel's summary: writes the bytes of [`PsgDto::from_psg`] without
-/// building it.
+/// A kernel's summary: writes the bytes of its [`PsgDto`] without building
+/// it.
 pub(crate) struct PsgView<'a>(pub(crate) &'a Psg);
 
 impl Serialize for PsgView<'_> {
+    /// `{"vertices","edges","segment_count","input_vertex_count",
+    /// "compaction_ratio"}`; a vertex is `{"label","kind","members"}`.
     fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
-        /// One vertex row, borrowed from the summary.
-        struct Row<'a>(&'a PsgVertex);
-        impl Serialize for Row<'_> {
-            fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
-                write_psg_vertex(out, &self.0.label, self.0.kind, &self.0.members)
-            }
-        }
         let psg = self.0;
-        let vertices = psg.vertices.iter().map(Row);
-        let edges = psg.edges.iter().map(PsgEdgeDto::from);
-        let counts = [psg.segment_count, psg.input_vertex_count];
-        write_summary(out, vertices, edges, counts, psg.compaction_ratio())
+        let rows = psg.vertices.len() + psg.edges.len();
+        out.reserve(ROW_BYTES * rows + MEMBER_BYTES * psg.input_vertex_count + ENVELOPE_BYTES);
+        out.begin_map();
+        out.quoted_key("\"vertices\":");
+        write_seq(out, &psg.vertices, |out, v| {
+            out.begin_map();
+            out.quoted_key("\"label\":");
+            v.label.write_json(out)?;
+            out.quoted_key("\"kind\":");
+            v.kind.write_json(out)?;
+            out.quoted_key("\"members\":");
+            v.members.write_json(out)?;
+            out.end_map();
+            Ok(())
+        })?;
+        out.quoted_key("\"edges\":");
+        write_seq(out, &psg.edges, |out, e| PsgEdgeDto::from(e).write_json(out))?;
+        out.quoted_key("\"segment_count\":");
+        psg.segment_count.write_json(out)?;
+        out.quoted_key("\"input_vertex_count\":");
+        psg.input_vertex_count.write_json(out)?;
+        out.quoted_key("\"compaction_ratio\":");
+        psg.compaction_ratio().write_json(out)?;
+        out.end_map();
+        Ok(())
     }
 }
 
@@ -1029,7 +921,23 @@ impl Response {
 mod tests {
     use super::*;
     use prov_segment::Categories;
-    use prov_summary::ClassId;
+    use prov_summary::{ClassId, PsgVertex};
+
+    /// `psg` flattened field by field, as a client decodes it.
+    fn psg_dto(psg: &Psg) -> PsgDto {
+        let vertex = |v: &PsgVertex| PsgVertexDto {
+            label: v.label.clone(),
+            kind: v.kind,
+            members: v.members.clone(),
+        };
+        PsgDto {
+            vertices: psg.vertices.iter().map(vertex).collect(),
+            edges: psg.edges.iter().map(PsgEdgeDto::from).collect(),
+            segment_count: psg.segment_count,
+            input_vertex_count: psg.input_vertex_count,
+            compaction_ratio: psg.compaction_ratio(),
+        }
+    }
 
     /// The views write the DTOs' bytes: names that need escaping, an
     /// unnamed vertex, every category bit and the empty set, an empty
@@ -1093,7 +1001,7 @@ mod tests {
             input_vertex_count: 7,
         };
         for p in [&psg, &Psg::default()] {
-            let dto = PsgDto::from_psg(p);
+            let dto = psg_dto(p);
             assert_eq!(
                 serde_json::to_string(&PsgView(p)).unwrap(),
                 serde_json::to_string(&dto).unwrap()

@@ -10,6 +10,13 @@
 //! PgSum's Lemma-5 simulation merging. Consequently
 //! `cr(PgSum) ≤ cr(pSum)` on every input, which is the qualitative
 //! relationship Fig. 5(e)–(h) reports (PgSum ≈ half the pSum size).
+//!
+//! The anchors are not materialized. Each stays a block of its own, so its
+//! only trace in a node's signature is that the node is a root (or a
+//! leaf), and an empty in- (or out-) key set already says so. Refinement
+//! therefore reads `g0`'s own rows from the class partition, and reaches
+//! the anchored coarsest stable refinement; with first-appearance ids,
+//! `block_of` is the same too.
 
 use crate::union::G0;
 use prov_store::hash::FxHashMap;
@@ -17,116 +24,65 @@ use prov_store::hash::FxHashMap;
 /// Result of the pSum baseline.
 #[derive(Debug, Clone)]
 pub struct PsumResult {
-    /// Block id per g0 node.
+    /// Block id per g0 node, dense in first-appearance order.
     pub block_of: Vec<u32>,
-    /// Number of blocks (over real nodes; virtual anchors excluded).
+    /// Number of blocks.
     pub block_count: usize,
     /// Compaction ratio `|blocks| / |g0|`.
     pub compaction_ratio: f64,
-    /// Refinement iterations until fixpoint.
+    /// Refinement passes, the last of which confirmed the fixpoint.
     pub iterations: usize,
 }
 
-/// A refinement signature: (own block, out-(kind, block) set, in-(kind, block) set).
-type BlockSignature = (u32, Vec<(u8, u32)>, Vec<(u8, u32)>);
+/// Dense ids in first-appearance order of `keys`.
+fn first_appearance<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> Vec<u32> {
+    let mut ids: FxHashMap<K, u32> = FxHashMap::default();
+    keys.map(|key| {
+        let next = ids.len() as u32;
+        *ids.entry(key).or_insert(next)
+    })
+    .collect()
+}
 
 /// Run the pSum baseline on `g0`.
 pub fn psum(g0: &G0) -> PsumResult {
-    let n = g0.len();
-    if n == 0 {
-        return PsumResult {
-            block_of: Vec::new(),
-            block_count: 0,
-            compaction_ratio: 1.0,
-            iterations: 0,
-        };
-    }
-    // Virtual anchors: start = n, end = n + 1.
-    let start = n;
-    let end = n + 1;
-    let total = n + 2;
-    let mut out_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); total];
-    let mut in_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); total];
-    for (v, row) in out_adj.iter_mut().enumerate().take(n) {
-        for l in g0.out_links(v as u32) {
-            row.push((l.kind(), l.node()));
-            in_adj[l.node() as usize].push((l.kind(), v as u32));
-        }
-    }
-    const VIRT: u8 = 255;
-    for v in 0..n {
-        if g0.in_links(v as u32).is_empty() {
-            out_adj[start].push((VIRT, v as u32));
-            in_adj[v].push((VIRT, start as u32));
-        }
-        if g0.out_links(v as u32).is_empty() {
-            out_adj[v].push((VIRT, end as u32));
-            in_adj[end].push((VIRT, v as u32));
-        }
-    }
-
-    // Initial partition: class labels; anchors get unique blocks.
-    let mut block: Vec<u32> = (0..total)
-        .map(|v| {
-            if v == start {
-                u32::MAX - 1
-            } else if v == end {
-                u32::MAX
-            } else {
-                g0.class(v as u32).0
-            }
-        })
-        .collect();
-    // Densify initial ids.
-    let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
-    for b in block.iter_mut() {
-        let next = remap.len() as u32;
-        *b = *remap.entry(*b).or_insert(next);
-    }
-
-    // Refinement: signature = (block, sorted out (kind, child block),
-    // sorted in (kind, parent block)); split until stable.
+    let n = g0.len() as u32;
+    let mut block = first_appearance((0..n).map(|v| g0.class(v)));
+    // Refinement: a node's signature is its block, then its sorted, deduped
+    // `(direction, kind, neighbour block)` keys, each packed into one `u64`;
+    // the signatures lie back to back in `keys`. Split until stable.
+    let key = |block: &[u32], dir: u64, kind: u8, node: u32| {
+        dir << 40 | u64::from(kind) << 32 | u64::from(block[node as usize])
+    };
+    let (mut keys, mut row, mut ends) = (Vec::new(), Vec::new(), Vec::with_capacity(g0.len()));
     let mut iterations = 0usize;
     loop {
         iterations += 1;
-        let mut sigs: Vec<BlockSignature> = Vec::with_capacity(total);
-        for v in 0..total {
-            let mut outs: Vec<(u8, u32)> =
-                out_adj[v].iter().map(|&(k, d)| (k, block[d as usize])).collect();
-            outs.sort_unstable();
-            outs.dedup();
-            let mut ins: Vec<(u8, u32)> =
-                in_adj[v].iter().map(|&(k, p)| (k, block[p as usize])).collect();
-            ins.sort_unstable();
-            ins.dedup();
-            sigs.push((block[v], outs, ins));
+        keys.clear();
+        ends.clear();
+        for v in 0..n {
+            row.clear();
+            row.extend(g0.out_links(v).iter().map(|l| key(&block, 0, l.kind(), l.node())));
+            row.extend(g0.in_links(v).iter().map(|l| key(&block, 1, l.kind(), l.node())));
+            row.sort_unstable();
+            row.dedup();
+            keys.push(u64::from(block[v as usize]));
+            keys.extend_from_slice(&row);
+            ends.push(keys.len());
         }
-        let mut sig_ids: FxHashMap<&BlockSignature, u32> = FxHashMap::default();
-        let mut next_block: Vec<u32> = Vec::with_capacity(total);
-        for sig in &sigs {
-            let next = sig_ids.len() as u32;
-            next_block.push(*sig_ids.entry(sig).or_insert(next));
-        }
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        let next_block = first_appearance(starts.zip(&ends).map(|(s, &e)| &keys[s..e]));
         if next_block == block {
             break;
         }
         block = next_block;
     }
 
-    // Count blocks over real nodes only. Ids are dense after the last
-    // refinement pass, so a marker array beats a tree set.
-    let total_blocks = block.iter().max().map_or(0, |&b| b as usize + 1);
-    let mut seen = vec![false; total_blocks];
-    let mut block_count = 0usize;
-    for &b in block.iter().take(n) {
-        if !std::mem::replace(&mut seen[b as usize], true) {
-            block_count += 1;
-        }
-    }
+    let block_count = block.iter().max().map_or(0, |&b| b as usize + 1);
     PsumResult {
-        block_of: block[..n].to_vec(),
+        compaction_ratio: if n == 0 { 1.0 } else { block_count as f64 / f64::from(n) },
+        block_of: block,
         block_count,
-        compaction_ratio: block_count as f64 / n as f64,
         iterations,
     }
 }

@@ -8,7 +8,10 @@
 //! * [`merge`] ≡ a test-local merge that recomputes both relations with
 //!   [`simulation_naive`] on a fresh [`quotient`] before every round: the
 //!   same `group_of` labels on random segments, raw `G0`s and fig6's `Sd`
-//!   generator.
+//!   generator;
+//! * [`psum`] ≡ the bisimulation it was first written as, with the two
+//!   virtual keyword anchors materialized: the same `block_of` on raw `G0`s
+//!   and on every quick-scale fig6 input.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -18,10 +21,10 @@ use prov_store::ProvGraph;
 use prov_summary::simulation::{simulation, simulation_naive, SimDirection};
 use prov_summary::union::G0Node;
 use prov_summary::{
-    build_g0, merge, pgsum, quotient, ClassId, MergeResult, PgSumQuery, PropertyAggregation, Psg,
-    SegmentRef, G0,
+    build_g0, merge, pgsum, psum, quotient, ClassId, MergeResult, PgSumQuery, PropertyAggregation,
+    Psg, SegmentRef, G0,
 };
-use prov_workload::{generate_sd, SdParams};
+use prov_workload::{generate_pd, generate_sd, pd_segments, PdParams, SdParams};
 
 /// Plan for one segment: a chain/DAG of `steps` activities over `k` activity
 /// type labels, each consuming 1–2 previous entities and producing 0–2
@@ -168,6 +171,101 @@ fn is_cyclic(g0: &G0) -> bool {
         }
     }
     done < g0.len()
+}
+
+/// pSum's blocks by their first definition: a `start` anchor with an edge
+/// to every root and an `end` anchor with an edge from every leaf, each in
+/// a block of its own, then forward+backward signature refinement over
+/// copied adjacency lists until the ids stop changing.
+fn psum_oracle(g0: &G0) -> Vec<u32> {
+    const VIRT: u8 = 255;
+    let n = g0.len();
+    let (start, end, total) = (n, n + 1, n + 2);
+    let mut out_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); total];
+    let mut in_adj: Vec<Vec<(u8, u32)>> = vec![Vec::new(); total];
+    for (v, row) in out_adj.iter_mut().enumerate().take(n) {
+        for l in g0.out_links(v as u32) {
+            row.push((l.kind(), l.node()));
+            in_adj[l.node() as usize].push((l.kind(), v as u32));
+        }
+    }
+    for v in 0..n {
+        if g0.in_links(v as u32).is_empty() {
+            out_adj[start].push((VIRT, v as u32));
+            in_adj[v].push((VIRT, start as u32));
+        }
+        if g0.out_links(v as u32).is_empty() {
+            out_adj[v].push((VIRT, end as u32));
+            in_adj[end].push((VIRT, v as u32));
+        }
+    }
+    fn dense<K: std::hash::Hash + Eq>(keys: Vec<K>) -> Vec<u32> {
+        let mut ids = FxHashMap::default();
+        keys.into_iter()
+            .map(|k| {
+                let next = ids.len() as u32;
+                *ids.entry(k).or_insert(next)
+            })
+            .collect()
+    }
+    let initial = (0..total).map(|v| match v {
+        _ if v == start => u32::MAX - 1,
+        _ if v == end => u32::MAX,
+        _ => g0.class(v as u32).0,
+    });
+    let mut block = dense(initial.collect());
+    loop {
+        let signature = |adj: &[(u8, u32)], block: &[u32]| {
+            let mut sig: Vec<(u8, u32)> =
+                adj.iter().map(|&(k, u)| (k, block[u as usize])).collect();
+            sig.sort_unstable();
+            sig.dedup();
+            sig
+        };
+        let sigs: Vec<_> = (0..total)
+            .map(|v| (block[v], signature(&out_adj[v], &block), signature(&in_adj[v], &block)))
+            .collect();
+        let next = dense(sigs);
+        if next == block {
+            return block[..n].to_vec();
+        }
+        block = next;
+    }
+}
+
+/// `psum` equals the anchored oracle on raw graphs of up to 14 nodes,
+/// 3 classes and `3n` edges (cycles, self-loops and multi-edges included),
+/// and on every quick-scale fig6 input: 6a's `Sd` sets of |S| = 5–40, 6b's
+/// of n = 10–40, and 6c's 12-activity windows of `Pd` 2,000, under fig6's
+/// query (activities by command, k = 1).
+#[test]
+fn psum_matches_the_anchored_oracle() {
+    let mut rng = TestRng::deterministic("differential::psum_matches_the_anchored_oracle");
+    for case in 0..1_024 {
+        let n = (1..15usize).sample(&mut rng);
+        let classes = (1..4usize).sample(&mut rng);
+        let class_of = proptest::collection::vec(0..classes as u32, n..n + 1).sample(&mut rng);
+        let edges = proptest::collection::vec((0..n, 0..2u8, 0..n), 0..3 * n + 1).sample(&mut rng);
+        let g0 = raw_g0(&class_of, classes, &edges);
+        assert_eq!(psum(&g0).block_of, psum_oracle(&g0), "case {case}: edges={edges:?}");
+    }
+
+    let aggregation =
+        PropertyAggregation::ignore_all().with_keys(VertexKind::Activity, &["command"]);
+    let check = |name: String, graph: &ProvGraph, segments: Vec<prov_workload::SdSegment>| {
+        let segments: Vec<SegmentRef> =
+            segments.into_iter().map(|s| SegmentRef::new(s.vertices, s.edges)).collect();
+        let g0 = build_g0(graph, &segments, &aggregation, 1);
+        assert_eq!(psum(&g0).block_of, psum_oracle(&g0), "{name} ({} g0 nodes)", g0.len());
+    };
+    for (num_segments, n) in [(5, 20), (10, 20), (20, 20), (40, 20), (10, 10), (10, 40)] {
+        let sd = generate_sd(&SdParams { num_segments, n, ..SdParams::default() });
+        check(format!("Sd |S|={num_segments} n={n}"), &sd.graph, sd.segments);
+    }
+    let pd = generate_pd(&PdParams::with_size(2_000));
+    for count in [4, 8, 16, 32] {
+        check(format!("Pd2000 |S|={count}"), &pd, pd_segments(&pd, 12, count));
+    }
 }
 
 /// `simulation` equals the naive pair fixpoint, in both directions, on raw
