@@ -16,14 +16,17 @@
 //! * DTOs ([`SegmentDto`], [`PsgDto`]) — segments and summaries are
 //!   flattened into self-describing wire shapes (names, kinds, category
 //!   tags) instead of bare id lists. The service writes those shapes
-//!   straight from the kernel's result; the DTOs are what a client decodes
-//!   them into, [`crate::ProvService::handle`] included.
+//!   straight from the kernel's result, so a DTO is built only by
+//!   [`crate::ProvService::handle`] and by clients that parse answers. The
+//!   DTOs' `Serialize` is derived; the views' unit tests and the wire
+//!   transcript's `handle_json == to_string(&handle)` leg hold the two
+//!   writers to the same bytes.
 
 use crate::error::ErrorCode;
 use prov_model::{EdgeId, EdgeKind, PropValue, VertexId, VertexKind};
 use prov_segment::SegmentGraph;
 use prov_store::ProvGraph;
-use prov_summary::{Psg, PsgEdge};
+use prov_summary::{Psg, PsgEdge, PsgVertex};
 use serde::{Deserialize, JsonWriter, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -621,6 +624,24 @@ pub struct PsgDto {
     pub compaction_ratio: f64,
 }
 
+impl PsgDto {
+    /// Flatten a summary graph.
+    pub fn from_psg(psg: &Psg) -> PsgDto {
+        let vertex = |v: &PsgVertex| PsgVertexDto {
+            label: v.label.clone(),
+            kind: v.kind,
+            members: v.members.clone(),
+        };
+        PsgDto {
+            vertices: psg.vertices.iter().map(vertex).collect(),
+            edges: psg.edges.iter().map(PsgEdgeDto::from).collect(),
+            segment_count: psg.segment_count,
+            input_vertex_count: psg.input_vertex_count,
+            compaction_ratio: psg.compaction_ratio(),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Segment and summary encoders
 // ---------------------------------------------------------------------------
@@ -690,8 +711,8 @@ impl Serialize for SegmentView<'_> {
     }
 }
 
-/// A kernel's summary: writes the bytes of its [`PsgDto`] without building
-/// it.
+/// A kernel's summary: writes the bytes of [`PsgDto::from_psg`] without
+/// building it.
 pub(crate) struct PsgView<'a>(pub(crate) &'a Psg);
 
 impl Serialize for PsgView<'_> {
@@ -921,23 +942,7 @@ impl Response {
 mod tests {
     use super::*;
     use prov_segment::Categories;
-    use prov_summary::{ClassId, PsgVertex};
-
-    /// `psg` flattened field by field, as a client decodes it.
-    fn psg_dto(psg: &Psg) -> PsgDto {
-        let vertex = |v: &PsgVertex| PsgVertexDto {
-            label: v.label.clone(),
-            kind: v.kind,
-            members: v.members.clone(),
-        };
-        PsgDto {
-            vertices: psg.vertices.iter().map(vertex).collect(),
-            edges: psg.edges.iter().map(PsgEdgeDto::from).collect(),
-            segment_count: psg.segment_count,
-            input_vertex_count: psg.input_vertex_count,
-            compaction_ratio: psg.compaction_ratio(),
-        }
-    }
+    use prov_summary::ClassId;
 
     /// The views write the DTOs' bytes: names that need escaping, an
     /// unnamed vertex, every category bit and the empty set, an empty
@@ -1001,7 +1006,7 @@ mod tests {
             input_vertex_count: 7,
         };
         for p in [&psg, &Psg::default()] {
-            let dto = psg_dto(p);
+            let dto = PsgDto::from_psg(p);
             assert_eq!(
                 serde_json::to_string(&PsgView(p)).unwrap(),
                 serde_json::to_string(&dto).unwrap()

@@ -10,12 +10,13 @@
 //! "induce once, adjust repeatedly" loop (Sec. III-B) lifted to a
 //! multi-tenant surface.
 //!
-//! [`ProvService::handle_json`] is the one entry that serves: it maps one
-//! request's bytes to one reply's bytes and never panics on bad input, since
-//! every failure funnels through [`crate::ApiError`] into an error reply. A
-//! segment or summary answer is written into the wire buffer as the kernel
-//! left it. [`ProvService::handle`] is a typed client of it: it encodes a
-//! [`Request`], sends the bytes and decodes the [`Response`].
+//! [`ProvService::handle`] maps one [`Request`] to one [`Response`] and
+//! never panics on bad input: every failure funnels through
+//! [`crate::ApiError`] into [`Response::Error`]. [`ProvService::handle_json`]
+//! is the byte-level entry a transport would bind. Both run one dispatch,
+//! whose reply keeps a segment or summary answer as the kernel left it:
+//! `handle_json` writes that straight into the wire buffer, and only
+//! `handle` flattens it into DTOs.
 
 use crate::clock::{Clock, SystemClock};
 use crate::envelope::*;
@@ -56,8 +57,9 @@ enum Answer {
 }
 
 /// One served request, stats stamped, before it is written. Segment and
-/// summary answers borrow or own the kernel's result, and [`Serialize`]
-/// writes them straight from it.
+/// summary answers borrow or own the kernel's result: [`Serialize`] writes
+/// them straight from it, and [`Reply::into_response`] is the one place
+/// their DTOs are still built.
 enum Reply<'a> {
     Response(Response),
     Segment { graph: &'a ProvGraph, segment: SegmentGraph, stats: Stats },
@@ -74,9 +76,28 @@ impl Reply<'_> {
             | Reply::Summary { stats, .. } => Some(stats),
         }
     }
+
+    /// The typed [`Response`], DTOs built.
+    fn into_response(self) -> Response {
+        match self {
+            Reply::Response(r) => r,
+            Reply::Segment { graph, segment, stats } => Response::Segment(SegmentResponse {
+                segment: SegmentDto::from_segment(graph, &segment),
+                stats,
+            }),
+            Reply::Session { id, session, stats } => Response::Session(SessionResponse {
+                session: id,
+                segment: SegmentDto::from_segment(session.graph(), session.segment()),
+                stats,
+            }),
+            Reply::Summary { psg, stats } => {
+                Response::Summary(SummaryResponse { summary: PsgDto::from_psg(&psg), stats })
+            }
+        }
+    }
 }
 
-/// The bytes of the [`Response`] a reply answers, with no DTO built.
+/// The bytes of [`Reply::into_response`]'s answer, written without it.
 impl Serialize for Reply<'_> {
     fn write_json(&self, out: &mut JsonWriter) -> Result<(), serde::Error> {
         match self {
@@ -214,22 +235,18 @@ impl ProvService {
         self.held.session(id)
     }
 
-    /// Typed client of [`ProvService::handle_json`]: encode `request`, serve
-    /// its bytes, decode the reply. A request the wire cannot carry (a
-    /// non-finite float, an integer above `i64::MAX`) and a reply that does
-    /// not decode become [`ErrorCode::MalformedRequest`](crate::ErrorCode).
+    /// Serve one request; errors become [`Response::Error`], successes carry
+    /// a [`Stats`] envelope timed by the injected clock and stamped with the
+    /// database's snapshot reuse/refresh/rebuild counters — the serving
+    /// loop's health, observable per response.
     pub fn handle(&mut self, request: &Request) -> Response {
-        serde_json::to_string(request)
-            .and_then(|bytes| serde_json::from_str(&self.handle_json(&bytes)))
-            .unwrap_or_else(|e| error_response(&ApiError::Malformed(e.to_string())))
+        self.serve(request).into_response()
     }
 
-    /// Serve one request's JSON bytes. Errors, parse failures included,
-    /// become a [`Response::Error`] reply; successes carry a [`Stats`]
-    /// envelope timed by the injected clock and stamped with the database's
-    /// snapshot reuse/refresh/rebuild counters — the serving loop's health,
-    /// observable per response. Segment and summary answers are written
-    /// straight from the kernel's result.
+    /// Byte-level entry: parse a JSON request, serve it, serialize the
+    /// response — the bytes `handle` would give, written straight from the
+    /// kernel's result. Parse failures come back as a serialized error
+    /// response.
     pub fn handle_json(&mut self, request: &str) -> String {
         match serde_json::from_str::<Request>(request) {
             Ok(req) => encode(&self.serve(&req)),
@@ -237,7 +254,7 @@ impl ProvService {
         }
     }
 
-    /// Dispatch, then stamp the stats.
+    /// Dispatch, then stamp the stats: the one place for both entries.
     fn serve(&mut self, request: &Request) -> Reply<'_> {
         let start = self.clock.now_micros();
         let answer = self.dispatch(request);

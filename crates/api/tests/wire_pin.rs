@@ -10,9 +10,8 @@
 //!
 //! Two services receive the same requests: one through
 //! [`ProvService::handle_json`], the other through [`ProvService::handle`]
-//! with the [`Response`] serialized afterwards. `handle` is a typed client
-//! of `handle_json`, so the two agreeing on every request means the client
-//! types decode the server's bytes and re-encode them exactly.
+//! with the [`Response`] serialized afterwards. Their bytes must agree on
+//! every request, so the byte entry and the typed entry cannot drift apart.
 //!
 //! To re-capture the transcript after a deliberate wire change, run
 //! `cargo test -q -p prov-api --test wire_pin -- --ignored --nocapture print_transcript`

@@ -57,8 +57,8 @@ summary-test:
     cargo test -q --release -p prov-summary
 
 # The wire's byte pins alone: every envelope variant round-trips, the
-# golden transcript of every request (handle_json's bytes = handle's decoded
-# Response re-encoded), and the serde shim's golden bytes.
+# golden transcript of every request (handle_json's bytes = handle's
+# Response serialized), and the serde shim's golden bytes.
 wire-test:
     cargo test -q -p prov-api --test envelope_roundtrip --test wire_pin
     cd vendor/serde_json && cargo test -q --test golden
