@@ -316,6 +316,25 @@ mod tests {
         assert_eq!(g0_single.segment_count, 1);
     }
 
+    /// A parallel edge counts twice in the type, though `g0` keeps it once:
+    /// `u_dup` uses `e0` through two edge ids, `u_one` uses `e1`, `u_two`
+    /// uses `e2` and `e3`. At k = 1, `u_dup` has `u_two`'s shape (two
+    /// entity inputs), not `u_one`'s, and `e0` (used twice) is apart from
+    /// the entities used once.
+    #[test]
+    fn parallel_edges_count_twice_in_the_type() {
+        let mut g = ProvGraph::new();
+        let e: Vec<VertexId> = (0..4).map(|i| g.add_entity(&format!("e{i}"))).collect();
+        let u: Vec<VertexId> = (0..3).map(|_| g.add_activity("update")).collect();
+        let edges = [(u[0], e[0]), (u[0], e[0]), (u[1], e[1]), (u[2], e[2]), (u[2], e[3])]
+            .map(|(a, x)| g.add_edge(EdgeKind::Used, a, x).unwrap());
+        let seg = SegmentRef::new([&e[..], &u[..]].concat(), edges.to_vec());
+        let g0 = build_g0(&g, &[seg], &PropertyAggregation::ignore_all(), 1);
+        let classes: Vec<u32> = g0.nodes.iter().map(|node| node.class.0).collect();
+        assert_eq!(classes, [0, 1, 1, 1, 2, 3, 2]);
+        assert_eq!(g0.edge_count(), 4);
+    }
+
     #[test]
     fn k_zero_merges_input_and_output_entities() {
         let (g, segs) = twin_segments();
