@@ -7,19 +7,25 @@
 //! equivalence with simulation preorders and merge greedily under the Lemma-5
 //! conditions.
 //!
-//! Pipeline: [`segment_ref`] (input) → [`aggregation`] (`K`) + [`provtype`]
-//! (`Rk`) → [`union`] (`g0` with `≡kκ` classes) → [`mod@simulation`]
-//! (`≤s_in`, `≤s_out`) → [`mod@merge`] (Lemma 5) → [`psg`] (output with `γ`
-//! frequencies). [`mod@psum`] is the comparison baseline; [`paths`] checks
-//! the bounded path-preservation invariant in tests.
+//! Pipeline: [`segment_ref`] (input) → [`aggregation`] (`K`) → [`union`]
+//! (`g0` with `≡kκ` classes) → [`mod@simulation`] (`≤s_in`, `≤s_out`) →
+//! [`mod@merge`] (Lemma 5) → [`psg`] (output with `γ` frequencies).
+//! [`mod@psum`] is the comparison baseline; [`paths`] checks the bounded
+//! path-preservation invariant in tests.
+//!
+//! One exact partition-refinement kernel (`refine.rs`) computes both the
+//! provenance types `Rk` (`k` rounds with multiset neighbour keys from the
+//! aggregate labels, in `build_g0`) and pSum's blocks (set keys to the
+//! fixpoint from the classes). Its ids are dense in first-appearance order,
+//! and keys are compared, never hashed into a name.
 
 pub mod aggregation;
 pub mod merge;
 pub mod paths;
 pub mod pgsum;
-pub mod provtype;
 pub mod psg;
 pub mod psum;
+mod refine;
 pub mod segment_ref;
 pub mod simulation;
 pub mod union;
@@ -27,7 +33,6 @@ pub mod union;
 pub use aggregation::{AggLabel, PropertyAggregation};
 pub use merge::{merge, quotient, MergeResult};
 pub use pgsum::{pgsum, pgsum_with_internals, psum_baseline, PgSumQuery};
-pub use provtype::{provenance_types, ProvTypes};
 pub use psg::{Psg, PsgEdge, PsgVertex};
 pub use psum::{psum, PsumResult};
 pub use segment_ref::SegmentRef;

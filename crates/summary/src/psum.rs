@@ -13,13 +13,13 @@
 //!
 //! The anchors are not materialized. Each stays a block of its own, so its
 //! only trace in a node's signature is that the node is a root (or a
-//! leaf), and an empty in- (or out-) key set already says so. Refinement
-//! therefore reads `g0`'s own rows from the class partition, and reaches
-//! the anchored coarsest stable refinement; with first-appearance ids,
-//! `block_of` is the same too.
+//! leaf), and an empty in- (or out-) key set already says so. pSum is
+//! therefore one call of the refinement kernel over `g0`'s own rows: set
+//! keys, from the class partition, to the fixpoint. It reaches the anchored
+//! coarsest stable refinement, with the same first-appearance `block_of`.
 
+use crate::refine::{refine, Neighbours};
 use crate::union::G0;
-use prov_store::hash::FxHashMap;
 
 /// Result of the pSum baseline.
 #[derive(Debug, Clone)]
@@ -30,60 +30,17 @@ pub struct PsumResult {
     pub block_count: usize,
     /// Compaction ratio `|blocks| / |g0|`.
     pub compaction_ratio: f64,
-    /// Refinement passes, the last of which confirmed the fixpoint.
-    pub iterations: usize,
-}
-
-/// Dense ids in first-appearance order of `keys`.
-fn first_appearance<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> Vec<u32> {
-    let mut ids: FxHashMap<K, u32> = FxHashMap::default();
-    keys.map(|key| {
-        let next = ids.len() as u32;
-        *ids.entry(key).or_insert(next)
-    })
-    .collect()
 }
 
 /// Run the pSum baseline on `g0`.
 pub fn psum(g0: &G0) -> PsumResult {
-    let n = g0.len() as u32;
-    let mut block = first_appearance((0..n).map(|v| g0.class(v)));
-    // Refinement: a node's signature is its block, then its sorted, deduped
-    // `(direction, kind, neighbour block)` keys, each packed into one `u64`;
-    // the signatures lie back to back in `keys`. Split until stable.
-    let key = |block: &[u32], dir: u64, kind: u8, node: u32| {
-        dir << 40 | u64::from(kind) << 32 | u64::from(block[node as usize])
-    };
-    let (mut keys, mut row, mut ends) = (Vec::new(), Vec::new(), Vec::with_capacity(g0.len()));
-    let mut iterations = 0usize;
-    loop {
-        iterations += 1;
-        keys.clear();
-        ends.clear();
-        for v in 0..n {
-            row.clear();
-            row.extend(g0.out_links(v).iter().map(|l| key(&block, 0, l.kind(), l.node())));
-            row.extend(g0.in_links(v).iter().map(|l| key(&block, 1, l.kind(), l.node())));
-            row.sort_unstable();
-            row.dedup();
-            keys.push(u64::from(block[v as usize]));
-            keys.extend_from_slice(&row);
-            ends.push(keys.len());
-        }
-        let starts = std::iter::once(0).chain(ends.iter().copied());
-        let next_block = first_appearance(starts.zip(&ends).map(|(s, &e)| &keys[s..e]));
-        if next_block == block {
-            break;
-        }
-        block = next_block;
-    }
-
-    let block_count = block.iter().max().map_or(0, |&b| b as usize + 1);
+    let classes = g0.nodes.iter().map(|node| node.class.0);
+    let (block_of, block_count) = refine(classes, &g0.out, &g0.inc, Neighbours::Set, usize::MAX);
+    let n = g0.len();
     PsumResult {
-        compaction_ratio: if n == 0 { 1.0 } else { block_count as f64 / f64::from(n) },
-        block_of: block,
+        compaction_ratio: if n == 0 { 1.0 } else { block_count as f64 / n as f64 },
+        block_of,
         block_count,
-        iterations,
     }
 }
 

@@ -3,16 +3,17 @@
 //! Each segment vertex becomes one `g0` node labeled by its equivalence class
 //! under `≡kκ` (same kind, same visible property values, same provenance
 //! type). `g0` itself is a valid Psg — the merging phase only improves on it.
+//! The provenance type `Rk` is `k` rounds of the crate's partition
+//! refinement over `g0`'s rows, from the aggregate labels.
 //!
 //! A [`G0`] is flat: its nodes are one array and each adjacency is one
 //! compressed row array of packed [`Link`]s, so neither `build_g0` nor
 //! [`crate::merge::quotient`] allocates per node.
 
 use crate::aggregation::{LabelIds, PropertyAggregation};
-use crate::provtype::{refine, segment_edges};
+use crate::refine::{refine, Neighbours};
 use crate::segment_ref::SegmentRef;
 use prov_model::VertexId;
-use prov_store::hash::FxHashMap;
 use prov_store::ProvGraph;
 
 /// Dense id of an equivalence class of `≡kκ`.
@@ -77,6 +78,20 @@ impl Adjacency {
         adjacency
     }
 
+    /// One row per node `0..n` from sorted [`edge_key`]s: node `v`'s row is
+    /// the `Link`s of the keys whose source is `v`, in key order.
+    fn from_sorted_keys(n: usize, keys: &[u64]) -> Adjacency {
+        assert!(n <= 1 << 29, "{n} nodes do not fit a link");
+        let mut start = vec![0u32; n + 1];
+        for &key in keys {
+            start[(key >> 32) as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        Adjacency { start, links: keys.iter().map(|&key| Link(key as u32)).collect() }
+    }
+
     #[inline]
     pub(crate) fn row(&self, v: u32) -> &[Link] {
         &self.links[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
@@ -112,8 +127,8 @@ impl Adjacency {
 pub struct G0 {
     /// Nodes (instances).
     pub nodes: Vec<G0Node>,
-    out: Adjacency,
-    inc: Adjacency,
+    pub(crate) out: Adjacency,
+    pub(crate) inc: Adjacency,
     /// Number of input segments.
     pub segment_count: usize,
     class_count: usize,
@@ -159,17 +174,9 @@ impl G0 {
         segment_count: usize,
         class_count: usize,
     ) -> G0 {
-        assert!(nodes.len() <= 1 << 29, "{} nodes do not fit a link", nodes.len());
         keys.sort_unstable();
         keys.dedup();
-        let mut out = Adjacency { start: vec![0; nodes.len() + 1], links: Vec::new() };
-        for &key in &keys {
-            out.start[(key >> 32) as usize + 1] += 1;
-        }
-        for v in 0..nodes.len() {
-            out.start[v + 1] += out.start[v];
-        }
-        out.links = keys.iter().map(|&key| Link(key as u32)).collect();
+        let out = Adjacency::from_sorted_keys(nodes.len(), &keys);
         let inc = out.reversed();
         G0 { nodes, out, inc, segment_count, class_count }
     }
@@ -216,9 +223,12 @@ impl G0 {
 /// Build `g0` from segments under the aggregation `K` and provenance type
 /// radius `k`.
 ///
-/// Each vertex's aggregate label is interned once to a dense id; that id is
-/// round 0 of the type refinement, and the class key is `(label id, type)`,
-/// with class ids in first-appearance order.
+/// Each vertex's aggregate label is interned once to a dense id, which is
+/// round 0; `k` rounds of multiset refinement over g0's rows give the
+/// classes. g0 is the disjoint union of the segments, so a round over it is
+/// a round per segment, and one first-appearance numbering serves all of
+/// them. A type counts every edge of its segment, so the rows are refined
+/// before `g0` keeps a repeated edge once.
 pub fn build_g0(
     graph: &ProvGraph,
     segments: &[SegmentRef],
@@ -226,32 +236,42 @@ pub fn build_g0(
     k: usize,
 ) -> G0 {
     let total: usize = segments.iter().map(|s| s.vertices.len()).sum();
-    // Refinement over the disjoint union of the segments is stable after as
-    // many rounds as it has vertices, and class ids follow first appearance,
-    // so any larger `k` yields the same `g0` — without running its rounds.
-    let k = k.min(total);
     let mut label_ids = LabelIds::new(graph, aggregation);
-    let mut class_ids: FxHashMap<(u64, u64), ClassId> = FxHashMap::default();
     let mut nodes: Vec<G0Node> = Vec::with_capacity(total);
+    let mut labels: Vec<u32> = Vec::with_capacity(total);
     let mut keys: Vec<u64> = Vec::new();
-    let mut labels: Vec<u64> = Vec::new();
-    let mut edges: Vec<(u8, u32, u32)> = Vec::new();
     for (si, seg) in segments.iter().enumerate() {
-        // The node of the segment's rank-`r` vertex is `base + r`.
+        // The vertex at position `r` of the sorted `seg.vertices` is node
+        // `base + r`.
         let base = nodes.len() as u32;
-        labels.clear();
-        labels.extend(seg.vertices.iter().map(|&v| u64::from(label_ids.id(v))));
-        segment_edges(graph, seg, &mut edges);
-        let types = refine(&labels, &edges, k);
-        for (r, &vertex) in seg.vertices.iter().enumerate() {
-            let next = ClassId(class_ids.len() as u32);
-            let class = *class_ids.entry((labels[r], types[r])).or_insert(next);
-            nodes.push(G0Node { segment: si as u32, vertex, class });
+        let node = |v: VertexId| {
+            let rank = seg.vertices.binary_search(&v).expect("vertex belongs to the segment");
+            base + rank as u32
+        };
+        keys.extend(seg.edges.iter().map(|&e| {
+            let rec = graph.edge(e);
+            edge_key(node(rec.src), rec.kind.as_index() as u8, node(rec.dst))
+        }));
+        for &vertex in &seg.vertices {
+            labels.push(label_ids.id(vertex));
+            nodes.push(G0Node { segment: si as u32, vertex, class: ClassId(0) });
         }
-        keys.extend(edges.iter().map(|&(kind, s, d)| edge_key(base + s, kind, base + d)));
     }
-    let class_count = class_ids.len();
-    G0::from_keys(nodes, keys, segments.len(), class_count)
+    keys.sort_unstable();
+    let mut out = Adjacency::from_sorted_keys(nodes.len(), &keys);
+    let mut inc = out.reversed();
+    let (class, class_count) = refine(labels.into_iter(), &out, &inc, Neighbours::Multiset, k);
+    for (node, c) in nodes.iter_mut().zip(class) {
+        node.class = ClassId(c);
+    }
+    // g0 keeps a repeated edge once: only then are its rows laid out anew.
+    let len = keys.len();
+    keys.dedup();
+    if keys.len() < len {
+        out = Adjacency::from_sorted_keys(nodes.len(), &keys);
+        inc = out.reversed();
+    }
+    G0 { nodes, out, inc, segment_count: segments.len(), class_count }
 }
 
 #[cfg(test)]
@@ -342,5 +362,107 @@ mod tests {
         // Without structural types all entities are one class.
         assert_eq!(g0.class(0), g0.class(2));
         assert_eq!(g0.class_count(), 2);
+    }
+
+    /// Class of the node of `v` in a one-segment `g0`.
+    fn class_of(g0: &G0, v: VertexId) -> ClassId {
+        g0.nodes.iter().find(|node| node.vertex == v).expect("v is a segment vertex").class
+    }
+
+    /// Two `update` activities with different shapes: u1 uses 1 entity,
+    /// u2 uses 2 (the paper's update-v2 vs update-v3 example).
+    fn shapes() -> (ProvGraph, SegmentRef, VertexId, VertexId) {
+        let mut g = ProvGraph::new();
+        let e1 = g.add_entity("e1");
+        let e2 = g.add_entity("e2");
+        let e3 = g.add_entity("e3");
+        let u1 = g.add_activity("update");
+        let u2 = g.add_activity("update");
+        g.set_vprop(u1, "command", "update");
+        g.set_vprop(u2, "command", "update");
+        let a = g.add_edge(EdgeKind::Used, u1, e1).unwrap();
+        let b = g.add_edge(EdgeKind::Used, u2, e2).unwrap();
+        let c = g.add_edge(EdgeKind::Used, u2, e3).unwrap();
+        let seg = SegmentRef::new(vec![e1, e2, e3, u1, u2], vec![a, b, c]);
+        (g, seg, u1, u2)
+    }
+
+    fn by_command() -> PropertyAggregation {
+        PropertyAggregation::ignore_all().with_keys(VertexKind::Activity, &["command"])
+    }
+
+    #[test]
+    fn k0_ignores_structure() {
+        let (g, seg, u1, u2) = shapes();
+        let g0 = build_g0(&g, &[seg], &by_command(), 0);
+        assert_eq!(class_of(&g0, u1), class_of(&g0, u2));
+    }
+
+    #[test]
+    fn k1_separates_different_degrees() {
+        let (g, seg, u1, u2) = shapes();
+        let g0 = build_g0(&g, &[seg], &by_command(), 1);
+        assert_ne!(
+            class_of(&g0, u1),
+            class_of(&g0, u2),
+            "degree-aware types must distinguish 1-input from 2-input updates"
+        );
+    }
+
+    #[test]
+    fn identical_shapes_share_types_across_rounds() {
+        // Two isomorphic train rounds in one segment.
+        let mut g = ProvGraph::new();
+        let d1 = g.add_entity("d");
+        let t1 = g.add_activity("train");
+        let w1 = g.add_entity("w");
+        let d2 = g.add_entity("d");
+        let t2 = g.add_activity("train");
+        let w2 = g.add_entity("w");
+        let e1 = g.add_edge(EdgeKind::Used, t1, d1).unwrap();
+        let e2 = g.add_edge(EdgeKind::WasGeneratedBy, w1, t1).unwrap();
+        let e3 = g.add_edge(EdgeKind::Used, t2, d2).unwrap();
+        let e4 = g.add_edge(EdgeKind::WasGeneratedBy, w2, t2).unwrap();
+        let seg = SegmentRef::new(vec![d1, t1, w1, d2, t2, w2], vec![e1, e2, e3, e4]);
+        for k in 0..4 {
+            let g0 =
+                build_g0(&g, std::slice::from_ref(&seg), &PropertyAggregation::ignore_all(), k);
+            assert_eq!(class_of(&g0, t1), class_of(&g0, t2), "k={k}");
+            assert_eq!(class_of(&g0, d1), class_of(&g0, d2), "k={k}");
+            assert_eq!(class_of(&g0, w1), class_of(&g0, w2), "k={k}");
+            // Input vs output entities differ structurally for k >= 1.
+            if k >= 1 {
+                assert_ne!(class_of(&g0, d1), class_of(&g0, w1), "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn segment_locality_edges_outside_ignored() {
+        // Same vertices, but the segment omits u2's second edge: then u1 and
+        // u2 look identical at k=1.
+        let (g, _, u1, u2) = shapes();
+        let seg = SegmentRef::new(
+            vec![VertexId::new(0), VertexId::new(1), u1, u2],
+            vec![prov_model::EdgeId::new(0), prov_model::EdgeId::new(1)],
+        );
+        let g0 = build_g0(&g, &[seg], &by_command(), 1);
+        assert_eq!(class_of(&g0, u1), class_of(&g0, u2));
+    }
+
+    #[test]
+    fn direction_matters() {
+        // a uses e  vs  e' generated-by a': same degree, opposite direction.
+        let mut g = ProvGraph::new();
+        let e1 = g.add_entity("x");
+        let a1 = g.add_activity("f");
+        let e2 = g.add_entity("x");
+        let a2 = g.add_activity("f");
+        let ed1 = g.add_edge(EdgeKind::Used, a1, e1).unwrap();
+        let ed2 = g.add_edge(EdgeKind::WasGeneratedBy, e2, a2).unwrap();
+        let seg = SegmentRef::new(vec![e1, a1, e2, a2], vec![ed1, ed2]);
+        let g0 = build_g0(&g, &[seg], &PropertyAggregation::ignore_all(), 1);
+        assert_ne!(class_of(&g0, e1), class_of(&g0, e2));
+        assert_ne!(class_of(&g0, a1), class_of(&g0, a2));
     }
 }

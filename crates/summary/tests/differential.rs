@@ -11,7 +11,10 @@
 //!   generator;
 //! * [`psum`] ≡ the bisimulation it was first written as, with the two
 //!   virtual keyword anchors materialized: the same `block_of` on raw `G0`s
-//!   and on every quick-scale fig6 input.
+//!   and on every quick-scale fig6 input;
+//! * [`build_g0`]'s classes ≡ the per-segment provenance-type refinement
+//!   they are defined as, node for node, and the same partition whatever
+//!   the order of the segments.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -21,10 +24,11 @@ use prov_store::ProvGraph;
 use prov_summary::simulation::{simulation, simulation_naive, SimDirection};
 use prov_summary::union::G0Node;
 use prov_summary::{
-    build_g0, merge, pgsum, psum, quotient, ClassId, MergeResult, PgSumQuery, PropertyAggregation,
-    Psg, SegmentRef, G0,
+    build_g0, merge, pgsum, psum, quotient, AggLabel, ClassId, MergeResult, PgSumQuery,
+    PropertyAggregation, Psg, SegmentRef, G0,
 };
 use prov_workload::{generate_pd, generate_sd, pd_segments, PdParams, SdParams};
+use std::collections::BTreeMap;
 
 /// Plan for one segment: a chain/DAG of `steps` activities over `k` activity
 /// type labels, each consuming 1–2 previous entities and producing 0–2
@@ -268,6 +272,154 @@ fn psum_matches_the_anchored_oracle() {
     }
 }
 
+/// `build_g0`'s classes by their definition: `k` rounds of degree-aware WL
+/// from the aggregate labels, run per segment over its raw `ProvGraph`
+/// edges, so a parallel edge counts twice. Keys are compared, not hashed;
+/// one id map per round serves every segment, in (segment, vertex) order.
+fn g0_classes_oracle(
+    graph: &ProvGraph,
+    segments: &[SegmentRef],
+    aggregation: &PropertyAggregation,
+    k: usize,
+) -> Vec<u32> {
+    let mut labels: Vec<AggLabel> = Vec::new();
+    let mut ids: Vec<Vec<u32>> = segments
+        .iter()
+        .map(|seg| {
+            let mut label_id = |v: VertexId| {
+                let label = aggregation.label(graph, v);
+                let id = labels.iter().position(|l| *l == label).unwrap_or(labels.len());
+                if id == labels.len() {
+                    labels.push(label);
+                }
+                id as u32
+            };
+            seg.vertices.iter().map(|&v| label_id(v)).collect()
+        })
+        .collect();
+    for _ in 0..k {
+        let mut round: BTreeMap<(u32, Vec<(u8, u32)>), u32> = BTreeMap::new();
+        ids = segments
+            .iter()
+            .zip(&ids)
+            .map(|(seg, id)| {
+                let of = |v: VertexId| id[seg.vertices.binary_search(&v).unwrap()];
+                let mut row: Vec<Vec<(u8, u32)>> = vec![Vec::new(); seg.vertices.len()];
+                for &e in &seg.edges {
+                    let rec = graph.edge(e);
+                    let kind = rec.kind.as_index() as u8;
+                    row[seg.vertices.binary_search(&rec.src).unwrap()].push((kind, of(rec.dst)));
+                    row[seg.vertices.binary_search(&rec.dst).unwrap()]
+                        .push((1 << 3 | kind, of(rec.src)));
+                }
+                row.into_iter()
+                    .zip(id)
+                    .map(|(mut row, &own)| {
+                        row.sort_unstable();
+                        let next = round.len() as u32;
+                        *round.entry((own, row)).or_insert(next)
+                    })
+                    .collect()
+            })
+            .collect();
+    }
+    ids.concat()
+}
+
+/// `g0`'s classes, node by node.
+fn classes(g0: &G0) -> Vec<u32> {
+    g0.nodes.iter().map(|node| node.class.0).collect()
+}
+
+/// Segments drawn at random over one graph of up to 24 vertices of all
+/// three kinds: edges of every kind, repeated ones (parallel edges) and
+/// `WasDerivedFrom` self-loops included; a vertex may lie in several
+/// segments, and a segment keeps each edge between its vertices with
+/// probability 3/4.
+fn raw_segments(rng: &mut TestRng) -> (ProvGraph, Vec<SegmentRef>) {
+    let mut g = ProvGraph::new();
+    let n = 1 + rng.below(24) as usize;
+    let vertices: Vec<VertexId> = (0..n)
+        .map(|i| match rng.below(3) {
+            0 => g.add_entity(&format!("e{i}")),
+            1 => {
+                let a = g.add_activity(&format!("a{i}"));
+                g.set_vprop(a, "command", format!("op{}", rng.below(2)));
+                a
+            }
+            _ => g.add_agent(&format!("u{i}")),
+        })
+        .collect();
+    let mut edges = Vec::new();
+    for _ in 0..rng.below(3 * n as u64 + 1) {
+        let kind = EdgeKind::ALL[rng.below(5) as usize];
+        let (src_kind, dst_kind) = kind.endpoints();
+        let of_kind = |want| -> Vec<VertexId> {
+            vertices.iter().copied().filter(|&v| g.vertex_kind(v) == want).collect()
+        };
+        let (srcs, dsts) = (of_kind(src_kind), of_kind(dst_kind));
+        if srcs.is_empty() || dsts.is_empty() {
+            continue;
+        }
+        let src = srcs[rng.below(srcs.len() as u64) as usize];
+        let dst = dsts[rng.below(dsts.len() as u64) as usize];
+        for _ in 0..1 + rng.below(2) {
+            edges.push(g.add_edge(kind, src, dst).unwrap());
+        }
+    }
+    let segments = (0..1 + rng.below(4))
+        .map(|_| {
+            let members: Vec<VertexId> =
+                vertices.iter().copied().filter(|_| rng.below(4) != 0).collect();
+            let inside = |v| members.binary_search(&v).is_ok();
+            let kept = edges
+                .iter()
+                .copied()
+                .filter(|&e| inside(g.edge(e).src) && inside(g.edge(e).dst) && rng.below(4) != 0)
+                .collect();
+            SegmentRef::new(members, kept)
+        })
+        .collect();
+    (g, segments)
+}
+
+/// `build_g0`'s classes equal [`g0_classes_oracle`] node for node at
+/// k = 0, 1, 2 and 64 (past every input's fixpoint): on 512 raw segment
+/// sets with parallel and multi-kind edges, and on every quick-scale fig6
+/// input (6a's `Sd` sets of |S| = 5–40, 6b's of n = 10–40, 6c's 12-activity
+/// windows of `Pd` 2,000) under fig6's query's aggregation.
+#[test]
+fn g0_classes_match_the_per_segment_refinement() {
+    let check = |name: &str, graph: &ProvGraph, segments: &[SegmentRef], agg| {
+        for k in [0, 1, 2, 64] {
+            let g0 = build_g0(graph, segments, agg, k);
+            assert_eq!(classes(&g0), g0_classes_oracle(graph, segments, agg, k), "{name} k={k}");
+        }
+    };
+    let mut rng =
+        TestRng::deterministic("differential::g0_classes_match_the_per_segment_refinement");
+    let ignore_all = PropertyAggregation::ignore_all();
+    let by_command = ignore_all.clone().with_keys(VertexKind::Activity, &["command"]);
+    for case in 0..512 {
+        let (g, segments) = raw_segments(&mut rng);
+        for agg in [&ignore_all, &by_command] {
+            check(&format!("case {case}: {segments:?}"), &g, &segments, agg);
+        }
+    }
+    let fig6 = |segments: Vec<prov_workload::SdSegment>| -> Vec<SegmentRef> {
+        segments.into_iter().map(|s| SegmentRef::new(s.vertices, s.edges)).collect()
+    };
+    for (num_segments, n) in [(5, 20), (10, 20), (20, 20), (40, 20), (10, 10), (10, 40)] {
+        let sd = generate_sd(&SdParams { num_segments, n, ..SdParams::default() });
+        let name = format!("Sd |S|={num_segments} n={n}");
+        check(&name, &sd.graph, &fig6(sd.segments), &by_command);
+    }
+    let pd = generate_pd(&PdParams::with_size(2_000));
+    for count in [4, 8, 16, 32] {
+        check(&format!("Pd2000 |S|={count}"), &pd, &fig6(pd_segments(&pd, 12, count)), &by_command);
+    }
+}
+
 /// `simulation` equals the naive pair fixpoint, in both directions, on raw
 /// graphs of up to 14 nodes, 3 classes and `3n` edges. Most of them are
 /// cyclic, which is where a children-first order runs out and the relation
@@ -439,6 +591,58 @@ proptest! {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn g0_classes_match_the_oracle_on_plans(
+        plans in proptest::collection::vec(segment_plan(3), 1..5),
+    ) {
+        let (g, segs) = build(&plans);
+        for agg in [PropertyAggregation::ignore_all(), PgSumQuery::fig2e().aggregation] {
+            for k in [0, 1, 2, 64] {
+                let g0 = build_g0(&g, &segs, &agg, k);
+                prop_assert_eq!(classes(&g0), g0_classes_oracle(&g, &segs, &agg, k), "k={}", k);
+            }
+        }
+    }
+
+    /// The refinement runs over the union of the segments, yet a class is
+    /// a property of one (segment, vertex) pair: reordering the segments
+    /// renumbers the classes but must not regroup the pairs.
+    #[test]
+    fn g0_partition_ignores_segment_order(
+        plans in proptest::collection::vec(segment_plan(3), 1..6),
+        swaps in proptest::collection::vec(any::<prop::sample::Index>(), 6..7),
+    ) {
+        let (g, segs) = build(&plans);
+        // Fisher–Yates: the i-th permuted segment is `segs[order[i]]`.
+        let n = segs.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        for (i, swap) in swaps.iter().enumerate().take(n) {
+            order.swap(i, i + swap.index(n - i));
+        }
+        let permuted: Vec<SegmentRef> = order.iter().map(|&i| segs[i].clone()).collect();
+        let identity: Vec<usize> = (0..n).collect();
+        let coarse = PgSumQuery::new(PropertyAggregation::ignore_all(), 0);
+        let deep = PgSumQuery { k: 64, ..PgSumQuery::fig2e() };
+        for q in [coarse, PgSumQuery::fig2e(), deep] {
+            // The class of each (original segment index, vertex) pair.
+            let by_pair = |segments: &[SegmentRef], original: &[usize]| {
+                let g0 = build_g0(&g, segments, &q.aggregation, q.k);
+                let pair = |node: &G0Node| (original[node.segment as usize], node.vertex);
+                g0.nodes.iter().map(|node| (pair(node), node.class.0)).collect::<BTreeMap<_, _>>()
+            };
+            let (a, b) = (by_pair(&segs, &identity), by_pair(&permuted, &order));
+            prop_assert_eq!(a.len(), b.len());
+            // Same partition: the classes of a pair in `a` and `b` are in a
+            // one-to-one correspondence.
+            let (mut a_to_b, mut b_to_a) = (BTreeMap::new(), BTreeMap::new());
+            for (pair, &ca) in &a {
+                let cb = b[pair];
+                prop_assert_eq!(*a_to_b.entry(ca).or_insert(cb), cb, "k={} pair={:?}", q.k, pair);
+                prop_assert_eq!(*b_to_a.entry(cb).or_insert(ca), ca, "k={} pair={:?}", q.k, pair);
             }
         }
     }
