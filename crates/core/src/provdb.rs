@@ -614,15 +614,6 @@ impl ProvDb {
         prov_store::evaluate(&self.graph, &self.snapshot(), &plan)
     }
 
-    /// Evaluate a pipeline bounded to an older `watermark` — the replay mode
-    /// behind resumable cursors: only vertices and edges at ranks below the
-    /// watermark participate, so the answer matches what the snapshot looked
-    /// like when the watermark was taken.
-    pub fn query_at(&self, pipeline: Pipeline, watermark: DeltaCursor) -> StoreResult<QueryOutput> {
-        let plan = Plan::compile(pipeline)?;
-        prov_store::evaluate_at(&self.graph, &self.snapshot(), &plan, watermark, 1)
-    }
-
     /// Vertices of `kind` carrying property `key == value`, ascending by id
     /// — the IR route (`StartSet::Kind` + `PropFilter`), byte-identical to
     /// the frozen [`ProvGraph::find_by_prop`] reference.

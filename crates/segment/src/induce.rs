@@ -18,7 +18,6 @@
 
 use crate::boundary::Mask;
 use crate::direct::direct_path_vertices;
-use crate::outcome::SimilarOutcome;
 use crate::segment_graph::{Categories, SegmentGraph};
 use crate::tst::{similar_tst, TstConfig};
 use crate::view::MaskedGraph;
@@ -122,16 +121,6 @@ pub fn expansion_vertices(view: &MaskedGraph<'_>, roots: &[VertexId], k: u32) ->
     out
 }
 
-/// The result of the induce step: the segment plus the raw similarity outcome
-/// (for inspection of evaluator statistics).
-#[derive(Debug, Clone)]
-pub struct InduceResult {
-    /// The induced segment.
-    pub segment: SegmentGraph,
-    /// The similarity evaluation behind `VC2`.
-    pub similar: SimilarOutcome,
-}
-
 /// Run the induce step with SimProvTst-based `VC2` induction. Fails only
 /// when the similarity kernel meets a cycle.
 pub fn induce(
@@ -141,7 +130,7 @@ pub fn induce(
     vdst: &[VertexId],
     mask: Option<&Mask>,
     tst_cfg: &TstConfig,
-) -> StoreResult<InduceResult> {
+) -> StoreResult<SegmentGraph> {
     let mut sel = Selection::new(graph.vertex_count());
 
     // Query vertices are always part of VS (if they pass the mask).
@@ -170,8 +159,7 @@ pub fn induce(
 
     let members = sel.members.iter().map(|&v| (v, sel.cat[v.index()])).collect();
     let edge_ok = |e: EdgeId| mask.is_none_or(|m| m.edge(e));
-    let segment = SegmentGraph::assemble(graph, vsrc, vdst, members, edge_ok);
-    Ok(InduceResult { segment, similar })
+    Ok(SegmentGraph::assemble(graph, vsrc, vdst, members, edge_ok))
 }
 
 #[cfg(test)]
@@ -223,9 +211,8 @@ mod tests {
     fn induce_includes_all_four_categories() {
         let (g, idx, m) = fig2d();
         let view = MaskedGraph::unmasked(&idx);
-        let res = induce(&g, &view, &[m["dataset"]], &[m["weight2"]], None, &TstConfig::default())
+        let seg = induce(&g, &view, &[m["dataset"]], &[m["weight2"]], None, &TstConfig::default())
             .unwrap();
-        let seg = &res.segment;
         // Direct path: weight2 -> train2 -> dataset.
         assert!(seg.category(m["train2"]).unwrap().contains(Categories::DIRECT));
         // Similar path: model2 is used by train2 alongside dataset (level 2).
@@ -278,9 +265,9 @@ mod tests {
             })))
             .compile(&g);
         let view = MaskedGraph::new(&idx, Some(&mask));
-        let res =
+        let seg =
             induce(&g, &view, &[m["dataset"]], &[m["weight2"]], Some(&mask), &TstConfig::default())
                 .unwrap();
-        assert!(!res.segment.contains(m["model2"]));
+        assert!(!seg.contains(m["model2"]));
     }
 }

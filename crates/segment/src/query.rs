@@ -15,7 +15,7 @@
 use crate::alg::{similar_alg_bitset, similar_alg_cbm, AlgConfig};
 use crate::boundary::Boundary;
 use crate::cflr_baseline::{similar_cflr, GrammarForm};
-use crate::induce::{expansion_vertices, induce, InduceResult};
+use crate::induce::{expansion_vertices, induce};
 use crate::naive::{similar_naive, NaiveBudget};
 use crate::outcome::SimilarOutcome;
 use crate::segment_graph::{Categories, SegmentGraph};
@@ -154,7 +154,7 @@ pub fn evaluate_similarity(
 struct SessionState {
     query: PgSegQuery,
     mask: Option<crate::boundary::Mask>,
-    cached: InduceResult,
+    cached: SegmentGraph,
 }
 
 impl SessionState {
@@ -188,7 +188,7 @@ impl SessionState {
 
     fn restrict(&mut self, graph: &ProvGraph, extra: &Boundary) {
         let mask = extra.compile(graph);
-        let seg = &self.cached.segment;
+        let seg = &self.cached;
         let members = seg
             .vertices
             .iter()
@@ -205,7 +205,7 @@ impl SessionState {
                 prior
             }
         };
-        self.cached.segment =
+        self.cached =
             SegmentGraph::assemble(graph, &self.query.vsrc, &self.query.vdst, members, |e| {
                 combined.edge(e)
             });
@@ -269,12 +269,7 @@ impl PgSegSession {
 
     /// The induced (and possibly adjusted) segment.
     pub fn segment(&self) -> &SegmentGraph {
-        &self.state.cached.segment
-    }
-
-    /// Evaluator statistics of the similarity part.
-    pub fn similar_outcome(&self) -> &SimilarOutcome {
-        &self.state.cached.similar
+        &self.state.cached
     }
 
     /// The query this session answers.
@@ -298,12 +293,12 @@ impl PgSegSession {
 fn apply_expansion(
     graph: &ProvGraph,
     view: &MaskedGraph<'_>,
-    cached: &mut InduceResult,
+    cached: &mut SegmentGraph,
     roots: &[VertexId],
     k: u32,
     mask: Option<&crate::boundary::Mask>,
 ) {
-    let seg = &cached.segment;
+    let seg = &*cached;
     let mut members: Vec<(VertexId, Categories)> =
         seg.vertices.iter().copied().zip(seg.categories.iter().copied()).collect();
     for v in expansion_vertices(view, roots, k) {
@@ -313,7 +308,7 @@ fn apply_expansion(
         }
     }
     let edge_ok = |e| mask.is_none_or(|m| m.edge(e));
-    cached.segment = SegmentGraph::assemble(graph, &seg.vsrc, &seg.vdst, members, edge_ok);
+    *cached = SegmentGraph::assemble(graph, &seg.vsrc, &seg.vdst, members, edge_ok);
 }
 
 /// One-shot convenience: evaluate a PgSeg query end to end against borrowed
@@ -325,7 +320,7 @@ pub fn pgseg(
     query: PgSegQuery,
     opts: &PgSegOptions,
 ) -> StoreResult<SegmentGraph> {
-    Ok(SessionState::open(graph, index, query, opts)?.cached.segment)
+    Ok(SessionState::open(graph, index, query, opts)?.cached)
 }
 
 #[cfg(test)]

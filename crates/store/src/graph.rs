@@ -1201,31 +1201,6 @@ impl ProvGraph {
         }
     }
 
-    /// A topological order of the vertices (ancestors last, since PROV edges
-    /// point from later things to earlier things). Errors on cycles.
-    pub fn topological_order(&self) -> StoreResult<Vec<VertexId>> {
-        self.validate_acyclic()?;
-        let n = self.vertices.len();
-        let mut indeg: Vec<u32> = vec![0; n];
-        for e in &self.edges {
-            indeg[e.dst.index()] += 1;
-        }
-        let mut queue: std::collections::VecDeque<VertexId> =
-            self.vertex_ids().filter(|v| indeg[v.index()] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &eid in &self.out_adj[v.index()] {
-                let d = self.edges[eid.index()].dst;
-                indeg[d.index()] -= 1;
-                if indeg[d.index()] == 0 {
-                    queue.push_back(d);
-                }
-            }
-        }
-        Ok(order)
-    }
-
     /// Summary statistics used by benchmarks and examples.
     pub fn stats(&self) -> GraphStats {
         GraphStats {
@@ -1451,18 +1426,6 @@ mod tests {
         g2.add_edge(EdgeKind::WasDerivedFrom, e1, e2).unwrap();
         g2.add_edge(EdgeKind::WasDerivedFrom, e2, e1).unwrap();
         assert!(matches!(g2.validate_acyclic(), Err(StoreError::CycleDetected { .. })));
-    }
-
-    #[test]
-    fn topological_order_respects_edges() {
-        let (g, ..) = tiny();
-        let order = g.topological_order().unwrap();
-        let pos: FxHashMap<VertexId, usize> =
-            order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        for eid in g.edge_ids() {
-            let e = g.edge(eid);
-            assert!(pos[&e.src] < pos[&e.dst], "edge {eid} out of order");
-        }
     }
 
     /// Hand-corrupt private store state and check `validate` names the
