@@ -59,7 +59,7 @@ pub(crate) fn refine(
         .collect();
     let n = block.len();
     // Node `v`'s key is `keys[ends[v - 1]..ends[v]]`.
-    let (mut keys, mut ends, mut row) = (Vec::new(), Vec::with_capacity(n), Vec::new());
+    let (mut keys, mut ends) = (Vec::new(), Vec::with_capacity(n));
     for _ in 0..rounds {
         let key = |dir: u64, l: &Link| {
             dir << 40 | u64::from(l.kind()) << 32 | u64::from(block[l.node() as usize])
@@ -67,15 +67,22 @@ pub(crate) fn refine(
         keys.clear();
         ends.clear();
         for v in 0..n as u32 {
-            row.clear();
-            row.extend(out.row(v).iter().map(|l| key(0, l)));
-            row.extend(inc.row(v).iter().map(|l| key(1, l)));
-            row.sort_unstable();
-            if neighbours == Neighbours::Set {
-                row.dedup();
-            }
             keys.push(u64::from(block[v as usize]));
-            keys.extend_from_slice(&row);
+            let row = keys.len();
+            keys.extend(out.row(v).iter().map(|l| key(0, l)));
+            keys.extend(inc.row(v).iter().map(|l| key(1, l)));
+            keys[row..].sort_unstable();
+            if neighbours == Neighbours::Set {
+                // Keep each key of the sorted row once, in place.
+                let mut kept = row;
+                for i in row..keys.len() {
+                    if kept == row || keys[kept - 1] != keys[i] {
+                        keys[kept] = keys[i];
+                        kept += 1;
+                    }
+                }
+                keys.truncate(kept);
+            }
             ends.push(keys.len());
         }
         let refined = renumber(&keys, &ends, &mut block);
