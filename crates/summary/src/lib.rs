@@ -13,11 +13,8 @@
 //! [`mod@psum`] is the comparison baseline; [`paths`] checks the bounded
 //! path-preservation invariant in tests.
 //!
-//! One exact partition-refinement kernel (`refine.rs`) computes both the
-//! provenance types `Rk` (`k` rounds with multiset neighbour keys from the
-//! aggregate labels, in `build_g0`) and pSum's blocks (set keys to the
-//! fixpoint from the classes). Its ids are dense in first-appearance order,
-//! and keys are compared, never hashed into a name.
+//! One exact partition-refinement kernel (`refine.rs`) gives both the
+//! provenance types `Rk` in [`build_g0`] and pSum's blocks.
 
 pub mod aggregation;
 pub mod merge;

@@ -1,23 +1,18 @@
 //! Partition refinement, the one kernel behind provenance types `Rk`
 //! (Sec. IV-A.1) and pSum's bisimulation blocks (Sec. V).
 //!
-//! A round keys every node by its block and the sorted keys of its
-//! neighbours, each packing (direction, edge kind, neighbour block) into
-//! one `u64`, and renumbers the keys densely in first-appearance order over
-//! the nodes. Keys are compared whole, never hashed into a name, so two
-//! nodes share a block exactly when their keys are equal. A node's own
-//! block leads its key, so every round refines the last; a round that adds
-//! no block has therefore changed nothing, and the refinement stops there.
-//! That test counts blocks, so the initial partition is renumbered first:
-//! its ids need not be dense.
+//! A round keys every node by its block and the sorted words of its rows,
+//! each packing (direction, edge kind, neighbour block), and numbers the
+//! keys densely in first-appearance order. Keys are compared whole, never
+//! hashed into a name. A node's own block leads its key, so a round only
+//! splits blocks, and one that adds no block has changed nothing: the
+//! refinement stops there. That test counts blocks, so the initial ids are
+//! renumbered first.
 //!
-//! - Multiset keys for `k` rounds from the aggregate labels give the
-//!   degree-aware provenance types: two nodes share a block iff `k` rounds
-//!   of Weisfeiler–Leman refinement (Moreau's recursive aggregation by
-//!   provenance types, counting each edge) cannot tell their `k`-hop
-//!   neighbourhoods apart.
-//! - Set keys to the fixpoint from the `≡kκ` classes give the coarsest
-//!   forward+backward bisimulation that refines the classes.
+//! - Multiset keys for `k` rounds from the aggregate labels: degree-aware
+//!   WL refinement, Moreau's aggregation by provenance types.
+//! - Set keys to the fixpoint from the `≡kκ` classes: the coarsest
+//!   forward+backward bisimulation that refines them.
 
 use crate::union::{Adjacency, Link};
 use prov_store::hash::FxHashMap;
@@ -42,24 +37,13 @@ pub(crate) fn refine(
     neighbours: Neighbours,
     rounds: usize,
 ) -> (Vec<u32>, usize) {
-    // Round 0: the initial ids, dense in first-appearance order.
-    let (mut dense, mut count) = (Vec::new(), 0);
-    let mut block: Vec<u32> = initial
-        .map(|id| {
-            let id = id as usize;
-            if id >= dense.len() {
-                dense.resize(id + 1, u32::MAX);
-            }
-            if dense[id] == u32::MAX {
-                dense[id] = count as u32;
-                count += 1;
-            }
-            dense[id]
-        })
-        .collect();
-    let n = block.len();
-    // Node `v`'s key is `keys[ends[v - 1]..ends[v]]`.
-    let (mut keys, mut ends) = (Vec::new(), Vec::with_capacity(n));
+    // Node `v`'s key is `keys[ends[v - 1]..ends[v]]`; round 0 keys it by
+    // its initial id alone.
+    let mut keys: Vec<u64> = initial.map(u64::from).collect();
+    let n = keys.len();
+    let mut ends: Vec<usize> = (1..=n).collect();
+    let mut block = Vec::with_capacity(n);
+    let mut count = renumber(&keys, &ends, &mut block);
     for _ in 0..rounds {
         let key = |dir: u64, l: &Link| {
             dir << 40 | u64::from(l.kind()) << 32 | u64::from(block[l.node() as usize])

@@ -3,8 +3,6 @@
 //! Each segment vertex becomes one `g0` node labeled by its equivalence class
 //! under `≡kκ` (same kind, same visible property values, same provenance
 //! type). `g0` itself is a valid Psg — the merging phase only improves on it.
-//! The provenance type `Rk` is `k` rounds of the crate's partition
-//! refinement over `g0`'s rows, from the aggregate labels.
 //!
 //! A [`G0`] is flat: its nodes are one array and each adjacency is one
 //! compressed row array of packed [`Link`]s, so neither `build_g0` nor
@@ -223,12 +221,11 @@ impl G0 {
 /// Build `g0` from segments under the aggregation `K` and provenance type
 /// radius `k`.
 ///
-/// Each vertex's aggregate label is interned once to a dense id, which is
-/// round 0; `k` rounds of multiset refinement over g0's rows give the
-/// classes. g0 is the disjoint union of the segments, so a round over it is
-/// a round per segment, and one first-appearance numbering serves all of
-/// them. A type counts every edge of its segment, so the rows are refined
-/// before `g0` keeps a repeated edge once.
+/// Each vertex's aggregate label is interned once to a dense id; the
+/// classes are `k` rounds of multiset refinement from those ids over g0's
+/// rows. g0 is the disjoint union of the segments, so that is a round per
+/// segment, with one first-appearance numbering for all of them. A type
+/// counts every edge, so the rows are refined before a repeat is dropped.
 pub fn build_g0(
     graph: &ProvGraph,
     segments: &[SegmentRef],
@@ -241,8 +238,7 @@ pub fn build_g0(
     let mut labels: Vec<u32> = Vec::with_capacity(total);
     let mut keys: Vec<u64> = Vec::new();
     for (si, seg) in segments.iter().enumerate() {
-        // The vertex at position `r` of the sorted `seg.vertices` is node
-        // `base + r`.
+        // The node of the segment's rank-`r` vertex is `base + r`.
         let base = nodes.len() as u32;
         let node = |v: VertexId| {
             let rank = seg.vertices.binary_search(&v).expect("vertex belongs to the segment");
@@ -258,18 +254,15 @@ pub fn build_g0(
         }
     }
     keys.sort_unstable();
-    let mut out = Adjacency::from_sorted_keys(nodes.len(), &keys);
-    let mut inc = out.reversed();
+    let out = Adjacency::from_sorted_keys(nodes.len(), &keys);
+    let inc = out.reversed();
     let (class, class_count) = refine(labels.into_iter(), &out, &inc, Neighbours::Multiset, k);
     for (node, c) in nodes.iter_mut().zip(class) {
         node.class = ClassId(c);
     }
     // g0 keeps a repeated edge once: only then are its rows laid out anew.
-    let len = keys.len();
-    keys.dedup();
-    if keys.len() < len {
-        out = Adjacency::from_sorted_keys(nodes.len(), &keys);
-        inc = out.reversed();
+    if keys.windows(2).any(|w| w[0] == w[1]) {
+        return G0::from_keys(nodes, keys, segments.len(), class_count);
     }
     G0 { nodes, out, inc, segment_count: segments.len(), class_count }
 }
@@ -306,18 +299,23 @@ mod tests {
         assert_eq!(g0.edge_count(), 4);
     }
 
+    /// The twin rounds share classes at every k, as two segments and as
+    /// two rounds of one segment.
     #[test]
     fn classes_unify_across_segments() {
         let (g, segs) = twin_segments();
-        let g0 = build_g0(&g, &segs, &PropertyAggregation::ignore_all(), 1);
-        // 3 classes: input entity, train activity, output entity.
-        assert_eq!(g0.class_count(), 3);
-        // Corresponding vertices of the two segments share classes.
-        assert_eq!(g0.class(0), g0.class(3));
-        assert_eq!(g0.class(1), g0.class(4));
-        assert_eq!(g0.class(2), g0.class(5));
-        // But input and output entities differ (k = 1 structure).
-        assert_ne!(g0.class(0), g0.class(2));
+        let one = SegmentRef::new(g.vertex_ids().collect(), g.edge_ids().collect());
+        for (k, segs) in (1..4).flat_map(|k| [(k, &segs[..]), (k, std::slice::from_ref(&one))]) {
+            let g0 = build_g0(&g, segs, &PropertyAggregation::ignore_all(), k);
+            // 3 classes: input entity, train activity, output entity.
+            assert_eq!(g0.class_count(), 3, "k={k}");
+            // Corresponding vertices of the two rounds share classes.
+            assert_eq!(g0.class(0), g0.class(3));
+            assert_eq!(g0.class(1), g0.class(4));
+            assert_eq!(g0.class(2), g0.class(5));
+            // But input and output entities differ (k >= 1 structure).
+            assert_ne!(g0.class(0), g0.class(2));
+        }
     }
 
     #[test]
@@ -364,105 +362,54 @@ mod tests {
         assert_eq!(g0.class_count(), 2);
     }
 
-    /// Class of the node of `v` in a one-segment `g0`.
-    fn class_of(g0: &G0, v: VertexId) -> ClassId {
-        g0.nodes.iter().find(|node| node.vertex == v).expect("v is a segment vertex").class
-    }
-
-    /// Two `update` activities with different shapes: u1 uses 1 entity,
-    /// u2 uses 2 (the paper's update-v2 vs update-v3 example).
-    fn shapes() -> (ProvGraph, SegmentRef, VertexId, VertexId) {
+    /// Two `update` activities of different degrees: u1 (vertex 3) uses e0,
+    /// u2 (vertex 4) uses e1 and e2, the paper's update-v2 vs update-v3
+    /// example. Edge i is the i-th use.
+    fn shapes() -> ProvGraph {
         let mut g = ProvGraph::new();
-        let e1 = g.add_entity("e1");
-        let e2 = g.add_entity("e2");
-        let e3 = g.add_entity("e3");
-        let u1 = g.add_activity("update");
-        let u2 = g.add_activity("update");
-        g.set_vprop(u1, "command", "update");
-        g.set_vprop(u2, "command", "update");
-        let a = g.add_edge(EdgeKind::Used, u1, e1).unwrap();
-        let b = g.add_edge(EdgeKind::Used, u2, e2).unwrap();
-        let c = g.add_edge(EdgeKind::Used, u2, e3).unwrap();
-        let seg = SegmentRef::new(vec![e1, e2, e3, u1, u2], vec![a, b, c]);
-        (g, seg, u1, u2)
-    }
-
-    fn by_command() -> PropertyAggregation {
-        PropertyAggregation::ignore_all().with_keys(VertexKind::Activity, &["command"])
-    }
-
-    #[test]
-    fn k0_ignores_structure() {
-        let (g, seg, u1, u2) = shapes();
-        let g0 = build_g0(&g, &[seg], &by_command(), 0);
-        assert_eq!(class_of(&g0, u1), class_of(&g0, u2));
-    }
-
-    #[test]
-    fn k1_separates_different_degrees() {
-        let (g, seg, u1, u2) = shapes();
-        let g0 = build_g0(&g, &[seg], &by_command(), 1);
-        assert_ne!(
-            class_of(&g0, u1),
-            class_of(&g0, u2),
-            "degree-aware types must distinguish 1-input from 2-input updates"
-        );
-    }
-
-    #[test]
-    fn identical_shapes_share_types_across_rounds() {
-        // Two isomorphic train rounds in one segment.
-        let mut g = ProvGraph::new();
-        let d1 = g.add_entity("d");
-        let t1 = g.add_activity("train");
-        let w1 = g.add_entity("w");
-        let d2 = g.add_entity("d");
-        let t2 = g.add_activity("train");
-        let w2 = g.add_entity("w");
-        let e1 = g.add_edge(EdgeKind::Used, t1, d1).unwrap();
-        let e2 = g.add_edge(EdgeKind::WasGeneratedBy, w1, t1).unwrap();
-        let e3 = g.add_edge(EdgeKind::Used, t2, d2).unwrap();
-        let e4 = g.add_edge(EdgeKind::WasGeneratedBy, w2, t2).unwrap();
-        let seg = SegmentRef::new(vec![d1, t1, w1, d2, t2, w2], vec![e1, e2, e3, e4]);
-        for k in 0..4 {
-            let g0 =
-                build_g0(&g, std::slice::from_ref(&seg), &PropertyAggregation::ignore_all(), k);
-            assert_eq!(class_of(&g0, t1), class_of(&g0, t2), "k={k}");
-            assert_eq!(class_of(&g0, d1), class_of(&g0, d2), "k={k}");
-            assert_eq!(class_of(&g0, w1), class_of(&g0, w2), "k={k}");
-            // Input vs output entities differ structurally for k >= 1.
-            if k >= 1 {
-                assert_ne!(class_of(&g0, d1), class_of(&g0, w1), "k={k}");
-            }
+        let e = [0, 1, 2].map(|i| g.add_entity(&format!("e{i}")));
+        let [u1, u2] = [0, 1].map(|_| {
+            let a = g.add_activity("update");
+            g.set_vprop(a, "command", "update");
+            a
+        });
+        for (a, x) in [(u1, e[0]), (u2, e[1]), (u2, e[2])] {
+            g.add_edge(EdgeKind::Used, a, x).unwrap();
         }
+        g
     }
 
+    /// k = 0 ignores structure; from k = 1 the types are degree-aware, and
+    /// they see only the segment's own edges.
     #[test]
-    fn segment_locality_edges_outside_ignored() {
-        // Same vertices, but the segment omits u2's second edge: then u1 and
-        // u2 look identical at k=1.
-        let (g, _, u1, u2) = shapes();
-        let seg = SegmentRef::new(
-            vec![VertexId::new(0), VertexId::new(1), u1, u2],
-            vec![prov_model::EdgeId::new(0), prov_model::EdgeId::new(1)],
-        );
-        let g0 = build_g0(&g, &[seg], &by_command(), 1);
-        assert_eq!(class_of(&g0, u1), class_of(&g0, u2));
+    fn degrees_separate_types_from_k1() {
+        let g = shapes();
+        let agg = PropertyAggregation::ignore_all().with_keys(VertexKind::Activity, &["command"]);
+        let segment = |vs: &[u32], uses: u32| {
+            let edges = (0..uses).map(prov_model::EdgeId::new).collect();
+            [SegmentRef::new(vs.iter().map(|&v| VertexId::new(v)).collect(), edges)]
+        };
+        for k in [0, 1] {
+            let g0 = build_g0(&g, &segment(&[0, 1, 2, 3, 4], 3), &agg, k);
+            assert_eq!(g0.class(3) == g0.class(4), k == 0, "k={k}: 1-input vs 2-input update");
+        }
+        // Without e2 and u2's second use, the two updates look alike.
+        let g0 = build_g0(&g, &segment(&[0, 1, 3, 4], 2), &agg, 1);
+        assert_eq!(g0.class(2), g0.class(3));
     }
 
     #[test]
     fn direction_matters() {
         // a uses e  vs  e' generated-by a': same degree, opposite direction.
         let mut g = ProvGraph::new();
-        let e1 = g.add_entity("x");
-        let a1 = g.add_activity("f");
-        let e2 = g.add_entity("x");
-        let a2 = g.add_activity("f");
-        let ed1 = g.add_edge(EdgeKind::Used, a1, e1).unwrap();
-        let ed2 = g.add_edge(EdgeKind::WasGeneratedBy, e2, a2).unwrap();
-        let seg = SegmentRef::new(vec![e1, a1, e2, a2], vec![ed1, ed2]);
+        let vs = [g.add_entity("x"), g.add_activity("f"), g.add_entity("x"), g.add_activity("f")];
+        let edges = vec![
+            g.add_edge(EdgeKind::Used, vs[1], vs[0]).unwrap(),
+            g.add_edge(EdgeKind::WasGeneratedBy, vs[2], vs[3]).unwrap(),
+        ];
+        let seg = SegmentRef::new(vs.to_vec(), edges);
         let g0 = build_g0(&g, &[seg], &PropertyAggregation::ignore_all(), 1);
-        assert_ne!(class_of(&g0, e1), class_of(&g0, e2));
-        assert_ne!(class_of(&g0, a1), class_of(&g0, a2));
+        assert_ne!(g0.class(0), g0.class(2));
+        assert_ne!(g0.class(1), g0.class(3));
     }
 }
