@@ -7,7 +7,8 @@
 //! hashed into a name. A node's own block leads its key, so a round only
 //! splits blocks, and one that adds no block has changed nothing: the
 //! refinement stops there. That test counts blocks, so the initial ids are
-//! renumbered first.
+//! renumbered first. A block of one node cannot split, so its node is keyed
+//! by its block alone: its id is the same, and its rows are not read.
 //!
 //! - Multiset keys for `k` rounds from the aggregate labels: degree-aware
 //!   WL refinement, Moreau's aggregation by provenance types.
@@ -42,52 +43,52 @@ pub(crate) fn refine(
     let mut keys: Vec<u64> = initial.map(u64::from).collect();
     let n = keys.len();
     let mut ends: Vec<usize> = (1..=n).collect();
-    let mut block = Vec::with_capacity(n);
-    let mut count = renumber(&keys, &ends, &mut block);
+    let (mut block, mut size, mut row) = (Vec::with_capacity(n), Vec::new(), Vec::new());
+    renumber(&keys, &ends, &mut block, &mut size);
     for _ in 0..rounds {
+        let count = size.len();
         let key = |dir: u64, l: &Link| {
             dir << 40 | u64::from(l.kind()) << 32 | u64::from(block[l.node() as usize])
         };
         keys.clear();
         ends.clear();
         for v in 0..n as u32 {
-            keys.push(u64::from(block[v as usize]));
-            let row = keys.len();
-            keys.extend(out.row(v).iter().map(|l| key(0, l)));
-            keys.extend(inc.row(v).iter().map(|l| key(1, l)));
-            keys[row..].sort_unstable();
-            if neighbours == Neighbours::Set {
-                // Keep each key of the sorted row once, in place.
-                let mut kept = row;
-                for i in row..keys.len() {
-                    if kept == row || keys[kept - 1] != keys[i] {
-                        keys[kept] = keys[i];
-                        kept += 1;
-                    }
+            let own = block[v as usize];
+            keys.push(u64::from(own));
+            if size[own as usize] > 1 {
+                row.clear();
+                row.extend(out.row(v).iter().map(|l| key(0, l)));
+                row.extend(inc.row(v).iter().map(|l| key(1, l)));
+                row.sort_unstable();
+                if neighbours == Neighbours::Set {
+                    row.dedup();
                 }
-                keys.truncate(kept);
+                keys.extend_from_slice(&row);
             }
             ends.push(keys.len());
         }
-        let refined = renumber(&keys, &ends, &mut block);
-        if refined == count {
+        renumber(&keys, &ends, &mut block, &mut size);
+        if size.len() == count {
             break;
         }
-        count = refined;
     }
-    (block, count)
+    (block, size.len())
 }
 
 /// Write the dense first-appearance id of each key slice to `block`, and
-/// return the number of distinct slices.
-fn renumber(keys: &[u64], ends: &[usize], block: &mut Vec<u32>) -> usize {
+/// the number of nodes with each id to `size`.
+fn renumber(keys: &[u64], ends: &[usize], block: &mut Vec<u32>, size: &mut Vec<u32>) {
     let mut ids: FxHashMap<&[u64], u32> =
         FxHashMap::with_capacity_and_hasher(ends.len(), Default::default());
     let starts = std::iter::once(0).chain(ends.iter().copied());
     block.clear();
+    size.clear();
     block.extend(starts.zip(ends).map(|(s, &e)| {
-        let next = ids.len() as u32;
-        *ids.entry(&keys[s..e]).or_insert(next)
+        let id = *ids.entry(&keys[s..e]).or_insert_with(|| {
+            size.push(0);
+            size.len() as u32 - 1
+        });
+        size[id as usize] += 1;
+        id
     }));
-    ids.len()
 }

@@ -235,7 +235,6 @@ pub fn build_g0(
     let total: usize = segments.iter().map(|s| s.vertices.len()).sum();
     let mut label_ids = LabelIds::new(graph, aggregation);
     let mut nodes: Vec<G0Node> = Vec::with_capacity(total);
-    let mut labels: Vec<u32> = Vec::with_capacity(total);
     let mut keys: Vec<u64> = Vec::new();
     for (si, seg) in segments.iter().enumerate() {
         // The node of the segment's rank-`r` vertex is `base + r`.
@@ -249,14 +248,16 @@ pub fn build_g0(
             edge_key(node(rec.src), rec.kind.as_index() as u8, node(rec.dst))
         }));
         for &vertex in &seg.vertices {
-            labels.push(label_ids.id(vertex));
-            nodes.push(G0Node { segment: si as u32, vertex, class: ClassId(0) });
+            // Until the refinement, a node's class holds its label id.
+            let class = ClassId(label_ids.id(vertex));
+            nodes.push(G0Node { segment: si as u32, vertex, class });
         }
     }
     keys.sort_unstable();
     let out = Adjacency::from_sorted_keys(nodes.len(), &keys);
     let inc = out.reversed();
-    let (class, class_count) = refine(labels.into_iter(), &out, &inc, Neighbours::Multiset, k);
+    let labels = nodes.iter().map(|node| node.class.0);
+    let (class, class_count) = refine(labels, &out, &inc, Neighbours::Multiset, k);
     for (node, c) in nodes.iter_mut().zip(class) {
         node.class = ClassId(c);
     }
@@ -362,10 +363,12 @@ mod tests {
         assert_eq!(g0.class_count(), 2);
     }
 
-    /// Two `update` activities of different degrees: u1 (vertex 3) uses e0,
-    /// u2 (vertex 4) uses e1 and e2, the paper's update-v2 vs update-v3
-    /// example. Edge i is the i-th use.
-    fn shapes() -> ProvGraph {
+    /// k = 0 ignores structure; from k = 1 the types are degree-aware, and
+    /// they see only the segment's own edges. Two `update` activities of
+    /// different degrees: u1 (vertex 3) uses e0, u2 (vertex 4) uses e1 and
+    /// e2, the paper's update-v2 vs update-v3 example. Edge i is the i-th use.
+    #[test]
+    fn degrees_separate_types_from_k1() {
         let mut g = ProvGraph::new();
         let e = [0, 1, 2].map(|i| g.add_entity(&format!("e{i}")));
         let [u1, u2] = [0, 1].map(|_| {
@@ -376,14 +379,6 @@ mod tests {
         for (a, x) in [(u1, e[0]), (u2, e[1]), (u2, e[2])] {
             g.add_edge(EdgeKind::Used, a, x).unwrap();
         }
-        g
-    }
-
-    /// k = 0 ignores structure; from k = 1 the types are degree-aware, and
-    /// they see only the segment's own edges.
-    #[test]
-    fn degrees_separate_types_from_k1() {
-        let g = shapes();
         let agg = PropertyAggregation::ignore_all().with_keys(VertexKind::Activity, &["command"]);
         let segment = |vs: &[u32], uses: u32| {
             let edges = (0..uses).map(prov_model::EdgeId::new).collect();
