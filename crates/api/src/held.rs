@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub const HELD_BUDGET_BYTES: usize = 64 << 20;
 
 /// Fixed charge of one session on top of its segment's ids: the session's
-/// own bookkeeping (query, mask, evaluator outcome), priced flat.
+/// own bookkeeping (query and mask), priced flat.
 const SESSION_BASE_BYTES: usize = 1 << 10;
 
 /// The snapshot a walk was evaluated over.

@@ -52,7 +52,9 @@ segment-test:
 
 # The PgSum suites alone, optimized: the simulation sweep against the naive
 # pair fixpoint (segment-built and raw, mostly cyclic G0s), the merge phase
-# against a recompute-every-round oracle, and the summary invariants.
+# against a recompute-every-round oracle, pSum against its anchored
+# definition, g0's classes against a per-segment refinement (and under any
+# segment order), and the summary invariants.
 summary-test:
     cargo test -q --release -p prov-summary
 
